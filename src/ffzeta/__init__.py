@@ -16,7 +16,6 @@ from .ffpoly import (  # noqa: F401
     Poly,
     enumerate_monic,
     enumerate_monic_primes,
-    field_make,
     is_irreducible,
     monic_by_index,
     monic_prime_count,

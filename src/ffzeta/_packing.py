@@ -17,8 +17,9 @@ Three internal representations, chosen by characteristic:
   carrying the ``w^e``-coordinates of all coefficients for the fixed basis
   ``1, w, ..., w^(m-1)`` of the coefficient field.
 
-Everything here is private plumbing for :mod:`ffzeta.ffpoly` and the bulk
-enumeration loops in :mod:`ffzeta.zeta`.
+Everything here is private plumbing for the rest of the package: the
+polynomial and series arithmetic, and the power-sum engine and its
+enumeration oracle in :mod:`ffzeta.zeta`.
 """
 
 from __future__ import annotations
@@ -169,15 +170,6 @@ def digits_mod(x: int, p: int, length: int) -> int:
         return 0
     arr = pk_unpack(x, length) % p
     return int.from_bytes(arr.astype("<u2").tobytes(), "little")
-
-
-def pk_mul(a: int, b: int, p: int, out_length: int) -> int:
-    """Product of two digit-reduced packed polynomials, digit-reduced.
-
-    Exact when ``p*p*min(number of terms)`` fits a digit field; all call
-    sites here satisfy that with length <= 16000 for p <= 7.
-    """
-    return digits_mod(a * b, p, out_length)
 
 
 def pk_spread_terms(coeffs, step: int) -> list[tuple[int, int]]:

@@ -65,7 +65,7 @@ def _result(cid, title, params, passed, t0, details=None) -> CriterionResult:
 
 # ---------------------------------------------------------------------------
 
-def criterion_1(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_1(quick=False, cache=None) -> CriterionResult:
     """Special values are polynomials: a zero window right after the
     logarithmic degree bound, for every exponent in the grid."""
     t0 = time.perf_counter()
@@ -104,12 +104,12 @@ def _sample_exponents(field: FiniteField, count: int, digits: int,
     return out
 
 
-def criterion_2(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_2(quick=False, cache=None) -> CriterionResult:
     """Every segment of the zeta family polygon at infinity has length 1
     and the polygon is non-provisional, across integer and sampled
     exponents."""
     t0 = time.perf_counter()
-    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 8, 64)
+    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 12, 256)
     rs = (2,) if quick else (2, 3)
     failures = []
     for r in rs:
@@ -131,7 +131,7 @@ def criterion_2(quick=False, cache=None, threads=1) -> CriterionResult:
                    not failures, t0, {"failures": failures})
 
 
-def criterion_3(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_3(quick=False, cache=None) -> CriterionResult:
     """Exact Euler-factor removal identity over primes of degree <= 3."""
     t0 = time.perf_counter()
     jmax, fdeg = (10, 2) if quick else (50, 3)
@@ -145,7 +145,7 @@ def criterion_3(quick=False, cache=None, threads=1) -> CriterionResult:
             totals: dict = {}
             for f in primes:
                 rep = euler_removed_identity(field, j, f, cache=cache,
-                                             totals=totals, threads=threads)
+                                             totals=totals)
                 if not rep.passed:
                     failures.append({"r": r, "j": j, "f": f.to_string()})
     return _result("3", "euler factor removal identity",
@@ -153,7 +153,7 @@ def criterion_3(quick=False, cache=None, threads=1) -> CriterionResult:
                    not failures, t0, {"failures": failures})
 
 
-def criterion_4(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_4(quick=False, cache=None) -> CriterionResult:
     """Exact degree-1 twist identity between the finite place and infinity."""
     t0 = time.perf_counter()
     jmax = 20 if quick else 100
@@ -171,11 +171,11 @@ def criterion_4(quick=False, cache=None, threads=1) -> CriterionResult:
                    {"failures": failures})
 
 
-def criterion_5(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_5(quick=False, cache=None) -> CriterionResult:
     """Simplicity of the v-adic zeta spectra at f = T for exponents in
     (r-1) times the exponent space."""
     t0 = time.perf_counter()
-    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 8, 64)
+    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 12, 256)
     rs = (2,) if quick else (2, 3)
     failures = []
     for r in rs:
@@ -200,7 +200,7 @@ def criterion_5(quick=False, cache=None, threads=1) -> CriterionResult:
                    not failures, t0, {"failures": failures})
 
 
-def criterion_6(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_6(quick=False, cache=None) -> CriterionResult:
     """Carlitz Frobenius norm equals the prime, and the L-series has
     c(n) = n (after unit bookkeeping if a nontrivial unit ever shows up)."""
     t0 = time.perf_counter()
@@ -254,7 +254,7 @@ def _sign_bookkeeping(field, coeffs, dbound) -> dict:
     return signs
 
 
-def criterion_7(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_7(quick=False, cache=None) -> CriterionResult:
     """Rank-2 Frobenius charpoly verifies exactly and obeys the local
     degree bound 2 deg a <= deg f."""
     t0 = time.perf_counter()
@@ -286,7 +286,7 @@ def criterion_7(quick=False, cache=None, threads=1) -> CriterionResult:
                    not failures, t0, {"failures": failures})
 
 
-def criterion_8(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_8(quick=False, cache=None) -> CriterionResult:
     """The square-root CM example: composition, coefficient identity,
     Euler-factor squares, and slope parities."""
     t0 = time.perf_counter()
@@ -320,9 +320,10 @@ def criterion_8(quick=False, cache=None, threads=1) -> CriterionResult:
                    passed, t0, details)
 
 
-def criterion_9(quick=False, cache=None, threads=1) -> CriterionResult:
-    """Oracle equivalences: partitioned enumeration against single-thread
-    enumeration, and Euler-product recursion against symbolic expansion."""
+def criterion_9(quick=False, cache=None) -> CriterionResult:
+    """Oracle equivalences: enumeration summed over three index sub-ranges
+    against one pass, and Euler-product recursion against symbolic
+    expansion."""
     t0 = time.perf_counter()
     samples = 12 if quick else 50
     dbound = 3 if quick else 5
@@ -333,7 +334,11 @@ def criterion_9(quick=False, cache=None, threads=1) -> CriterionResult:
         field = rng.choice(fields)
         d = rng.randint(0, 4)
         j = rng.randint(0, 50)
-        a = power_sum_enumerated(field, d, j, threads=3)
+        total = field.order ** d
+        cuts = [0, total // 3, 2 * total // 3, total]
+        a = Poly.zero(field)
+        for lo, hi in zip(cuts, cuts[1:]):
+            a = a + power_sum_enumerated(field, d, j, start=lo, stop=hi)
         b = power_sum_enumerated(field, d, j)
         if a != b:
             failures.append({"r": field.order, "d": d, "j": j,
@@ -356,7 +361,7 @@ def criterion_9(quick=False, cache=None, threads=1) -> CriterionResult:
                    not failures, t0, {"failures": failures})
 
 
-def criterion_10(quick=False, cache=None, threads=1) -> CriterionResult:
+def criterion_10(quick=False, cache=None) -> CriterionResult:
     """Byte determinism: the quick battery serialises identically twice
     (timing excluded)."""
     t0 = time.perf_counter()
@@ -382,7 +387,7 @@ _RUNNERS = {
 }
 
 
-def run_battery(quick=False, cache=None, threads=1,
+def run_battery(quick=False, cache=None,
                 criteria: str | None = None) -> list[CriterionResult]:
     """Run the requested criteria (comma-separated ids; default all ten)."""
     if criteria is None:
@@ -393,5 +398,5 @@ def run_battery(quick=False, cache=None, threads=1,
         if unknown:
             from .errors import UsageError
             raise UsageError(f"unknown criteria: {unknown}")
-    return [_RUNNERS[cid](quick=quick, cache=cache, threads=threads)
+    return [_RUNNERS[cid](quick=quick, cache=cache)
             for cid in wanted]

@@ -173,7 +173,6 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("json", "text", "csv"), default="json")
     sp.add_argument("--cache-dir", type=str, default=None,
                     help=f"power-sum cache directory (or ${ENV_CACHE_DIR})")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def _field_from(args) -> FiniteField:
@@ -208,8 +207,7 @@ def cmd_special(args) -> tuple[dict, int]:
     result = {"coefficients": [poly_json(c) for c in z.coeffs],
               "observed_degree": z.observed_degree,
               "certified_polynomial": z.certified_polynomial}
-    cfg = _config_of(args, "p", "m", "modulus", "j", "dmax", "cache_dir",
-                     "threads", "format")
+    cfg = _config_of(args, "p", "m", "modulus", "j", "dmax", "cache_dir", "format")
     return envelope("special", cfg, result, time.perf_counter() - t0), EXIT_OK
 
 
@@ -260,7 +258,7 @@ def cmd_newton(args) -> tuple[dict, int]:
     if refined:
         result["refined_roots"] = refined
     cfg = _config_of(args, "p", "m", "modulus", "y", "y_digits", "f", "s1",
-                     "dmax", "prec", "refine", "threads", "format")
+                     "dmax", "prec", "refine", "format")
     return envelope("newton", cfg, result, time.perf_counter() - t0), EXIT_OK
 
 
@@ -286,8 +284,7 @@ def cmd_frobenius(args) -> tuple[dict, int]:
               "verified": data.verified,
               "trace_bound_ok": data.trace_bound_ok,
               "charpoly": data.charpoly_string()}
-    cfg = _config_of(args, "p", "m", "modulus", "f", "module", "tau_coeffs",
-                     "threads", "format")
+    cfg = _config_of(args, "p", "m", "modulus", "f", "module", "tau_coeffs", "format")
     return envelope("frobenius", cfg, result, time.perf_counter() - t0), EXIT_OK
 
 
@@ -308,7 +305,7 @@ def cmd_lseries(args) -> tuple[dict, int]:
         result["special_coefficients"] = {
             "j": args.j, "values": [poly_json(c) for c in specials]}
     cfg = _config_of(args, "p", "m", "modulus", "module", "tau_coeffs",
-                     "degree_bound", "j", "threads", "format")
+                     "degree_bound", "j", "format")
     return envelope("lseries", cfg, result, time.perf_counter() - t0), EXIT_OK
 
 
@@ -341,18 +338,17 @@ def cmd_sqrtcar(args) -> tuple[dict, int]:
     }
     passed = composition and identity.passed and factorization.passed \
         and parity.passed
-    cfg = _config_of(args, "j", "dmax", "prec", "cache_dir", "threads", "format")
+    cfg = _config_of(args, "j", "dmax", "prec", "cache_dir", "format")
     doc = envelope("sqrtcar", cfg, result, time.perf_counter() - t0)
     return doc, EXIT_OK if passed else EXIT_MATH
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     cache = _cache_from(args)
-    results = run_battery(quick=args.quick, cache=cache,
-                          threads=args.threads, criteria=args.criteria)
+    results = run_battery(quick=args.quick, cache=cache, criteria=args.criteria)
     for res in results:
         print(res.line(), file=sys.stderr)
-    cfg = _config_of(args, "quick", "criteria", "threads", "cache_dir", "format")
+    cfg = _config_of(args, "quick", "criteria", "cache_dir", "format")
     blob = render_battery_json(results, cfg)
     doc = json.loads(blob)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_MATH

@@ -64,7 +64,8 @@ class NotCoprime(UsageError):
 
 
 class NonConvergence(FFZetaError, ArithmeticError):
-    """An iteration that must converge did not; indicates a bug."""
+    """An iteration or root refinement that must converge did not;
+    indicates a bug."""
 
 
 class PreconditionViolated(UsageError):
@@ -83,10 +84,6 @@ class ProvisionalPolygon(FFZetaError, ArithmeticError):
 
 class DerivativeVanishesToPrecision(FFZetaError, ArithmeticError):
     """Newton refinement hit a derivative that is zero to precision."""
-
-
-class NoConvergence(FFZetaError, ArithmeticError):
-    """Root refinement failed to reach the target residual; indicates a bug."""
 
 
 # ---- Drinfeld modules ---------------------------------------------------

@@ -319,11 +319,6 @@ class FiniteField:
         return f"F({self.p}^{self.m})"
 
 
-def field_make(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> FiniteField:
-    """Construct a verified field descriptor (errors on bad p/modulus)."""
-    return FiniteField(p, m, modulus)
-
-
 class FqElement:
     """A field element bound to its field; thin wrapper over the encoding."""
 

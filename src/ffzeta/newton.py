@@ -38,7 +38,7 @@ from .errors import (
     AllCoefficientsVanish,
     DerivativeVanishesToPrecision,
     InsufficientPadicPrecision,
-    NoConvergence,
+    NonConvergence,
     PreconditionViolated,
 )
 from .nonarch import LaurentSeries
@@ -86,10 +86,6 @@ class NewtonPolygon:
         for (a, b), (c, d_) in zip(segs, segs[1:]):
             if (b[1] - a[1]) * (d_[0] - c[0]) >= (d_[1] - c[1]) * (b[0] - a[0]):
                 raise AssertionError("hull slopes fail to strictly increase")
-
-    @classmethod
-    def from_points(cls, finite, bounds=(), exact_zeros=()):
-        return cls(finite, bounds, exact_zeros)
 
     def _assess_bounds(self) -> bool:
         first_d = self.finite[0][0]
@@ -267,7 +263,7 @@ def hensel_root(coeffs: Sequence[LaurentSeries], slope: int,
     pz = _eval_poly(coeffs, z)
     if val_of(pz) >= target_prec:
         return z
-    raise NoConvergence("Newton refinement missed the residual target")
+    raise NonConvergence("Newton refinement missed the residual target")
 
 
 def hensel_slack(slope: int, span: int) -> int:

@@ -334,16 +334,7 @@ def unit_pow_padic(u: LaurentSeries, y: PadicExponent, prec: int) -> LaurentSeri
     if p ** y.precision < prec:
         raise InsufficientPadicPrecision(
             f"need p^N >= {prec}, got p^{y.precision} = {p ** y.precision}")
-    e = y.value()
-    base = u.truncate(prec)
-    acc = LaurentSeries.one(u.field, prec)
-    while e:
-        if e & 1:
-            acc = (acc * base).truncate(prec)
-        e >>= 1
-        if e:
-            base = (base * base).truncate(prec)
-    return acc
+    return u.truncate(prec) ** y.value()
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,28 @@ The central quantity is the exact power sum
 
 Two independent routes compute it:
 
-* ``method="enumeration"`` walks the monic polynomials (optionally in
-  disjoint index partitions across threads) and sums their powers.  This
-  is the oracle route: slow, transparent, exactly the definition.
+* :func:`power_sum` expands (T^d + m)^j binomially over the coefficient
+  subspace V_d = {deg < d} and uses that the inner character sum over
+  F_q kills every exponent not divisible by q-1.  All values lie in the
+  prime subfield (the monic family is Galois stable), so the recursion
+  runs on packed prime-field polynomials and is fast enough for
+  four-digit exponents.
 
-* ``method="recursion"`` (the default) expands (T^d + m)^j binomially
-  over the coefficient subspace V_d = {deg < d} and uses that the inner
-  character sum over F_q kills every exponent not divisible by q-1.  All
-  values lie in the prime subfield (the monic family is Galois stable),
-  so the recursion runs on packed prime-field polynomials and is fast
-  enough for four-digit exponents.  The test suite pins the two routes
-  against each other across fields.
+* :func:`power_sum_enumerated` walks the monic polynomials (optionally
+  over a sub-range of their indices) and sums their powers.  This is the
+  oracle route: slow, transparent, exactly the definition.  The test
+  suite pins the two routes against each other across fields.
 
 Families of local-field coefficients (the d-th coefficient of the zeta
-series at a fixed exponent) are built from the same enumeration with the
-bracket/one-unit machinery of :mod:`ffzeta.nonarch`.
+series at a fixed exponent) come from the same recursion in closed form:
+at infinity and at degree-1 primes each coefficient is a binomial sum of
+subspace or monic power sums.  Primes of degree >= 2 enumerate the
+coprime monics through :func:`ffzeta.nonarch.pow_sv`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +62,7 @@ class _SumEngine:
     """Tables E_d(t) = sum of m^t over all m with deg m < d, per (p, q).
 
     The values live in F_p[T]; for p = 2 they are stored as bit ints,
-    otherwise as 16-bit digit-packed ints.  The memo is shared across
-    threads; concurrent fills are idempotent (same exact value), so no
-    locking is needed.
+    otherwise as 16-bit digit-packed ints reduced mod p.
     """
 
     def __init__(self, p: int, q: int):
@@ -102,7 +100,8 @@ class _SumEngine:
         self._E[key] = val
         return val
 
-    def monic_sum_coeffs(self, d: int, j: int) -> list[int]:
+    def monic_sum(self, d: int, j: int) -> int:
+        """S_d(j), packed like the subspace sums."""
         p = self.p
         acc = 0
         for t, c in pk.lucas_subsets(j, p):
@@ -114,12 +113,50 @@ class _SumEngine:
                 acc ^= sub << shift
             else:
                 acc += (sub * c) << (shift * pk.DIGIT_BITS)
-        if not acc:
+        if p == 2 or not acc:
+            return acc
+        return pk.digits_mod(acc, p, d * j + 1)
+
+    def monic_sum_coeffs(self, d: int, j: int) -> list[int]:
+        return self._unpack(self.monic_sum(d, j), d * j + 1)
+
+    def binomial_window(self, e: int, prec: int, part, scale: int = 1) -> list[int]:
+        """Coefficients of T^0 .. T^(prec-1) in scale * sum_t C(e,t) T^t part(t).
+
+        t runs over the Lucas subsets of e below prec; ``part(t)`` is a
+        packed polynomial (0 to skip t).  Digits of e at p^L >= prec only
+        pair with t >= prec, so they are dropped before the subsets are
+        listed.
+        """
+        p = self.p
+        low = e % p ** ceil_log(p, prec)
+        acc = 0
+        bound = 0
+        for t, c in pk.lucas_subsets(low, p):
+            if t >= prec:
+                continue
+            x = part(t)
+            if not x:
+                continue
+            if p == 2:
+                acc ^= x << t
+                continue
+            if bound + (p - 1) ** 2 > pk._DIGIT_MAX:
+                acc = pk.digits_mod(acc, p, prec)
+                bound = p - 1
+            bound += (p - 1) ** 2
+            x &= (1 << ((prec - t) * pk.DIGIT_BITS)) - 1
+            acc += (x * (c * scale % p)) << (t * pk.DIGIT_BITS)
+        if p != 2:
+            acc = pk.digits_mod(acc, p, prec)
+        return self._unpack(acc, prec)
+
+    def _unpack(self, x: int, length: int) -> list[int]:
+        if not x:
             return []
-        length = d * j + 1
-        if p == 2:
-            return pk.f2_to_coeffs(acc, length)
-        return pk.pk_unpack(pk.digits_mod(acc, p, length), length).tolist()
+        if self.p == 2:
+            return pk.f2_to_coeffs(x, length)
+        return pk.pk_unpack(x, length).tolist()
 
 
 _ENGINES: dict[tuple[int, int], _SumEngine] = {}
@@ -174,40 +211,22 @@ def _sum_powers(field: FiniteField, coeff_lists, j: int, d: int) -> Poly:
 
 
 def power_sum_enumerated(field: FiniteField, d: int, j: int, *,
-                         start: int = 0, stop: int | None = None,
-                         threads: int = 1) -> Poly:
+                         start: int = 0, stop: int | None = None) -> Poly:
     """S_d(j) by direct enumeration over monic index range [start, stop).
 
-    With ``threads > 1`` the index range is split into disjoint chunks
-    summed independently; field addition is exact and order-independent,
-    so any partition gives the same value.
+    Field addition is exact and order-independent, so the sums over any
+    partition of the full range add up to the full sum.
     """
-    q = field.order
-    total = q ** d
     if stop is None:
-        stop = total
-    if threads <= 1 or stop - start < 2 * threads:
-        cs = (_index_coeffs(q, d, i) for i in range(start, stop))
-        return _sum_powers(field, cs, j, d)
-    bounds = np.linspace(start, stop, threads + 1, dtype=int).tolist()
-    chunks = [(bounds[k], bounds[k + 1]) for k in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(
-            lambda ab: power_sum_enumerated(field, d, j, start=ab[0], stop=ab[1]),
-            chunks))
-    acc = Poly.zero(field)
-    for part in parts:
-        acc = acc + part
-    return acc
+        stop = field.order ** d
+    cs = (_index_coeffs(field.order, d, i) for i in range(start, stop))
+    return _sum_powers(field, cs, j, d)
 
 
-def power_sum(field: FiniteField, d: int, j: int, *,
-              cache=None, method: str = "auto", threads: int = 1) -> Poly:
+def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
     """Exact S_d(j); consults/updates the cache when one is supplied."""
     if d < 0 or j < 0:
         raise ValueError("need d >= 0 and j >= 0")
-    if method == "enumeration":
-        return power_sum_enumerated(field, d, j, threads=threads)
     if cache is not None:
         hit = cache.get(field, d, j)
         if hit is not None:
@@ -334,115 +353,41 @@ class CoefficientFamily:
         return len(self.coeffs) - 1
 
 
-def _series_pow_trunc(field: FiniteField, coeffs: Sequence[int], e: int,
-                      prec: int):
-    """coeffs (a unit series window) raised to integer e >= 0, mod pi^prec.
-
-    Returns a coefficient list of length <= prec.  Fast paths share the
-    packed kernels; residue fields with m > 1 go through generic window
-    multiplication.
-    """
-    p, m = field.p, field.m
-    if m == 1 and p == 2:
-        mask = (1 << prec) - 1
-        acc = 1
-        base = pk.f2_from_coeffs(coeffs) & mask
-        while e:
-            if e & 1:
-                acc = pk.f2_mul(acc, base) & mask
-            e >>= 1
-            if e:
-                base = pk.f2_mul(base, base) & mask
-        return pk.f2_to_coeffs(acc, prec)
-    if m == 1:
-        mask = (1 << (pk.DIGIT_BITS * prec)) - 1
-        acc = pk.pk_pack([1])
-        base = pk.pk_pack(list(coeffs)[:prec])
-        while e:
-            if e & 1:
-                acc = pk.digits_mod((acc * base) & mask, p, prec)
-            e >>= 1
-            if e:
-                base = pk.digits_mod((base * base) & mask, p, prec)
-        return pk.pk_unpack(acc, prec).tolist()
-    from .nonarch import _window_mul
-    acc = [1]
-    base = list(coeffs)[:prec]
-    while e:
-        if e & 1:
-            acc = list(_window_mul(field, acc, base, prec))
-        e >>= 1
-        if e:
-            base = list(_window_mul(field, base, base, prec))
-    return acc
-
-
 def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
                       prec: int) -> CoefficientFamily:
     """c_d(y) = sum over monic n of degree d of <n>^(-y), to precision prec.
 
-    Note the sign: the exponent actually applied is -y.
+    Note the sign: the exponent actually applied is e = (-y) mod p^N.
+    Every bracket is <n> = 1 + pi*m(pi) with m running over V_d, so
+    c_d = sum_t C(e,t) pi^t E_d(t)(pi) mod pi^prec; the unseen digits of
+    -y cannot move the window once p^N >= prec.
     """
-    e = (-y).value()
     if field.p ** y.precision < prec:
         from .errors import InsufficientPadicPrecision
         raise InsufficientPadicPrecision(
             f"need p^N >= {prec}, got p^{y.precision}")
-    q = field.order
+    e = (-y).value()
+    eng = _engine(field)
     out = []
     for d in range(dmax + 1):
-        vec = _zero_acc(field, prec)
-        for i in range(q ** d):
-            bracket = _bracket_coeffs(field, d, i)
-            powed = _series_pow_trunc(field, bracket, e, prec)
-            vec = _acc_add(field, vec, powed)
-        coeffs = _acc_done(field, vec, prec)
+        coeffs = eng.binomial_window(e, prec, lambda t: eng.subspace_sum(d, t))
         out.append(LaurentSeries(field, 0, coeffs, prec))
     return CoefficientFamily("infinity", field, y, out, prec,
                              label="zeta at infinity")
 
 
-def _bracket_coeffs(field: FiniteField, d: int, i: int) -> list[int]:
-    q = field.order
-    digs = [0] * d
-    for k in range(d):
-        i, digs[k] = divmod(i, q)
-    return [1] + digs[::-1]
-
-
-def _zero_acc(field, prec):
-    if field.p == 2 and field.m == 1:
-        return 0
-    if field.m == 1:
-        return np.zeros(prec, dtype=np.int64)
-    return [0] * prec
-
-
-def _acc_add(field, acc, coeffs):
-    if field.p == 2 and field.m == 1:
-        return acc ^ pk.f2_from_coeffs(coeffs)
-    if field.m == 1:
-        arr = np.zeros(len(acc), dtype=np.int64)
-        arr[: len(coeffs)] = coeffs
-        return acc + arr
-    out = list(acc)
-    for k, c in enumerate(coeffs[: len(out)]):
-        out[k] = field.add(out[k], c)
-    return out
-
-
-def _acc_done(field, acc, prec):
-    if field.p == 2 and field.m == 1:
-        return pk.f2_to_coeffs(acc, prec)
-    if field.m == 1:
-        return (acc % field.p).tolist()
-    return acc
-
-
 def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
                       prec: int) -> CoefficientFamily:
     """Coefficient d is the sum of n^(-s) over monic degree-d n coprime
-    to f, in A/(f^prec)."""
+    to f, in A/(f^prec).
+
+    At f = T write n = c(1 + T g/c) with g monic of degree d-1; the sum
+    over c in F_q^* keeps the t with (q-1) | (t-a), so for d >= 1
+    c_d = -sum_t C(e,t) T^t S_(d-1)(t) mod T^prec with a = (-s).s1 and
+    e = (-s).s2.  Any other degree-1 prime is T + c, reached by the ring
+    automorphism T -> T + c.  Primes of degree >= 2 sum pow_sv over the
+    coprime monics.
+    """
     ring = VadicRing(f, prec)
     if field.p ** s.s2.precision < prec:
         from .errors import InsufficientPadicPrecision
@@ -451,25 +396,25 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     if s.unit_order != ring.residue_order - 1 and ring.residue_order > 2:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     minus_s = -s
-    q = field.order
-    df = int(f.degree)
-    fast = ring._is_var and field.m == 1
     out = []
-    for d in range(dmax + 1):
-        if fast:
-            vec = _zero_acc(field, prec * df)
-            for n in _coprime_iter(field, d, f):
-                c0 = n.coeffs[0]
-                cinv = field.inv(c0)
-                unit = [field.mul(cinv, c) for c in n.coeffs]
-                powed = _series_pow_trunc(field, unit, minus_s.s2.value(), prec)
-                w = field.pow(c0, minus_s.s1 % (q - 1)) if q > 2 else 1
-                if w != 1:
-                    powed = [field.mul(w, c) for c in powed]
-                vec = _acc_add(field, vec, powed)
-            coeffs = _acc_done(field, vec, prec)
-            out.append(VadicElem(ring, Poly(field, coeffs)))
-        else:
+    if ring.deg == 1:
+        q = field.order
+        a, e = minus_s.s1, minus_s.s2.value()
+        eng = _engine(field)
+        shift_c = f.coefficient(0)
+        for d in range(dmax + 1):
+            if d == 0:
+                rep = Poly.one(field)
+            else:
+                rep = Poly(field, eng.binomial_window(
+                    e, prec,
+                    lambda t: eng.monic_sum(d - 1, t) if (t - a) % (q - 1) == 0 else 0,
+                    scale=field.p - 1))
+                if shift_c:  # degree < prec: already reduced mod f^prec
+                    rep = _compose_linear(rep, f)
+            out.append(VadicElem(ring, rep))
+    else:
+        for d in range(dmax + 1):
             acc = ring.zero()
             for n in _coprime_iter(field, d, f):
                 acc = acc + pow_sv(n, minus_s, ring)
@@ -535,8 +480,7 @@ def poly_to_series_infty(a: Poly, prec: int) -> LaurentSeries:
 
 def euler_removed_identity(field: FiniteField, j: int, f: Poly,
                            dmax: int | None = None, *, cache=None,
-                           totals: dict | None = None,
-                           threads: int = 1) -> IdentityReport:
+                           totals: dict | None = None) -> IdentityReport:
     """Exact check that removing the Euler factor at f multiplies the
     special polynomial by (1 - x^(-deg f) f^j).
 
@@ -556,10 +500,9 @@ def euler_removed_identity(field: FiniteField, j: int, f: Poly,
         if totals is not None:
             total = totals.get(d)
             if total is None:
-                total = totals[d] = power_sum_enumerated(field, d, j,
-                                                         threads=threads)
+                total = totals[d] = power_sum_enumerated(field, d, j)
         else:
-            total = power_sum_enumerated(field, d, j, threads=threads)
+            total = power_sum_enumerated(field, d, j)
         lhs = total - multiples_power_sum(field, d, j, f)
         rhs = power_sum(field, d, j, cache=cache)
         if d >= df:

@@ -234,11 +234,6 @@ class TestCli:
         doc = json.loads(out)
         assert doc["result"]["polygon"]["provisional"] is False
 
-    def test_verify_threads_flag(self):
-        code, out, _ = run_cli("verify", "--quick", "--criteria", "9",
-                               "--threads", "3")
-        assert code == 0
-
     def test_entry_point_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ffzeta.cli", "special", "--p", "2", "--j", "1"],

@@ -24,75 +24,75 @@ F3 = FiniteField(3)
 
 class TestHull:
     def test_flat_pair(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 0)])
+        np_ = NewtonPolygon([(0, 0), (1, 0)])
         assert np_.vertices == [(0, 0), (1, 0)]
         assert [(s.slope, s.length) for s in np_.segments] == [(Fraction(0), 1)]
 
     def test_convexity_filter(self):
         # (1,2) lies above the chord; hull is one segment of slope 3/2
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 2), (2, 3)])
+        np_ = NewtonPolygon([(0, 0), (1, 2), (2, 3)])
         assert np_.vertices == [(0, 0), (2, 3)]
         seg = np_.segments[0]
         assert seg.slope == Fraction(3, 2) and seg.length == 2
 
     def test_collinear_point_absorbed(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 1), (2, 2)])
+        np_ = NewtonPolygon([(0, 0), (1, 1), (2, 2)])
         assert np_.vertices == [(0, 0), (2, 2)]
         assert np_.segments[0].length == 2
 
     def test_empty_raises(self):
         with pytest.raises(AllCoefficientsVanish):
-            NewtonPolygon.from_points([])
+            NewtonPolygon([])
 
     def test_slopes_strictly_increase(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 1), (2, 4), (3, 9)])
+        np_ = NewtonPolygon([(0, 0), (1, 1), (2, 4), (3, 9)])
         slopes = [s.slope for s in np_.segments]
         assert slopes == sorted(set(slopes))
 
 
 class TestProvisional:
     def test_interior_marker_below_hull(self):
-        assert NewtonPolygon.from_points([(0, 0), (2, 2)], bounds=[(1, 0)]).provisional
+        assert NewtonPolygon([(0, 0), (2, 2)], bounds=[(1, 0)]).provisional
 
     def test_interior_marker_above_hull(self):
-        assert not NewtonPolygon.from_points([(0, 0), (2, 2)], bounds=[(1, 5)]).provisional
+        assert not NewtonPolygon([(0, 0), (2, 2)], bounds=[(1, 5)]).provisional
 
     def test_trailing_markers_shrink_window(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 10)], bounds=[(2, 12), (3, 12)])
+        np_ = NewtonPolygon([(0, 0), (1, 10)], bounds=[(2, 12), (3, 12)])
         assert not np_.provisional
         assert np_.window == (0, 1)
 
     def test_leading_marker_flags(self):
-        assert NewtonPolygon.from_points([(1, 0), (2, 1)], bounds=[(0, 64)]).provisional
+        assert NewtonPolygon([(1, 0), (2, 1)], bounds=[(0, 64)]).provisional
 
     def test_exact_zeros_are_harmless(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (2, 1)], exact_zeros=[1, 3])
+        np_ = NewtonPolygon([(0, 0), (2, 1)], exact_zeros=[1, 3])
         assert not np_.provisional
         assert np_.vertices == [(0, 0), (2, 1)]
 
 
 class TestSpectrumVerdict:
     def test_single_unit_slope(self):
-        sp = zero_spectrum(NewtonPolygon.from_points([(0, 0), (1, 1)]))
+        sp = zero_spectrum(NewtonPolygon([(0, 0), (1, 1)]))
         assert len(sp.segments) == 1
         seg = sp.segments[0]
         assert seg.zero_valuation == -1 and seg.abs_value_exponent == 1
 
     def test_slope_zero_abs_one(self):
-        sp = zero_spectrum(NewtonPolygon.from_points([(0, 0), (1, 0)]))
+        sp = zero_spectrum(NewtonPolygon([(0, 0), (1, 0)]))
         assert sp.segments[0].abs_value_exponent == 0
 
     def test_two_distinct_slopes(self):
-        sp = zero_spectrum(NewtonPolygon.from_points([(0, 0), (1, 1), (2, 3)]))
+        sp = zero_spectrum(NewtonPolygon([(0, 0), (1, 1), (2, 3)]))
         assert [s.slope for s in sp.segments] == [1, 2]
         assert rh_verdict(sp).passed
 
     def test_verdict_all_simple(self):
-        v = rh_verdict(zero_spectrum(NewtonPolygon.from_points([(0, 0), (1, 0), (2, 1)])))
+        v = rh_verdict(zero_spectrum(NewtonPolygon([(0, 0), (1, 0), (2, 1)])))
         assert v.passed and v.all_simple_beyond == 0 and not v.exceptions
 
     def test_verdict_lengths_1_3_1(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (1, 1), (4, 10), (5, 14)])
+        np_ = NewtonPolygon([(0, 0), (1, 1), (4, 10), (5, 14)])
         v = rh_verdict(zero_spectrum(np_))
         assert not v.passed
         assert len(v.exceptions) == 1 and v.exceptions[0].length == 3
@@ -101,18 +101,18 @@ class TestSpectrumVerdict:
     def test_removed_factor_length_two(self):
         # the polygon of 1 - x^-2 f^j alone at a degree-2 prime: two zeroes
         # of the same absolute value
-        np_ = NewtonPolygon.from_points([(0, 0), (2, 5)])
+        np_ = NewtonPolygon([(0, 0), (2, 5)])
         v = rh_verdict(zero_spectrum(np_))
         assert not v.passed and v.exceptions[0].length == 2
 
     def test_provisional_gate(self):
-        np_ = NewtonPolygon.from_points([(0, 0), (2, 2)], bounds=[(1, 0)])
+        np_ = NewtonPolygon([(0, 0), (2, 2)], bounds=[(1, 0)])
         with pytest.raises(PreconditionViolated):
             zero_spectrum(np_)
         assert zero_spectrum(np_, accept_provisional=True).provisional
 
     def test_height_equals_slope_weighted_length(self):
-        np_ = NewtonPolygon.from_points([(0, 2), (1, 3), (3, 9), (4, 13)])
+        np_ = NewtonPolygon([(0, 2), (1, 3), (3, 9), (4, 13)])
         total = sum(s.slope * s.length for s in np_.segments)
         assert total == np_.vertices[-1][1] - np_.vertices[0][1]
 

@@ -3,9 +3,23 @@ import random
 import pytest
 
 from ffzeta.errors import PreconditionViolated
-from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic_primes, poly_parse
-from ffzeta.nonarch import LaurentSeries, PadicExponent, SvPoint
+from ffzeta.ffpoly import (
+    FiniteField,
+    Poly,
+    enumerate_monic,
+    enumerate_monic_primes,
+    poly_parse,
+)
+from ffzeta.nonarch import (
+    LaurentSeries,
+    PadicExponent,
+    SvPoint,
+    bracket_infty,
+    pow_sv,
+    unit_pow_padic,
+)
 from ffzeta.zeta import (
+    _coprime_iter,
     ceil_log,
     coprime_power_sum,
     euler_removed_identity,
@@ -22,7 +36,14 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
 F5 = FiniteField(5)
+F9 = FiniteField(3, 2)
 T2 = Poly.variable(F2)
+
+
+def _long_exponent(field, n_digits, seed):
+    """A sampled p-adic exponent with more digits than the window needs."""
+    rng = random.Random(seed)
+    return PadicExponent(field.p, [rng.randrange(field.p) for _ in range(n_digits)])
 
 
 class TestPowerSums:
@@ -61,11 +82,13 @@ class TestPowerSums:
                 d = 3
             assert power_sum(field, d, j) == power_sum_enumerated(field, d, j)
 
-    def test_partitioned_threads_equal_single(self):
+    def test_partitioned_ranges_equal_single(self):
         for field in (F3, F4):
-            a = power_sum_enumerated(field, 3, 11, threads=4)
-            b = power_sum_enumerated(field, 3, 11)
-            assert a == b
+            total = field.order ** 3
+            cuts = [0, 5, total // 2, total]
+            parts = [power_sum_enumerated(field, 3, 11, start=lo, stop=hi)
+                     for lo, hi in zip(cuts, cuts[1:])]
+            assert parts[0] + parts[1] + parts[2] == power_sum_enumerated(field, 3, 11)
 
     def test_coprime_sum_direct(self):
         f = poly_parse(F2, "T")
@@ -161,14 +184,12 @@ class TestVadicFamily:
         assert fam.coeffs[1].rep == poly_parse(F2, "T+1")
         assert fam.coeffs[2].rep == poly_parse(F2, "T")
 
-    def test_fast_path_matches_generic(self):
-        # the same family through pow_sv at a non-variable prime
+    def test_integer_exactness_at_T_plus_1(self):
         f = poly_parse(F3, "T+1")
         s = SvPoint.from_int(-2, 2, 3, 4)
         fam = zeta_family_vadic(F3, s, f, 3, 6)
         for d in range(4):
             exact = Poly.zero(F3)
-            from ffzeta.zeta import _coprime_iter
             for n in _coprime_iter(F3, d, f):
                 exact = exact + n ** 2
             assert fam.coeffs[d] == fam.ring.elem(exact)
@@ -180,6 +201,77 @@ class TestVadicFamily:
         for d in range(4):
             exact = coprime_power_sum(F3, d, 3, Poly.variable(F3))
             assert fam.coeffs[d] == ring.elem(exact)
+
+
+ORACLE_PREC = 20
+
+# (field, place, s1, exponent, dmax); place None is infinity.  Every
+# exponent carries at least the ceil(log_p 20) digits the window needs;
+# the sampled ones carry more.
+ORACLE_CASES = {
+    "infty-F2": (F2, None, 0, PadicExponent.from_int(2, -5, 5), 5),
+    "infty-F2-sampled": (F2, None, 0, _long_exponent(F2, 11, 1), 5),
+    "infty-F3-sampled": (F3, None, 0, _long_exponent(F3, 7, 2), 4),
+    "infty-F4": (F4, None, 0, PadicExponent.from_int(2, 7, 5), 3),
+    "infty-F4-sampled": (F4, None, 0, _long_exponent(F4, 9, 3), 3),
+    "infty-F5-sampled": (F5, None, 0, _long_exponent(F5, 4, 4), 3),
+    "infty-F9": (F9, None, 0, PadicExponent.from_int(3, -4, 3), 2),
+    "infty-F9-sampled": (F9, None, 0, _long_exponent(F9, 6, 5), 2),
+    "T-F2-sampled": (F2, "T", 0, _long_exponent(F2, 9, 6), 5),
+    "T-F3": (F3, "T", 0, PadicExponent.from_int(3, -4, 3), 4),
+    "T-F3-s1": (F3, "T", 1, _long_exponent(F3, 6, 7), 4),
+    "T-F4": (F4, "T", 0, PadicExponent.from_int(2, -6, 5), 3),
+    "T-F4-s1": (F4, "T", 2, _long_exponent(F4, 8, 8), 3),
+    "T-F5-s1": (F5, "T", 3, _long_exponent(F5, 4, 9), 3),
+    "T-F9-s1": (F9, "T", 5, _long_exponent(F9, 5, 10), 2),
+    "T+1-F2": (F2, "T+1", 0, PadicExponent.from_int(2, -3, 5), 5),
+    "T+1-F3": (F3, "T+1", 0, PadicExponent.from_int(3, -2, 3), 4),
+    "T+1-F3-s1": (F3, "T+1", 1, _long_exponent(F3, 6, 11), 4),
+    "T+w-F4": (F4, "T+[01]", 0, PadicExponent.from_int(2, -3, 5), 3),
+    "T+w-F4-s1": (F4, "T+[01]", 1, _long_exponent(F4, 8, 12), 3),
+    "T+2-F5-s1": (F5, "T+2", 2, _long_exponent(F5, 4, 13), 3),
+    "T+w-F9-s1": (F9, "T+[01]", 7, _long_exponent(F9, 5, 14), 2),
+}
+
+
+class TestFamilyOracles:
+    """The recursion-built families against per-monic enumeration."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=list(ORACLE_CASES))
+    def test_family_matches_enumeration_oracle(self, case):
+        field, place, s1, y, dmax = ORACLE_CASES[case]
+        prec = ORACLE_PREC
+        if place is None:
+            fam = zeta_family_infty(field, y, dmax, prec)
+            for d in range(dmax + 1):
+                acc = LaurentSeries.zero_to_precision(field, prec)
+                for n in enumerate_monic(field, d):
+                    acc = acc + unit_pow_padic(bracket_infty(n, prec), -y, prec)
+                assert fam.coeffs[d] == acc, d
+            return
+        f = poly_parse(field, place)
+        s = SvPoint(s1, y, field.order - 1)
+        fam = zeta_family_vadic(field, s, f, dmax, prec)
+        for d in range(dmax + 1):
+            acc = fam.ring.zero()
+            for n in _coprime_iter(field, d, f):
+                acc = acc + pow_sv(n, -s, fam.ring)
+            assert fam.coeffs[d] == acc, d
+
+    def test_binomial_window_renormalises_at_large_p(self):
+        # 200 dense terms of 130 * 130 overflow a 16-bit digit field many
+        # times over unless the accumulator is reduced on the way
+        from math import comb
+
+        from ffzeta import _packing as pk
+        from ffzeta.zeta import _SumEngine
+        p, prec = 131, 200
+        e = 130 + 130 * p
+        got = _SumEngine(p, p).binomial_window(
+            e, prec, lambda t: pk.pk_pack([p - 1] * prec), scale=p - 1)
+        want = [(p - 1) * (p - 1) * sum(comb(e, t) for t in range(k + 1)) % p
+                for k in range(prec)]
+        assert got == want
 
 
 class TestEulerRemoval:
