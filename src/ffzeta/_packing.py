@@ -100,9 +100,14 @@ def f2_from_coeffs(coeffs) -> int:
     return x
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def f2_to_coeffs(x: int, length: int | None = None) -> list[int]:
+    """Bits of x, lowest first, padded or cut to ``length``; linear time."""
     n = x.bit_length() if length is None else length
-    return [(x >> i) & 1 for i in range(n)]
+    bits = bin(x)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(bits[:n].ljust(n, b"\0"))
 
 
 def f2_mul(a: int, b: int) -> int:

@@ -449,9 +449,6 @@ class DirichletCoefficients:
     def at(self, n: Poly) -> Poly:
         return self.c.get(n, Poly.zero(self.field))
 
-    def degree_slice(self, d: int) -> list[tuple[Poly, Poly]]:
-        return [(n, v) for n, v in self.c.items() if n.degree == d]
-
 
 def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
     """h_k with 1/f_P(t) = sum h_k t^k, by the linear recursion."""

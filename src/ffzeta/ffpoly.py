@@ -15,7 +15,10 @@ files and golden outputs depend on this order; do not change it.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import _packing as pk
 from .errors import (
@@ -45,86 +48,6 @@ def _is_prime(n: int) -> bool:
         if n % f == 0:
             return False
         f += 2
-    return True
-
-
-# ---------------------------------------------------------------------------
-# F_p[x] helpers on plain digit lists, used only to set up field moduli
-# ---------------------------------------------------------------------------
-
-def _fpx_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fpx_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                out[i + k] = (out[i + k] + ai * bk) % p
-    return _fpx_trim(out)
-
-
-def _fpx_mod(a, f, p):
-    a = list(a)
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) >= len(f):
-        c = a[-1] * inv_lead % p
-        if c:
-            shift = len(a) - len(f)
-            for k, fk in enumerate(f):
-                a[shift + k] = (a[shift + k] - c * fk) % p
-        a.pop()
-        _fpx_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _fpx_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fpx_mod(a, b, p)
-    return a
-
-
-def _fpx_powmod_xq(e: int, f, p, q):
-    """x^(q^e) mod f by iterating the q-power map."""
-    y = [0, 1] if len(f) > 2 else _fpx_mod([0, 1], f, p)
-    for _ in range(e):
-        acc = [1]
-        base = y
-        k = q
-        while k:
-            if k & 1:
-                acc = _fpx_mod(_fpx_mul(acc, base, p), f, p)
-            base = _fpx_mod(_fpx_mul(base, base, p), f, p)
-            k >>= 1
-        y = acc
-    return y
-
-
-def _fpx_irreducible(f, p) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    q = p
-    xq = _fpx_powmod_xq(d, f, p, q)
-    minus_x = _fpx_trim([(xq[0] if xq else 0), ((xq[1] if len(xq) > 1 else 0) - 1) % p]
-                        + list(xq[2:]))
-    if minus_x:
-        return False
-    for ell in _prime_divisors(d):
-        h = _fpx_powmod_xq(d // ell, f, p, q)
-        h = list(h) + [0] * (2 - len(h))
-        h[1] = (h[1] - 1) % p
-        g = _fpx_gcd(list(f), _fpx_trim(h), p)
-        if len(g) - 1 != 0:
-            return False
     return True
 
 
@@ -160,99 +83,42 @@ class FiniteField:
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
             raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
-        self.p = p
-        self.m = m
-        self.order = p ** m
         if m == 1:
             if modulus is not None:
                 raise DegreeMismatch("prime field takes no modulus")
-            self.modulus: tuple[int, ...] = (0, 1)
+            modulus = (0, 1)
+        elif modulus is None:
+            modulus = _default_modulus(p, m)
         else:
-            if modulus is None:
-                self.modulus = self._default_modulus()
-            else:
-                mod = tuple(c % p for c in modulus)
-                if len(mod) != m + 1 or mod[-1] != 1:
-                    raise DegreeMismatch(
-                        f"modulus must be monic of degree {m} over F_{p}")
-                if not _fpx_irreducible(list(mod), p):
-                    raise ReducibleModulus(
-                        f"modulus {list(mod)} is reducible over F_{p}")
-                self.modulus = mod
-        self._init_tables()
-
-    def _default_modulus(self) -> tuple[int, ...]:
-        p, m = self.p, self.m
-        for v in range(p ** m):
-            low = pk.base_digits(v, p)
-            low += [0] * (m - len(low))
-            cand = low + [1]
-            if _fpx_irreducible(cand, p):
-                return tuple(cand)
-        raise ReducibleModulus("no irreducible modulus found")  # unreachable
-
-    def _init_tables(self):
-        p, m, q = self.p, self.m, self.order
-        self._planes = None
-        if m == 1:
-            self._mul = None
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        if q > _TABLE_CAP:
-            raise DegreeMismatch(
-                f"field order {q} exceeds the supported desk scale {_TABLE_CAP}")
-        mod = list(self.modulus)
-        elems = [pk.base_digits(v, p) for v in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod = _fpx_mod(_fpx_mul(elems[a], elems[b], p), mod, p)
-                v = sum(c * p ** i for i, c in enumerate(prod))
-                self._mul[a][b] = v
-                self._mul[b][a] = v
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            self._inv[a] = row.index(1)
-        if p == 2:
-            reduce_rows = []
-            for k in range(m - 1):
-                vec = _fpx_mod([0] * (m + k) + [1], mod, 2)
-                reduce_rows.append(vec + [0] * (m - len(vec)))
-            self._planes = pk.Char2Planes(m, reduce_rows)
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise DegreeMismatch(f"modulus must be monic of degree {m} over F_{p}")
+        self.p = p
+        self.m = m
+        self.order = p ** m
+        self.modulus: tuple[int, ...] = modulus
+        self._add, self._neg, self._mul, self._inv, self._planes = _field_tables(
+            p, m, modulus)
 
     # -- element ops on encodings ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        if p == 2:
+        if self.m == 1:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        out = 0
-        base = 1
-        for _ in range(m):
-            out += ((a + b) % p) * base
-            a //= p
-            b //= p
-            base *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        p, m = self.p, self.m
-        if p == 2:
+        if self.p == 2:
             return a
-        if m == 1:
-            return (-a) % p
-        out = 0
-        base = 1
-        for _ in range(m):
-            out += ((-a) % p) * base
-            a //= p
-            base *= p
-        return out
+        if self.m == 1:
+            return (-a) % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -276,17 +142,6 @@ class FiniteField:
             base = self.mul(base, base)
             e >>= 1
         return acc
-
-    def frobenius(self, a: int, k: int = 1) -> int:
-        """a^(p^k)."""
-        if self.m == 1:
-            return a
-        for _ in range(k % self.m):
-            a = self.pow(a, self.p)
-        return a
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def elem(self, value: int) -> "FqElement":
         if self.m == 1:
@@ -317,6 +172,67 @@ class FiniteField:
         if self.m == 1:
             return f"F({self.p})"
         return f"F({self.p}^{self.m})"
+
+
+def _digits(v: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of v, lowest first."""
+    return (pk.base_digits(v, p) + [0] * m)[:m]
+
+
+@functools.cache
+def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The monic irreducible of degree m over F_p with the smallest
+    encoding of its non-leading coefficients."""
+    Fp = FiniteField(p)
+    return next(c for c in (tuple(_digits(v, p, m)) + (1,) for v in range(p ** m))
+                if is_irreducible(Poly(Fp, c)))
+
+
+@functools.cache
+def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
+    """(add, neg, mul, inv, planes) for F_{p^m} with the given modulus.
+
+    Memoised: equal fields share their tables, and nothing mutates them.
+    The modulus is checked with ``is_irreducible`` over F_p; mul and inv
+    come from the powers of a generator of F_q^*.
+    """
+    if m == 1:
+        return None, None, None, [0] + [pow(a, p - 2, p) for a in range(1, p)], None
+    Fp = FiniteField(p)
+    if not is_irreducible(Poly(Fp, modulus)):
+        raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
+    q = p ** m
+    if q > _TABLE_CAP:
+        raise DegreeMismatch(
+            f"field order {q} exceeds the supported desk scale {_TABLE_CAP}")
+    g = Poly(Fp, modulus)
+
+    def encode(a: Poly) -> int:
+        return sum(c * p ** i for i, c in enumerate(a.coeffs))
+
+    for v in range(2, q):
+        x = Poly(Fp, _digits(v, p, m))
+        powers, y = [1], x
+        while not y.is_one():
+            powers.append(encode(y))
+            y = y * x % g
+        if len(powers) == q - 1:
+            break
+    log = [0] * q
+    for k, v in enumerate(powers):
+        log[v] = k
+    mul = [[0] * q] + [[0] + [powers[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+                       for a in range(1, q)]
+    inv = [0] + [powers[-log[a] % (q - 1)] for a in range(1, q)]
+    if p == 2:
+        rows = [(Poly.monomial(Fp, m + k) % g).coeffs for k in range(m - 1)]
+        planes = pk.Char2Planes(m, [list(r) + [0] * (m - len(r)) for r in rows])
+        return None, None, mul, inv, planes
+    table = np.array([_digits(v, p, m) for v in range(q)])
+    weights = p ** np.arange(m)
+    add = (((table[:, None] + table[None]) % p) @ weights).tolist()
+    neg = ((-table % p) @ weights).tolist()
+    return add, neg, mul, inv, None
 
 
 class FqElement:
@@ -619,32 +535,42 @@ class Poly:
         return self.to_string()
 
 
-def _mul_dispatch(F: FiniteField, a, b):
+def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
+    """Coefficients of a*b; only the first ``length`` when it is given.
+
+    The packed odd-p product is exact only while no 16-bit digit can carry,
+    i.e. (p-1)^2 * min(len a, len b) <= _DIGIT_MAX; beyond that the table
+    loop runs.
+    """
+    if length is not None:
+        a, b = a[:length], b[:length]
     la, lb = len(a), len(b)
-    out_len = la + lb - 1
+    out_len = la + lb - 1 if length is None else min(la + lb - 1, length)
     if F.m == 1:
         if F.p == 2:
             x = pk.f2_mul(pk.f2_from_coeffs(a), pk.f2_from_coeffs(b))
             return pk.f2_to_coeffs(x, out_len)
-        if out_len > _SCHOOLBOOK_CAP:
+        if out_len > _SCHOOLBOOK_CAP and (F.p - 1) ** 2 * min(la, lb) <= pk._DIGIT_MAX:
             prod = pk.pk_pack(a) * pk.pk_pack(b)
+            prod &= (1 << (pk.DIGIT_BITS * out_len)) - 1
             return pk.pk_unpack(pk.digits_mod(prod, F.p, out_len), out_len).tolist()
     elif F.p == 2 and F._planes is not None and out_len > _SCHOOLBOOK_CAP:
         pl = F._planes
+        mask = (1 << out_len) - 1
         prod = pl.mul(pl.from_encodings(a), pl.from_encodings(b))
-        return pl.to_encodings(prod, out_len)
+        return pl.to_encodings([x & mask for x in prod], out_len)
     out = [0] * out_len
     if F.m == 1:
         p = F.p
         for i, ai in enumerate(a):
             if ai:
-                for k, bk in enumerate(b):
+                for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i]):
                     out[i + k] = (out[i + k] + ai * bk) % p
     else:
         for i, ai in enumerate(a):
             if ai:
                 row = F._mul[ai]
-                for k, bk in enumerate(b):
+                for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i]):
                     if bk:
                         out[i + k] = F.add(out[i + k], row[bk])
     return out
@@ -728,18 +654,28 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
 # enumeration of monic polynomials and primes
 # ---------------------------------------------------------------------------
 
-def monic_count(field: FiniteField, d: int) -> int:
-    return field.order ** d
+def monic_coeffs(field: FiniteField, d: int, i: int) -> list[int]:
+    """Coefficient list of the i-th monic polynomial of degree d."""
+    out = [0] * d + [1]
+    for k in range(d):
+        i, out[k] = divmod(i, field.order)
+    return out
 
 
 def monic_by_index(field: FiniteField, d: int, i: int) -> Poly:
     """The i-th monic polynomial of degree d in enumeration order."""
-    q = field.order
-    coeffs = [0] * d + [1]
-    v = i
-    for k in range(d):
-        v, coeffs[k] = divmod(v, q)
-    return Poly(field, coeffs)
+    return Poly(field, monic_coeffs(field, d, i))
+
+
+def monic_indices(field: FiniteField, d: int,
+                  start: int = 0, stop: int | None = None) -> range:
+    """Indices [start, stop) of degree-d monics; ValueError outside [0, q^d]."""
+    total = field.order ** d
+    if stop is None:
+        stop = total
+    if not (0 <= start <= stop <= total):
+        raise ValueError("index range out of bounds")
+    return range(start, stop)
 
 
 def enumerate_monic(field: FiniteField, d: int,
@@ -747,14 +683,10 @@ def enumerate_monic(field: FiniteField, d: int,
     """Monic degree-d polynomials for indices in [start, stop).
 
     The full range is [0, q^d); disjoint index sub-ranges partition the
-    degree-d monics exactly, which is what the parallel consumers rely on.
+    degree-d monics exactly, so sums over the pieces add up to the sum over
+    the whole range.
     """
-    total = field.order ** d
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError("index range out of bounds")
-    for i in range(start, stop):
+    for i in monic_indices(field, d, start, stop):
         yield monic_by_index(field, d, i)
 
 

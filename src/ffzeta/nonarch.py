@@ -28,7 +28,7 @@ from .errors import (
     ReducibleModulus,
     ZeroInput,
 )
-from .ffpoly import FiniteField, Poly, is_irreducible, poly_xgcd
+from .ffpoly import FiniteField, Poly, _mul_dispatch, is_irreducible, poly_xgcd
 
 
 class PadicExponent:
@@ -113,11 +113,6 @@ class LaurentSeries:
     def zero_to_precision(cls, field, prec):
         return cls(field, prec, (), prec)
 
-    @classmethod
-    def from_pi_polynomial(cls, field, coeffs, prec, start: int = 0):
-        """Exact polynomial in pi, presented inside a precision-``prec`` window."""
-        return cls(field, start, coeffs, prec)
-
     # -- structure ------------------------------------------------------------
 
     def is_zero_to_precision(self) -> bool:
@@ -185,8 +180,7 @@ class LaurentSeries:
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.zero_to_precision(self.field, prec)
         start = self.start + other.start
-        length = prec - start
-        out = _window_mul(self.field, self.coeffs, other.coeffs, length)
+        out = _mul_dispatch(self.field, self.coeffs, other.coeffs, prec - start)
         return LaurentSeries(self.field, start, out, prec)
 
     __rmul__ = __mul__
@@ -275,33 +269,6 @@ class LaurentSeries:
         return " + ".join(terms) + f" + O(pi^{self.prec})"
 
 
-def _window_mul(field: FiniteField, a, b, length: int):
-    """Convolution of coefficient windows, truncated to `length` terms."""
-    if length <= 0:
-        return ()
-    la = min(len(a), length)
-    lb = min(len(b), length)
-    a = a[:la]
-    b = b[:lb]
-    if field.m == 1:
-        n = min(la + lb - 1, length)
-        if field.p == 2:
-            x = pk.f2_mul(pk.f2_from_coeffs(a), pk.f2_from_coeffs(b))
-            return pk.f2_to_coeffs(x & ((1 << n) - 1), n)
-        prod = pk.pk_pack(a) * pk.pk_pack(b)
-        prod &= (1 << (pk.DIGIT_BITS * n)) - 1
-        return pk.pk_unpack(pk.digits_mod(prod, field.p, n), n).tolist()
-    out = [0] * min(la + lb - 1, length)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                if i + k >= length:
-                    break
-                if bk:
-                    out[i + k] = field.add(out[i + k], field.mul(ai, bk))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the infinite place
 # ---------------------------------------------------------------------------
@@ -315,7 +282,7 @@ def bracket_infty(n: Poly, prec: int) -> LaurentSeries:
         raise ZeroInput("the bracket of zero is undefined")
     d = int(n.degree)
     coeffs = [n.coefficient(d - k) for k in range(d + 1)]
-    return LaurentSeries.from_pi_polynomial(n.field, coeffs, prec)
+    return LaurentSeries(n.field, 0, coeffs, prec)
 
 
 def unit_pow_padic(u: LaurentSeries, y: PadicExponent, prec: int) -> LaurentSeries:

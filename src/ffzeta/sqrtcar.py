@@ -5,8 +5,8 @@ and A' = F_2[u] for its quadratic-inseparable extension with u^2 = T.
 In characteristic 2 every a in A has a unique square root a' in A', and
 the coefficient tuples agree: (sum a_i u^i)^2 = sum a_i u^(2i) = a(u^2).
 So the square-root map and its inverse are pure reinterpretation of the
-same data; the two helper functions below exist to make the variable
-bookkeeping explicit at call sites.
+same data: a Poly over F_2 is read in T or in u as the context says, and
+no conversion function is needed.
 
 The objects computed here:
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import _packing as pk
 from .drinfeld import DrinfeldModule, FrobeniusData, frobenius_charpoly
-from .errors import ProvisionalPolygon, UnsupportedField
+from .errors import ProvisionalPolygon
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .newton import NewtonPolygon
 from .zeta import power_sum
@@ -47,23 +47,6 @@ _F2 = FiniteField(2)
 
 def base_field() -> FiniteField:
     return _F2
-
-
-def _require_f2(n: Poly):
-    if n.field.order != 2:
-        raise UnsupportedField("the square-root construction needs r = 2")
-
-
-def sqrt_poly(n: Poly) -> Poly:
-    """The unique square root n' in A' = F_2[u]: same coefficients in u."""
-    _require_f2(n)
-    return Poly(_F2, n.coeffs)
-
-
-def square_image(h: Poly) -> Poly:
-    """(h')^2 pulled back to A: same coefficients read in T."""
-    _require_f2(h)
-    return Poly(_F2, h.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +137,9 @@ def psi_factorization_check(max_degree: int = 4) -> PsiFactorizationReport:
     rows = []
     for d in range(1, max_degree + 1):
         for gprime in enumerate_monic_primes(_F2, d):
-            g = square_image(gprime)
-            data = frobenius_charpoly(psi, gprime, norm_base=g)
+            data = frobenius_charpoly(psi, gprime)
             ok = (data.a is not None and data.a.is_zero()
-                  and data.mu == g and data.verified)
+                  and data.mu == gprime and data.verified)
             rows.append((gprime, data, ok))
     return PsiFactorizationReport(rows, all(ok for _, _, ok in rows))
 

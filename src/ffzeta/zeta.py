@@ -33,7 +33,14 @@ import numpy as np
 
 from . import _packing as pk
 from .errors import PreconditionViolated, ZeroPolynomial
-from .ffpoly import FiniteField, Poly, enumerate_monic, monic_by_index
+from .ffpoly import (
+    FiniteField,
+    Poly,
+    enumerate_monic,
+    monic_by_index,
+    monic_coeffs,
+    monic_indices,
+)
 from .nonarch import (
     LaurentSeries,
     PadicExponent,
@@ -174,14 +181,6 @@ def _engine(field: FiniteField) -> _SumEngine:
 # oracle route: direct enumeration
 # ---------------------------------------------------------------------------
 
-def _index_coeffs(q: int, d: int, i: int) -> list[int]:
-    out = [0] * (d + 1)
-    out[d] = 1
-    for k in range(d):
-        i, out[k] = divmod(i, q)
-    return out
-
-
 def _sum_powers(field: FiniteField, coeff_lists, j: int, d: int) -> Poly:
     """Exact sum of n^j over the given degree-d coefficient lists."""
     p, m = field.p, field.m
@@ -217,9 +216,7 @@ def power_sum_enumerated(field: FiniteField, d: int, j: int, *,
     Field addition is exact and order-independent, so the sums over any
     partition of the full range add up to the full sum.
     """
-    if stop is None:
-        stop = field.order ** d
-    cs = (_index_coeffs(field.order, d, i) for i in range(start, stop))
+    cs = (monic_coeffs(field, d, i) for i in monic_indices(field, d, start, stop))
     return _sum_powers(field, cs, j, d)
 
 

@@ -107,6 +107,11 @@ class TestCli:
         code, _, err = run_cli("special", "--p", "4", "--j", "1")
         assert code == 2 and "not prime" in err
 
+    def test_reducible_modulus_is_usage_error(self):
+        code, _, err = run_cli("special", "--p", "3", "--m", "2",
+                               "--modulus", "2,0,1", "--j", "1")
+        assert code == 2 and "reducible" in err
+
     def test_newton_infinity(self):
         code, out, _ = run_cli("newton", "--p", "2", "--y", "-1",
                                "--dmax", "4", "--prec", "16")

@@ -18,12 +18,14 @@ from ffzeta.ffpoly import (
     enumerate_monic_primes,
     is_irreducible,
     monic_by_index,
+    monic_coeffs,
     monic_prime_count,
     poly_gcd,
     poly_parse,
     poly_xgcd,
     powmod,
 )
+from ffzeta.nonarch import LaurentSeries
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -51,6 +53,9 @@ class TestFieldMake:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ReducibleModulus):
             FiniteField(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2
+        for p, modulus in ((3, (2, 0, 1)), (2, (1, 0, 1, 0, 1))):
+            with pytest.raises(ReducibleModulus):
+                FiniteField(p, len(modulus) - 1, modulus)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DegreeMismatch):
@@ -186,6 +191,12 @@ class TestEnumeration:
     def test_monic_by_index_matches_stream(self):
         for i, f in enumerate(enumerate_monic(F3, 2)):
             assert monic_by_index(F3, 2, i) == f
+            assert monic_coeffs(F3, 2, i) == list(f.coeffs)
+
+    def test_range_checked(self):
+        for start, stop in ((0, 5), (-1, 2), (3, 2), (5, 5)):
+            with pytest.raises(ValueError):
+                list(enumerate_monic(F2, 2, start, stop))
 
 
 class TestIrreducibility:
@@ -268,3 +279,141 @@ class TestWiderFields:
             if e:
                 base = self._table_mul(F, base, base)
         assert a ** j == acc
+
+
+class TestFieldSetup:
+    """Cache directory names and golden outputs depend on the default
+    moduli; the element tables are checked against the definition."""
+
+    DEFAULT_MODULI = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 1, 0, 1),
+        (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+        (3, 2): (1, 0, 1),
+        (3, 5): (1, 2, 0, 0, 0, 1),
+        (5, 2): (2, 0, 1),
+        (7, 2): (1, 0, 1),
+    }
+
+    @pytest.mark.parametrize("pm", sorted(DEFAULT_MODULI))
+    def test_default_modulus_pinned(self, pm):
+        assert FiniteField(*pm).modulus == self.DEFAULT_MODULI[pm]
+
+    @staticmethod
+    def _digitwise(F):
+        """add, neg, sub, mul on encodings, digit by digit, reducing
+        products by the monic modulus."""
+        p, m, g = F.p, F.m, F.modulus
+
+        def digits(a):
+            return [a // p ** i % p for i in range(m)]
+
+        def enc(ds):
+            return sum(d % p * p ** i for i, d in enumerate(ds))
+
+        def mul(a, b):
+            prod = [0] * (2 * m - 1)
+            for i, x in enumerate(digits(a)):
+                for k, y in enumerate(digits(b)):
+                    prod[i + k] += x * y
+            for top in range(2 * m - 2, m - 1, -1):
+                c = prod[top] % p
+                for i in range(m + 1):
+                    prod[top - m + i] -= c * g[i]
+            return enc(prod[:m])
+
+        return (lambda a, b: enc([x + y for x, y in zip(digits(a), digits(b))]),
+                lambda a: enc([-x for x in digits(a)]),
+                lambda a, b: enc([x - y for x, y in zip(digits(a), digits(b))]),
+                mul)
+
+    @pytest.mark.parametrize("F", [FiniteField(2, 2), FiniteField(2, 3),
+                                   FiniteField(3, 2), FiniteField(5, 2),
+                                   FiniteField(3, 3), FiniteField(3, 2, (2, 2, 1))],
+                             ids=repr)
+    def test_tables_match_digitwise_reference(self, F):
+        add, neg, sub, mul = self._digitwise(F)
+        for a in range(F.order):
+            assert F.neg(a) == neg(a)
+            if a:
+                assert mul(a, F.inv(a)) == 1
+            for b in range(F.order):
+                assert F.add(a, b) == add(a, b)
+                assert F.sub(a, b) == sub(a, b)
+                assert F.mul(a, b) == mul(a, b)
+
+    def test_equal_fields_share_tables(self):
+        assert FiniteField(3, 2)._mul is FiniteField(3, 2, (1, 0, 1))._mul
+        assert FiniteField(3, 2)._mul is not FiniteField(3, 2, (2, 2, 1))._mul
+
+    @pytest.mark.parametrize("p,m", [(2, 10), (23, 2), (3, 6)])
+    def test_order_above_table_cap_rejected(self, p, m):
+        with pytest.raises(DegreeMismatch):
+            FiniteField(p, m)
+
+
+def _schoolbook(F, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = F.add(out[i + k], F.mul(x, y))
+    return out
+
+
+class TestProductKernel:
+    """Poly and LaurentSeries products against schoolbook multiplication,
+    with lengths on both sides of the packing threshold (96) and p large
+    enough that packed 16-bit digits would carry."""
+
+    PRIMES = (2, 3, 5, 7, 11, 131, 137, 251, 257)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("la,lb", [(40, 50), (97, 3), (100, 100), (150, 200)])
+    def test_poly_product(self, p, la, lb):
+        F = FiniteField(p)
+        rng = random.Random(1000 * p + la)
+        a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+        assert (Poly(F, a) * Poly(F, b)).coeffs == tuple(_schoolbook(F, a, b))
+        top = [p - 1] * la
+        assert (Poly(F, top) * Poly(F, top)).coeffs == tuple(_schoolbook(F, top, top))
+
+    def test_long_square_at_p7(self):
+        # (6 * sum_{i<n} T^i)^2 has coefficient 36 * #{i + k = t} = #{...} mod 7
+        F7 = FiniteField(7)
+        for n in (1800, 1900):
+            a = Poly(F7, [6] * n)
+            assert (a * a).coeffs == tuple(min(t + 1, 2 * n - 1 - t) % 7
+                                           for t in range(2 * n - 1))
+
+    @pytest.mark.parametrize("F", [FiniteField(p) for p in (2, 3, 7, 131, 251)]
+                             + [FiniteField(2, 2), FiniteField(2, 3), FiniteField(3, 2)],
+                             ids=repr)
+    @pytest.mark.parametrize("window", [40, 96, 97, 200])
+    def test_series_product(self, F, window):
+        rng = random.Random(F.order * 7 + window)
+        for _ in range(3):
+            sa, sb = rng.randint(-3, 3), rng.randint(-3, 3)
+            extra = rng.randint(0, 5)
+
+            def series(start, prec):
+                cs = [rng.randrange(1, F.order)] + [rng.randrange(F.order)
+                                                    for _ in range(window + 10)]
+                return LaurentSeries(F, start, cs, prec)
+
+            a = series(sa, sa + window)
+            b = series(sb, sb + window + extra)
+            prec = min(a.prec + b.start, b.prec + a.start)
+            start = a.start + b.start
+            full = _schoolbook(F, a.coeffs, b.coeffs)
+            assert a * b == LaurentSeries(F, start, full[:prec - start], prec)
+
+
+def test_f2_to_coeffs_pads_and_cuts():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = rng.getrandbits(rng.randrange(0, 300))
+        n = rng.randrange(0, 320)
+        assert pk.f2_to_coeffs(x, n) == [(x >> i) & 1 for i in range(n)]
+        assert pk.f2_to_coeffs(x) == [(x >> i) & 1 for i in range(x.bit_length())]

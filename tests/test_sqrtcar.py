@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ffzeta.errors import ProvisionalPolygon, UnsupportedField
-from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic, poly_parse
+from ffzeta.errors import ProvisionalPolygon
+from ffzeta.ffpoly import Poly, enumerate_monic, poly_parse
 from ffzeta.sqrtcar import (
     base_field,
     carlitz_prime_module,
@@ -13,8 +13,6 @@ from ffzeta.sqrtcar import (
     psi_composition_check,
     psi_factorization_check,
     psi_module,
-    sqrt_poly,
-    square_image,
 )
 from ffzeta.zeta import power_sum
 
@@ -22,17 +20,21 @@ F2 = base_field()
 
 
 class TestSqrtMap:
+    """The square root n' in A' = F_2[u] has n's coefficients, read in u:
+    (n')^2 = n(u^2)."""
+
     def test_variable(self):
-        assert sqrt_poly(Poly.variable(F2)) == Poly.variable(F2)  # T -> u
+        T = Poly.variable(F2)  # T -> u
+        assert T * T == T.substitute_spread(2)
 
     def test_example(self):
         n = poly_parse(F2, "T^2+T+1")
-        root = sqrt_poly(n)
         # (u^2+u+1)^2 = u^4+u^2+1, i.e. the original under T = u^2
-        assert root * root == n.substitute_spread(2)
+        assert n * n == n.substitute_spread(2)
 
     def test_one(self):
-        assert sqrt_poly(Poly.one(F2)) == Poly.one(F2)
+        one = Poly.one(F2)
+        assert one * one == one.substitute_spread(2)
 
     def test_roundtrip_random(self):
         rng = random.Random(77)
@@ -40,13 +42,7 @@ class TestSqrtMap:
             n = Poly(F2, [rng.randrange(2) for _ in range(rng.randint(0, 12))])
             if n.is_zero():
                 continue
-            root = sqrt_poly(n)
-            assert square_image(root) == n
-            assert root * root == n.substitute_spread(2)
-
-    def test_rejects_other_fields(self):
-        with pytest.raises(UnsupportedField):
-            sqrt_poly(Poly.variable(FiniteField(3)))
+            assert n * n == n.substitute_spread(2)
 
 
 class TestHeckeSums:
@@ -66,7 +62,7 @@ class TestHeckeSums:
             for d in (1, 2, 3):
                 acc = Poly.zero(F2)
                 for n in enumerate_monic(F2, d):
-                    acc = acc + sqrt_poly(n) * (n ** j).substitute_spread(2)
+                    acc = acc + n * (n ** j).substitute_spread(2)  # n' * n^j
                 assert hecke_special(j, d)[d] == acc
 
     def test_coprime_variant(self):
@@ -105,7 +101,7 @@ class TestPsiModule:
         assert rep.passed
         for gprime, data, ok in rep.per_prime:
             assert ok and data.a.is_zero()
-            assert data.mu == square_image(gprime)
+            assert data.mu == gprime
 
     def test_factorization_hand_case_u(self):
         rep = psi_factorization_check(1)
@@ -117,8 +113,7 @@ class TestPsiModule:
         # (1 + g' t)^2 = 1 + g t^2 in characteristic 2: the cross term
         # 2 g' t vanishes and (g')^2 is the image of g under T -> u^2
         for gp in (Poly.variable(F2), poly_parse(F2, "T^2+T+1")):
-            g = square_image(gp)
-            assert gp * gp == g.substitute_spread(2)
+            assert gp * gp == gp.substitute_spread(2)
 
 
 class TestParity:

@@ -90,6 +90,14 @@ class TestPowerSums:
                      for lo, hi in zip(cuts, cuts[1:])]
             assert parts[0] + parts[1] + parts[2] == power_sum_enumerated(field, 3, 11)
 
+    def test_enumerated_range_checked(self):
+        # out of range, these once gave 0 and T instead of S_1(1) = 1
+        for start, stop in ((0, 4), (-1, 2), (2, 1), (3, None)):
+            with pytest.raises(ValueError):
+                power_sum_enumerated(F2, 1, 1, start=start, stop=stop)
+        assert power_sum_enumerated(F2, 1, 1, start=0, stop=2) == Poly.one(F2)
+        assert power_sum_enumerated(F2, 1, 1, start=1, stop=1).is_zero()
+
     def test_coprime_sum_direct(self):
         f = poly_parse(F2, "T")
         # degree 2 coprime to T: T^2+1, T^2+T+1; cubes sum hand-checked
