@@ -92,15 +92,14 @@ def lucas_subsets(j: int, p: int):
 # F_2[T] as bit-packed ints
 # ---------------------------------------------------------------------------
 
-def f2_from_coeffs(coeffs) -> int:
-    x = 0
-    for i, c in enumerate(coeffs):
-        if c & 1:
-            x |= 1 << i
-    return x
-
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def f2_from_coeffs(coeffs) -> int:
+    """The int whose bit i is coeffs[i] & 1; linear time."""
+    bits = bytes([c & 1 for c in reversed(coeffs)]).translate(_BYTE_BITS)
+    return int(bits, 2) if bits else 0
 
 
 def f2_to_coeffs(x: int, length: int | None = None) -> list[int]:

@@ -265,16 +265,14 @@ class FrobeniusData:
         return f"1 - ({self.a}) t + ({self.mu}) t^2"
 
 
-def frobenius_charpoly(module: DrinfeldModule, f: Poly, *,
-                       norm_base: Poly | None = None,
-                       frobenius_power: int | None = None) -> FrobeniusData:
+def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
-    Rank 1 solves tau^d = phi_mu with deg mu <= d.  Rank 2 solves
-    Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d, deg a <= floor(d/2) and
-    mu = eps * norm_base over the unit candidates eps; ``norm_base``
-    defaults to f itself.  Solutions are obtained as an F_p-linear system
-    and verified by exact substitution; zero or several survivors raise.
+    With d = deg f, rank 1 solves tau^d = phi_mu with deg mu <= d.  Rank 2
+    solves Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d, deg a <= floor(d/2)
+    and mu = eps * f over the unit candidates eps.  Solutions are obtained
+    as an F_p-linear system and verified by exact substitution; zero or
+    several survivors raise.
     """
     base = module.base_field
     reduced = module.reduce_mod(f) if isinstance(module.phi_T[0], Poly) and \
@@ -282,7 +280,7 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly, *,
     ring = reduced.phi_T[0].ring if isinstance(reduced.phi_T[0], VadicElem) else None
     if ring is None:
         raise TypeError("reduction did not land in a residue ring")
-    d = frobenius_power if frobenius_power is not None else int(f.degree)
+    d = int(f.degree)
     one = reduced.scalar(1)
     fr = skew_tau(one, d, reduced.twist)
     if module.rank == 1:
@@ -302,11 +300,10 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly, *,
 
     if module.rank != 2:
         raise NoSolution("only ranks 1 and 2 are supported")
-    nb = norm_base if norm_base is not None else f
     fr2 = fr * fr
     survivors = []
     for eps in range(1, base.order):
-        mu = nb.scale(eps)
+        mu = f.scale(eps)
         rhs = fr2 + reduced.phi(mu)
         for a in _solve_phi_equation(reduced, rhs=rhs, factor=fr,
                                      max_deg=d // 2):

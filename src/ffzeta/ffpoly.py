@@ -465,12 +465,20 @@ class Poly:
         df = other.degree
         inv_lead = F.inv(other.leading())
         quot = [0] * max(len(rem) - df, 0)
-        while len(rem) - 1 >= df and rem:
-            c = F.mul(rem[-1], inv_lead)
-            k = len(rem) - 1 - df
+        # each step cancels the top coefficient of rem exactly, so it is
+        # popped and only the df coefficients below it take -c * other
+        low = other.coeffs[:-1]
+        p = F.p
+        while len(rem) > df:
+            c = F.mul(rem.pop(), inv_lead)
+            k = len(rem) - df
             quot[k] = c
-            for i, fc in enumerate(other.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, fc))
+            if F.m == 1:
+                nc = p - c
+                rem[k:] = [(r + nc * fc) % p for r, fc in zip(rem[k:], low)]
+            else:
+                row = F._mul[F.neg(c)]
+                rem[k:] = [F.add(r, row[fc]) for r, fc in zip(rem[k:], low)]
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(F, quot), Poly(F, rem)

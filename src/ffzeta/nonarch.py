@@ -13,6 +13,13 @@ reduced mod f^M.  One-unit powers take p-adic exponents through the
 characteristic-p binomial identity (1+w)^(p^N) = 1 + w^(p^N): once
 p^N >= M, digits of the exponent beyond N cannot move anything inside
 the window.
+
+An exponent s = (s1, s2) at f acts on a unit n as
+omega(n)^s1 * (n / omega(n))^e with e = s2 mod p^N and omega(n) the
+Teichmueller lift of n mod f.  Since omega(n)^(Q-1) = 1 for the residue
+order Q, this equals n^e * omega(n)^k with k = (s1 - e) mod (Q-1), so
+``pow_sv`` takes one power of n and one product.  omega(n)^k depends on
+n mod f and k alone, and ``VadicRing`` memoises it under that key.
 """
 
 from __future__ import annotations
@@ -325,6 +332,8 @@ class VadicRing:
         self.modulus = f ** precision
         self.residue_order = self.field.order ** self.deg
         self._is_var = (f.coeffs == (0, 1))
+        # (coefficients of n mod f, k) -> rep of omega(n)^k
+        self._omega_pows: dict[tuple[tuple[int, ...], int], Poly] = {}
 
     def elem(self, a: Poly) -> "VadicElem":
         if a.field != self.field:
@@ -359,6 +368,16 @@ class VadicRing:
             x = nxt
         raise NonConvergence("Teichmueller iteration did not stabilise")
 
+    def _teichmuller_pow(self, residue: Poly, k: int) -> Poly:
+        """Rep of omega(residue)^k for a nonzero residue of degree < deg f,
+        memoised per ring under (residue, k)."""
+        key = (residue.coeffs, k)
+        rep = self._omega_pows.get(key)
+        if rep is None:
+            rep = self._pow_rep(self.teichmuller(residue).rep, k)
+            self._omega_pows[key] = rep
+        return rep
+
     def _mul_rep(self, a: Poly, b: Poly) -> Poly:
         return self._reduce(a * b)
 
@@ -368,8 +387,9 @@ class VadicRing:
         while e:
             if e & 1:
                 acc = self._mul_rep(acc, base)
-            base = self._mul_rep(base, base)
             e >>= 1
+            if e:
+                base = self._mul_rep(base, base)
         return acc
 
     def inverse(self, a: Poly) -> Poly:
@@ -501,10 +521,17 @@ def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
     """n**s in A/(f^M): Teichmueller part to the finite-order coordinate,
     1-unit part to the p-adic coordinate.
 
+    With omega = omega(n), e = s2 mod p^N and Q the residue order,
+    omega^s1 * (n / omega)^e = n^e * omega^k for k = (s1 - e) mod (Q-1),
+    because omega^(Q-1) = 1.  So a call takes one power of n and one
+    product; omega^k comes from the ring's memo, which is exact because
+    omega depends only on n mod f.
+
     For s the image of an integer j this equals n^j mod f^M exactly,
     provided p^N >= M for the digit count N of the p-adic coordinate.
     """
-    if (n % ring.f).is_zero():
+    residue = n % ring.f
+    if residue.is_zero():
         raise NotCoprime("exponentiation at f needs gcd(n, f) = 1")
     p = ring.field.p
     if p ** s.s2.precision < ring.precision:
@@ -512,6 +539,6 @@ def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
             f"need p^N >= {ring.precision}, got p^{s.s2.precision}")
     if s.unit_order != ring.residue_order - 1:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
-    omega = ring.teichmuller(n)
-    unit = ring.elem(n) * omega.inverse()
-    return (omega ** s.s1) * (unit ** s.s2.value())
+    e = s.s2.value()
+    omega_k = ring._teichmuller_pow(residue, (s.s1 - e) % s.unit_order)
+    return ring.elem(n) ** e * VadicElem(ring, omega_k)

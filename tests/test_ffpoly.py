@@ -410,6 +410,43 @@ class TestProductKernel:
             assert a * b == LaurentSeries(F, start, full[:prec - start], prec)
 
 
+def _long_division(F, a, b):
+    """Schoolbook long division of coefficient lists: (quotient, remainder)."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    inv = F.inv(b[-1])
+    for k in reversed(range(len(quot))):
+        c = F.mul(rem[k + len(b) - 1], inv)
+        quot[k] = c
+        for i, x in enumerate(b):
+            rem[k + i] = F.sub(rem[k + i], F.mul(c, x))
+    return Poly(F, quot), Poly(F, rem[:len(b) - 1])
+
+
+class TestDivision:
+    """Poly.__divmod__ against schoolbook long division, over prime fields
+    small and large and over extension fields, for every dividend length
+    from 1 to 200 with a monic and a non-monic divisor."""
+
+    @pytest.mark.parametrize("F", [FiniteField(p) for p in (2, 3, 5, 7, 131, 257)]
+                             + [FiniteField(2, 2), FiniteField(2, 3), FiniteField(3, 2),
+                                FiniteField(5, 2)],
+                             ids=repr)
+    def test_matches_long_division(self, F):
+        rng = random.Random(F.order)
+        for la in range(1, 201):
+            a = Poly(F, [rng.randrange(F.order) for _ in range(la - 1)]
+                     + [rng.randrange(1, F.order)])
+            lb = rng.randint(1, min(la + 2, 40))
+            low = [rng.randrange(F.order) for _ in range(lb - 1)]
+            for lead in (1, rng.randrange(1, F.order)):
+                b = Poly(F, low + [lead])
+                q, r = divmod(a, b)
+                assert q * b + r == a
+                assert r.degree < b.degree
+                assert (q, r) == _long_division(F, a.coeffs, b.coeffs)
+
+
 def test_f2_to_coeffs_pads_and_cuts():
     rng = random.Random(3)
     for _ in range(200):
@@ -417,3 +454,22 @@ def test_f2_to_coeffs_pads_and_cuts():
         n = rng.randrange(0, 320)
         assert pk.f2_to_coeffs(x, n) == [(x >> i) & 1 for i in range(n)]
         assert pk.f2_to_coeffs(x) == [(x >> i) & 1 for i in range(x.bit_length())]
+
+
+def test_f2_from_coeffs_matches_bitwise_definition():
+    def by_bits(cs):
+        x = 0
+        for i, c in enumerate(cs):
+            if c & 1:
+                x |= 1 << i
+        return x
+
+    assert pk.f2_from_coeffs([]) == 0
+    assert pk.f2_from_coeffs([0, 0, 0]) == 0
+    assert pk.f2_from_coeffs([1, 0, 1, 0, 0]) == 0b101
+    assert pk.f2_from_coeffs([3, 2, 5, 7, 0, 9, 4]) == by_bits([3, 2, 5, 7, 0, 9, 4])
+    rng = random.Random(8)
+    for n in (1, 2, 63, 64, 65, 1000, 10 ** 5):
+        cs = [rng.randrange(6) for _ in range(n)] + [0] * rng.randrange(3)
+        assert pk.f2_from_coeffs(cs) == by_bits(cs)
+        assert pk.f2_from_coeffs(tuple(cs)) == by_bits(cs)

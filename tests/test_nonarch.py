@@ -8,7 +8,13 @@ from ffzeta.errors import (
     NotCoprime,
     ZeroInput,
 )
-from ffzeta.ffpoly import FiniteField, Poly, poly_parse
+from ffzeta.ffpoly import (
+    FiniteField,
+    Poly,
+    enumerate_monic,
+    enumerate_monic_primes,
+    poly_parse,
+)
 from ffzeta.nonarch import (
     LaurentSeries,
     PadicExponent,
@@ -21,6 +27,9 @@ from ffzeta.nonarch import (
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
+F4 = FiniteField(2, 2)
+F5 = FiniteField(5)
+F9 = FiniteField(3, 2)
 T2 = Poly.variable(F2)
 T3 = Poly.variable(F3)
 
@@ -233,6 +242,73 @@ class TestPowSv:
         s = SvPoint.from_int(3, 1, 2, 2)  # 2^2 = 4 < 16
         with pytest.raises(InsufficientPadicPrecision):
             pow_sv(T2 + Poly.one(F2), s, ring)
+
+    def test_not_coprime_and_unit_order(self):
+        f = poly_parse(F3, "T^2+1")
+        ring = VadicRing(f, 4)
+        s = SvPoint.from_int(5, ring.residue_order - 1, 3, 2)
+        with pytest.raises(NotCoprime):
+            pow_sv(f * (T3 + Poly.one(F3)), s, ring)
+        with pytest.raises(ValueError):
+            pow_sv(T3, SvPoint.from_int(5, 2, 3, 2), ring)
+
+
+def _pow_sv_reference(n: Poly, s: SvPoint, ring: VadicRing):
+    """The definition omega(n)^s1 * (n * omega(n)^-1)^e with e = s2 mod p^N,
+    with a fresh Teichmueller lift and inverse on every call."""
+    omega = ring.teichmuller(n)
+    unit = ring.elem(n) * omega.inverse()
+    return omega ** s.s1 * unit ** s.s2.value()
+
+
+def _prime(field, d):
+    return next(iter(enumerate_monic_primes(field, d)))
+
+
+# (field, prime, M, digits of the p-adic coordinate); every digit count is
+# well beyond the ceil(log_p M) the window needs
+REFERENCE_PLACES = {
+    "F2-deg2": (F2, _prime(F2, 2), 12, 40),
+    "F2-deg3": (F2, _prime(F2, 3), 8, 30),
+    "F3-T^2+1": (F3, poly_parse(F3, "T^2+1"), 10, 25),
+    "F3-deg3": (F3, _prime(F3, 3), 5, 20),
+    "F4-deg2": (F4, _prime(F4, 2), 8, 30),
+    "F4-deg3": (F4, _prime(F4, 3), 4, 20),
+    "F5-deg2": (F5, _prime(F5, 2), 6, 16),
+    "F5-deg3": (F5, _prime(F5, 3), 3, 12),
+    "F9-deg2": (F9, _prime(F9, 2), 5, 14),
+    "F9-deg3": (F9, _prime(F9, 3), 2, 10),
+}
+
+
+class TestPowSvReference:
+    """pow_sv against its definition at primes of degree 2 and 3."""
+
+    @pytest.mark.parametrize("place", list(REFERENCE_PLACES))
+    def test_matches_definition(self, place):
+        field, f, M, n_digits = REFERENCE_PLACES[place]
+        ring = VadicRing(f, M)
+        Q = ring.residue_order
+        rng = random.Random(place)
+        # several exponents on one ring, interleaved over monics whose
+        # residues mod f repeat: a memo keyed without k gives wrong powers
+        exps = [SvPoint(rng.randrange(Q - 1),
+                        PadicExponent(field.p, [rng.randrange(field.p)
+                                                for _ in range(n_digits)]),
+                        Q - 1)
+                for _ in range(4)]
+        d = int(f.degree)
+        low = [n for k in range(d + 1) for n in enumerate_monic(field, k)
+               if not (n % f).is_zero()]
+        top = [n for n in enumerate_monic(field, d + 1) if not (n % f).is_zero()]
+        monics = rng.sample(low, min(len(low), 8))
+        for n in rng.sample(top, min(len(top), 8)):
+            monics += [n, n + f.scale(rng.randrange(1, field.order))]
+        for n in monics:
+            for s in exps:
+                assert pow_sv(n, s, ring) == _pow_sv_reference(n, s, ring), (n, s)
+        residues = {(n % f).coeffs for n in monics}
+        assert len(residues) < len(monics)
 
 
 class TestPrecisionMonotonicity:
