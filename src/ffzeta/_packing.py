@@ -7,11 +7,16 @@ Three internal representations, chosen by characteristic:
   over the set bits of the sparser operand.
 
 * ``F_p[T]``, p odd prime -- a polynomial is a Python int built from
-  fixed-width digit fields (:data:`DIGIT_BITS` bits each), digit ``k``
-  being the coefficient of ``T^k`` in ``[0, p)``.  Integer multiplication
-  then performs the convolution exactly as long as accumulated digits stay
-  below ``2**DIGIT_BITS``; callers track that headroom and call
-  :func:`digits_mod` to renormalise.
+  fixed-width digit fields, digit ``k`` being the coefficient of ``T^k``.
+  Integer multiplication then performs the convolution exactly as long as
+  no digit outgrows its field.  This module alone decides that headroom:
+  the reduced format of F_p[T] has digits in ``[0, p)`` and the smallest
+  width of 16, 32 or 64 bits that holds p(p-1), one reduced digit plus
+  one product of two coefficients (16 bits for every p <= 251).  Sums of
+  scaled, shifted terms go through :func:`pk_sum`, which tracks each
+  term's digit bound and renormalises only when the next add could carry;
+  products take their width from (p-1)^2 * min(len a, len b).  No width
+  holds one product once p >= 2^32, so ``FiniteField`` rejects those p.
 
 * ``F_{2^m}[T]`` -- ``m`` parallel ``F_2[T]`` ints ("planes"), plane ``e``
   carrying the ``w^e``-coordinates of all coefficients for the fixed basis
@@ -24,10 +29,10 @@ enumeration oracle in :mod:`ffzeta.zeta`.
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+from math import comb
 
-DIGIT_BITS = 16
-_DIGIT_MAX = (1 << DIGIT_BITS) - 1
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -43,35 +48,21 @@ def base_digits(n: int, p: int) -> list[int]:
     return out
 
 
-def binom_small(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p for 0 <= k <= n < p."""
-    num = 1
-    den = 1
-    for t in range(k):
-        num = num * (n - t)
-        den = den * (t + 1)
-    return (num // den) % p
-
-
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    while n or k:
-        ni, n = n % p, n // p
-        ki, k = k % p, k // p
-        if ki > ni:
-            return 0
-        result = result * binom_small(ni, ki, p) % p
-    return result
+def ceil_log(r: int, x: int) -> int:
+    """Smallest L with r^L >= x (x >= 1)."""
+    L = 0
+    v = 1
+    while v < x:
+        v *= r
+        L += 1
+    return L
 
 
 def lucas_subsets(j: int, p: int):
     """Yield (t, C(j, t) mod p) over all t with C(j, t) nonzero mod p."""
     digs = base_digits(j, p) or [0]
-    # one binomial table per digit value
-    small = [[binom_small(d, t, p) for t in range(d + 1)] for d in range(p)]
+    # one binomial row per digit value of j
+    small = {d: [comb(d, t) % p for t in range(d + 1)] for d in set(digs)}
     choices = [range(d + 1) for d in digs]
 
     def rec(i, t, c):
@@ -133,12 +124,11 @@ def f2_spread(x: int, step: int) -> int:
     return acc
 
 
-def f2_pow(n: int, j: int, trunc: int | None = None) -> int:
+def f2_pow(n: int, j: int) -> int:
     """n**j in F_2[T] via the base-2 Frobenius factorisation.
 
     Every factor n^(2^k) is as sparse as n itself, so the work is
-    O(popcount(n) * popcount(j)) big-int shift-XORs.  ``trunc`` keeps only
-    coefficients of T^i with i < trunc (for series work).
+    O(popcount(n) * popcount(j)) big-int shift-XORs.
     """
     if j == 0:
         return 1
@@ -147,33 +137,123 @@ def f2_pow(n: int, j: int, trunc: int | None = None) -> int:
     while j:
         if j & 1:
             acc = f2_mul(acc, f2_spread(n, 1 << k))
-            if trunc is not None:
-                acc &= (1 << trunc) - 1
         j >>= 1
         k += 1
     return acc
 
 
 # ---------------------------------------------------------------------------
-# F_p[T] (p odd) as digit-packed ints
+# F_p[T] as digit-packed ints, and the one packed sum
 # ---------------------------------------------------------------------------
 
-def pk_pack(coeffs) -> int:
-    arr = np.asarray(coeffs, dtype="<u2")
+def _width(p: int, term_bound: int) -> int:
+    """Digit width, the smallest of 16, 32 and 64 bits, that holds a
+    renormalised digit (< p) plus one term digit (<= term_bound)."""
+    return next(bits for bits in (16, 32, 64) if (p - 1 + term_bound) >> bits == 0)
+
+
+@functools.cache
+def _bits(p: int) -> int:
+    """Digit width of the reduced F_p[T] format: 1 (bit ints) for p = 2,
+    else room for one reduced digit plus one product of two coefficients."""
+    return 1 if p == 2 else _width(p, (p - 1) ** 2)
+
+
+_DTYPES = {bits: np.dtype(f"<u{bits // 8}") for bits in (16, 32, 64)}
+
+
+def _pack(coeffs, bits: int) -> int:
+    return int.from_bytes(np.asarray(coeffs, dtype=_DTYPES[bits]).tobytes(), "little")
+
+
+def _unpack(x: int, length: int, bits: int) -> list[int]:
+    return np.frombuffer(x.to_bytes(bits // 8 * length, "little"), _DTYPES[bits]).tolist()
+
+
+def pk_pack(coeffs, p: int) -> int:
+    """Coefficients in [0, p) as one int in the reduced format of F_p[T]."""
+    return f2_from_coeffs(coeffs) if p == 2 else _pack(coeffs, _bits(p))
+
+
+def pk_unpack(x: int, length: int, p: int) -> list[int]:
+    """The first ``length`` coefficients of a reduced packed int ([] for 0)."""
+    if not x:
+        return []
+    return f2_to_coeffs(x, length) if p == 2 else _unpack(x, length, _bits(p))
+
+
+@functools.cache
+def _byte_mod(p: int) -> bytes:
+    return bytes(b % p for b in range(256))
+
+
+def digits_mod(x: int, p: int, bits: int, bound: int) -> int:
+    """Reduce each ``bits``-bit digit field of x, all at most ``bound``,
+    modulo p.  Digits below 256 fill only their lowest byte, so one byte
+    translation reduces them all; larger ones go through numpy."""
+    if not x:
+        return 0
+    dtype = _DTYPES[bits]
+    data = x.to_bytes(-(-x.bit_length() // bits) * dtype.itemsize, "little")
+    if bound < 256:
+        return int.from_bytes(data.translate(_byte_mod(p)), "little")
+    arr = np.frombuffer(data, dtype) % dtype.type(p)
     return int.from_bytes(arr.tobytes(), "little")
 
 
-def pk_unpack(x: int, length: int) -> np.ndarray:
-    data = x.to_bytes(2 * length, "little")
-    return np.frombuffer(data, dtype="<u2").astype(np.int64)
+def pk_sum(terms, p: int, length: int, bits: int | None = None,
+           x_bound: int | None = None) -> int:
+    """Sum of c * x * T^shift over (c, x, shift) in ``terms``, cut to
+    ``length`` coefficients and reduced mod p.
+
+    For p = 2 the x are bit ints, c is 1 and the sum is their XOR.
+    Otherwise the x are packed in ``bits``-bit digits (default: the reduced
+    format of p), each digit at most ``x_bound`` (default p - 1), and
+    0 < c < p.  The running digit bound grows by c * x_bound per term, and
+    the accumulator is renormalised only when the next add could carry out
+    of a digit.
+    """
+    if p == 2:
+        acc = 0
+        for _, x, shift in terms:
+            acc ^= x << shift
+        return acc & ((1 << length) - 1)
+    if bits is None:
+        bits = _bits(p)
+    if x_bound is None:
+        x_bound = p - 1
+    top = (1 << bits) - 1
+    end = length * bits
+    acc = bound = 0
+    for c, x, shift in terms:
+        shift *= bits
+        if x.bit_length() + shift > end:
+            if shift >= end:
+                continue
+            x &= (1 << (end - shift)) - 1
+        bound += c * x_bound
+        if bound > top:
+            acc = digits_mod(acc, p, bits, bound)
+            bound = p - 1 + c * x_bound
+        acc += (x * c) << shift
+    return digits_mod(acc, p, bits, bound)
 
 
-def digits_mod(x: int, p: int, length: int) -> int:
-    """Reduce every 16-bit digit field of x modulo p."""
-    if x == 0:
-        return 0
-    arr = pk_unpack(x, length) % p
-    return int.from_bytes(arr.astype("<u2").tobytes(), "little")
+def pk_mul(a, b, p: int, length: int) -> list[int]:
+    """Coefficients of a*b below ``length`` (p odd), by packed int products.
+
+    The digit width comes from the product bound (p-1)^2 * min(len a, len b).
+    Where no 64-bit digit holds it, the shorter operand is cut into chunks
+    whose products pk_sum adds up.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    sq = (p - 1) ** 2
+    k = min(len(b), ((1 << 64) - p) // sq)
+    bits = _width(p, sq * k)
+    big = _pack(a, bits)
+    terms = ((1, big * _pack(b[i:i + k], bits), i) for i in range(0, len(b), k))
+    return _unpack(pk_sum(terms, p, length, bits, sq * k), length, bits)
 
 
 def pk_spread_terms(coeffs, step: int) -> list[tuple[int, int]]:
@@ -181,46 +261,29 @@ def pk_spread_terms(coeffs, step: int) -> list[tuple[int, int]]:
     return [(i * step, c) for i, c in enumerate(coeffs) if c]
 
 
-def pk_sparse_mul(big: int, terms) -> int:
-    """big * (sparse polynomial); digits grow, caller renormalises."""
-    acc = 0
-    for pos, c in terms:
-        acc += (big * c) << (pos * DIGIT_BITS)
-    return acc
+def pk_sparse_mul(big: int, terms, p: int, length: int) -> int:
+    """big * (sparse polynomial), cut to ``length`` and reduced mod p."""
+    return pk_sum([(c, big, pos) for pos, c in terms], p, length)
 
 
-def pk_pow(coeffs, j: int, p: int, trunc: int | None = None) -> int:
+def pk_pow(coeffs, j: int, p: int) -> int:
     """n**j in F_p[T] (p odd) via base-p Frobenius factorisation, packed.
 
     Coefficients of the prime field are Frobenius-fixed, so n^(p^k) is the
-    digit spread of n by p^k.  The genuine multiplications are all
-    big-by-sparse; digit headroom is tracked and renormalised lazily.
+    digit spread of n by p^k, and every genuine multiplication is
+    big-by-sparse.
     """
-    d = len(coeffs) - 1
-    if j == 0:
-        return pk_pack([1])
-    out_len = d * j + 1 if trunc is None else trunc
-    acc = pk_pack([1])
-    bound = 1
-    sparse_bound = max(coeffs)
+    out_len = (len(coeffs) - 1) * j + 1
+    acc = 1  # the constant 1 in every packed format
     k = 0
-    jj = j
-    while jj:
-        digit = jj % p
-        terms = pk_spread_terms(coeffs, p ** k) if digit else None
-        for _ in range(digit):
-            new_bound = bound * sparse_bound * (d + 1)
-            if new_bound > _DIGIT_MAX:
-                acc = digits_mod(acc, p, out_len)
-                bound = p - 1
-                new_bound = bound * sparse_bound * (d + 1)
-            acc = pk_sparse_mul(acc, terms)
-            if trunc is not None:
-                acc &= (1 << (DIGIT_BITS * trunc)) - 1
-            bound = new_bound
-        jj //= p
+    while j:
+        j, digit = divmod(j, p)
+        if digit:
+            terms = pk_spread_terms(coeffs, p ** k)
+            for _ in range(digit):
+                acc = pk_sparse_mul(acc, terms, p, out_len)
         k += 1
-    return digits_mod(acc, p, out_len)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +370,17 @@ class Char2Planes:
     def spread(self, planes, step):
         return [f2_spread(x, step) for x in planes]
 
-    def pow(self, coeffs, j: int, trunc: int | None = None):
+    def pow(self, coeffs, j: int):
         """n**j as planes, n given by encoded coefficients (small degree)."""
         acc = self.from_encodings([1])
         if j == 0:
             return acc
         base = self.from_encodings(coeffs)
-        mask = None if trunc is None else (1 << trunc) - 1
         k = 0
         while j:
             if j & 1:
                 factor = self.spread(base, 1 << k)
                 acc = self.mul(acc, factor)
-                if mask is not None:
-                    acc = [x & mask for x in acc]
             j >>= 1
             # keep `base` at Frobenius level k+1 for the next set bit
             base = self.coeff_frobenius(base)

@@ -27,6 +27,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     ReducibleModulus,
+    UnsupportedField,
     ZeroPolynomial,
 )
 
@@ -75,10 +76,13 @@ class FiniteField:
     When no modulus is given and m > 1, the modulus is the monic
     irreducible of degree m over F_p whose non-leading coefficient encoding
     is smallest; that choice is deterministic so downstream output is
-    byte-reproducible.
+    byte-reproducible.  Characteristics p >= 2^32 raise UnsupportedField.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
+        if p >= 1 << 32:
+            raise UnsupportedField(
+                f"characteristic {p} >= 2^32: no packed digit holds a product")
         if not _is_prime(p):
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
@@ -129,6 +133,8 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero field element")
+        if self.m == 1:
+            return pow(a, -1, self.p)
         return self._inv[a]
 
     def pow(self, a: int, e: int) -> int:
@@ -194,10 +200,11 @@ def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
 
     Memoised: equal fields share their tables, and nothing mutates them.
     The modulus is checked with ``is_irreducible`` over F_p; mul and inv
-    come from the powers of a generator of F_q^*.
+    come from the powers of a generator of F_q^*.  Prime fields get no
+    tables: their elements are residues mod p, for p up to 2^32.
     """
     if m == 1:
-        return None, None, None, [0] + [pow(a, p - 2, p) for a in range(1, p)], None
+        return None, None, None, None, None
     Fp = FiniteField(p)
     if not is_irreducible(Poly(Fp, modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
@@ -463,7 +470,8 @@ class Poly:
         F = self.field
         rem = list(self.coeffs)
         df = other.degree
-        inv_lead = F.inv(other.leading())
+        lead = other.leading()
+        inv_lead = 1 if lead == 1 else F.inv(lead)
         quot = [0] * max(len(rem) - df, 0)
         # each step cancels the top coefficient of rem exactly, so it is
         # popped and only the df coefficients below it take -c * other
@@ -544,12 +552,7 @@ class Poly:
 
 
 def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
-    """Coefficients of a*b; only the first ``length`` when it is given.
-
-    The packed odd-p product is exact only while no 16-bit digit can carry,
-    i.e. (p-1)^2 * min(len a, len b) <= _DIGIT_MAX; beyond that the table
-    loop runs.
-    """
+    """Coefficients of a*b; only the first ``length`` when it is given."""
     if length is not None:
         a, b = a[:length], b[:length]
     la, lb = len(a), len(b)
@@ -558,10 +561,8 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
         if F.p == 2:
             x = pk.f2_mul(pk.f2_from_coeffs(a), pk.f2_from_coeffs(b))
             return pk.f2_to_coeffs(x, out_len)
-        if out_len > _SCHOOLBOOK_CAP and (F.p - 1) ** 2 * min(la, lb) <= pk._DIGIT_MAX:
-            prod = pk.pk_pack(a) * pk.pk_pack(b)
-            prod &= (1 << (pk.DIGIT_BITS * out_len)) - 1
-            return pk.pk_unpack(pk.digits_mod(prod, F.p, out_len), out_len).tolist()
+        if out_len > _SCHOOLBOOK_CAP:
+            return pk.pk_mul(a, b, F.p, out_len)
     elif F.p == 2 and F._planes is not None and out_len > _SCHOOLBOOK_CAP:
         pl = F._planes
         mask = (1 << out_len) - 1
@@ -589,9 +590,7 @@ def _pow_dispatch(F: FiniteField, coeffs, j: int):
         if F.p == 2:
             x = pk.f2_pow(pk.f2_from_coeffs(coeffs), j)
             return pk.f2_to_coeffs(x)
-        packed = pk.pk_pow(list(coeffs), j, F.p)
-        out_len = (len(coeffs) - 1) * j + 1
-        return pk.pk_unpack(packed, out_len).tolist()
+        return pk.pk_unpack(pk.pk_pow(coeffs, j, F.p), (len(coeffs) - 1) * j + 1, F.p)
     if F.p == 2 and F._planes is not None:
         out_len = (len(coeffs) - 1) * j + 1
         planes = F._planes.pow(list(coeffs), j)

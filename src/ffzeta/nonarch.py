@@ -331,6 +331,9 @@ class VadicRing:
         self.deg = int(f.degree)
         self.modulus = f ** precision
         self.residue_order = self.field.order ** self.deg
+        # the unit group's exponent divides (Q-1) * p^L once p^L >= M
+        p = self.field.p
+        self.unit_exponent = (self.residue_order - 1) * p ** pk.ceil_log(p, precision)
         self._is_var = (f.coeffs == (0, 1))
         # (coefficients of n mod f, k) -> rep of omega(n)^k
         self._omega_pows: dict[tuple[tuple[int, ...], int], Poly] = {}
@@ -525,7 +528,8 @@ def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
     omega^s1 * (n / omega)^e = n^e * omega^k for k = (s1 - e) mod (Q-1),
     because omega^(Q-1) = 1.  So a call takes one power of n and one
     product; omega^k comes from the ring's memo, which is exact because
-    omega depends only on n mod f.
+    omega depends only on n mod f.  The power of n takes e modulo the
+    ring's unit exponent (Q-1) * p^L; k is unchanged, as Q-1 divides it.
 
     For s the image of an integer j this equals n^j mod f^M exactly,
     provided p^N >= M for the digit count N of the p-adic coordinate.
@@ -541,4 +545,4 @@ def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     e = s.s2.value()
     omega_k = ring._teichmuller_pow(residue, (s.s1 - e) % s.unit_order)
-    return ring.elem(n) ** e * VadicElem(ring, omega_k)
+    return ring.elem(n) ** (e % ring.unit_exponent) * VadicElem(ring, omega_k)

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _packing as pk
+from ._packing import ceil_log
 from .errors import PreconditionViolated, ZeroPolynomial
 from .ffpoly import (
     FiniteField,
@@ -51,16 +50,6 @@ from .nonarch import (
 )
 
 
-def ceil_log(r: int, x: int) -> int:
-    """Smallest L with r^L >= x (x >= 1)."""
-    L = 0
-    v = 1
-    while v < x:
-        v *= r
-        L += 1
-    return L
-
-
 # ---------------------------------------------------------------------------
 # fast route: subspace binomial recursion on prime-field packed polynomials
 # ---------------------------------------------------------------------------
@@ -68,8 +57,8 @@ def ceil_log(r: int, x: int) -> int:
 class _SumEngine:
     """Tables E_d(t) = sum of m^t over all m with deg m < d, per (p, q).
 
-    The values live in F_p[T]; for p = 2 they are stored as bit ints,
-    otherwise as 16-bit digit-packed ints reduced mod p.
+    The values live in F_p[T] and are kept in the reduced packed format of
+    :mod:`ffzeta._packing`; every sum goes through ``pk_sum``.
     """
 
     def __init__(self, p: int, q: int):
@@ -82,50 +71,24 @@ class _SumEngine:
         hit = self._E.get(key)
         if hit is not None:
             return hit
-        p, q = self.p, self.q
+        p = self.p
         if d == 0:
-            val = (pk.pk_pack([1]) if p != 2 else 1) if t == 0 else 0
-        elif t == 0:
-            val = 0
+            val = int(t == 0)  # the constant 1 in every packed format
         else:
-            acc = 0
-            step = q - 1
-            for s in range(step, t + 1, step):
-                c = pk.binom_mod_p(t, s, p)
-                if not c:
-                    continue
-                sub = self.subspace_sum(d - 1, t - s)
-                if not sub:
-                    continue
-                if p == 2:
-                    acc ^= sub << ((d - 1) * s)
-                else:
-                    scalar = (p - 1) * c % p
-                    acc += (sub * scalar) << ((d - 1) * s * pk.DIGIT_BITS)
-            val = acc if p == 2 else (
-                pk.digits_mod(acc, p, (d - 1) * t + 1) if acc else 0)
+            terms = [((p - 1) * c % p, self.subspace_sum(d - 1, t - s), (d - 1) * s)
+                     for s, c in pk.lucas_subsets(t, p) if s and s % (self.q - 1) == 0]
+            val = pk.pk_sum(terms, p, (d - 1) * t + 1)
         self._E[key] = val
         return val
 
     def monic_sum(self, d: int, j: int) -> int:
         """S_d(j), packed like the subspace sums."""
-        p = self.p
-        acc = 0
-        for t, c in pk.lucas_subsets(j, p):
-            sub = self.subspace_sum(d, t)
-            if not sub:
-                continue
-            shift = d * (j - t)
-            if p == 2:
-                acc ^= sub << shift
-            else:
-                acc += (sub * c) << (shift * pk.DIGIT_BITS)
-        if p == 2 or not acc:
-            return acc
-        return pk.digits_mod(acc, p, d * j + 1)
+        terms = [(c, self.subspace_sum(d, t), d * (j - t))
+                 for t, c in pk.lucas_subsets(j, self.p)]
+        return pk.pk_sum(terms, self.p, d * j + 1)
 
     def monic_sum_coeffs(self, d: int, j: int) -> list[int]:
-        return self._unpack(self.monic_sum(d, j), d * j + 1)
+        return pk.pk_unpack(self.monic_sum(d, j), d * j + 1, self.p)
 
     def binomial_window(self, e: int, prec: int, part, scale: int = 1) -> list[int]:
         """Coefficients of T^0 .. T^(prec-1) in scale * sum_t C(e,t) T^t part(t).
@@ -137,33 +100,9 @@ class _SumEngine:
         """
         p = self.p
         low = e % p ** ceil_log(p, prec)
-        acc = 0
-        bound = 0
-        for t, c in pk.lucas_subsets(low, p):
-            if t >= prec:
-                continue
-            x = part(t)
-            if not x:
-                continue
-            if p == 2:
-                acc ^= x << t
-                continue
-            if bound + (p - 1) ** 2 > pk._DIGIT_MAX:
-                acc = pk.digits_mod(acc, p, prec)
-                bound = p - 1
-            bound += (p - 1) ** 2
-            x &= (1 << ((prec - t) * pk.DIGIT_BITS)) - 1
-            acc += (x * (c * scale % p)) << (t * pk.DIGIT_BITS)
-        if p != 2:
-            acc = pk.digits_mod(acc, p, prec)
-        return self._unpack(acc, prec)
-
-    def _unpack(self, x: int, length: int) -> list[int]:
-        if not x:
-            return []
-        if self.p == 2:
-            return pk.f2_to_coeffs(x, length)
-        return pk.pk_unpack(x, length).tolist()
+        terms = [(c * scale % p, part(t), t)
+                 for t, c in pk.lucas_subsets(low, p) if t < prec]
+        return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
 
 
 _ENGINES: dict[tuple[int, int], _SumEngine] = {}
@@ -185,17 +124,11 @@ def _sum_powers(field: FiniteField, coeff_lists, j: int, d: int) -> Poly:
     """Exact sum of n^j over the given degree-d coefficient lists."""
     p, m = field.p, field.m
     out_len = d * j + 1
-    if m == 1 and p == 2:
-        acc = 0
-        for cs in coeff_lists:
-            acc ^= pk.f2_pow(pk.f2_from_coeffs(cs), j)
-        return Poly(field, pk.f2_to_coeffs(acc, out_len))
     if m == 1:
-        vec = np.zeros(out_len, dtype=np.int64)
-        for cs in coeff_lists:
-            x = pk.pk_pow(cs, j, p)
-            vec += pk.pk_unpack(x, out_len)
-        return Poly(field, (vec % p).tolist())
+        powers = (pk.f2_pow(pk.f2_from_coeffs(cs), j) if p == 2 else pk.pk_pow(cs, j, p)
+                  for cs in coeff_lists)
+        acc = pk.pk_sum(((1, x, 0) for x in powers), p, out_len)
+        return Poly(field, pk.pk_unpack(acc, out_len, p))
     if p == 2 and field._planes is not None:
         pl = field._planes
         planes_acc = [0] * m
@@ -536,8 +469,7 @@ def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
     per_degree = []
     prev_bracket: Poly | None = None
     for d in range(dmax + 1):
-        csum = _sum_polys(field,
-                          (n ** j for n in _coprime_iter(field, d, f)))
+        csum = _sum_powers(field, (n.coeffs for n in _coprime_iter(field, d, f)), j, d)
         if shift_c:
             csum = _compose_linear(csum, T - Poly.constant(field, shift_c))
         lhs = csum  # same coefficient tuple read in pi after T -> 1/T
@@ -550,13 +482,6 @@ def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
         "degree-1 finite-place twist",
         {"r": r, "j": j, "f": f.to_string(), "dmax": dmax},
         per_degree, all(per_degree))
-
-
-def _sum_polys(field: FiniteField, it) -> Poly:
-    acc = Poly.zero(field)
-    for a in it:
-        acc = acc + a
-    return acc
 
 
 def _compose_linear(a: Poly, lin: Poly) -> Poly:

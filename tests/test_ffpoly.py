@@ -9,6 +9,7 @@ from ffzeta.errors import (
     DivisionByZero,
     FieldMismatch,
     ReducibleModulus,
+    UnsupportedField,
 )
 from ffzeta.ffpoly import (
     FiniteField,
@@ -49,6 +50,14 @@ class TestFieldMake:
     def test_composite_characteristic_rejected(self):
         with pytest.raises(CompositeCharacteristic):
             FiniteField(4)
+
+    def test_characteristic_cap(self):
+        # no 64-bit digit holds one product (p-1)^2 once p >= 2^32
+        for p in (1 << 32, 2 ** 61 - 1):
+            with pytest.raises(UnsupportedField):
+                FiniteField(p)
+        F = FiniteField(4294967291)  # the largest prime below 2^32
+        assert F.inv(2) * 2 % F.p == 1
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ReducibleModulus):
@@ -120,7 +129,8 @@ class TestPolyArithmetic:
             divmod(Poly.one(F2), Poly.zero(F2))
 
     def test_large_power_via_lucas(self):
-        # coefficient of T^k in (T+1)^j is C(j, k) mod 2
+        # coefficient of T^k in (T+1)^j is C(j, k) mod 2, which by Lucas is
+        # 1 exactly when every bit of k is set in j
         j = 10 ** 6
         T = Poly.variable(F2)
         big = (T + Poly.one(F2)) ** j
@@ -128,7 +138,7 @@ class TestPolyArithmetic:
         rng = random.Random(5)
         for _ in range(25):
             k = rng.randrange(j + 1)
-            assert big.coefficient(k) == pk.binom_mod_p(j, k, 2)
+            assert big.coefficient(k) == int((k & j) == k)
 
     def test_pow_matches_repeated_multiplication(self):
         rng = random.Random(17)
@@ -138,6 +148,27 @@ class TestPolyArithmetic:
             for e in range(8):
                 assert a ** e == byrep
                 byrep = byrep * a
+
+    def test_square_is_product_at_carry_prone_sizes(self):
+        # packed powers once carried out of 16-bit digits for both
+        for p, n in ((131, 5), (7, 1901)):
+            F = FiniteField(p)
+            a = Poly(F, [p - 1] * n)
+            assert a ** 2 == a * a, (p, n)
+
+    @pytest.mark.parametrize("p", [131, 251, 257])
+    def test_pow_matches_repeated_products_large_p(self, p):
+        # coefficients from the upper half fill packed digits fastest
+        F = FiniteField(p)
+        rng = random.Random(p)
+        for _ in range(30):
+            a = Poly(F, [rng.randrange(p // 2, p)
+                         for _ in range(rng.randint(3, 6))] + [1])
+            j = rng.randint(2, 40)
+            byrep = Poly.one(F)
+            for _ in range(j):
+                byrep = byrep * a
+            assert a ** j == byrep, (a, j)
 
     def test_xgcd_bezout(self):
         rng = random.Random(23)
@@ -364,9 +395,10 @@ def _schoolbook(F, a, b):
 class TestProductKernel:
     """Poly and LaurentSeries products against schoolbook multiplication,
     with lengths on both sides of the packing threshold (96) and p large
-    enough that packed 16-bit digits would carry."""
+    enough that packed 16-bit digits would carry; 65537 needs 64-bit
+    digits, and 4294967291 < 2^32 products summed chunk by chunk."""
 
-    PRIMES = (2, 3, 5, 7, 11, 131, 137, 251, 257)
+    PRIMES = (2, 3, 5, 7, 11, 131, 137, 251, 257, 65537, 4294967291)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("la,lb", [(40, 50), (97, 3), (100, 100), (150, 200)])
@@ -382,7 +414,7 @@ class TestProductKernel:
     def test_long_square_at_p7(self):
         # (6 * sum_{i<n} T^i)^2 has coefficient 36 * #{i + k = t} = #{...} mod 7
         F7 = FiniteField(7)
-        for n in (1800, 1900):
+        for n in (1800, 1900, 4000):
             a = Poly(F7, [6] * n)
             assert (a * a).coeffs == tuple(min(t + 1, 2 * n - 1 - t) % 7
                                            for t in range(2 * n - 1))

@@ -271,6 +271,7 @@ REFERENCE_PLACES = {
     "F2-deg2": (F2, _prime(F2, 2), 12, 40),
     "F2-deg3": (F2, _prime(F2, 3), 8, 30),
     "F3-T^2+1": (F3, poly_parse(F3, "T^2+1"), 10, 25),
+    "F3-T^2+1-40digits": (F3, poly_parse(F3, "T^2+1"), 16, 40),
     "F3-deg3": (F3, _prime(F3, 3), 5, 20),
     "F4-deg2": (F4, _prime(F4, 2), 8, 30),
     "F4-deg3": (F4, _prime(F4, 3), 4, 20),

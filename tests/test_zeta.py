@@ -81,6 +81,25 @@ class TestPowerSums:
                 d = 3
             assert power_sum(field, d, j) == power_sum_enumerated(field, d, j)
 
+    def test_recursion_equals_enumeration_large_p(self):
+        # at p >= 131 one coefficient product (p-1)^2 nearly fills a 16-bit
+        # digit, and at p = 257 it overflows one; d = 2 sums p^2 powers
+        for p in (131, 251, 257):
+            F = FiniteField(p)
+            cases = [(0, 5), (1, 1), (1, p - 1), (1, 2 * p + 3)] + [(2, 1)] * (p < 257)
+            for d, j in cases:
+                assert power_sum(F, d, j) == power_sum_enumerated(F, d, j), (p, d, j)
+
+    def test_closed_form_at_p257(self):
+        # sum over c in F_p of (T + c)^j: the coefficient of T^k is
+        # -C(j, k) when 0 < j - k = 0 mod p - 1, else 0
+        from math import comb
+        p, j = 257, 513
+        F = FiniteField(p)
+        want = [-comb(j, k) % p if j - k > 0 and (j - k) % (p - 1) == 0 else 0
+                for k in range(j + 1)]
+        assert power_sum(F, 1, j) == Poly(F, want)
+
     def test_partitioned_ranges_equal_single(self):
         for field in (F3, F4):
             total = field.order ** 3
@@ -287,7 +306,7 @@ class TestFamilyOracles:
         p, prec = 131, 200
         e = 130 + 130 * p
         got = _SumEngine(p, p).binomial_window(
-            e, prec, lambda t: pk.pk_pack([p - 1] * prec), scale=p - 1)
+            e, prec, lambda t: pk.pk_pack([p - 1] * prec, p), scale=p - 1)
         want = [(p - 1) * (p - 1) * sum(comb(e, t) for t in range(k + 1)) % p
                 for k in range(prec)]
         assert got == want
