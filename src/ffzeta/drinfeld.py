@@ -4,7 +4,7 @@ The skew ring F{tau} twists multiplication by tau * a = a^r * tau, where
 r is the order of the *operator-side* constant field (not of the field
 the coefficients happen to live in).  Coefficients are duck-typed: field
 elements, polynomials, or residue-ring elements all work, as long as
-they support +, -, * and integer **.
+they support +, -, *, integer ** and is_zero().
 
 A module is pinned down by phi_T = (gamma(T), g_1, ..., g_rank); phi
 extends to all of F_r[T] as the unique ring map, evaluated by a
@@ -12,8 +12,11 @@ noncommutative Horner scheme with left scalar action.
 
 Frobenius characteristic polynomials at a prime f are found by exact
 linear algebra over F_p: tau^d = phi_mu in rank 1, and
-Fr^2 - phi_a Fr + phi_mu = 0 with mu = eps * f in rank 2, both verified
-by substitution in the skew ring before being returned.
+Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d and mu = eps * f in rank 2.
+Right multiplication by tau^d is a shift, and the images phi(c T^i) that
+span each system are built once per prime, one skew product per degree.
+Every solution is verified by a fresh Horner substitution before it is
+returned.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ def _czero(c):
     return c - c
 
 
-def _is_zero(c) -> bool:
-    return c == _czero(c)
-
-
 class SkewPoly:
     """Sum of a_i tau^i with the twist tau * a = a^twist * tau."""
 
@@ -58,7 +57,7 @@ class SkewPoly:
 
     def __init__(self, coeffs: Sequence, twist: int):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
         self.twist = twist
@@ -110,7 +109,7 @@ class SkewPoly:
         out = [zero] * (len(a) + len(b) - 1)
         twisted = list(b)  # b under Frobenius^i, updated per row
         for i, ai in enumerate(a):
-            if not _is_zero(ai):
+            if not ai.is_zero():
                 for k, bk in enumerate(twisted):
                     out[i + k] = out[i + k] + ai * bk
             if i + 1 < len(a):
@@ -120,6 +119,14 @@ class SkewPoly:
     def scale(self, c):
         """Left multiplication by the scalar c tau^0."""
         return SkewPoly([c * x for x in self.coeffs], self.twist)
+
+    def shift(self, k: int) -> "SkewPoly":
+        """Right multiplication by tau^k: its coefficient 1 is fixed by the
+        twist, so the coefficients just move up by k."""
+        if not self.coeffs:
+            return self
+        zero = _czero(self.coeffs[0])
+        return SkewPoly([zero] * k + list(self.coeffs), self.twist)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -146,7 +153,7 @@ class SkewPoly:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c.is_zero():
                 continue
             parts.append(f"({c!r})tau^{i}" if i else f"({c!r})")
         return " + ".join(parts)
@@ -176,7 +183,7 @@ class DrinfeldModule:
 
     def __init__(self, base_field: FiniteField, phi_T: Sequence,
                  scalar: Callable[[int], object], label: str = ""):
-        if len(phi_T) < 2 or _is_zero(phi_T[-1]):
+        if len(phi_T) < 2 or phi_T[-1].is_zero():
             raise BadReduction("leading coefficient of phi_T must be nonzero")
         self.base_field = base_field
         self.phi_T = tuple(phi_T)
@@ -268,28 +275,21 @@ class FrobeniusData:
 def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
-    With d = deg f, rank 1 solves tau^d = phi_mu with deg mu <= d.  Rank 2
-    solves Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d, deg a <= floor(d/2)
-    and mu = eps * f over the unit candidates eps.  Solutions are obtained
-    as an F_p-linear system and verified by exact substitution; zero or
-    several survivors raise.
+    With d = deg f and Fr = tau^d, rank 1 solves phi_mu = Fr with
+    deg mu <= d.  Rank 2 solves Fr^2 - phi_a Fr + phi_mu = 0 with
+    deg a <= floor(d/2) and mu = eps * f over the units eps.  The
+    solutions come from exact linear algebra (``_frobenius_solutions``);
+    each is verified by a fresh Horner substitution in the skew ring, and
+    zero or several survivors raise.
     """
-    base = module.base_field
     reduced = module.reduce_mod(f) if isinstance(module.phi_T[0], Poly) and \
         module.phi_T[0].field == f.field else module
-    ring = reduced.phi_T[0].ring if isinstance(reduced.phi_T[0], VadicElem) else None
-    if ring is None:
+    if not isinstance(reduced.phi_T[0], VadicElem):
         raise TypeError("reduction did not land in a residue ring")
     d = int(f.degree)
-    one = reduced.scalar(1)
-    fr = skew_tau(one, d, reduced.twist)
     if module.rank == 1:
-        candidates = _solve_phi_equation(
-            reduced, rhs=fr, factor=None, max_deg=d)
-        survivors = []
-        for mu in candidates:
-            if reduced.phi(mu) == fr:
-                survivors.append(mu)
+        survivors = [mu for _, mu, rhs in _frobenius_solutions(reduced, f)
+                     if reduced.phi(mu) == rhs]
         if not survivors:
             raise NoSolution(f"no rank-1 Frobenius norm at {f}")
         if len(survivors) > 1:
@@ -300,23 +300,43 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
 
     if module.rank != 2:
         raise NoSolution("only ranks 1 and 2 are supported")
-    fr2 = fr * fr
-    survivors = []
-    for eps in range(1, base.order):
-        mu = f.scale(eps)
-        rhs = fr2 + reduced.phi(mu)
-        for a in _solve_phi_equation(reduced, rhs=rhs, factor=fr,
-                                     max_deg=d // 2):
-            if reduced.phi(a) * fr == rhs:
-                survivors.append((a, mu, eps))
+    survivors = [(a, mu) for a, mu, rhs in _frobenius_solutions(reduced, f)
+                 if reduced.phi(a).shift(d) == rhs]
     if not survivors:
         raise NoSolution(f"no rank-2 Frobenius charpoly at {f}")
     if len(survivors) > 1:
         raise AmbiguousSolution(
             f"{len(survivors)} verified (a, eps) pairs at {f}")
-    a, mu, eps = survivors[0]
+    a, mu = survivors[0]
     bound_ok = a.is_zero() or 2 * int(a.degree) <= d
-    return FrobeniusData(f, 2, mu, a, eps, True, bound_ok)
+    return FrobeniusData(f, 2, mu, a, mu.leading(), True, bound_ok)
+
+
+def _frobenius_solutions(reduced: DrinfeldModule, f: Poly
+                         ) -> list[tuple[Poly | None, Poly, SkewPoly]]:
+    """Every (a, mu, rhs) of the linear solve at f, before verification.
+
+    Rank 1: a is None and phi_mu = rhs = tau^d.  Rank 2: phi_a tau^d = rhs
+    = tau^(2d) + eps phi_f with mu = eps f, where phi_(eps f) = eps phi_f
+    by F_r-linearity.  Right multiplication by tau^d is a shift by d
+    (tau^d has coefficient 1, which the twist fixes), so phi_a is rhs from
+    its coefficient d on, and exists only when the d below it vanish.
+    """
+    d = int(f.degree)
+    one = reduced.scalar(1)
+    if reduced.rank == 1:
+        fr = skew_tau(one, d, reduced.twist)
+        return [(None, mu, fr) for mu in _phi_solver(reduced, d)(fr)]
+    fr2 = skew_tau(one, 2 * d, reduced.twist)
+    phi_f = reduced.phi(f)
+    solve = _phi_solver(reduced, d // 2)
+    out = []
+    for eps in range(1, reduced.base_field.order):
+        rhs = fr2 + phi_f.scale(reduced.scalar(eps))
+        if all(c.is_zero() for c in rhs.coeffs[:d]):
+            out += [(a, f.scale(eps), rhs)
+                    for a in solve(SkewPoly(rhs.coeffs[d:], reduced.twist))]
+    return out
 
 
 def _unit_multiple_of(mu: Poly, f: Poly) -> int:
@@ -325,28 +345,31 @@ def _unit_multiple_of(mu: Poly, f: Poly) -> int:
     return 0
 
 
-def _solve_phi_equation(reduced: DrinfeldModule, rhs: SkewPoly,
-                        factor: SkewPoly | None, max_deg: int) -> list[Poly]:
-    """All x in A with deg x <= max_deg and phi_x * factor == rhs,
-    as an F_p-linear system (phi is F_r-linear in x)."""
+def _phi_solver(reduced: DrinfeldModule, max_deg: int
+                ) -> Callable[[SkewPoly], list[Poly]]:
+    """rhs -> all x in A with deg x <= max_deg and phi_x == rhs, as an
+    F_p-linear system (phi is F_r-linear in x).
+
+    The columns are the images phi(p^e T^i) = p^e phi_T^i: one skew
+    product per degree, one left scaling per F_p-basis element of F_r.
+    They are built and flattened once, for every rhs.
+    """
     base = reduced.base_field
     p, m = base.p, base.m
     ring = reduced.phi_T[0].ring
+    phiT = reduced.phi_T_skew()
 
     unknowns = []
     images = []
+    power = reduced.one()
     for i in range(max_deg + 1):
+        if i:
+            power = power * phiT
         for e in range(m):
             enc = p ** e
-            img = reduced.phi(Poly.monomial(base, i, enc))
-            if factor is not None:
-                img = img * factor
             unknowns.append((i, enc))
-            images.append(img)
-    tau_len = 1 + max(
-        [int(rhs.degree)] if rhs.coeffs else [0],
-        default=0)
-    tau_len = max([tau_len] + [int(im.degree) + 1 for im in images if im.coeffs])
+            images.append(power if enc == 1 else power.scale(reduced.scalar(enc)))
+    tau_len = max(len(im.coeffs) for im in images)
 
     def flatten(sk: SkewPoly) -> list[int]:
         out = []
@@ -361,15 +384,20 @@ def _solve_phi_equation(reduced: DrinfeldModule, rhs: SkewPoly,
         return out
 
     columns = [flatten(im) for im in images]
-    target = flatten(rhs)
-    out = []
-    for x in _solve_linear_mod_p(columns, target, p):
-        coeffs = [0] * (max_deg + 1)
-        for (i, enc), xv in zip(unknowns, x):
-            if xv:
-                coeffs[i] += xv * enc  # independent base-p digits
-        out.append(Poly(base, coeffs))
-    return out
+
+    def solve(rhs: SkewPoly) -> list[Poly]:
+        if len(rhs.coeffs) > tau_len:
+            return []
+        out = []
+        for x in _solve_linear_mod_p(columns, flatten(rhs), p):
+            coeffs = [0] * (max_deg + 1)
+            for (i, enc), xv in zip(unknowns, x):
+                if xv:
+                    coeffs[i] += xv * enc  # independent base-p digits
+            out.append(Poly(base, coeffs))
+        return out
+
+    return solve
 
 
 def _solve_linear_mod_p(columns: list[list[int]], target: list[int], p: int,

@@ -292,6 +292,9 @@ class FqElement:
     def inverse(self):
         return FqElement(self.field, self.field.inv(self.value))
 
+    def is_zero(self) -> bool:
+        return self.value == 0
+
     def __eq__(self, other):
         if isinstance(other, FqElement):
             return self.field == other.field and self.value == other.value
@@ -698,24 +701,21 @@ def enumerate_monic(field: FiniteField, d: int,
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Finite-field irreducibility test (q-power Frobenius criterion)."""
+    """Ben-Or's irreducibility test, deterministic form.
+
+    f of degree d is irreducible iff gcd(T^(q^i) - T, f) = 1 for every
+    i <= d/2: a reducible f has a prime factor of some degree i <= d/2,
+    which divides T^(q^i) - T.  Most reducible f fail at a small i.
+    """
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of the zero polynomial")
     d = int(f.degree)
     if d == 0:
         return False
-    F = f.field
-    q = F.order
-    x = Poly.variable(F)
-    y = x % f
-    for _ in range(d):
-        y = powmod(y, q, f)
-    if y != x % f:
-        return False
-    for ell in _prime_divisors(d):
-        y = x % f
-        for _ in range(d // ell):
-            y = powmod(y, q, f)
+    x = Poly.variable(f.field)
+    y = x
+    for _ in range(d // 2):
+        y = powmod(y, f.field.order, f)
         if poly_gcd(y - x, f).degree != 0:
             return False
     return True

@@ -344,9 +344,10 @@ class VadicRing:
         return VadicElem(self, self._reduce(a))
 
     def _reduce(self, a: Poly) -> Poly:
+        if len(a.coeffs) < len(self.modulus.coeffs):
+            return a
         if self._is_var:
-            cut = self.precision
-            return Poly(self.field, a.coeffs[:cut])
+            return Poly(self.field, a.coeffs[:self.precision])
         return a % self.modulus
 
     def zero(self):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from ffzeta.drinfeld import (
     SkewPoly,
+    _frobenius_solutions,
     carlitz_module,
     frobenius_charpoly,
     lseries_coeffs,
@@ -15,7 +17,12 @@ from ffzeta.drinfeld import (
     skew_one,
     skew_tau,
 )
-from ffzeta.errors import BadPrimeUnhandled, BadReduction, NoSolution
+from ffzeta.errors import (
+    AmbiguousSolution,
+    BadPrimeUnhandled,
+    BadReduction,
+    NoSolution,
+)
 from ffzeta.ffpoly import (
     FiniteField,
     FqElement,
@@ -26,11 +33,14 @@ from ffzeta.ffpoly import (
     poly_parse,
 )
 from ffzeta.nonarch import PadicExponent, SvPoint
+from ffzeta.sqrtcar import psi_module
 from ffzeta.zeta import power_sum, poly_to_series_infty
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
+F5 = FiniteField(5)
+F9 = FiniteField(3, 2)
 
 
 class TestSkewRing:
@@ -256,3 +266,99 @@ class TestLSeriesFamilies:
         from ffzeta.zeta import coprime_power_sum
         for d in range(4):
             assert fam.coeffs[d] == ring.elem(coprime_power_sum(F2, d, 2, T))
+
+
+def _polys_up_to(field, max_deg):
+    """Every polynomial of degree <= max_deg, zero included."""
+    for coeffs in itertools.product(range(field.order), repeat=max_deg + 1):
+        yield Poly(field, coeffs)
+
+
+def _frobenius_by_search(red, f):
+    """Every solution of the Frobenius equation at f in the reduced module
+    by exhaustive search, each checked by Horner substitution and the
+    generic skew product: rank 1 every (None, mu) with deg mu <= d and
+    phi_mu = tau^d, rank 2 every (a, eps f) with deg a <= d/2 and
+    phi_a tau^d = tau^(2d) + phi_(eps f)."""
+    field = red.base_field
+    d = int(f.degree)
+    fr = skew_tau(red.scalar(1), d, red.twist)
+    if red.rank == 1:
+        return [(None, mu) for mu in _polys_up_to(field, d) if red.phi(mu) == fr]
+    sols = []
+    for eps in range(1, field.order):
+        mu = f.scale(eps)
+        rhs = fr * fr + red.phi(mu)
+        sols += [(a, mu) for a in _polys_up_to(field, d // 2)
+                 if red.phi(a) * fr == rhs]
+    return sols
+
+
+_ORACLE_GRID = [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (F9, 1)]
+_ORACLE_MODULES = {
+    "carlitz": carlitz_module,
+    "T,1": lambda F: module_over_A(F, [Poly.variable(F), Poly.one(F)]),
+    "1,1": lambda F: module_over_A(F, [Poly.one(F), Poly.one(F)]),
+    "1,T": lambda F: module_over_A(F, [Poly.one(F), Poly.variable(F)]),
+}
+
+
+class TestFrobeniusOracle:
+    """The linear solve and the verified result against exhaustive search
+    at every prime of the grid's degree bound."""
+
+    @staticmethod
+    def _key(sols):
+        return sorted((None if a is None else a.coeffs, mu.coeffs) for a, mu in sols)
+
+    def _solved(self, red, f):
+        return self._key((a, mu) for a, mu, _ in _frobenius_solutions(red, f))
+
+    def _check(self, module, maxdeg):
+        field = module.base_field
+        for d in range(1, maxdeg + 1):
+            for f in enumerate_monic_primes(field, d):
+                if (module.phi_T[-1] % f).is_zero():
+                    with pytest.raises(BadReduction):
+                        frobenius_charpoly(module, f)
+                    continue
+                red = module.reduce_mod(f)
+                want = _frobenius_by_search(red, f)
+                assert self._solved(red, f) == self._key(want), f
+                if len(want) != 1:
+                    with pytest.raises(NoSolution if not want else AmbiguousSolution):
+                        frobenius_charpoly(module, f)
+                    continue
+                (a, mu), = want
+                eps = mu.leading() if mu.degree == f.degree and \
+                    mu == f.scale(mu.leading()) else 0
+                bound_ok = a is None or a.is_zero() or 2 * int(a.degree) <= d
+                data = frobenius_charpoly(module, f)
+                assert (data.a, data.mu, data.epsilon, data.verified,
+                        data.trace_bound_ok) == (a, mu, eps, True, bound_ok), f
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
+    @pytest.mark.parametrize("field,maxdeg", _ORACLE_GRID,
+                             ids=[repr(F) for F, _ in _ORACLE_GRID])
+    def test_matches_search(self, field, maxdeg, name):
+        self._check(_ORACLE_MODULES[name](field), maxdeg)
+
+    def test_psi_matches_search(self):
+        self._check(psi_module(), 4)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
+    @pytest.mark.parametrize("field", [F2, F3], ids=repr)
+    def test_solve_at_a_foreign_prime(self, field, name):
+        """Reduced at g but solved at f != g, tau^(2d) + eps phi_f need not
+        vanish below tau^d; the solve must still give exactly the search's
+        solutions, which are then mostly none."""
+        module = _ORACLE_MODULES[name](field)
+        primes = [f for d in (1, 2, 3) for f in enumerate_monic_primes(field, d)]
+        for g in primes[:4]:
+            if (module.phi_T[-1] % g).is_zero():
+                continue
+            red = module.reduce_mod(g)
+            for f in primes:
+                if f != g:
+                    want = self._key(_frobenius_by_search(red, f))
+                    assert self._solved(red, f) == want, (g, f)

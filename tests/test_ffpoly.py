@@ -1,6 +1,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffzeta import _packing as pk
 from ffzeta.errors import (
@@ -251,6 +254,35 @@ class TestIrreducibility:
     def test_linears_are_prime(self):
         for field in ALL_FIELDS:
             assert all(is_irreducible(f) for f in enumerate_monic(field, 1))
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 131, 257))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_matches_sympy_over_prime_fields(self, p, data):
+        """Random polynomials of degree 1-10, and products of two random
+        factors (squares included), against sympy's irreducibility test."""
+        def draw(lo, hi):
+            d = data.draw(st.integers(lo, hi))
+            cs = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+            return cs + [data.draw(st.integers(1, p - 1))]
+        F = FiniteField(p)
+        f = Poly(F, draw(1, 10))
+        if data.draw(st.booleans()):
+            g = draw(1, 5)
+            h = g if data.draw(st.booleans()) else draw(1, 10 - (len(g) - 1))
+            f = Poly(F, g) * Poly(F, h)
+        want = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), modulus=p)
+        assert is_irreducible(f) == want.is_irreducible
+
+    @pytest.mark.parametrize("field", [F4, FiniteField(3, 2)], ids=repr)
+    def test_matches_trial_division(self, field):
+        """Every monic of degree <= 4 against division by every monic of
+        degree 1 to d/2."""
+        for d in range(1, 5):
+            divisors = [g for k in range(1, d // 2 + 1) for g in enumerate_monic(field, k)]
+            for f in enumerate_monic(field, d):
+                want = not any((f % g).is_zero() for g in divisors)
+                assert is_irreducible(f) == want, f
 
 
 class TestParsing:
