@@ -20,7 +20,7 @@ from .drinfeld import (
     lseries_coeffs_by_expansion,
     module_over_A,
 )
-from .errors import FFZetaError
+from .errors import FFZetaError, UsageError
 from .ffpoly import FiniteField, Poly, enumerate_monic, enumerate_monic_primes
 from .newton import newton_polygon, rh_verdict, zero_spectrum
 from .nonarch import PadicExponent, SvPoint
@@ -396,7 +396,6 @@ def run_battery(quick=False, cache=None,
         wanted = [tok.strip() for tok in criteria.split(",") if tok.strip()]
         unknown = [tok for tok in wanted if tok not in _RUNNERS]
         if unknown:
-            from .errors import UsageError
             raise UsageError(f"unknown criteria: {unknown}")
     return [_RUNNERS[cid](quick=quick, cache=cache)
             for cid in wanted]

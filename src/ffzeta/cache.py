@@ -124,10 +124,9 @@ class PowerSumCache:
         return Poly(field, coeffs)
 
 
-def cache_from_env(default: str | None = None,
-                   verify_fraction: float = 0.05) -> PowerSumCache | None:
-    """Cache at $FFZETA_CACHE_DIR, or at `default`, or None."""
-    root = os.environ.get(ENV_CACHE_DIR, default)
+def cache_from_env() -> PowerSumCache | None:
+    """Cache at $FFZETA_CACHE_DIR, or None."""
+    root = os.environ.get(ENV_CACHE_DIR)
     if not root:
         return None
-    return PowerSumCache(root, verify_fraction)
+    return PowerSumCache(root)

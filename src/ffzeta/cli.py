@@ -1,17 +1,19 @@
 """Command-line driver and report serialisation.
 
-Every run prints one JSON envelope (or text/csv rendering of the same
-data) embedding its full configuration, so outputs are reproducible
-byte-for-byte; wall-clock timing lives in a separate ``timing`` object
-that consumers strip before comparing runs.
+Every run prints one JSON envelope (or a text rendering of the same
+data, or for ``newton`` a csv export of the polygon) embedding its full
+configuration, so outputs are reproducible byte-for-byte; wall-clock
+timing lives in a separate ``timing`` object that consumers strip before
+comparing runs.
 
 Exit codes: 0 success, 2 usage error, 3 a mathematical verification
 failed, 4 resource problems (e.g. unwritable cache directory).
 
 Polynomial syntax on the command line: ``T^2+T+1`` over the prime
 field; extension-field coefficients are bracketed base-p digit strings
-with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4.  The cache
-directory may also be set through $FFZETA_CACHE_DIR.
+with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4.  The power-sum
+cache directory of ``special``, ``sqrtcar`` and ``verify`` may also be
+set through $FFZETA_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .drinfeld import (
     lseries_special_coeffs,
     module_over_A,
 )
-from .errors import FFZetaError, UsageError
+from .errors import AllCoefficientsVanish, FFZetaError, UsageError
 from .ffpoly import FiniteField, Poly, poly_parse
 from .newton import NewtonPolygon, hensel_root, newton_polygon, rh_verdict, zero_spectrum
 from .nonarch import LaurentSeries, PadicExponent, SvPoint, VadicElem
@@ -133,10 +135,7 @@ def _render_text(doc: dict) -> str:
 
 
 def _render_csv(doc: dict) -> str:
-    result = doc.get("result", {})
-    polygon = result.get("polygon")
-    if polygon is None:
-        raise UsageError("csv output is only defined for the newton command")
+    polygon = doc["result"]["polygon"]
     lines = ["kind,d,valuation_or_bound"]
     for row in polygon["points"]:
         val = row.get("valuation", row.get("bound", ""))
@@ -169,8 +168,11 @@ def _add_field_args(sp):
                     help="field modulus digits, lowest first, e.g. 1,1,1")
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "text", "csv"), default="json")
+def _add_format(sp, *extra):
+    sp.add_argument("--format", choices=("json", "text", *extra), default="json")
+
+
+def _add_cache_dir(sp):
     sp.add_argument("--cache-dir", type=str, default=None,
                     help=f"power-sum cache directory (or ${ENV_CACHE_DIR})")
 
@@ -183,7 +185,7 @@ def _field_from(args) -> FiniteField:
 
 
 def _cache_from(args) -> PowerSumCache | None:
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return PowerSumCache(args.cache_dir)
     return cache_from_env()
 
@@ -373,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--dmax", type=int, default=None,
                     help="compute at least this many coefficients")
-    _add_common(sp)
+    _add_format(sp)
+    _add_cache_dir(sp)
 
     sp = sub.add_parser("newton", help="coefficient family polygon and verdict")
     _add_field_args(sp)
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refine", action="store_true",
                     help="Hensel-refine roots on unit integer slopes "
                          "(infinite place only)")
-    _add_common(sp)
+    _add_format(sp, "csv")
 
     sp = sub.add_parser("frobenius", help="Frobenius characteristic polynomial")
     _add_field_args(sp)
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help='"carlitz" or use --tau-coeffs')
     sp.add_argument("--tau-coeffs", type=str, default=None,
                     help="comma list of A-polynomials g_1,...,g_rank")
-    _add_common(sp)
+    _add_format(sp)
 
     sp = sub.add_parser("lseries", help="Dirichlet coefficients of a module")
     _add_field_args(sp)
@@ -408,19 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree-bound", type=int, required=True)
     sp.add_argument("--j", type=int, default=None,
                     help="also emit exact special coefficients at this exponent")
-    _add_common(sp)
+    _add_format(sp)
 
     sp = sub.add_parser("sqrtcar", help="square-root CM example checks")
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--dmax", type=int, default=8)
     sp.add_argument("--prec", type=int, default=64)
-    _add_common(sp)
+    _add_format(sp)
+    _add_cache_dir(sp)
 
     sp = sub.add_parser("verify", help="run the acceptance battery")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--criteria", type=str, default=None,
                     help="comma-separated criterion ids, default all")
-    _add_common(sp)
+    _add_format(sp)
+    _add_cache_dir(sp)
 
     return ap
 
@@ -448,7 +453,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FFZetaError as exc:
         hint = ""
-        if exc.__class__.__name__ == "AllCoefficientsVanish":
+        if isinstance(exc, AllCoefficientsVanish):
             hint = " (raise --prec: every coefficient vanished to precision)"
         print(f"verification failure: {exc}{hint}", file=sys.stderr)
         return EXIT_MATH

@@ -15,8 +15,10 @@ linear algebra over F_p: tau^d = phi_mu in rank 1, and
 Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d and mu = eps * f in rank 2.
 Right multiplication by tau^d is a shift, and the images phi(c T^i) that
 span each system are built once per prime, one skew product per degree.
-Every solution is verified by a fresh Horner substitution before it is
-returned.
+Over the field A/(f) the image phi_a of a nonzero a has tau-degree
+rank * deg a, so phi is injective, the images are independent and each
+system has at most one solution.  That solution is verified by a fresh
+Horner substitution before it is returned.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .errors import (
     FieldMismatch,
     NoSolution,
 )
-from .ffpoly import FiniteField, Poly, enumerate_monic, enumerate_monic_primes
+from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .nonarch import (
     LaurentSeries,
     PadicExponent,
     SvPoint,
-    VadicElem,
     VadicRing,
     bracket_infty,
     pow_sv,
@@ -128,21 +129,6 @@ class SkewPoly:
         zero = _czero(self.coeffs[0])
         return SkewPoly([zero] * k + list(self.coeffs), self.twist)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative skew power")
-        acc = None
-        base = self
-        while e:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        if acc is None:
-            raise ValueError("tau^0 needs a coefficient ring; use skew_one")
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
@@ -176,19 +162,22 @@ def skew_tau(one, k: int, twist: int) -> SkewPoly:
 class DrinfeldModule:
     """A module of rank = len(phi_T) - 1 over operators F_r[T].
 
-    ``phi_T`` lists (gamma(T), g_1, ..., g_rank) in the coefficient ring;
-    ``scalar`` embeds encoded F_r constants into that ring.  The rank is
-    genuine: the leading coefficient must be nonzero.
+    ``phi_T`` lists (gamma(T), g_1, ..., g_rank) in the coefficient ring,
+    which is A (``Poly``) or a residue ring A/(f^M) (``VadicElem``).  The
+    rank is genuine: the leading coefficient must be nonzero.
     """
 
-    def __init__(self, base_field: FiniteField, phi_T: Sequence,
-                 scalar: Callable[[int], object], label: str = ""):
+    def __init__(self, base_field: FiniteField, phi_T: Sequence, label: str = ""):
         if len(phi_T) < 2 or phi_T[-1].is_zero():
             raise BadReduction("leading coefficient of phi_T must be nonzero")
         self.base_field = base_field
         self.phi_T = tuple(phi_T)
-        self.scalar = scalar
+        self._one = self.phi_T[0] ** 0
         self.label = label or f"rank-{len(phi_T) - 1} module"
+
+    def scalar(self, c: int):
+        """The encoded F_r constant c in the coefficient ring."""
+        return self._one * c
 
     @property
     def rank(self) -> int:
@@ -232,24 +221,20 @@ class DrinfeldModule:
         if lead.is_zero():
             raise BadReduction(f"leading coefficient vanishes mod {f}")
         red = [ring.elem(c) for c in self.phi_T]
-        return DrinfeldModule(self.base_field, red,
-                              lambda c: ring.elem(Poly.constant(f.field, c)),
-                              label=f"{self.label} mod {f}")
+        return DrinfeldModule(self.base_field, red, label=f"{self.label} mod {f}")
 
 
 def carlitz_module(field: FiniteField) -> DrinfeldModule:
     """phi_T = theta tau^0 + tau over the scalar copy of A."""
     T = Poly.variable(field)
-    return DrinfeldModule(field, (T, Poly.one(field)),
-                          lambda c: Poly.constant(field, c), label="carlitz")
+    return DrinfeldModule(field, (T, Poly.one(field)), label="carlitz")
 
 
 def module_over_A(field: FiniteField, tau_coeffs: Sequence[Poly],
                   label: str = "") -> DrinfeldModule:
     """Module with phi_T = theta + g_1 tau + ... + g_rank tau^rank, g_i in A."""
     T = Poly.variable(field)
-    return DrinfeldModule(field, (T, *tau_coeffs),
-                          lambda c: Poly.constant(field, c), label=label)
+    return DrinfeldModule(field, (T, *tau_coeffs), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +260,22 @@ class FrobeniusData:
 def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
-    With d = deg f and Fr = tau^d, rank 1 solves phi_mu = Fr with
-    deg mu <= d.  Rank 2 solves Fr^2 - phi_a Fr + phi_mu = 0 with
-    deg a <= floor(d/2) and mu = eps * f over the units eps.  The
-    solutions come from exact linear algebra (``_frobenius_solutions``);
-    each is verified by a fresh Horner substitution in the skew ring, and
-    zero or several survivors raise.
+    ``module`` has coefficients in A; it is reduced at f here.  With
+    d = deg f and Fr = tau^d, rank 1 solves phi_mu = Fr with deg mu <= d.
+    Rank 2 solves Fr^2 - phi_a Fr + phi_mu = 0 with deg a <= floor(d/2)
+    and mu = eps * f over the units eps.  Over the field A/(f) phi_a has
+    tau-degree rank * deg a, so phi is injective and each linear system
+    (``_frobenius_solutions``) has at most one solution.  It is verified
+    by a fresh Horner substitution in the skew ring; no survivor raises
+    NoSolution, and survivors for two units raise AmbiguousSolution.
     """
-    reduced = module.reduce_mod(f) if isinstance(module.phi_T[0], Poly) and \
-        module.phi_T[0].field == f.field else module
-    if not isinstance(reduced.phi_T[0], VadicElem):
-        raise TypeError("reduction did not land in a residue ring")
+    reduced = module.reduce_mod(f)
     d = int(f.degree)
     if module.rank == 1:
         survivors = [mu for _, mu, rhs in _frobenius_solutions(reduced, f)
                      if reduced.phi(mu) == rhs]
         if not survivors:
             raise NoSolution(f"no rank-1 Frobenius norm at {f}")
-        if len(survivors) > 1:
-            raise AmbiguousSolution(f"{len(survivors)} norms at {f}")
         mu = survivors[0]
         eps = _unit_multiple_of(mu, f)
         return FrobeniusData(f, 1, mu, None, eps, True, True)
@@ -314,7 +296,8 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
 
 def _frobenius_solutions(reduced: DrinfeldModule, f: Poly
                          ) -> list[tuple[Poly | None, Poly, SkewPoly]]:
-    """Every (a, mu, rhs) of the linear solve at f, before verification.
+    """Every (a, mu, rhs) of the linear solve at f, before verification:
+    at most one in rank 1, at most one per unit eps in rank 2.
 
     Rank 1: a is None and phi_mu = rhs = tau^d.  Rank 2: phi_a tau^d = rhs
     = tau^(2d) + eps phi_f with mu = eps f, where phi_(eps f) = eps phi_f
@@ -326,7 +309,8 @@ def _frobenius_solutions(reduced: DrinfeldModule, f: Poly
     one = reduced.scalar(1)
     if reduced.rank == 1:
         fr = skew_tau(one, d, reduced.twist)
-        return [(None, mu, fr) for mu in _phi_solver(reduced, d)(fr)]
+        mu = _phi_solver(reduced, d)(fr)
+        return [] if mu is None else [(None, mu, fr)]
     fr2 = skew_tau(one, 2 * d, reduced.twist)
     phi_f = reduced.phi(f)
     solve = _phi_solver(reduced, d // 2)
@@ -334,8 +318,9 @@ def _frobenius_solutions(reduced: DrinfeldModule, f: Poly
     for eps in range(1, reduced.base_field.order):
         rhs = fr2 + phi_f.scale(reduced.scalar(eps))
         if all(c.is_zero() for c in rhs.coeffs[:d]):
-            out += [(a, f.scale(eps), rhs)
-                    for a in solve(SkewPoly(rhs.coeffs[d:], reduced.twist))]
+            a = solve(SkewPoly(rhs.coeffs[d:], reduced.twist))
+            if a is not None:
+                out.append((a, f.scale(eps), rhs))
     return out
 
 
@@ -346,9 +331,9 @@ def _unit_multiple_of(mu: Poly, f: Poly) -> int:
 
 
 def _phi_solver(reduced: DrinfeldModule, max_deg: int
-                ) -> Callable[[SkewPoly], list[Poly]]:
-    """rhs -> all x in A with deg x <= max_deg and phi_x == rhs, as an
-    F_p-linear system (phi is F_r-linear in x).
+                ) -> Callable[[SkewPoly], Poly | None]:
+    """rhs -> the x in A with deg x <= max_deg and phi_x == rhs, or None,
+    as an F_p-linear system (phi is F_r-linear in x).
 
     The columns are the images phi(p^e T^i) = p^e phi_T^i: one skew
     product per degree, one left scaling per F_p-basis element of F_r.
@@ -385,74 +370,47 @@ def _phi_solver(reduced: DrinfeldModule, max_deg: int
 
     columns = [flatten(im) for im in images]
 
-    def solve(rhs: SkewPoly) -> list[Poly]:
+    def solve(rhs: SkewPoly) -> Poly | None:
         if len(rhs.coeffs) > tau_len:
-            return []
-        out = []
-        for x in _solve_linear_mod_p(columns, flatten(rhs), p):
-            coeffs = [0] * (max_deg + 1)
-            for (i, enc), xv in zip(unknowns, x):
-                if xv:
-                    coeffs[i] += xv * enc  # independent base-p digits
-            out.append(Poly(base, coeffs))
-        return out
+            return None
+        x = _solve_linear_mod_p(columns, flatten(rhs), p)
+        if x is None:
+            return None
+        coeffs = [0] * (max_deg + 1)
+        for (i, enc), xv in zip(unknowns, x):
+            coeffs[i] += xv * enc  # independent base-p digits
+        return Poly(base, coeffs)
 
     return solve
 
 
-def _solve_linear_mod_p(columns: list[list[int]], target: list[int], p: int,
-                        cap: int = 64) -> list[list[int]]:
-    """All solutions x (up to `cap` of them) of sum_u x_u columns[u] = target
-    over F_p; [] when inconsistent."""
+def _solve_linear_mod_p(columns: list[list[int]], target: list[int], p: int
+                        ) -> list[int] | None:
+    """The solution x of sum_u x_u columns[u] = target over F_p, or None
+    when the system is inconsistent.
+
+    Gauss-Jordan elimination.  The columns must be independent: a column
+    without a pivot raises AmbiguousSolution.  The Frobenius systems meet
+    this because phi is injective over the field A/(f).
+    """
     n_unknowns = len(columns)
     n_rows = len(target)
     mat = [[columns[u][r] % p for u in range(n_unknowns)] + [target[r] % p]
            for r in range(n_rows)]
-    pivots = []
-    row = 0
     for col in range(n_unknowns):
-        sel = next((r for r in range(row, n_rows) if mat[r][col] % p), None)
+        sel = next((r for r in range(col, n_rows) if mat[r][col]), None)
         if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [(v * inv) % p for v in mat[row]]
+            raise AmbiguousSolution(f"column {col} of the linear system has no pivot")
+        mat[col], mat[sel] = mat[sel], mat[col]
+        inv = pow(mat[col][col], p - 2, p)
+        mat[col] = [(v * inv) % p for v in mat[col]]
         for r in range(n_rows):
-            if r != row and mat[r][col]:
+            if r != col and mat[r][col]:
                 c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    for r in range(row, n_rows):
-        if mat[r][n_unknowns] % p:
-            return []
-    free = [c for c in range(n_unknowns) if c not in pivots]
-    sols: list[list[int]] = []
-
-    def rec(idx, assign):
-        if len(sols) >= cap:
-            return
-        if idx == len(free):
-            x = [0] * n_unknowns
-            for fcol, v in assign.items():
-                x[fcol] = v
-            for r, col in enumerate(pivots):
-                v = mat[r][n_unknowns]
-                for fcol in free:
-                    if x[fcol]:
-                        v = (v - mat[r][fcol] * x[fcol]) % p
-                x[col] = v
-            sols.append(x)
-            return
-        for v in range(p):
-            assign[free[idx]] = v
-            rec(idx + 1, assign)
-        del assign[free[idx]]
-
-    rec(0, {})
-    return sols
+                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[col])]
+    if any(mat[r][n_unknowns] for r in range(n_unknowns, n_rows)):
+        return None
+    return [mat[r][n_unknowns] for r in range(n_unknowns)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +431,14 @@ class DirichletCoefficients:
 
     def at(self, n: Poly) -> Poly:
         return self.c.get(n, Poly.zero(self.field))
+
+    def nonzero_up_to(self, dmax: int):
+        """(deg n, n, c(n)) for every stored n with deg n <= dmax and
+        c(n) != 0; c vanishes at every other monic of degree <= dmax."""
+        for n, cn in self.c.items():
+            d = int(n.degree)
+            if d <= dmax and not cn.is_zero():
+                yield d, n, cn
 
 
 def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
@@ -590,14 +556,9 @@ def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int,
     field = module.base_field
     if coeffs is None:
         coeffs = lseries_coeffs(module, dmax)
-    out = []
-    for d in range(dmax + 1):
-        acc = Poly.zero(field)
-        for n in enumerate_monic(field, d):
-            cn = coeffs.at(n)
-            if not cn.is_zero():
-                acc = acc + cn * n ** j
-        out.append(acc)
+    out = [Poly.zero(field)] * (dmax + 1)
+    for d, n, cn in coeffs.nonzero_up_to(dmax):
+        out[d] = out[d] + cn * n ** j
     return out
 
 
@@ -614,18 +575,12 @@ def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
     field = module.base_field
     if coeffs is None:
         coeffs = lseries_coeffs(module, dmax)
-    out = []
-    for d in range(dmax + 1):
-        acc = LaurentSeries.zero_to_precision(field, prec)
-        for n in enumerate_monic(field, d):
-            cn = coeffs.at(n)
-            if cn.is_zero():
-                continue
-            work = prec + int(cn.degree)
-            u = bracket_infty(n, work)
-            term = poly_to_series_infty(cn, work) * unit_pow_padic(u, -y, work)
-            acc = acc + term.truncate(prec)
-        out.append(acc)
+    out = [LaurentSeries.zero_to_precision(field, prec)] * (dmax + 1)
+    for d, n, cn in coeffs.nonzero_up_to(dmax):
+        work = prec + int(cn.degree)
+        u = bracket_infty(n, work)
+        term = poly_to_series_infty(cn, work) * unit_pow_padic(u, -y, work)
+        out[d] = out[d] + term.truncate(prec)
     return CoefficientFamily("infinity", field, y, out, prec,
                              label=module.label)
 
@@ -641,16 +596,9 @@ def lseries_family_vadic(module: DrinfeldModule, s: SvPoint, f: Poly,
     if coeffs is None:
         coeffs = lseries_coeffs(module, dmax)
     minus_s = -s
-    out = []
-    for d in range(dmax + 1):
-        acc = ring.zero()
-        for n in enumerate_monic(field, d):
-            if (n % f).is_zero():
-                continue
-            cn = coeffs.at(n)
-            if cn.is_zero():
-                continue
-            acc = acc + ring.elem(cn) * pow_sv(n, minus_s, ring)
-        out.append(acc)
+    out = [ring.zero()] * (dmax + 1)
+    for d, n, cn in coeffs.nonzero_up_to(dmax):
+        if not (n % f).is_zero():
+            out[d] = out[d] + ring.elem(cn) * pow_sv(n, minus_s, ring)
     return CoefficientFamily("finite", field, s, out, prec, ring=ring,
                              label=module.label)

@@ -180,10 +180,6 @@ class ZeroSpectrum:
     segments: list[Segment]
     provisional: bool
 
-    @property
-    def total_length(self) -> int:
-        return sum(s.length for s in self.segments)
-
 
 def zero_spectrum(np_: NewtonPolygon, accept_provisional: bool = False) -> ZeroSpectrum:
     if np_.provisional and not accept_provisional:

@@ -68,8 +68,14 @@ class PadicExponent:
     def __neg__(self) -> "PadicExponent":
         return PadicExponent.from_int(self.p, -self.value(), self.precision)
 
-    def scaled(self, k: int) -> "PadicExponent":
-        return PadicExponent.from_int(self.p, k * self.value(), self.precision)
+    def require_precision(self, prec: int) -> None:
+        """Raise unless p^N >= prec for the digit count N.  One-unit powers
+        to precision prec then ignore the unseen digits, because
+        v(u^(p^N) - 1) >= p^N in characteristic p."""
+        reach = self.p ** self.precision
+        if reach < prec:
+            raise InsufficientPadicPrecision(
+                f"need p^N >= {prec}, got p^{self.precision} = {reach}")
 
     def __eq__(self, other):
         return (isinstance(other, PadicExponent)
@@ -304,10 +310,7 @@ def unit_pow_padic(u: LaurentSeries, y: PadicExponent, prec: int) -> LaurentSeri
     if u.prec < prec:
         raise InsufficientPadicPrecision(
             f"base known to precision {u.prec} < requested {prec}")
-    p = u.field.p
-    if p ** y.precision < prec:
-        raise InsufficientPadicPrecision(
-            f"need p^N >= {prec}, got p^{y.precision} = {p ** y.precision}")
+    y.require_precision(prec)
     return u.truncate(prec) ** y.value()
 
 
@@ -538,10 +541,7 @@ def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
     residue = n % ring.f
     if residue.is_zero():
         raise NotCoprime("exponentiation at f needs gcd(n, f) = 1")
-    p = ring.field.p
-    if p ** s.s2.precision < ring.precision:
-        raise InsufficientPadicPrecision(
-            f"need p^N >= {ring.precision}, got p^{s.s2.precision}")
+    s.s2.require_precision(ring.precision)
     if s.unit_order != ring.residue_order - 1:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     e = s.s2.value()

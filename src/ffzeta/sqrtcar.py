@@ -103,7 +103,6 @@ def carlitz_prime_module() -> DrinfeldModule:
     """The Carlitz action of A' on itself: C'_u = sqrt(theta) tau^0 + tau."""
     u = Poly.variable(_F2)
     return DrinfeldModule(_F2, (u, Poly.one(_F2)),
-                          lambda c: Poly.constant(_F2, c),
                           label="carlitz for the square-root ring")
 
 
@@ -113,7 +112,6 @@ def psi_module() -> DrinfeldModule:
     u = Poly.variable(_F2)
     theta = u * u
     return DrinfeldModule(_F2, (theta, theta + u, Poly.one(_F2)),
-                          lambda c: Poly.constant(_F2, c),
                           label="sqrt-carlitz CM module")
 
 

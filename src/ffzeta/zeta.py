@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 from . import _packing as pk
 from ._packing import ceil_log
-from .errors import PreconditionViolated, ZeroPolynomial
+from .errors import (
+    CacheCorruption,
+    NonConvergence,
+    PreconditionViolated,
+    ZeroPolynomial,
+)
 from .ffpoly import (
     FiniteField,
     Poly,
@@ -163,7 +168,6 @@ def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
             if cache.should_spot_check():
                 fresh = Poly(field, _engine(field).monic_sum_coeffs(d, j))
                 if fresh != hit:
-                    from .errors import CacheCorruption
                     raise CacheCorruption(
                         f"cache entry S_{d}({j}) disagrees with recomputation")
             return hit
@@ -246,7 +250,6 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
     d = 0
     while d <= floor_d or zeros_run < STOP_WINDOW:
         if d > floor_d + 64:
-            from .errors import NonConvergence
             raise NonConvergence(
                 "no zero window found far beyond the degree bound")
         s = power_sum(field, d, j, cache=cache)
@@ -292,10 +295,7 @@ def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
     c_d = sum_t C(e,t) pi^t E_d(t)(pi) mod pi^prec; the unseen digits of
     -y cannot move the window once p^N >= prec.
     """
-    if field.p ** y.precision < prec:
-        from .errors import InsufficientPadicPrecision
-        raise InsufficientPadicPrecision(
-            f"need p^N >= {prec}, got p^{y.precision}")
+    y.require_precision(prec)
     e = (-y).value()
     eng = _engine(field)
     out = []
@@ -319,10 +319,7 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     coprime monics.
     """
     ring = VadicRing(f, prec)
-    if field.p ** s.s2.precision < prec:
-        from .errors import InsufficientPadicPrecision
-        raise InsufficientPadicPrecision(
-            f"need p^N >= {prec}, got p^{s.s2.precision}")
+    s.s2.require_precision(prec)
     if s.unit_order != ring.residue_order - 1 and ring.residue_order > 2:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     minus_s = -s

@@ -149,6 +149,26 @@ class TestCli:
         assert any(line.startswith("vertex,") for line in lines)
         assert any(line.startswith("segment,") for line in lines)
 
+    @pytest.mark.parametrize("argv", [
+        ("special", "--p", "2", "--j", "5"),
+        ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_outside_newton_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv, "--format", "csv")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("newton", "--p", "2", "--y", "-1", "--dmax", "2", "--prec", "8"),
+        ("frobenius", "--p", "2", "--f", "T", "--module", "carlitz"),
+        ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_cache_dir_only_where_the_cache_is_read(self, argv, tmp_path):
+        assert run_cli(*argv)[0] == 0
+        code, out, _ = run_cli(*argv, "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_frobenius_command(self):
         code, out, _ = run_cli("frobenius", "--p", "2", "--f", "T^2+T+1",
                                "--module", "carlitz")

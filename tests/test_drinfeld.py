@@ -6,6 +6,7 @@ import pytest
 from ffzeta.drinfeld import (
     SkewPoly,
     _frobenius_solutions,
+    _solve_linear_mod_p,
     carlitz_module,
     frobenius_charpoly,
     lseries_coeffs,
@@ -21,6 +22,7 @@ from ffzeta.errors import (
     AmbiguousSolution,
     BadPrimeUnhandled,
     BadReduction,
+    FieldMismatch,
     NoSolution,
 )
 from ffzeta.ffpoly import (
@@ -32,7 +34,15 @@ from ffzeta.ffpoly import (
     poly_gcd,
     poly_parse,
 )
-from ffzeta.nonarch import PadicExponent, SvPoint
+from ffzeta.nonarch import (
+    LaurentSeries,
+    PadicExponent,
+    SvPoint,
+    VadicRing,
+    bracket_infty,
+    pow_sv,
+    unit_pow_padic,
+)
 from ffzeta.sqrtcar import psi_module
 from ffzeta.zeta import power_sum, poly_to_series_infty
 
@@ -176,6 +186,49 @@ class TestFrobenius:
         with pytest.raises(NoSolution):
             frobenius_charpoly(M, poly_parse(F2, "T^2+T+1"))
 
+    def test_prime_over_another_field(self):
+        with pytest.raises(FieldMismatch):
+            frobenius_charpoly(carlitz_module(F2), poly_parse(F3, "T^2+1"))
+
+
+def _columns_times(columns, x, p):
+    return [sum(col[r] * xv for col, xv in zip(columns, x)) % p
+            for r in range(len(columns[0]))]
+
+
+class TestSolveLinear:
+    """Gauss-Jordan over F_p: the one solution, None when inconsistent,
+    AmbiguousSolution for a column without a pivot."""
+
+    @pytest.mark.parametrize("columns,target,p,want", [
+        ([[1, 0, 1], [1, 1, 0]], [1, 1, 0], 2, [0, 1]),
+        ([[0, 1, 1], [1, 1, 0], [1, 0, 0]], [1, 0, 1], 2, [1, 1, 0]),
+        ([[1, 2], [2, 2]], [1, 0], 3, [2, 1]),
+        ([[0, 1, 2], [2, 0, 1], [1, 1, 0]], [1, 1, 1], 3, [1, 2, 0]),
+    ])
+    def test_unique_solution(self, columns, target, p, want):
+        assert _columns_times(columns, want, p) == target
+        assert _solve_linear_mod_p(columns, target, p) == want
+
+    @pytest.mark.parametrize("columns,target,p", [
+        ([[1, 1]], [1, 0], 2),
+        ([[1, 0, 1], [0, 1, 1]], [1, 1, 1], 2),
+        ([[1, 0, 0], [0, 1, 0]], [1, 2, 1], 3),
+        ([[1, 2, 0], [2, 1, 1]], [1, 0, 0], 3),
+    ])
+    def test_inconsistent_is_none(self, columns, target, p):
+        assert _solve_linear_mod_p(columns, target, p) is None
+
+    @pytest.mark.parametrize("columns,target,p", [
+        ([[1, 1], [1, 1]], [1, 1], 2),
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 0]], [0, 0, 0], 2),
+        ([[1, 2], [2, 1]], [1, 2], 3),
+        ([[1, 0], [0, 1], [1, 1]], [1, 1], 3),
+    ])
+    def test_dependent_column_raises(self, columns, target, p):
+        with pytest.raises(AmbiguousSolution):
+            _solve_linear_mod_p(columns, target, p)
+
 
 class TestLSeries:
     def test_carlitz_coefficients_are_the_index(self):
@@ -266,6 +319,71 @@ class TestLSeriesFamilies:
         from ffzeta.zeta import coprime_power_sum
         for d in range(4):
             assert fam.coeffs[d] == ring.elem(coprime_power_sum(F2, d, 2, T))
+
+
+# rank-2 modules phi_T = theta + g_1 tau + g_2 tau^2: (field, (g_1, g_2),
+# bad primes, local primes of the v-adic families, degree bound)
+_RANK2_LSERIES = {
+    "1,T-F2": (F2, ["1", "T"], ["T"], ["T", "T+1"], 5),
+    "T,1-F3": (F3, ["T", "1"], [], ["T", "T^2+1"], 3),
+}
+
+
+class TestLSeriesRank2:
+    """The sums read from the coefficient table against the per-monic
+    definition: every monic n of degree d, with c(n) taken from the
+    independent expansion route."""
+
+    @pytest.fixture(params=sorted(_RANK2_LSERIES), scope="class")
+    def case(self, request):
+        field, gs, bad, primes, dmax = _RANK2_LSERIES[request.param]
+        module = module_over_A(field, [poly_parse(field, g) for g in gs])
+        exp = lseries_coeffs_by_expansion(module, dmax)
+        bad = [poly_parse(field, f) for f in bad]
+        assert exp.skipped == bad == lseries_coeffs(module, dmax).skipped
+        assert any(not exp.at(n).is_zero() for n in enumerate_monic(field, dmax))
+        return module, [poly_parse(field, f) for f in primes], dmax, exp
+
+    @pytest.mark.parametrize("j", [0, 1, 4])
+    def test_special_coeffs(self, case, j):
+        module, _, dmax, exp = case
+        field = module.base_field
+        want = [sum((exp.at(n) * n ** j for n in enumerate_monic(field, d)),
+                    Poly.zero(field)) for d in range(dmax + 1)]
+        assert lseries_special_coeffs(module, j, dmax) == want
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_family_infty(self, case, j):
+        module, _, dmax, exp = case
+        field = module.base_field
+        prec = 12
+        y = PadicExponent.from_int(field.p, -j, 8)
+        fam = lseries_family_infty(module, y, dmax, prec)
+        for d in range(dmax + 1):
+            want = LaurentSeries.zero_to_precision(field, prec)
+            for n in enumerate_monic(field, d):
+                cn = exp.at(n)
+                if cn.is_zero():
+                    continue
+                work = prec + int(cn.degree)
+                u = unit_pow_padic(bracket_infty(n, work), -y, work)
+                want = want + (poly_to_series_infty(cn, work) * u).truncate(prec)
+            assert fam.coeffs[d] == want, d
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_family_vadic(self, case, j):
+        module, primes, dmax, exp = case
+        field = module.base_field
+        for f in primes:
+            ring = VadicRing(f, 6)
+            s = SvPoint.from_int(-j, ring.residue_order - 1, field.p, 4)
+            fam = lseries_family_vadic(module, s, f, dmax, 6)
+            for d in range(dmax + 1):
+                want = ring.zero()
+                for n in enumerate_monic(field, d):
+                    if not (n % f).is_zero():
+                        want = want + ring.elem(exp.at(n)) * pow_sv(n, -s, ring)
+                assert fam.coeffs[d] == want, (f, d)
 
 
 def _polys_up_to(field, max_deg):

@@ -48,6 +48,13 @@ class TestPadicExponent:
         y = PadicExponent.from_int(3, 17, 6)
         assert (-(-y)) == y
 
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+    def test_require_precision_boundary(self, p, n):
+        y = PadicExponent.from_int(p, -1, n)
+        y.require_precision(p ** n)
+        with pytest.raises(InsufficientPadicPrecision):
+            y.require_precision(p ** n + 1)
+
 
 class TestBracket:
     def test_t_itself(self):

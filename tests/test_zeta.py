@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffzeta.errors import PreconditionViolated
+from ffzeta.errors import InsufficientPadicPrecision, PreconditionViolated
 from ffzeta.ffpoly import (
     FiniteField,
     Poly,
@@ -194,6 +194,14 @@ class TestInftyFamily:
             for n in enumerate_monic(F3, d):
                 acc = acc + unit_pow_padic(bracket_infty(n, 24), -y, 24)
             assert acc == fam.coeffs[d]
+
+
+def test_families_need_enough_padic_digits():
+    y = PadicExponent.from_int(2, -1, 3)  # 2^3 = 8 < 9
+    with pytest.raises(InsufficientPadicPrecision):
+        zeta_family_infty(F2, y, 3, 9)
+    with pytest.raises(InsufficientPadicPrecision):
+        zeta_family_vadic(F2, SvPoint(0, y, 1), T2, 3, 9)
 
 
 class TestVadicFamily:
