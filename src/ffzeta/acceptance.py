@@ -22,7 +22,7 @@ from .drinfeld import (
 )
 from .errors import FFZetaError, UsageError
 from .ffpoly import FiniteField, Poly, enumerate_monic, enumerate_monic_primes
-from .newton import newton_polygon, rh_verdict, zero_spectrum
+from .newton import polygon_verdict
 from .nonarch import PadicExponent, SvPoint
 from .sqrtcar import (
     hecke_identity,
@@ -104,6 +104,19 @@ def _sample_exponents(field: FiniteField, count: int, digits: int,
     return out
 
 
+def _simplicity_failures(r: int, families) -> list[dict]:
+    """One failure record per family whose polygon is provisional or has
+    a segment longer than 1; families are indexed in the order given."""
+    failures = []
+    for idx, fam in enumerate(families):
+        poly, verdict = polygon_verdict(fam)
+        if poly.provisional or not verdict.passed:
+            failures.append({"r": r, "exponent_index": idx,
+                             "provisional": poly.provisional,
+                             "lengths": [s.length for s in poly.segments]})
+    return failures
+
+
 def criterion_2(quick=False, cache=None) -> CriterionResult:
     """Every segment of the zeta family polygon at infinity has length 1
     and the polygon is non-provisional, across integer and sampled
@@ -117,14 +130,8 @@ def criterion_2(quick=False, cache=None) -> CriterionResult:
         exps = [PadicExponent.from_int(field.p, -j, PADIC_DIGITS)
                 for j in range(jmax + 1)]
         exps += _sample_exponents(field, nrand, PADIC_DIGITS)
-        for idx, y in enumerate(exps):
-            fam = zeta_family_infty(field, y, dmax, prec)
-            poly = newton_polygon(fam)
-            verdict = rh_verdict(zero_spectrum(poly, accept_provisional=True))
-            if poly.provisional or not verdict.passed:
-                failures.append({"r": r, "exponent_index": idx,
-                                 "provisional": poly.provisional,
-                                 "lengths": [s.length for s in poly.segments]})
+        failures += _simplicity_failures(
+            r, (zeta_family_infty(field, y, dmax, prec) for y in exps))
     return _result("2", "simplicity of zeta zero spectra at infinity",
                    {"r": list(rs), "jmax": jmax, "random": nrand,
                     "dmax": dmax, "precision": prec},
@@ -186,14 +193,8 @@ def criterion_5(quick=False, cache=None) -> CriterionResult:
                for j in range(jmax + 1)]
         for y in _sample_exponents(field, nrand, PADIC_DIGITS, multiple_of=r - 1):
             svs.append(SvPoint(0, y, unit_order))
-        for idx, s in enumerate(svs):
-            fam = zeta_family_vadic(field, s, T, dmax, prec)
-            poly = newton_polygon(fam)
-            verdict = rh_verdict(zero_spectrum(poly, accept_provisional=True))
-            if poly.provisional or not verdict.passed:
-                failures.append({"r": r, "exponent_index": idx,
-                                 "provisional": poly.provisional,
-                                 "lengths": [sg.length for sg in poly.segments]})
+        failures += _simplicity_failures(
+            r, (zeta_family_vadic(field, s, T, dmax, prec) for s in svs))
     return _result("5", "simplicity of v-adic zeta spectra at a degree-1 prime",
                    {"r": list(rs), "jmax": jmax, "random": nrand,
                     "dmax": dmax, "precision": prec},
@@ -367,13 +368,13 @@ def criterion_10(quick=False, cache=None) -> CriterionResult:
     t0 = time.perf_counter()
     from . import cli  # late import; cli owns the serialisation
 
-    spec = "1,2,3,4,5,6,7,8,9"
-    blob1 = cli.render_battery_json(run_battery(quick=True, cache=cache,
-                                                criteria=spec),
-                                    strip_timing=True)
-    blob2 = cli.render_battery_json(run_battery(quick=True, cache=cache,
-                                                criteria=spec),
-                                    strip_timing=True)
+    def blob():
+        results = run_battery(quick=True, cache=cache,
+                              criteria="1,2,3,4,5,6,7,8,9")
+        doc = cli.envelope("verify", {}, cli.battery_result(results))
+        return cli.render_json(doc)
+
+    blob1, blob2 = blob(), blob()
     same = blob1 == blob2
     return _result("10", "byte-identical reports modulo timing",
                    {"battery": "quick 1-9"}, same, t0,

@@ -1,10 +1,12 @@
 """Command-line driver and report serialisation.
 
 Every run prints one JSON envelope (or a text rendering of the same
-data, or for ``newton`` a csv export of the polygon) embedding its full
-configuration, so outputs are reproducible byte-for-byte; wall-clock
-timing lives in a separate ``timing`` object that consumers strip before
-comparing runs.
+data, or for ``newton`` a csv export of the polygon).  Each ``cmd_*``
+function computes only its ``result``; ``main`` builds the envelope
+around it.  ``config`` is every parsed option except the subcommand, so
+outputs are reproducible byte-for-byte; ``main`` also times the command
+and owns the ``timing`` object (``seconds``, or the per-criterion times
+of ``verify``), which consumers strip before comparing runs.
 
 Exit codes: 0 success, 2 usage error, 3 a mathematical verification
 failed, 4 resource problems (e.g. unwritable cache directory).
@@ -22,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .acceptance import CriterionResult, run_battery
@@ -36,7 +37,7 @@ from .drinfeld import (
 )
 from .errors import AllCoefficientsVanish, FFZetaError, UsageError
 from .ffpoly import FiniteField, Poly, poly_parse
-from .newton import NewtonPolygon, hensel_root, newton_polygon, rh_verdict, zero_spectrum
+from .newton import NewtonPolygon, hensel_root, hensel_slack, polygon_verdict
 from .nonarch import LaurentSeries, PadicExponent, SvPoint, VadicElem
 from .sqrtcar import (
     hecke_identity,
@@ -69,19 +70,15 @@ def vadic_json(e: VadicElem) -> dict:
             "precision": e.ring.precision}
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def polygon_json(np_: NewtonPolygon) -> dict:
     points = [{"d": d, "kind": "finite", "valuation": v} for d, v in np_.finite]
     points += [{"d": d, "kind": "zero_to_precision", "bound": b}
                for d, b in np_.bounds]
     points += [{"d": d, "kind": "exact_zero"} for d in np_.exact_zeros]
     points.sort(key=lambda row: row["d"])
-    segs = [{"slope": _frac(s.slope), "length": s.length,
-             "zero_valuation": _frac(s.zero_valuation),
-             "abs_value_exponent": _frac(s.abs_value_exponent)}
+    segs = [{"slope": str(s.slope), "length": s.length,
+             "zero_valuation": str(s.zero_valuation),
+             "abs_value_exponent": str(s.abs_value_exponent)}
             for s in np_.segments]
     return {"points": points, "vertices": [list(v) for v in np_.vertices],
             "segments": segs, "provisional": np_.provisional}
@@ -90,47 +87,34 @@ def polygon_json(np_: NewtonPolygon) -> dict:
 def verdict_json(v) -> dict:
     return {"passed": v.passed, "all_simple_beyond": v.all_simple_beyond,
             "unique_abs_value": v.unique_abs_value,
-            "exceptions": [{"slope": _frac(s.slope), "length": s.length}
+            "exceptions": [{"slope": str(s.slope), "length": s.length}
                            for s in v.exceptions]}
 
 
-def envelope(command: str, config: dict, result: dict, seconds: float) -> dict:
+def envelope(command: str, config: dict, result: dict) -> dict:
+    """A report without its ``timing``, which ``main`` adds."""
     return {"schemaVersion": SCHEMA_VERSION,
             "command": command,
             "config": config,
-            "result": result,
-            "timing": {"seconds": round(seconds, 6)}}
+            "result": result}
 
 
 def render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def render_battery_json(results: list[CriterionResult],
-                        config: dict | None = None,
-                        strip_timing: bool = False) -> str:
+def battery_result(results: list[CriterionResult]) -> dict:
     records = [{"id": res.cid, "title": res.title, "params": res.params,
                 "passed": res.passed, "details": res.details}
                for res in results]
-    doc = {"schemaVersion": SCHEMA_VERSION,
-           "command": "verify",
-           "config": config or {},
-           "result": {"records": records,
-                      "all_passed": all(r.passed for r in results)},
-           "timing": {"total_seconds": round(sum(r.seconds for r in results), 6),
-                      "per_criterion": {r.cid: round(r.seconds, 6)
-                                        for r in results}}}
-    if strip_timing:
-        del doc["timing"]
-    return render_json(doc)
+    return {"records": records, "all_passed": all(r.passed for r in results)}
 
 
 def _render_text(doc: dict) -> str:
     out = [f"# {doc['command']} (schema {doc['schemaVersion']})"]
     out.append("config: " + json.dumps(doc["config"], sort_keys=True))
     out.append(json.dumps(doc["result"], sort_keys=True, indent=2))
-    if "timing" in doc:
-        out.append("timing: " + json.dumps(doc["timing"], sort_keys=True))
+    out.append("timing: " + json.dumps(doc["timing"], sort_keys=True))
     return "\n".join(out) + "\n"
 
 
@@ -147,19 +131,23 @@ def _render_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(doc)
-    if fmt == "text":
-        return _render_text(doc)
-    if fmt == "csv":
-        return _render_csv(doc)
-    raise UsageError(f"unknown output format {fmt!r}")
+# argparse offers csv only on newton, the one command with a polygon
+_RENDER = {"json": render_json, "text": _render_text, "csv": _render_csv}
 
 
 # ---------------------------------------------------------------------------
 # shared argument handling
 # ---------------------------------------------------------------------------
+
+def _int_at_least(low: int):
+    """argparse type for a size argument: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
 
 def _add_field_args(sp):
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
@@ -190,27 +178,20 @@ def _cache_from(args) -> PowerSumCache | None:
     return cache_from_env()
 
 
-def _config_of(args, *names) -> dict:
-    cfg = {}
-    for name in names:
-        cfg[name] = getattr(args, name.replace("-", "_"))
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_special(args) -> tuple[dict, int]:
+# Each command returns (result, exit code, timing); timing is None unless
+# the command times its own parts, and main then records the total.
+
+def cmd_special(args) -> tuple[dict, int, None]:
     field = _field_from(args)
-    cache = _cache_from(args)
-    t0 = time.perf_counter()
-    z = special_polynomial(field, args.j, args.dmax, cache=cache)
+    z = special_polynomial(field, args.j, args.dmax, cache=_cache_from(args))
     result = {"coefficients": [poly_json(c) for c in z.coeffs],
               "observed_degree": z.observed_degree,
               "certified_polynomial": z.certified_polynomial}
-    cfg = _config_of(args, "p", "m", "modulus", "j", "dmax", "cache_dir", "format")
-    return envelope("special", cfg, result, time.perf_counter() - t0), EXIT_OK
+    return result, EXIT_OK, None
 
 
 def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
@@ -223,9 +204,8 @@ def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
     return PadicExponent.from_int(field.p, args.y, n)
 
 
-def cmd_newton(args) -> tuple[dict, int]:
+def cmd_newton(args) -> tuple[dict, int, None]:
     field = _field_from(args)
-    t0 = time.perf_counter()
     prec = args.prec
     y = _exponent_from(args, field, prec)
     refined = []
@@ -237,20 +217,17 @@ def cmd_newton(args) -> tuple[dict, int]:
         fam = zeta_family_vadic(field, s, f, args.dmax, prec)
     else:
         fam = zeta_family_infty(field, y, args.dmax, prec)
-    poly = newton_polygon(fam)
-    spectrum = zero_spectrum(poly, accept_provisional=True)
-    verdict = rh_verdict(spectrum)
+    poly, verdict = polygon_verdict(fam)
     if args.refine and not args.f:
-        from .newton import hensel_slack
         for seg in poly.segments:
             if seg.length == 1 and seg.slope.denominator == 1:
                 target = prec - hensel_slack(int(seg.slope), len(fam.coeffs) - 1)
                 if target <= 0:
-                    refined.append({"slope": _frac(seg.slope),
+                    refined.append({"slope": str(seg.slope),
                                     "skipped": "insufficient precision"})
                     continue
                 root = hensel_root(fam.coeffs, int(seg.slope), target)
-                refined.append({"slope": _frac(seg.slope),
+                refined.append({"slope": str(seg.slope),
                                 "root": series_json(root),
                                 "residual_valuation_at_least": target})
     result = {"polygon": polygon_json(poly),
@@ -259,9 +236,7 @@ def cmd_newton(args) -> tuple[dict, int]:
                                else vadic_json(c) for c in fam.coeffs]}
     if refined:
         result["refined_roots"] = refined
-    cfg = _config_of(args, "p", "m", "modulus", "y", "y_digits", "f", "s1",
-                     "dmax", "prec", "refine", "format")
-    return envelope("newton", cfg, result, time.perf_counter() - t0), EXIT_OK
+    return result, EXIT_OK, None
 
 
 def _module_from(args, field: FiniteField):
@@ -273,9 +248,8 @@ def _module_from(args, field: FiniteField):
     return module_over_A(field, gs, label=f"tau-coeffs {args.tau_coeffs}")
 
 
-def cmd_frobenius(args) -> tuple[dict, int]:
+def cmd_frobenius(args) -> tuple[dict, int, None]:
     field = _field_from(args)
-    t0 = time.perf_counter()
     f = poly_parse(field, args.f)
     module = _module_from(args, field)
     data = frobenius_charpoly(module, f)
@@ -286,13 +260,11 @@ def cmd_frobenius(args) -> tuple[dict, int]:
               "verified": data.verified,
               "trace_bound_ok": data.trace_bound_ok,
               "charpoly": data.charpoly_string()}
-    cfg = _config_of(args, "p", "m", "modulus", "f", "module", "tau_coeffs", "format")
-    return envelope("frobenius", cfg, result, time.perf_counter() - t0), EXIT_OK
+    return result, EXIT_OK, None
 
 
-def cmd_lseries(args) -> tuple[dict, int]:
+def cmd_lseries(args) -> tuple[dict, int, None]:
     field = _field_from(args)
-    t0 = time.perf_counter()
     module = _module_from(args, field)
     coeffs = lseries_coeffs(module, args.degree_bound)
     table = [{"n": n.to_string(), "c": poly_json(v)}
@@ -306,15 +278,11 @@ def cmd_lseries(args) -> tuple[dict, int]:
                                           coeffs)
         result["special_coefficients"] = {
             "j": args.j, "values": [poly_json(c) for c in specials]}
-    cfg = _config_of(args, "p", "m", "modulus", "module", "tau_coeffs",
-                     "degree_bound", "j", "format")
-    return envelope("lseries", cfg, result, time.perf_counter() - t0), EXIT_OK
+    return result, EXIT_OK, None
 
 
-def cmd_sqrtcar(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    cache = _cache_from(args)
-    identity = hecke_identity(args.j, args.dmax, cache=cache)
+def cmd_sqrtcar(args) -> tuple[dict, int, None]:
+    identity = hecke_identity(args.j, args.dmax, cache=_cache_from(args))
     parity = parity_report(args.j, args.dmax, args.prec)
     composition = psi_composition_check()
     factorization = psi_factorization_check(min(args.dmax, 4))
@@ -330,31 +298,28 @@ def cmd_sqrtcar(args) -> tuple[dict, int]:
                            "mu": poly_json(data.mu), "ok": ok}
                           for g, data, ok in factorization.per_prime]},
         "parity": {
-            "vadic_slopes": [_frac(s) for s in parity.vadic_slopes],
-            "vadic_violations": [_frac(s) for s in parity.vadic_violations],
+            "vadic_slopes": [str(s) for s in parity.vadic_slopes],
+            "vadic_violations": [str(s) for s in parity.vadic_violations],
             "vadic_all_odd": parity.vadic_all_odd,
-            "infty_slopes": [_frac(s) for s in parity.infty_slopes],
-            "infty_violations": [_frac(s) for s in parity.infty_violations],
+            "infty_slopes": [str(s) for s in parity.infty_slopes],
+            "infty_violations": [str(s) for s in parity.infty_violations],
             "infty_all_even": parity.infty_all_even,
             "removed_factor_slope": parity.removed_factor_slope},
     }
     passed = composition and identity.passed and factorization.passed \
         and parity.passed
-    cfg = _config_of(args, "j", "dmax", "prec", "cache_dir", "format")
-    doc = envelope("sqrtcar", cfg, result, time.perf_counter() - t0)
-    return doc, EXIT_OK if passed else EXIT_MATH
+    return result, EXIT_OK if passed else EXIT_MATH, None
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    cache = _cache_from(args)
-    results = run_battery(quick=args.quick, cache=cache, criteria=args.criteria)
+def cmd_verify(args) -> tuple[dict, int, dict]:
+    results = run_battery(quick=args.quick, cache=_cache_from(args),
+                          criteria=args.criteria)
     for res in results:
         print(res.line(), file=sys.stderr)
-    cfg = _config_of(args, "quick", "criteria", "cache_dir", "format")
-    blob = render_battery_json(results, cfg)
-    doc = json.loads(blob)
-    code = EXIT_OK if all(r.passed for r in results) else EXIT_MATH
-    return doc, code
+    result = battery_result(results)
+    timing = {"total_seconds": round(sum(r.seconds for r in results), 6),
+              "per_criterion": {r.cid: round(r.seconds, 6) for r in results}}
+    return result, EXIT_OK if result["all_passed"] else EXIT_MATH, timing
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("special", help="special polynomial coefficients")
     _add_field_args(sp)
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--dmax", type=int, default=None,
+    sp.add_argument("--dmax", type=_int_at_least(0), default=None,
                     help="compute at least this many coefficients")
     _add_format(sp)
     _add_cache_dir(sp)
@@ -388,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="finite prime (v-adic family instead of infinity)")
     sp.add_argument("--s1", type=int, default=None,
                     help="finite-order exponent coordinate at f")
-    sp.add_argument("--dmax", type=int, default=8)
-    sp.add_argument("--prec", type=int, default=64)
+    sp.add_argument("--dmax", type=_int_at_least(0), default=8)
+    sp.add_argument("--prec", type=_int_at_least(1), default=64)
     sp.add_argument("--refine", action="store_true",
                     help="Hensel-refine roots on unit integer slopes "
                          "(infinite place only)")
@@ -408,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--module", type=str, default=None)
     sp.add_argument("--tau-coeffs", type=str, default=None)
-    sp.add_argument("--degree-bound", type=int, required=True)
+    sp.add_argument("--degree-bound", type=_int_at_least(0), required=True)
     sp.add_argument("--j", type=int, default=None,
                     help="also emit exact special coefficients at this exponent")
     _add_format(sp)
 
     sp = sub.add_parser("sqrtcar", help="square-root CM example checks")
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--dmax", type=int, default=8)
-    sp.add_argument("--prec", type=int, default=64)
+    sp.add_argument("--dmax", type=_int_at_least(0), default=8)
+    sp.add_argument("--prec", type=_int_at_least(1), default=64)
     _add_format(sp)
     _add_cache_dir(sp)
 
@@ -446,8 +411,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    config = {k: v for k, v in vars(args).items() if k != "command"}
+    t0 = time.perf_counter()
     try:
-        doc, code = _DISPATCH[args.command](args)
+        result, code, timing = _DISPATCH[args.command](args)
+        seconds = time.perf_counter() - t0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -464,7 +432,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    sys.stdout.write(emit(doc, args.format))
+    doc = envelope(args.command, config, result)
+    doc["timing"] = timing or {"seconds": round(seconds, 6)}
+    sys.stdout.write(_RENDER[args.format](doc))
     return code
 
 

@@ -28,6 +28,7 @@ from .errors import (
     FieldMismatch,
     ReducibleModulus,
     UnsupportedField,
+    UsageError,
     ZeroPolynomial,
 )
 
@@ -165,7 +166,13 @@ class FiniteField:
     def decode_str(self, s: str) -> int:
         if len(s) != self.m:
             raise DegreeMismatch(f"element digit string must have length {self.m}")
-        return sum(int(ch) * self.p ** i for i, ch in enumerate(s))
+        value = 0
+        for ch in reversed(s):
+            d = int(ch)
+            if d >= self.p:
+                raise UsageError(f"digit {d} of {s!r} is not below p = {self.p}")
+            value = value * self.p + d
+        return value
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
@@ -808,8 +815,6 @@ def _parse_term(field: FiniteField, term: str, var: str):
         while j < len(rest) and rest[j].isdigit():
             j += 1
         c = int(rest[:j]) % field.p
-        if field.m > 1:
-            c = c % field.p
         rest = rest[j:]
     if rest:
         if not rest.startswith(var):
@@ -821,4 +826,4 @@ def _parse_term(field: FiniteField, term: str, var: str):
             k = 1
         else:
             raise ValueError(f"cannot parse term {term!r}")
-    return c % field.order if field.m > 1 else c % field.p, k
+    return c, k

@@ -9,6 +9,11 @@ x^(-d)).  Three kinds of points enter:
 * lower bounds -- the coefficient vanishes *to the working precision*
   only, so its valuation is only known to be >= some bound B.
 
+``polygon_of`` is the one place that sorts coefficients into these
+kinds.  The caller gives the valuation rule for exact coefficients
+(``minus_degree`` at infinity); Laurent windows and elements of A/(f^M)
+carry their own ``valuation`` and ``prec``.
+
 Lower-bound points never produce hull vertices (a false vertex would
 fabricate zeroes).  The hull is taken over the *window* spanned by the
 finite points.  Bound points beyond the last finite abscissa shrink the
@@ -139,6 +144,32 @@ def _below_hull(vertices, d: int, b: int) -> bool:
     return False
 
 
+def polygon_of(coeffs: Sequence, valuation=None) -> NewtonPolygon:
+    """The polygon of a coefficient list; the one place points are sorted
+    into finite points, lower bounds and known zeros.
+
+    With a ``valuation`` rule the coefficients are exact, and None from
+    the rule marks a known zero.  Without one they are truncated (Laurent
+    windows, elements of A/(f^M)): their own ``valuation`` is used, and
+    None marks a zero to precision, bounded below by ``prec``.
+    """
+    finite, bounds, zeros = [], [], []
+    for d, c in enumerate(coeffs):
+        v = c.valuation if valuation is None else valuation(c)
+        if v is not None:
+            finite.append((d, v))
+        elif valuation is None:
+            bounds.append((d, c.prec))
+        else:
+            zeros.append(d)
+    return NewtonPolygon(finite, bounds, zeros)
+
+
+def minus_degree(c) -> int | None:
+    """Valuation at infinity of an exact polynomial; None for zero."""
+    return None if c.is_zero() else -int(c.degree)
+
+
 def newton_polygon(source) -> NewtonPolygon:
     """Polygon of a coefficient family or special polynomial.
 
@@ -146,30 +177,11 @@ def newton_polygon(source) -> NewtonPolygon:
     coefficients at infinity; pi-order for Laurent windows; f-order for
     elements of A/(f^M).
     """
-    finite, bounds, zeros = [], [], []
     if isinstance(source, SpecialPolynomial):
-        for d, c in enumerate(source.coeffs):
-            if c.is_zero():
-                zeros.append(d)
-            else:
-                finite.append((d, -int(c.degree)))
-    elif isinstance(source, CoefficientFamily):
-        for d, c in enumerate(source.coeffs):
-            if isinstance(c, LaurentSeries):
-                v = c.valuation
-                if v is None:
-                    bounds.append((d, c.prec))
-                else:
-                    finite.append((d, v))
-            else:
-                v = c.valuation
-                if v is None:
-                    bounds.append((d, c.ring.precision))
-                else:
-                    finite.append((d, v))
-    else:
-        raise TypeError("newton_polygon needs a family or special polynomial")
-    return NewtonPolygon(finite, bounds, zeros)
+        return polygon_of(source.coeffs, minus_degree)
+    if isinstance(source, CoefficientFamily):
+        return polygon_of(source.coeffs)
+    raise TypeError("newton_polygon needs a family or special polynomial")
 
 
 @dataclass
@@ -211,6 +223,13 @@ def rh_verdict(spectrum: ZeroSpectrum) -> RhVerdict:
     return RhVerdict(b_hat, unique, exceptions, not exceptions)
 
 
+def polygon_verdict(source) -> tuple[NewtonPolygon, RhVerdict]:
+    """Polygon of a family and the verdict on its spectrum; a provisional
+    polygon is judged too, and the caller reads ``provisional``."""
+    poly = newton_polygon(source)
+    return poly, rh_verdict(zero_spectrum(poly, accept_provisional=True))
+
+
 def hensel_root(coeffs: Sequence[LaurentSeries], slope: int,
                 target_prec: int) -> LaurentSeries:
     """Refine the reciprocal zero on a unit-length integer-slope segment.
@@ -223,11 +242,7 @@ def hensel_root(coeffs: Sequence[LaurentSeries], slope: int,
     target_prec + hensel_slack(...) digits.
     """
     coeffs = list(coeffs)
-    finite = []
-    for d, c in enumerate(coeffs):
-        if c.valuation is not None:
-            finite.append((d, c.valuation))
-    poly = NewtonPolygon(finite, [])
+    poly = polygon_of(coeffs)
     seg = next((s for s in poly.segments if s.slope == slope), None)
     if seg is None or seg.length != 1:
         raise PreconditionViolated(
@@ -240,8 +255,6 @@ def hensel_root(coeffs: Sequence[LaurentSeries], slope: int,
     field = coeffs[0].field
     d1, d2 = seg.d_start, seg.d_end
     z = -(coeffs[d1] / coeffs[d2])
-    if d2 - d1 != 1:
-        raise PreconditionViolated("unit-length segment required")
 
     def val_of(s: LaurentSeries):
         return s.prec if s.valuation is None else s.valuation

@@ -33,6 +33,7 @@ from .errors import (
     NotAOneUnit,
     NotCoprime,
     ReducibleModulus,
+    UsageError,
     ZeroInput,
 )
 from .ffpoly import FiniteField, Poly, _mul_dispatch, is_irreducible, poly_xgcd
@@ -45,9 +46,11 @@ class PadicExponent:
 
     def __init__(self, p: int, digits):
         self.p = p
-        self.digits = tuple(int(d) % p for d in digits)
+        self.digits = tuple(int(d) for d in digits)
         if not self.digits:
             raise ValueError("at least one digit of precision is required")
+        if not all(0 <= d < p for d in self.digits):
+            raise UsageError(f"p-adic digits must lie in [0, {p})")
 
     @classmethod
     def from_int(cls, p: int, value: int, n: int) -> "PadicExponent":
@@ -458,6 +461,11 @@ class VadicElem:
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
+
+    @property
+    def prec(self) -> int:
+        """Precision M of the ring A/(f^M), as LaurentSeries.prec."""
+        return self.ring.precision
 
     @property
     def valuation(self):

@@ -39,7 +39,7 @@ from . import _packing as pk
 from .drinfeld import DrinfeldModule, FrobeniusData, frobenius_charpoly
 from .errors import ProvisionalPolygon
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
-from .newton import NewtonPolygon
+from .newton import minus_degree, polygon_of
 from .zeta import power_sum
 
 _F2 = FiniteField(2)
@@ -59,6 +59,8 @@ def hecke_special(j: int, dmax: int, *, coprime_to_T: bool = False) -> list[Poly
     n^j is computed in T and mapped through T -> u^2, then multiplied by
     n'; with ``coprime_to_T`` only n with nonzero constant term enter.
     """
+    if j < 0:
+        raise ValueError("need j >= 0")
     out = []
     for d in range(dmax + 1):
         acc = 0
@@ -175,25 +177,20 @@ def parity_report(j: int, dmax: int = 8, precision: int = 64) -> ParityReport:
     valuation reaches the presentation precision, the A'/(u^M) view would
     lose a genuine point and ProvisionalPolygon is raised instead.
     """
-    vadic = hecke_special(j, dmax, coprime_to_T=True)
-    finite_v, zeros_v = [], []
-    for d, c in enumerate(vadic):
+    def u_order(c: Poly) -> int | None:
         if c.is_zero():
-            zeros_v.append(d)
-            continue
+            return None
         v = next(i for i, cc in enumerate(c.coeffs) if cc)
         if v >= precision:
             raise ProvisionalPolygon(
                 f"exact u-valuation {v} >= presentation precision {precision}")
-        finite_v.append((d, v))
-    poly_v = NewtonPolygon(finite_v, (), zeros_v)
+        return v
+
+    poly_v = polygon_of(hecke_special(j, dmax, coprime_to_T=True), u_order)
     slopes_v = [s.slope for s in poly_v.segments]
     bad_v = [s for s in slopes_v if s.denominator != 1 or s.numerator % 2 == 0]
 
-    infty = hecke_special(j, dmax)
-    finite_i = [(d, -int(c.degree)) for d, c in enumerate(infty) if not c.is_zero()]
-    zeros_i = [d for d, c in enumerate(infty) if c.is_zero()]
-    poly_i = NewtonPolygon(finite_i, (), zeros_i)
+    poly_i = polygon_of(hecke_special(j, dmax), minus_degree)
     slopes_i = [s.slope for s in poly_i.segments]
     bad_i = [s for s in slopes_i if s.denominator != 1 or s.numerator % 2 != 0]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -51,6 +52,13 @@ class TestCache:
         with pytest.raises(CacheCorruption):
             cache.get(F2, 1, 1)
 
+    def test_digit_out_of_range_is_corruption(self, tmp_path):
+        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache.put(F2, 1, 3, power_sum(F2, 1, 3))
+        cache.path(F2, 1, 3).write_text("deg 2: 1 2 1\n")  # 2 is no F_2 digit
+        with pytest.raises(CacheCorruption):
+            cache.get(F2, 1, 3)
+
     def test_spot_check_catches_tampering(self, tmp_path):
         cache = PowerSumCache(tmp_path, verify_fraction=1.0)
         cache.put(F2, 1, 3, poly_parse(F2, "T+1"))  # wrong on purpose
@@ -87,7 +95,40 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# one cheap invocation of every subcommand
+EVERY_COMMAND = [
+    ("special", "--p", "2", "--j", "1"),
+    ("newton", "--p", "2", "--y", "-1", "--dmax", "2", "--prec", "8"),
+    ("frobenius", "--p", "2", "--f", "T", "--module", "carlitz"),
+    ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "2"),
+    ("sqrtcar", "--j", "0", "--dmax", "2"),
+    ("verify", "--quick", "--criteria", "7"),
+]
+
+
+def option_dests(command: str) -> set[str]:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_envelope_config_and_timing_keys(self, argv):
+        code, out, _ = run_cli(*argv)
+        assert code in (0, 3)
+        doc = json.loads(out)
+        assert set(doc) == {"schemaVersion", "command", "config", "result",
+                            "timing"}
+        assert doc["command"] == argv[0]
+        assert set(doc["config"]) == option_dests(argv[0])
+        if argv[0] == "verify":
+            assert set(doc["timing"]) == {"total_seconds", "per_criterion"}
+            assert set(doc["timing"]["per_criterion"]) == {"7"}
+        else:
+            assert set(doc["timing"]) == {"seconds"}
+
     def test_special_golden(self):
         code, out, _ = run_cli("special", "--p", "2", "--j", "1")
         assert code == 0
@@ -168,6 +209,31 @@ class TestCli:
         code, out, _ = run_cli(*argv, "--cache-dir", str(tmp_path))
         assert code == 2 and out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("newton", "--p", "2", "--y", "-1", "--dmax", "-1"),
+        ("newton", "--p", "2", "--y", "-1", "--prec", "0"),
+        ("sqrtcar", "--j", "1", "--dmax", "-1"),
+        ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "-1"),
+        ("special", "--p", "2", "--j", "1", "--dmax", "-5"),
+    ], ids=["newton-dmax", "newton-prec", "sqrtcar-dmax", "lseries-degree-bound",
+            "special-dmax"])
+    def test_size_out_of_range_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "must be >=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sqrtcar", "--j", "-1"),
+        ("newton", "--p", "2", "--m", "2", "--f", "T+[21]", "--y", "-1",
+         "--dmax", "2", "--prec", "8"),
+        ("newton", "--p", "2", "--y-digits", "3,1,1,1,1", "--dmax", "2",
+         "--prec", "8"),
+    ], ids=["sqrtcar-negative-j", "bracket-digit", "y-digit"])
+    def test_input_out_of_range_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
 
     def test_frobenius_command(self):
         code, out, _ = run_cli("frobenius", "--p", "2", "--f", "T^2+T+1",

@@ -13,6 +13,7 @@ from ffzeta.errors import (
     FieldMismatch,
     ReducibleModulus,
     UnsupportedField,
+    UsageError,
 )
 from ffzeta.ffpoly import (
     FiniteField,
@@ -297,6 +298,14 @@ class TestParsing:
 
     def test_minus_over_f3(self):
         assert poly_parse(F3, "T-1") == poly_parse(F3, "T+2")
+
+    @pytest.mark.parametrize("field,text", [
+        (F4, "[21]T+1"),                 # 2 + 1*2 = 4 would wrap to 0
+        (FiniteField(3, 2), "[25]"),     # would wrap to [22]
+    ], ids=["F4", "F9"])
+    def test_bracket_digit_out_of_range_rejected(self, field, text):
+        with pytest.raises(UsageError, match="not below p"):
+            poly_parse(field, text)
 
 
 def test_powmod_agrees_with_pow():

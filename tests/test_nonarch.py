@@ -6,6 +6,7 @@ from ffzeta.errors import (
     InsufficientPadicPrecision,
     NotAOneUnit,
     NotCoprime,
+    UsageError,
     ZeroInput,
 )
 from ffzeta.ffpoly import (
@@ -47,6 +48,12 @@ class TestPadicExponent:
     def test_negation_roundtrip(self):
         y = PadicExponent.from_int(3, 17, 6)
         assert (-(-y)) == y
+
+    @pytest.mark.parametrize("digits", [[3, 1, 1, 1, 1], [1, -1]])
+    def test_digit_out_of_range_rejected(self, digits):
+        # 3 would otherwise run as 3 % 2 = 1, i.e. a different exponent
+        with pytest.raises(UsageError):
+            PadicExponent(2, digits)
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
     def test_require_precision_boundary(self, p, n):

@@ -70,6 +70,10 @@ class TestHeckeSums:
         assert vals[1] == poly_parse(F2, "T+1")        # u + 1
         assert vals[2] == Poly.variable(F2)            # u
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="j >= 0"):
+            hecke_special(-1, 2)
+
 
 class TestHeckeIdentity:
     def test_doubled_shifted_exponent(self):
