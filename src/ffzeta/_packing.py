@@ -22,9 +22,11 @@ Three internal representations, chosen by characteristic:
   carrying the ``w^e``-coordinates of all coefficients for the fixed basis
   ``1, w, ..., w^(m-1)`` of the coefficient field.
 
-Everything here is private plumbing for the rest of the package: the
-polynomial and series arithmetic, and the power-sum engine and its
-enumeration oracle in :mod:`ffzeta.zeta`.
+The product :func:`pk_mul` and the power :func:`pk_pow` take every
+prime, p = 2 included, and keep the bit-int kernels inside for p = 2.
+Everything here is private plumbing: its callers are :mod:`ffzeta.ffpoly`,
+which picks the kernel for each field kind, and the power-sum engine in
+:mod:`ffzeta.zeta`, which adds packed sums directly.
 """
 
 from __future__ import annotations
@@ -236,16 +238,20 @@ def pk_sum(terms, p: int, length: int, bits: int | None = None,
             acc = digits_mod(acc, p, bits, bound)
             bound = p - 1 + c * x_bound
         acc += (x * c) << shift
-    return digits_mod(acc, p, bits, bound)
+    # a bound below p means every digit is reduced already (one term, c = 1)
+    return acc if bound < p else digits_mod(acc, p, bits, bound)
 
 
 def pk_mul(a, b, p: int, length: int) -> list[int]:
-    """Coefficients of a*b below ``length`` (p odd), by packed int products.
+    """Coefficients of a*b below ``length``, by packed int products.
 
-    The digit width comes from the product bound (p-1)^2 * min(len a, len b).
-    Where no 64-bit digit holds it, the shorter operand is cut into chunks
+    At p = 2 this is one carry-less product of bit ints.  Otherwise the
+    digit width comes from the product bound (p-1)^2 * min(len a, len b);
+    where no 64-bit digit holds it, the shorter operand is cut into chunks
     whose products pk_sum adds up.
     """
+    if p == 2:
+        return f2_to_coeffs(f2_mul(f2_from_coeffs(a), f2_from_coeffs(b)), length)
     if len(a) < len(b):
         a, b = b, a
     sq = (p - 1) ** 2
@@ -267,12 +273,14 @@ def pk_sparse_mul(big: int, terms, p: int, length: int) -> int:
 
 
 def pk_pow(coeffs, j: int, p: int) -> int:
-    """n**j in F_p[T] (p odd) via base-p Frobenius factorisation, packed.
+    """n**j in F_p[T] via base-p Frobenius factorisation, packed.
 
     Coefficients of the prime field are Frobenius-fixed, so n^(p^k) is the
     digit spread of n by p^k, and every genuine multiplication is
-    big-by-sparse.
+    big-by-sparse.  At p = 2 that is :func:`f2_pow` on bit ints.
     """
+    if p == 2:
+        return f2_pow(f2_from_coeffs(coeffs), j)
     out_len = (len(coeffs) - 1) * j + 1
     acc = 1  # the constant 1 in every packed format
     k = 0

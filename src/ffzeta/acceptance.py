@@ -250,7 +250,7 @@ def _sign_bookkeeping(field, coeffs, dbound) -> dict:
             for k in range(1, dbound // df + 1):
                 if nd + k * df > dbound:
                     break
-                acc = acc * e % field.p if field.m == 1 else field.mul(acc, e)
+                acc = field.mul(acc, e)
                 signs[n * f ** k] = acc
     return signs
 

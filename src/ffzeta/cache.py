@@ -9,10 +9,12 @@ holding a single line
     deg <k>: c_0 c_1 ... c_k
 
 where each c_i is the base-p digit string of the coefficient (w^0 digit
-first) and the zero polynomial is written as ``deg -inf:``.  The format
-is line-oriented, diff-able and language-neutral.  Writes go to a
-temporary file in the same directory followed by an atomic rename, so
-parallel runs may share a cache directory.
+first) and the zero polynomial is written as ``deg -inf:``.  For p > 10
+the digits of a coefficient, and those of the modulus in the directory
+name, are joined with ".".  The format is line-oriented, diff-able and
+language-neutral.  Writes go to a temporary file in the same directory
+followed by an atomic rename, so parallel runs may share a cache
+directory.
 
 A cache hit can be spot-checked: with probability ``verify_fraction``
 the caller is told to recompute and compare (power_sum does exactly
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import CacheCorruption
-from .ffpoly import FiniteField, Poly
+from .ffpoly import FiniteField, Poly, join_digits
 
 ENV_CACHE_DIR = "FFZETA_CACHE_DIR"
 
@@ -48,8 +50,7 @@ class PowerSumCache:
     def field_dir(self, field: FiniteField) -> Path:
         name = f"p{field.p}_m{field.m}"
         if field.m > 1:
-            digits = "".join(str(c) for c in field.modulus)
-            name += f"_mod{digits}"
+            name += f"_mod{join_digits(field.modulus, field.p)}"
         return self.root / name
 
     def path(self, field: FiniteField, d: int, j: int) -> Path:

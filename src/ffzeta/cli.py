@@ -13,7 +13,8 @@ failed, 4 resource problems (e.g. unwritable cache directory).
 
 Polynomial syntax on the command line: ``T^2+T+1`` over the prime
 field; extension-field coefficients are bracketed base-p digit strings
-with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4.  The power-sum
+with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4, the digits
+joined with "." when p > 10, e.g. ``[3.10]T+1`` over F_121.  The power-sum
 cache directory of ``special``, ``sqrtcar`` and ``verify`` may also be
 set through $FFZETA_CACHE_DIR.
 """

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-from . import _packing as pk
 from .errors import (
     AmbiguousSolution,
     BadPrimeUnhandled,
@@ -34,7 +33,7 @@ from .errors import (
     FieldMismatch,
     NoSolution,
 )
-from .ffpoly import FiniteField, Poly, enumerate_monic_primes
+from .ffpoly import FiniteField, Poly, _digits, enumerate_monic_primes
 from .nonarch import (
     LaurentSeries,
     PadicExponent,
@@ -362,10 +361,7 @@ def _phi_solver(reduced: DrinfeldModule, max_deg: int
         for t in range(tau_len):
             rep = sk.coeffs[t].rep if t < len(sk.coeffs) else zero_rep
             for kk in range(ring.deg * ring.precision):
-                enc = rep.coefficient(kk)
-                digs = pk.base_digits(enc, p)
-                digs += [0] * (m - len(digs))
-                out.extend(digs[:m])
+                out.extend(_digits(rep.coefficient(kk), p, m))
         return out
 
     columns = [flatten(im) for im in images]

@@ -95,7 +95,9 @@ class FiniteField:
         elif modulus is None:
             modulus = _default_modulus(p, m)
         else:
-            modulus = tuple(c % p for c in modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise UsageError(f"modulus digits must lie in [0, {p})")
+            modulus = tuple(modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise DegreeMismatch(f"modulus must be monic of degree {m} over F_{p}")
         self.p = p
@@ -141,14 +143,7 @@ class FiniteField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return square_multiply(a, e, 1, self.mul)
 
     def elem(self, value: int) -> "FqElement":
         if self.m == 1:
@@ -158,20 +153,27 @@ class FiniteField:
         return FqElement(self, value)
 
     def encode_str(self, a: int) -> str:
-        """Base-p digit string of an element, w^0 digit first."""
-        digs = pk.base_digits(a, self.p)
-        digs += [0] * (self.m - len(digs))
-        return "".join(str(d) for d in digs)
+        """Base-p digit string of an element, w^0 digit first (see
+        :func:`join_digits`); over F_p the one digit is the residue."""
+        if self.m == 1:
+            return str(a)
+        return join_digits(_digits(a, self.p, self.m), self.p)
 
     def decode_str(self, s: str) -> int:
-        if len(s) != self.m:
-            raise DegreeMismatch(f"element digit string must have length {self.m}")
+        """Inverse of :meth:`encode_str`; rejects a wrong digit count and
+        any digit that is not below p."""
+        p = self.p
+        digs = s.split(".") if p > 10 else s
+        if len(digs) != self.m:
+            raise DegreeMismatch(f"element digit string {s!r} must have {self.m} digits")
         value = 0
-        for ch in reversed(s):
-            d = int(ch)
-            if d >= self.p:
-                raise UsageError(f"digit {d} of {s!r} is not below p = {self.p}")
-            value = value * self.p + d
+        for tok in reversed(digs):
+            if not tok.isdigit():
+                raise UsageError(f"{tok!r} in {s!r} is not a base-p digit")
+            d = int(tok)
+            if d >= p:
+                raise UsageError(f"digit {d} of {s!r} is not below p = {p}")
+            value = value * p + d
         return value
 
     def __eq__(self, other):
@@ -190,6 +192,13 @@ class FiniteField:
 def _digits(v: int, p: int, m: int) -> list[int]:
     """The m base-p digits of v, lowest first."""
     return (pk.base_digits(v, p) + [0] * m)[:m]
+
+
+def join_digits(digits, p: int) -> str:
+    """Base-p digits as one string: one character each when p <= 10,
+    else their decimal forms joined with ".", so that no string is
+    ambiguous."""
+    return ("." if p > 10 else "").join(map(str, digits))
 
 
 @functools.cache
@@ -469,7 +478,8 @@ class Poly:
             return Poly.one(self.field)
         if not self.coeffs:
             return self
-        return Poly(self.field, _pow_dispatch(self.field, self.coeffs, j))
+        return Poly(self.field, sum_of_powers(
+            self.field, [self.coeffs], j, (len(self.coeffs) - 1) * j + 1))
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -568,12 +578,9 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
     la, lb = len(a), len(b)
     out_len = la + lb - 1 if length is None else min(la + lb - 1, length)
     if F.m == 1:
-        if F.p == 2:
-            x = pk.f2_mul(pk.f2_from_coeffs(a), pk.f2_from_coeffs(b))
-            return pk.f2_to_coeffs(x, out_len)
-        if out_len > _SCHOOLBOOK_CAP:
+        if F.p == 2 or out_len > _SCHOOLBOOK_CAP:
             return pk.pk_mul(a, b, F.p, out_len)
-    elif F.p == 2 and F._planes is not None and out_len > _SCHOOLBOOK_CAP:
+    elif F.p == 2 and out_len > _SCHOOLBOOK_CAP:
         pl = F._planes
         mask = (1 << out_len) - 1
         prod = pl.mul(pl.from_encodings(a), pl.from_encodings(b))
@@ -595,34 +602,36 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
     return out
 
 
-def _pow_dispatch(F: FiniteField, coeffs, j: int):
+def sum_of_powers(F: FiniteField, coeff_lists, j: int, length: int) -> list[int]:
+    """Coefficients of T^0 .. T^(length-1) of the sum of n^j over the
+    coefficient lists n (nonzero, lowest degree first).
+
+    The one place that picks a power kernel for a field kind: a packed sum
+    of packed Frobenius powers over F_p, the XOR of bit-plane powers over
+    F_{2^m}, and otherwise base-p digits of j with table products, each
+    factor n^(p^k) being as sparse as n.
+    """
+    p = F.p
     if F.m == 1:
-        if F.p == 2:
-            x = pk.f2_pow(pk.f2_from_coeffs(coeffs), j)
-            return pk.f2_to_coeffs(x)
-        return pk.pk_unpack(pk.pk_pow(coeffs, j, F.p), (len(coeffs) - 1) * j + 1, F.p)
-    if F.p == 2 and F._planes is not None:
-        out_len = (len(coeffs) - 1) * j + 1
-        planes = F._planes.pow(list(coeffs), j)
-        return F._planes.to_encodings(planes, out_len)
-    # generic Frobenius-digit exponentiation: factors n^(p^k) stay sparse
-    acc = [1]
-    base = list(coeffs)
-    k = 0
-    jj = j
-    while jj:
-        d = jj % F.p
-        if d:
-            spread = [0] * ((len(base) - 1) * F.p ** k + 1)
-            for i, c in enumerate(base):
-                spread[i * F.p ** k] = c
-            for _ in range(d):
-                acc = _mul_dispatch(F, acc, spread)
-        jj //= F.p
-        # coefficient Frobenius for the next digit level
-        base = [F.pow(c, F.p) for c in base]
-        k += 1
-    return acc
+        acc = pk.pk_sum(((1, pk.pk_pow(cs, j, p), 0) for cs in coeff_lists), p, length)
+        return pk.pk_unpack(acc, length, p)
+    if p == 2:
+        pl = F._planes
+        planes = [0] * F.m
+        for cs in coeff_lists:
+            planes = [x ^ y for x, y in zip(planes, pl.pow(cs, j))]
+        return pl.to_encodings([x & ((1 << length) - 1) for x in planes], length)
+    total = Poly.zero(F)
+    for cs in coeff_lists:
+        power, frob, e = Poly.one(F), Poly(F, cs), j  # frob = n^(p^k)
+        while e:
+            e, digit = divmod(e, p)
+            for _ in range(digit):
+                power = power * frob
+            if e:
+                frob = Poly(F, [F.pow(c, p) for c in frob.coeffs]).substitute_spread(p)
+        total = total + power
+    return list(total.coeffs[:length])
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +664,22 @@ def poly_xgcd(a: Poly, b: Poly):
     return r0, s0, t0
 
 
-def powmod(a: Poly, e: int, f: Poly) -> Poly:
-    """a^e mod f by square-and-multiply."""
-    acc = Poly.one(a.field)
-    base = a % f
+def square_multiply(x, e: int, one, mul):
+    """x^e for e >= 0 under ``mul``, by right-to-left square-and-multiply;
+    no square is taken after the top bit of e."""
+    acc = one
     while e:
         if e & 1:
-            acc = (acc * base) % f
-        base = (base * base) % f
+            acc = mul(acc, x)
         e >>= 1
+        if e:
+            x = mul(x, x)
     return acc
+
+
+def powmod(a: Poly, e: int, f: Poly) -> Poly:
+    """a^e mod f."""
+    return square_multiply(a % f, e, Poly.one(a.field), lambda u, v: u * v % f)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +779,8 @@ def poly_parse(field: FiniteField, text: str, var: str = "T") -> Poly:
     """Parse ``T^2+T+1`` style input; extension coefficients as ``[digits]``.
 
     A bracketed coefficient lists base-p digits of the element, w^0 digit
-    first, e.g. ``[01]`` is w over F_4.  Whitespace is ignored; ``-`` is
+    first, e.g. ``[01]`` is w over F_4 and ``[3.10]`` is 3 + 10w over
+    F_121 (see :func:`join_digits`).  Whitespace is ignored; ``-`` is
     accepted and means the additive inverse (relevant for odd p).
     """
     s = text.replace(" ", "")

@@ -24,6 +24,8 @@ n mod f and k alone, and ``VadicRing`` memoises it under that key.
 
 from __future__ import annotations
 
+import operator
+
 from . import _packing as pk
 from .errors import (
     DivisionByZero,
@@ -36,7 +38,14 @@ from .errors import (
     UsageError,
     ZeroInput,
 )
-from .ffpoly import FiniteField, Poly, _mul_dispatch, is_irreducible, poly_xgcd
+from .ffpoly import (
+    FiniteField,
+    Poly,
+    _mul_dispatch,
+    is_irreducible,
+    poly_xgcd,
+    square_multiply,
+)
 
 
 class PadicExponent:
@@ -215,15 +224,8 @@ class LaurentSeries:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        acc = LaurentSeries.one(self.field, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
+        return square_multiply(self, e, LaurentSeries.one(self.field, self.prec),
+                               operator.mul)
 
     def inverse(self) -> "LaurentSeries":
         if not self.coeffs:
@@ -392,15 +394,7 @@ class VadicRing:
         return self._reduce(a * b)
 
     def _pow_rep(self, a: Poly, e: int) -> Poly:
-        acc = Poly.one(self.field)
-        base = a
-        while e:
-            if e & 1:
-                acc = self._mul_rep(acc, base)
-            e >>= 1
-            if e:
-                base = self._mul_rep(base, base)
-        return acc
+        return square_multiply(a, e, Poly.one(self.field), self._mul_rep)
 
     def inverse(self, a: Poly) -> Poly:
         g, s, _ = poly_xgcd(a, self.modulus)

@@ -14,9 +14,10 @@ Two independent routes compute it:
   four-digit exponents.
 
 * :func:`power_sum_enumerated` walks the monic polynomials (optionally
-  over a sub-range of their indices) and sums their powers.  This is the
-  oracle route: slow, transparent, exactly the definition.  The test
-  suite pins the two routes against each other across fields.
+  over a sub-range of their indices) and sums their powers through
+  :func:`ffzeta.ffpoly.sum_of_powers`, the one power route of F_q[T].
+  This is the oracle route: slow, transparent, exactly the definition.
+  The test suite pins the two routes against each other across fields.
 
 Families of local-field coefficients (the d-th coefficient of the zeta
 series at a fixed exponent) come from the same recursion in closed form:
@@ -44,6 +45,7 @@ from .ffpoly import (
     monic_by_index,
     monic_coeffs,
     monic_indices,
+    sum_of_powers,
 )
 from .nonarch import (
     LaurentSeries,
@@ -125,28 +127,6 @@ def _engine(field: FiniteField) -> _SumEngine:
 # oracle route: direct enumeration
 # ---------------------------------------------------------------------------
 
-def _sum_powers(field: FiniteField, coeff_lists, j: int, d: int) -> Poly:
-    """Exact sum of n^j over the given degree-d coefficient lists."""
-    p, m = field.p, field.m
-    out_len = d * j + 1
-    if m == 1:
-        powers = (pk.f2_pow(pk.f2_from_coeffs(cs), j) if p == 2 else pk.pk_pow(cs, j, p)
-                  for cs in coeff_lists)
-        acc = pk.pk_sum(((1, x, 0) for x in powers), p, out_len)
-        return Poly(field, pk.pk_unpack(acc, out_len, p))
-    if p == 2 and field._planes is not None:
-        pl = field._planes
-        planes_acc = [0] * m
-        for cs in coeff_lists:
-            for e, plane in enumerate(pl.pow(cs, j)):
-                planes_acc[e] ^= plane
-        return Poly(field, pl.to_encodings(planes_acc, out_len))
-    total = Poly.zero(field)
-    for cs in coeff_lists:
-        total = total + Poly(field, cs) ** j
-    return total
-
-
 def power_sum_enumerated(field: FiniteField, d: int, j: int, *,
                          start: int = 0, stop: int | None = None) -> Poly:
     """S_d(j) by direct enumeration over monic index range [start, stop).
@@ -155,7 +135,7 @@ def power_sum_enumerated(field: FiniteField, d: int, j: int, *,
     partition of the full range add up to the full sum.
     """
     cs = (monic_coeffs(field, d, i) for i in monic_indices(field, d, start, stop))
-    return _sum_powers(field, cs, j, d)
+    return Poly(field, sum_of_powers(field, cs, j, d * j + 1))
 
 
 def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
@@ -197,12 +177,9 @@ def multiples_power_sum(field: FiniteField, d: int, j: int, f: Poly) -> Poly:
         return Poly.zero(field)
     q = field.order
 
-    def gen():
-        for i in range(q ** (d - df)):
-            n = monic_by_index(field, d - df, i) * f
-            yield list(n.coeffs)
-
-    return _sum_powers(field, gen(), j, d)
+    multiples = ((monic_by_index(field, d - df, i) * f).coeffs
+                 for i in range(q ** (d - df)))
+    return Poly(field, sum_of_powers(field, multiples, j, d * j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +443,8 @@ def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
     per_degree = []
     prev_bracket: Poly | None = None
     for d in range(dmax + 1):
-        csum = _sum_powers(field, (n.coeffs for n in _coprime_iter(field, d, f)), j, d)
+        csum = Poly(field, sum_of_powers(
+            field, (n.coeffs for n in _coprime_iter(field, d, f)), j, d * j + 1))
         if shift_c:
             csum = _compose_linear(csum, T - Poly.constant(field, shift_c))
         lhs = csum  # same coefficient tuple read in pi after T -> 1/T

@@ -40,6 +40,18 @@ class TestCache:
         assert cache.get(F4, 1, 5) == value
         assert "mod111" in str(cache.field_dir(F4))
 
+    @pytest.mark.parametrize("field,coeffs,name", [
+        (FiniteField(257), (200, 3, 1), "p257_m1"),
+        (FiniteField(11, 2), (3 + 10 * 11, 0, 120, 1), "p11_m2_mod1.0.1"),
+    ], ids=["F257", "F121"])
+    def test_multi_character_digits_round_trip(self, tmp_path, field, coeffs, name):
+        # for p > 10 a digit takes several characters, so digits join with "."
+        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        value = Poly(field, coeffs)
+        cache.put(field, 1, 5, value)
+        assert cache.get(field, 1, 5) == value
+        assert cache.field_dir(field).name == name
+
     def test_miss_returns_none(self, tmp_path):
         cache = PowerSumCache(tmp_path)
         assert cache.get(F2, 1, 1) is None
@@ -229,7 +241,11 @@ class TestCli:
          "--dmax", "2", "--prec", "8"),
         ("newton", "--p", "2", "--y-digits", "3,1,1,1,1", "--dmax", "2",
          "--prec", "8"),
-    ], ids=["sqrtcar-negative-j", "bracket-digit", "y-digit"])
+        ("special", "--p", "2", "--m", "2", "--modulus", "1,1,3", "--j", "1"),
+        ("newton", "--p", "11", "--m", "2", "--f", "T+[3.11]", "--y", "-1",
+         "--dmax", "2", "--prec", "8"),
+    ], ids=["sqrtcar-negative-j", "bracket-digit", "y-digit", "modulus-digit",
+            "dotted-bracket-digit"])
     def test_input_out_of_range_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""

@@ -16,6 +16,7 @@ from ffzeta.errors import (
     UsageError,
 )
 from ffzeta.ffpoly import (
+    _SCHOOLBOOK_CAP,
     FiniteField,
     FqElement,
     Poly,
@@ -29,6 +30,7 @@ from ffzeta.ffpoly import (
     poly_parse,
     poly_xgcd,
     powmod,
+    sum_of_powers,
 )
 from ffzeta.nonarch import LaurentSeries
 
@@ -69,6 +71,22 @@ class TestFieldMake:
         for p, modulus in ((3, (2, 0, 1)), (2, (1, 0, 1, 0, 1))):
             with pytest.raises(ReducibleModulus):
                 FiniteField(p, len(modulus) - 1, modulus)
+
+    def test_modulus_digit_out_of_range_rejected(self):
+        # 1 + T + 3T^2 must not be read as 1 + T + T^2 over F_2
+        for modulus in ((1, 1, 3), (1, -1, 1)):
+            with pytest.raises(UsageError, match="modulus digits"):
+                FiniteField(2, 2, modulus)
+
+    def test_negative_power_is_power_of_inverse(self):
+        for F in (FiniteField(7), FiniteField(131), F4, FiniteField(3, 2)):
+            for a in range(1, F.order):
+                inv = F.inv(a)
+                assert F.pow(a, -1) == inv
+                acc = 1
+                for e in range(1, 6):
+                    acc = F.mul(acc, inv)
+                    assert F.pow(a, -e) == acc, (F, a, e)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DegreeMismatch):
@@ -307,11 +325,64 @@ class TestParsing:
         with pytest.raises(UsageError, match="not below p"):
             poly_parse(field, text)
 
+    @pytest.mark.parametrize("pm", [(11, 1), (11, 2), (13, 2)], ids=str)
+    def test_every_element_round_trips(self, pm):
+        # for p > 10 the digits are joined with "."; one character each below
+        F = FiniteField(*pm)
+        strings = [F.encode_str(a) for a in range(F.order)]
+        assert len(set(strings)) == F.order
+        assert [F.decode_str(s) for s in strings] == list(range(F.order))
+
+    def test_dotted_digits_over_f121(self):
+        F121 = FiniteField(11, 2)
+        assert F121.encode_str(3 + 10 * 11) == "3.10"
+        assert poly_parse(F121, "[3.10]T+1").coeffs == (1, 3 + 10 * 11)
+        assert poly_parse(F121, "[3.10]T+1").to_string() == "[3.10]T+[1.0]"
+        with pytest.raises(UsageError, match="not below p"):
+            poly_parse(F121, "[3.11]")
+        with pytest.raises(DegreeMismatch):
+            F121.decode_str("310")
+
 
 def test_powmod_agrees_with_pow():
-    f = poly_parse(F3, "T^3+2T+1")
-    a = poly_parse(F3, "T+2")
-    assert powmod(a, 29, f) == (a ** 29) % f
+    for F, f, a in ((F3, "T^3+2T+1", "T+2"),
+                    (F2, "T^4+T+1", "T^3+T^2+T"),
+                    (F4, "T^2+T+[01]", "[11]T+1"),
+                    (FiniteField(3, 2), "T^3+[01]T+1", "T^2+[12]"),
+                    (FiniteField(131), "T^2+3", "T^5+100T+7")):
+        f, a = poly_parse(F, f), poly_parse(F, a)
+        for e in (0, 1, 2, 29, 64, 255):
+            assert powmod(a, e, f) == (a ** e) % f, (F, e)
+
+
+class TestSumOfPowers:
+    """The one F_q[T] power route against repeated schoolbook products and
+    Poly addition: prime fields (packed and bit-int kernels), F_{2^m} (bit
+    planes) and F_9, F_25 (Frobenius digits with table products)."""
+
+    @pytest.mark.parametrize("F", [FiniteField(p) for p in (2, 3, 7, 131)]
+                             + [FiniteField(2, 2), FiniteField(2, 3),
+                                FiniteField(3, 2), FiniteField(5, 2)],
+                             ids=repr)
+    def test_matches_repeated_products(self, F):
+        rng = random.Random(F.order + 7)
+        p, q = F.p, F.order
+        lists = [[rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+                 for d in (1, 2, 3)]
+        # j = 0; digits of j at p - 1; and j whose powers pass the packing cap
+        big = next(p ** k - 1 for k in range(1, 9) if 3 * (p ** k - 1) > _SCHOOLBOOK_CAP)
+        for j in sorted(j for j in {0, 1, p - 1, 2 * p - 1, p * p - 1, big} if j < 300):
+            want = Poly.zero(F)
+            for cs in lists:
+                power = [1]
+                for _ in range(j):
+                    power = _schoolbook(F, power, cs)
+                want = want + Poly(F, power)
+            full = 3 * j + 1
+            for length in sorted({1, min(full, 40), min(full, _SCHOOLBOOK_CAP + 1), full}):
+                got = Poly(F, sum_of_powers(F, lists, j, length))
+                assert got == Poly(F, want.coeffs[:length]), (j, length)
+            assert Poly(F, sum_of_powers(F, [], j, full)).is_zero()
 
 
 class TestWiderFields:

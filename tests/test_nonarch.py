@@ -160,6 +160,19 @@ class TestLaurentSeries:
                 prod = a * a.inverse()
                 assert prod.agrees_with(LaurentSeries.one(field, prod.prec))
 
+    def test_power_matches_repeated_products(self):
+        # the window and the min-rule precision both match e - 1 products
+        rng = random.Random(11)
+        for field in (F2, F3, F4, F9):
+            for start in (-2, 0, 1):
+                coeffs = [rng.randrange(1, field.order)] + \
+                    [rng.randrange(field.order) for _ in range(11)]
+                a = LaurentSeries(field, start, coeffs, start + 12)
+                acc = LaurentSeries.one(field, a.prec)
+                for e in range(10):
+                    assert a ** e == acc, (field, start, e)
+                    acc = acc * a
+
     def test_zero_to_precision_flows(self):
         z = LaurentSeries.zero_to_precision(F2, 6)
         a = LaurentSeries(F2, 0, [1, 1], 6)

@@ -1,9 +1,10 @@
 """Differential tests of the packed F_p[T] kernels.
 
-The packed sum ``pk_sum``, ``Poly *`` and ``Poly **`` are checked against
-a schoolbook reference kept here and against sympy's ``Poly(...,
-modulus=p)``, over small and large p and lengths on both sides of the
-packing threshold ``_SCHOOLBOOK_CAP`` (96).  The examples are derandomised
+The packed sum ``pk_sum``, the kernels ``pk_mul`` and ``pk_pow`` (p = 2
+included, where they are bit-int kernels), ``Poly *`` and ``Poly **`` are
+checked against a schoolbook reference kept here and against sympy's
+``Poly(..., modulus=p)``, over small and large p and lengths on both sides
+of the packing threshold ``_SCHOOLBOOK_CAP`` (96).  The examples are derandomised
 and bounded, so every run checks the same cases.
 """
 
@@ -119,6 +120,9 @@ class TestPolyProduct:
         got = (Poly(F, a) * Poly(F, b)).coeffs
         assert got == _schoolbook_mul(a, b, p)
         assert got == _from_sympy(_sympy(a, p) * _sympy(b, p), p)
+        length = len(a) + len(b) - 1
+        assert _trim(pk.pk_mul(a, b, p, length)) == got
+        assert _trim(pk.pk_mul(a, b, p, length // 2)) == _trim(got[:length // 2])
 
 
 class TestPolyPower:
@@ -134,3 +138,5 @@ class TestPolyPower:
             want = _schoolbook_mul(list(want), a, p) if want and any(a) else ()
         assert got == want
         assert got == _from_sympy(_sympy(a, p) ** j, p)
+        length = (len(a) - 1) * j + 1
+        assert _trim(pk.pk_unpack(pk.pk_pow(a, j, p), length, p)) == want
