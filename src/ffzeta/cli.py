@@ -22,6 +22,7 @@ set through $FFZETA_CACHE_DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -327,6 +328,7 @@ def cmd_verify(args) -> tuple[dict, int, dict]:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first request, reused by later ones
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ffzeta",
@@ -407,9 +409,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {k: v for k, v in vars(args).items() if k != "command"}

@@ -16,10 +16,8 @@ the window.
 
 An exponent s = (s1, s2) at f acts on a unit n as
 omega(n)^s1 * (n / omega(n))^e with e = s2 mod p^N and omega(n) the
-Teichmueller lift of n mod f.  Since omega(n)^(Q-1) = 1 for the residue
-order Q, this equals n^e * omega(n)^k with k = (s1 - e) mod (Q-1), so
-``pow_sv`` takes one power of n and one product.  omega(n)^k depends on
-n mod f and k alone, and ``VadicRing`` memoises it under that key.
+Teichmueller lift of n mod f.  Since omega(n) is itself a power of n,
+this is one plain power n^g, with g from ``VadicRing.integer_exponent``.
 """
 
 from __future__ import annotations
@@ -343,8 +341,6 @@ class VadicRing:
         p = self.field.p
         self.unit_exponent = (self.residue_order - 1) * p ** pk.ceil_log(p, precision)
         self._is_var = (f.coeffs == (0, 1))
-        # (coefficients of n mod f, k) -> rep of omega(n)^k
-        self._omega_pows: dict[tuple[tuple[int, ...], int], Poly] = {}
 
     def elem(self, a: Poly) -> "VadicElem":
         if a.field != self.field:
@@ -380,15 +376,16 @@ class VadicRing:
             x = nxt
         raise NonConvergence("Teichmueller iteration did not stabilise")
 
-    def _teichmuller_pow(self, residue: Poly, k: int) -> Poly:
-        """Rep of omega(residue)^k for a nonzero residue of degree < deg f,
-        memoised per ring under (residue, k)."""
-        key = (residue.coeffs, k)
-        rep = self._omega_pows.get(key)
-        if rep is None:
-            rep = self._pow_rep(self.teichmuller(residue).rep, k)
-            self._omega_pows[key] = rep
-        return rep
+    def integer_exponent(self, s: "SvPoint") -> int:
+        """The g in [0, unit_exponent) with n^s = n^g for every unit n.
+
+        With e = s2 mod p^N and Q the residue order, omega^(Q-1) = 1 gives
+        n^s = omega^s1 * (n / omega)^e = n^e * omega^k for k = (s1 - e)
+        mod (Q-1); and omega(n) = n^x for x = 1 mod (Q-1), 0 mod p^L
+        (p^L kills the 1-units), so n^s = n^(e + k x)."""
+        q1, e = self.residue_order - 1, s.s2.value()
+        pl = self.unit_exponent // q1
+        return (e + (s.s1 - e) % q1 * pl * pow(pl, -1, q1)) % self.unit_exponent
 
     def _mul_rep(self, a: Poly, b: Poly) -> Poly:
         return self._reduce(a * b)
@@ -528,24 +525,15 @@ class SvPoint:
 
 def pow_sv(n: Poly, s: SvPoint, ring: VadicRing) -> VadicElem:
     """n**s in A/(f^M): Teichmueller part to the finite-order coordinate,
-    1-unit part to the p-adic coordinate.
-
-    With omega = omega(n), e = s2 mod p^N and Q the residue order,
-    omega^s1 * (n / omega)^e = n^e * omega^k for k = (s1 - e) mod (Q-1),
-    because omega^(Q-1) = 1.  So a call takes one power of n and one
-    product; omega^k comes from the ring's memo, which is exact because
-    omega depends only on n mod f.  The power of n takes e modulo the
-    ring's unit exponent (Q-1) * p^L; k is unchanged, as Q-1 divides it.
+    1-unit part to the p-adic coordinate, taken as the one power n^g of
+    ``VadicRing.integer_exponent``.
 
     For s the image of an integer j this equals n^j mod f^M exactly,
     provided p^N >= M for the digit count N of the p-adic coordinate.
     """
-    residue = n % ring.f
-    if residue.is_zero():
+    if (n % ring.f).is_zero():
         raise NotCoprime("exponentiation at f needs gcd(n, f) = 1")
     s.s2.require_precision(ring.precision)
     if s.unit_order != ring.residue_order - 1:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
-    e = s.s2.value()
-    omega_k = ring._teichmuller_pow(residue, (s.s1 - e) % s.unit_order)
-    return ring.elem(n) ** (e % ring.unit_exponent) * VadicElem(ring, omega_k)
+    return ring.elem(n) ** ring.integer_exponent(s)

@@ -21,9 +21,10 @@ Two independent routes compute it:
 
 Families of local-field coefficients (the d-th coefficient of the zeta
 series at a fixed exponent) come from the same recursion in closed form:
-at infinity and at degree-1 primes each coefficient is a binomial sum of
-subspace or monic power sums.  Primes of degree >= 2 enumerate the
-coprime monics through :func:`ffzeta.nonarch.pow_sv`.
+at infinity and at every finite prime each coefficient is a binomial sum
+of subspace or monic power sums, at primes of degree >= 2 paired with
+residue sums built once per family.  The tests' oracle sums n^s, taken
+from its definition, over the coprime monics.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .nonarch import (
     SvPoint,
     VadicElem,
     VadicRing,
-    pow_sv,
 )
 
 
@@ -292,19 +292,27 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     over c in F_q^* keeps the t with (q-1) | (t-a), so for d >= 1
     c_d = -sum_t C(e,t) T^t S_(d-1)(t) mod T^prec with a = (-s).s1 and
     e = (-s).s2.  Any other degree-1 prime is T + c, reached by the ring
-    automorphism T -> T + c.  Primes of degree >= 2 sum pow_sv over the
-    coprime monics.
+    automorphism T -> T + c.
+
+    At f of degree k >= 2, n^(-s) = n^g for one integer g
+    (``VadicRing.integer_exponent``).  Write n = f h + c mu with h monic
+    of degree d-k, c in F_q^* and mu monic of degree < k.  Expanding
+    (f h + c mu)^g and summing over c, which keeps -1 where (q-1) | (g-t),
+    gives c_d = -sum_t C(g,t) f^t S_(d-k)(t) W(t) mod f^prec for d >= k,
+    with t < prec and W(t) = sum over mu of mu^(g-t), built once per
+    family.  For d < k the coprime monics are the mu of degree d, so
+    c_d = sum of their mu^g.
     """
     ring = VadicRing(f, prec)
     s.s2.require_precision(prec)
     if s.unit_order != ring.residue_order - 1 and ring.residue_order > 2:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     minus_s = -s
+    eng = _engine(field)
     out = []
     if ring.deg == 1:
         q = field.order
         a, e = minus_s.s1, minus_s.s2.value()
-        eng = _engine(field)
         shift_c = f.coefficient(0)
         for d in range(dmax + 1):
             if d == 0:
@@ -318,11 +326,31 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
                     rep = _compose_linear(rep, f)
             out.append(VadicElem(ring, rep))
     else:
-        for d in range(dmax + 1):
-            acc = ring.zero()
-            for n in _coprime_iter(field, d, f):
-                acc = acc + pow_sv(n, minus_s, ring)
-            out.append(acc)
+        k, p, q1 = ring.deg, field.p, field.order - 1
+        g = ring.integer_exponent(minus_s)
+        ts = [(t, c) for t, c in pk.lucas_subsets(g % p ** ceil_log(p, prec), p)
+              if t < prec and (g - t) % q1 == 0]
+        t0 = g % q1  # the smallest t with (q-1) | (g-t)
+        top = max((t for t, _ in ts), default=t0)
+        W = {t: ring.zero() for t, _ in ts}  # complete only when dmax >= k
+        out = [ring.zero() for _ in range(min(k, dmax + 1))]
+        for dd in range(len(out)):
+            for mu in enumerate_monic(field, dd):
+                m = ring.elem(mu)
+                x, step = m ** (g - top), m ** q1
+                for t in range(top, t0 - 1, -q1):  # x = mu^(g-t)
+                    if t in W:
+                        W[t] = W[t] + x
+                    if t > t0:
+                        x = x * step
+                out[dd] = out[dd] + x * m ** t0
+        fw = {t: (ring.elem(f ** t) * w).rep for t, w in W.items()}  # f^t W(t)
+        for d in range(k, dmax + 1):
+            acc = Poly.zero(field)
+            for t, c in ts:
+                s_t = Poly(field, eng.monic_sum_coeffs(d - k, t))
+                acc = acc + fw[t] * s_t * (p - c)  # -C(g,t) f^t W(t) S_(d-k)(t)
+            out.append(ring.elem(acc))
     return CoefficientFamily("finite", field, s, out, prec, ring=ring,
                              label="zeta at a finite prime")
 

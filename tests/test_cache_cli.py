@@ -141,6 +141,36 @@ class TestCli:
         else:
             assert set(doc["timing"]) == {"seconds"}
 
+    def test_parser_reuse_leaks_nothing(self):
+        # main builds its parser once per process; every request must read
+        # as it does with a parser of its own (no default or flag carried
+        # over from the request before)
+        seq = [("newton", "--p", "2", "--y", "-1", "--dmax", "3",
+                "--prec", "24", "--refine"),
+               ("newton", "--p", "2", "--y", "-1", "--dmax", "3",
+                "--prec", "24"),
+               ("newton", "--p", "2", "--y", "-1", "--dmax", "-1"),
+               ("frobenius", "--p", "2", "--f", "T", "--module", "carlitz")]
+
+        def without_timing(code, out, err):
+            doc = json.loads(out) if out else None
+            if doc is not None:
+                del doc["timing"]
+            return code, doc, err
+
+        cli.build_parser.cache_clear()
+        shared = [without_timing(*run_cli(*argv)) for argv in seq]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in seq:
+            cli.build_parser.cache_clear()
+            fresh.append(without_timing(*run_cli(*argv)))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        assert shared[0][1]["config"]["refine"] is True
+        assert shared[1][1]["config"]["refine"] is False
+        assert "refined_roots" not in shared[1][1]["result"]
+
     def test_special_golden(self):
         code, out, _ = run_cli("special", "--p", "2", "--j", "1")
         assert code == 0

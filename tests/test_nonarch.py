@@ -318,8 +318,8 @@ class TestPowSvReference:
         ring = VadicRing(f, M)
         Q = ring.residue_order
         rng = random.Random(place)
-        # several exponents on one ring, interleaved over monics whose
-        # residues mod f repeat: a memo keyed without k gives wrong powers
+        # several exponents on one ring, over monics whose residues mod f
+        # repeat: n^g must depend on n itself, not only on n mod f
         exps = [SvPoint(rng.randrange(Q - 1),
                         PadicExponent(field.p, [rng.randrange(field.p)
                                                 for _ in range(n_digits)]),
@@ -332,8 +332,9 @@ class TestPowSvReference:
         monics = rng.sample(low, min(len(low), 8))
         for n in rng.sample(top, min(len(top), 8)):
             monics += [n, n + f.scale(rng.randrange(1, field.order))]
-        for n in monics:
-            for s in exps:
+        for s in exps:
+            assert 0 <= ring.integer_exponent(s) < ring.unit_exponent
+            for n in monics:
                 assert pow_sv(n, s, ring) == _pow_sv_reference(n, s, ring), (n, s)
         residues = {(n % f).coeffs for n in monics}
         assert len(residues) < len(monics)

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffzeta import nonarch
+from ffzeta import zeta as zeta_module
 from ffzeta.errors import InsufficientPadicPrecision, PreconditionViolated
 from ffzeta.ffpoly import (
     FiniteField,
@@ -268,6 +272,14 @@ ORACLE_CASES = {
     "T^2+1-F3": (F3, "T^2+1", 0, PadicExponent.from_int(3, -5, 3), 4),
     "T^2+1-F3-s1": (F3, "T^2+1", 5, _long_exponent(F3, 7, 15), 4),
     "T^2+T+w-F4-s1": (F4, "T^2+T+[01]", 11, _long_exponent(F4, 9, 16), 3),
+    "T^2+T+1-F2": (F2, "T^2+T+1", 1, PadicExponent.from_int(2, -5, 5), 6),
+    "T^2+T+1-F2-s1": (F2, "T^2+T+1", 2, _long_exponent(F2, 11, 17), 6),
+    "T^3+T+1-F2": (F2, "T^3+T+1", 4, PadicExponent.from_int(2, -9, 5), 6),
+    "T^3+T+1-F2-s1": (F2, "T^3+T+1", 3, _long_exponent(F2, 9, 18), 6),
+    "T^3+2T+1-F3": (F3, "T^3+2T+1", 5, PadicExponent.from_int(3, -4, 3), 6),
+    "T^2+2-F5-s1": (F5, "T^2+2", 7, _long_exponent(F5, 4, 20), 4),
+    # dmax 3 (not 2 deg f): at dmax 4 the enumeration takes about a minute
+    "T^2+T+w-F9": (F9, "T^2+T+[01]", 11, PadicExponent.from_int(3, -7, 4), 3),
 }
 
 
@@ -277,6 +289,14 @@ def _pow_sv_reference(n, s, ring):
     omega = ring.teichmuller(n)
     unit = ring.elem(n) * omega.inverse()
     return omega ** s.s1 * unit ** s.s2.value()
+
+
+def _assert_matches_vadic_oracle(fam, s, f):
+    for d in range(fam.dmax + 1):
+        acc = fam.ring.zero()
+        for n in _coprime_iter(fam.field, d, f):
+            acc = acc + _pow_sv_reference(n, -s, fam.ring)
+        assert fam.coeffs[d] == acc, d
 
 
 class TestFamilyOracles:
@@ -297,12 +317,52 @@ class TestFamilyOracles:
             return
         f = poly_parse(field, place)
         s = SvPoint(s1, y, field.order ** int(f.degree) - 1)
-        fam = zeta_family_vadic(field, s, f, dmax, prec)
-        for d in range(dmax + 1):
-            acc = fam.ring.zero()
-            for n in _coprime_iter(field, d, f):
-                acc = acc + _pow_sv_reference(n, -s, fam.ring)
-            assert fam.coeffs[d] == acc, d
+        _assert_matches_vadic_oracle(zeta_family_vadic(field, s, f, dmax, prec), s, f)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_degree_two_prime_matches_oracle(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4]))
+        f = data.draw(st.sampled_from(list(enumerate_monic_primes(field, 2))))
+        prec = data.draw(st.integers(1, 8))
+        n = max(ceil_log(field.p, prec), 1) + data.draw(st.integers(0, 3))
+        digits = data.draw(st.lists(st.integers(0, field.p - 1),
+                                    min_size=n, max_size=n))
+        unit_order = field.order ** 2 - 1
+        s = SvPoint(data.draw(st.integers(0, unit_order - 1)),
+                    PadicExponent(field.p, digits), unit_order)
+        dmax = data.draw(st.integers(0, 4))
+        _assert_matches_vadic_oracle(zeta_family_vadic(field, s, f, dmax, prec), s, f)
+
+    def test_vadic_route_does_not_enumerate(self, monkeypatch):
+        # pow_sv and the coprime enumeration are the oracle, not the route
+        def enumerated(*args):
+            raise AssertionError("the v-adic family enumerated monics")
+        assert "pow_sv" not in vars(zeta_module)
+        monkeypatch.setattr(nonarch, "pow_sv", enumerated)
+        monkeypatch.setattr(zeta_module, "_coprime_iter", enumerated)
+        for field, place, s1 in ((F3, "T^2+1", 3), (F4, "T^2+T+[01]", 7)):
+            f = poly_parse(field, place)
+            s = SvPoint(s1, _long_exponent(field, 6, 21), field.order ** 2 - 1)
+            assert len(zeta_family_vadic(field, s, f, 5, 16).coeffs) == 6
+
+    def test_low_dmax_enumerates_only_low_degrees(self, monkeypatch):
+        # below deg f the coefficients are sums over the monics of degree
+        # <= dmax; the residue sums over every degree < deg f wait for d >= k
+        seen = []
+
+        def counted(field, d):
+            for mu in enumerate_monic(field, d):
+                seen.append(mu)
+                yield mu
+        monkeypatch.setattr(zeta_module, "enumerate_monic", counted)
+        for field, k, dmax in ((F2, 6, 1), (F3, 4, 0), (F3, 4, 2)):
+            f = next(iter(enumerate_monic_primes(field, k)))
+            s = SvPoint(5, _long_exponent(field, 6, 21), field.order ** k - 1)
+            seen.clear()
+            fam = zeta_family_vadic(field, s, f, dmax, 4)
+            assert len(seen) == sum(field.order ** d for d in range(dmax + 1))
+            _assert_matches_vadic_oracle(fam, s, f)
 
     def test_binomial_window_renormalises_at_large_p(self):
         # 200 dense terms of 130 * 130 overflow a 16-bit digit field many
