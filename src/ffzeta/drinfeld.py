@@ -19,6 +19,12 @@ Over the field A/(f) the image phi_a of a nonzero a has tau-degree
 rank * deg a, so phi is injective, the images are independent and each
 system has at most one solution.  That solution is verified by a fresh
 Horner substitution before it is returned.
+
+A product a * b twists row i of b by Frobenius^i.  The twisted rows are
+kept on b, which is immutable, so the module's one phi_T twists its
+coefficients once for every Horner step, solver power and verification
+that multiplies by it.  In A/(f^M) a twist by q reads the ring's table of
+(T^i)^q (``VadicRing.frobenius``) instead of raising to the q-th power.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .nonarch import (
     LaurentSeries,
     PadicExponent,
     SvPoint,
+    VadicElem,
     VadicRing,
     bracket_infty,
     pow_sv,
@@ -47,13 +54,26 @@ from .zeta import CoefficientFamily, poly_to_series_infty
 
 
 def _czero(c):
+    """The zero of c's coefficient ring, taken from the ring where it
+    keeps one."""
+    if isinstance(c, VadicElem):
+        return c.ring.zero()
+    if isinstance(c, Poly):
+        return Poly.zero(c.field)
     return c - c
+
+
+def _twisted(c, twist: int):
+    """c ** twist; in A/(f^M) with twist q = |F_q| the ring's q-power table."""
+    if isinstance(c, VadicElem) and twist == c.ring.field.order:
+        return c.frobenius()
+    return c ** twist
 
 
 class SkewPoly:
     """Sum of a_i tau^i with the twist tau * a = a^twist * tau."""
 
-    __slots__ = ("coeffs", "twist")
+    __slots__ = ("coeffs", "twist", "_rows")
 
     def __init__(self, coeffs: Sequence, twist: int):
         cs = list(coeffs)
@@ -61,6 +81,15 @@ class SkewPoly:
             cs.pop()
         self.coeffs = tuple(cs)
         self.twist = twist
+        self._rows = [self.coeffs]
+
+    def twisted_rows(self, n: int) -> list[tuple]:
+        """The coefficients under Frobenius^i for i < n: row i is
+        (c^(twist^i) for c in coeffs).  Rows once built are kept."""
+        rows = self._rows
+        while len(rows) < n:
+            rows.append(tuple(_twisted(c, self.twist) for c in rows[-1]))
+        return rows
 
     @property
     def degree(self):
@@ -107,13 +136,10 @@ class SkewPoly:
             return SkewPoly((), self.twist)
         zero = _czero(a[0])
         out = [zero] * (len(a) + len(b) - 1)
-        twisted = list(b)  # b under Frobenius^i, updated per row
-        for i, ai in enumerate(a):
+        for i, (ai, twisted) in enumerate(zip(a, other.twisted_rows(len(a)))):
             if not ai.is_zero():
                 for k, bk in enumerate(twisted):
                     out[i + k] = out[i + k] + ai * bk
-            if i + 1 < len(a):
-                twisted = [c ** self.twist for c in twisted]
         return SkewPoly(out, self.twist)
 
     def scale(self, c):
@@ -171,6 +197,7 @@ class DrinfeldModule:
             raise BadReduction("leading coefficient of phi_T must be nonzero")
         self.base_field = base_field
         self.phi_T = tuple(phi_T)
+        self._phi_T_skew = SkewPoly(self.phi_T, self.twist)
         self._one = self.phi_T[0] ** 0
         self.label = label or f"rank-{len(phi_T) - 1} module"
 
@@ -187,7 +214,9 @@ class DrinfeldModule:
         return self.base_field.order
 
     def phi_T_skew(self) -> SkewPoly:
-        return SkewPoly(self.phi_T, self.twist)
+        """phi_T as one skew polynomial per module, so its twisted rows are
+        built once."""
+        return self._phi_T_skew
 
     def one(self) -> SkewPoly:
         return skew_one(self.scalar(1), self.twist)
@@ -471,14 +500,18 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int, *,
                 out.skipped.append(f)
                 continue
             out.local[f] = data
-            hs = local_factor_coeffs(data, degree_bound // deg_f)
+            kmax = degree_bound // deg_f
+            hs = local_factor_coeffs(data, kmax)
+            f_pows = [Poly.one(field), f]  # f^k for k <= kmax
+            while len(f_pows) <= kmax:
+                f_pows.append(f_pows[-1] * f)
             updates = {}
             for n, cn in out.c.items():
                 nd = int(n.degree) if n.coeffs else 0
-                for k in range(1, degree_bound // deg_f + 1):
+                for k in range(1, kmax + 1):
                     if nd + k * deg_f > degree_bound:
                         break
-                    updates[n * f ** k] = cn * hs[k]
+                    updates[n * f_pows[k]] = cn * hs[k]
             out.c.update(updates)
     return out
 

@@ -16,6 +16,7 @@ files and golden outputs depend on this order; do not change it.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -602,6 +603,27 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
     return out
 
 
+def combine_rows(F: FiniteField, weights, rows, length: int) -> list[int]:
+    """Coefficients of sum_i weights[i] * rows[i], each row a coefficient
+    list of at most ``length`` entries: an F-linear map applied to the
+    vector ``weights`` by its table of row images."""
+    out = [0] * length
+    if F.m == 1:
+        for w, row in zip(weights, rows):
+            if w:
+                for k, r in enumerate(row):
+                    out[k] += w * r
+        p = F.p
+        return [v % p for v in out]
+    for w, row in zip(weights, rows):
+        if w:
+            scaled = F._mul[w]
+            for k, r in enumerate(row):
+                if r:
+                    out[k] = F.add(out[k], scaled[r])
+    return out
+
+
 def sum_of_powers(F: FiniteField, coeff_lists, j: int, length: int) -> list[int]:
     """Coefficients of T^0 .. T^(length-1) of the sum of n^j over the
     coefficient lists n (nonzero, lowest degree first).
@@ -743,14 +765,48 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+# (field, d) -> (indices, primes): every monic prime of degree d and its
+# enumeration index, in enumeration order; built once by Ben-Or's test
+_PRIMES: dict[tuple[FiniteField, int], tuple[tuple[int, ...], tuple[Poly, ...]]] = {}
+
+
+def _primes_of_degree(field: FiniteField, d: int):
+    got = _PRIMES.get((field, d))
+    if got is None:
+        found = [(i, f) for i, f in enumerate(enumerate_monic(field, d))
+                 if is_irreducible(f)]
+        got = _PRIMES[(field, d)] = (tuple(i for i, _ in found),
+                                     tuple(f for _, f in found))
+    return got
+
+
 def enumerate_monic_primes(field: FiniteField, d: int,
                            start: int = 0, stop: int | None = None) -> Iterator[Poly]:
-    """Monic irreducibles of degree d, in enumeration order."""
+    """Monic irreducibles of degree d with index in [start, stop), in
+    enumeration order.  The full list for (field, d) is built once per
+    process and kept; every call reads a slice of it."""
     if d < 1:
         raise ValueError("primes have degree >= 1")
-    for f in enumerate_monic(field, d, start, stop):
-        if is_irreducible(f):
-            yield f
+    span = monic_indices(field, d, start, stop)
+    indices, primes = _primes_of_degree(field, d)
+    yield from primes[bisect_left(indices, span.start):bisect_left(indices, span.stop)]
+
+
+def is_monic_prime(f: Poly) -> bool:
+    """f is monic irreducible.  Read from the kept list of f's degree when
+    ``enumerate_monic_primes`` has built it, else Ben-Or's test."""
+    if not f.is_monic:
+        return False
+    d = int(f.degree)
+    got = _PRIMES.get((f.field, d))
+    if got is None:
+        return is_irreducible(f)
+    index = 0
+    for c in reversed(f.coeffs[:d]):
+        index = index * f.field.order + c
+    indices = got[0]
+    k = bisect_left(indices, index)
+    return k < len(indices) and indices[k] == index
 
 
 def _mobius(n: int) -> int:

@@ -10,7 +10,7 @@ import pytest
 from ffzeta import cli
 from ffzeta.cache import PowerSumCache
 from ffzeta.errors import CacheCorruption
-from ffzeta.ffpoly import FiniteField, Poly, poly_parse
+from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic_primes, poly_parse
 from ffzeta.zeta import power_sum
 
 F2 = FiniteField(2)
@@ -288,6 +288,15 @@ class TestCli:
         doc = json.loads(out)
         assert doc["result"]["mu"]["string"] == "T^2+T+1"
         assert doc["result"]["verified"] is True
+
+    def test_frobenius_reducible_f_after_primes_are_kept(self):
+        """The F_2 degree-2 prime list is built first; T^2+1 is still
+        refused as a usage error."""
+        assert len(list(enumerate_monic_primes(FiniteField(2), 2))) == 1
+        for module in (("--module", "carlitz"), ("--tau-coeffs", "1,1")):
+            code, out, err = run_cli("frobenius", "--p", "2", "--f", "T^2+1",
+                                     *module)
+            assert code == 2 and out == "" and "monic irreducible" in err
 
     def test_frobenius_rank2(self):
         code, out, _ = run_cli("frobenius", "--p", "3", "--f", "T^2+1",

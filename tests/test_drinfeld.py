@@ -87,6 +87,60 @@ class TestSkewRing:
             assert a * (b + c) == a * b + a * c
 
 
+def _plain_product(a: SkewPoly, b: SkewPoly) -> SkewPoly:
+    """sum over i, k of a_i (b_k ** twist^i) tau^(i+k), each twist a fresh
+    ``**`` on b's own coefficient."""
+    out = {}
+    for i, ai in enumerate(a.coeffs):
+        for k, bk in enumerate(b.coeffs):
+            term = ai * bk ** (a.twist ** i)
+            out[i + k] = out[i + k] + term if i + k in out else term
+    return SkewPoly([out[n] for n in sorted(out)], a.twist)
+
+
+class TestTwistedRows:
+    """Right factors keep their twisted rows between products."""
+
+    @pytest.mark.parametrize("field,fstr,precision", [
+        (F2, "T^3+T+1", 1), (F3, "T^2+1", 3), (F4, "T^2+T+[01]", 2),
+        (F9, "T+[11]", 2)], ids=["F2", "F3", "F4", "F9"])
+    def test_reused_right_factor_matches_plain_product(self, field, fstr, precision):
+        ring = VadicRing(poly_parse(field, fstr), precision)
+        rng = random.Random(31)
+
+        def element():
+            n = len(ring.modulus.coeffs) - 1
+            return ring.elem(Poly(field, [rng.randrange(field.order) for _ in range(n)]))
+
+        q = field.order
+        b = SkewPoly([element() for _ in range(3)] + [ring.one()], q)
+        lefts = [SkewPoly([element() for _ in range(deg)] + [ring.one()], q)
+                 for deg in (0, 1, 3, 6, 2, 7)]
+        for a in lefts:
+            assert a * b == _plain_product(a, b)
+        assert len(b.twisted_rows(1)) == 8
+
+    def test_module_phi_t_is_kept(self):
+        red = carlitz_module(F3).reduce_mod(poly_parse(F3, "T^3+2T+1"))
+        assert red.phi_T_skew() is red.phi_T_skew()
+        x = poly_parse(F3, "T^5+2T^2+1")
+        horner = red.phi(x)
+        assert horner == red.phi(x)  # a second Horner pass reads the kept rows
+        want = SkewPoly((), red.twist)
+        for c in reversed(x.coeffs):
+            want = _plain_product(want, red.phi_T_skew()) + red.one().scale(red.scalar(c))
+        assert horner == want
+
+    def test_twist_mismatch_raises_after_rows_are_kept(self):
+        b = SkewPoly([FqElement(F4, 2), FqElement(F4, 1)], 2)
+        a = SkewPoly([FqElement(F4, 3), FqElement(F4, 1)], 2)
+        a * b
+        with pytest.raises(FieldMismatch):
+            SkewPoly([FqElement(F4, 3), FqElement(F4, 1)], 4) * b
+        with pytest.raises(FieldMismatch):
+            b * SkewPoly([FqElement(F4, 1)], 4)
+
+
 class TestPhi:
     def test_carlitz_at_T(self):
         C = carlitz_module(F2)

@@ -23,6 +23,7 @@ from ffzeta.ffpoly import (
     enumerate_monic,
     enumerate_monic_primes,
     is_irreducible,
+    is_monic_prime,
     monic_by_index,
     monic_coeffs,
     monic_prime_count,
@@ -293,6 +294,44 @@ class TestIrreducibility:
         want = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), modulus=p)
         assert is_irreducible(f) == want.is_irreducible
 
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+    def test_kept_primes_match_ben_or_filter(self, field):
+        """The kept list of every degree <= 6 against a fresh Ben-Or filter,
+        read twice; and ``is_monic_prime`` read from that list."""
+        for d in range(1, 7):
+            want = [f for f in enumerate_monic(field, d) if is_irreducible(f)]
+            assert list(enumerate_monic_primes(field, d)) == want
+            assert list(enumerate_monic_primes(field, d)) == want
+            if field.order ** d <= 1024:
+                for f in enumerate_monic(field, d):
+                    assert is_monic_prime(f) == (f in want)
+                    if field.order > 2:  # a non-monic multiple
+                        assert not is_monic_prime(f.scale(2))
+
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+    def test_kept_primes_sub_ranges_partition(self, field):
+        rng = random.Random(11)
+        for d in (2, 3, 4):
+            total = field.order ** d
+            cuts = sorted(rng.sample(range(1, total), 3))
+            bounds = [0] + cuts + [total]
+            pieces = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                piece = list(enumerate_monic_primes(field, d, lo, hi))
+                assert all(lo <= _index(f) < hi for f in piece)
+                pieces.extend(piece)
+            assert pieces == list(enumerate_monic_primes(field, d))
+        with pytest.raises(ValueError):
+            list(enumerate_monic_primes(field, 2, 0, field.order ** 2 + 1))
+
+    def test_mutating_a_result_changes_no_later_answer(self):
+        first = list(enumerate_monic_primes(F3, 3))
+        want = list(first)
+        first.clear()
+        first.append(Poly.one(F3))
+        assert list(enumerate_monic_primes(F3, 3)) == want
+        assert len(want) == monic_prime_count(3, 3)
+
     @pytest.mark.parametrize("field", [F4, FiniteField(3, 2)], ids=repr)
     def test_matches_trial_division(self, field):
         """Every monic of degree <= 4 against division by every monic of
@@ -302,6 +341,11 @@ class TestIrreducibility:
             for f in enumerate_monic(field, d):
                 want = not any((f % g).is_zero() for g in divisors)
                 assert is_irreducible(f) == want, f
+
+
+def _index(f: Poly) -> int:
+    """Enumeration index of a monic f: its lower coefficients in base q."""
+    return sum(c * f.field.order ** k for k, c in enumerate(f.coeffs[:-1]))
 
 
 class TestParsing:

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffzeta.errors import (
     InsufficientPadicPrecision,
     NotAOneUnit,
     NotCoprime,
+    ReducibleModulus,
     UsageError,
     ZeroInput,
 )
@@ -360,3 +363,39 @@ class TestPrecisionMonotonicity:
             v_small = (VadicRing(f, 8).elem(n ** j)).valuation
             v_large = (VadicRing(f, 32).elem(n ** j)).valuation
             assert v_small == v_large
+
+
+class TestFrobeniusTable:
+    """The q-power of A/(f^M) from the row table (T^i)^q against ``**``."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=repr)
+    @pytest.mark.parametrize("precision", [1, 2, 5])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_pow(self, field, precision, data):
+        d = data.draw(st.integers(1, 3))
+        primes = list(enumerate_monic_primes(field, d))
+        f = primes[data.draw(st.integers(0, len(primes) - 1))]
+        ring = VadicRing(f, precision)
+        n = d * precision
+        x = ring.elem(Poly(field, data.draw(st.lists(
+            st.integers(0, field.order - 1), min_size=n, max_size=n))))
+        assert x.frobenius() == x ** field.order
+
+    def test_uniformizer_t(self):
+        """f = T, where A/(T^M) reduces by truncation."""
+        ring = VadicRing(T3, 7)
+        for x in enumerate_monic(F3, 3):
+            assert ring.elem(x).frobenius() == ring.elem(x) ** 3
+
+
+class TestPrimeCheck:
+    def test_kept_prime_list_still_rejects_reducible(self):
+        """After the F_2 degree-2 list is built the ring check reads it;
+        T^2+1 = (T+1)^2 is not in it."""
+        assert [f.to_string() for f in enumerate_monic_primes(F2, 2)] == ["T^2+T+1"]
+        with pytest.raises(ReducibleModulus):
+            VadicRing(poly_parse(F2, "T^2+1"), 1)
+        with pytest.raises(ReducibleModulus):
+            VadicRing(poly_parse(F3, "2T+1"), 1)
+        assert VadicRing(poly_parse(F2, "T^2+T+1"), 1).deg == 2
