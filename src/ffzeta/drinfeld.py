@@ -271,6 +271,14 @@ def module_over_A(field: FiniteField, tau_coeffs: Sequence[Poly],
 
 @dataclass
 class FrobeniusData:
+    """Frobenius characteristic polynomial of a module reduced at f:
+    1 - mu t in rank 1, 1 - a t + mu t^2 in rank 2, with mu = epsilon f.
+
+    ``trace_bound_ok`` records 2 deg a <= deg f, the local Riemann
+    hypothesis bound.  It holds by construction today: the rank-2 solve
+    admits only deg a <= deg f // 2, so it cannot come out False.
+    """
+
     f: Poly
     rank: int
     mu: Poly

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 from . import _packing as pk
 from ._packing import ceil_log
-from .errors import (
-    CacheCorruption,
-    NonConvergence,
-    PreconditionViolated,
-    ZeroPolynomial,
-)
+from .errors import CacheCorruption, PreconditionViolated, ZeroPolynomial
 from .ffpoly import (
     FiniteField,
     Poly,
@@ -186,16 +181,37 @@ def multiples_power_sum(field: FiniteField, d: int, j: int, f: Poly) -> Poly:
 # special polynomials
 # ---------------------------------------------------------------------------
 
+def special_degree_bound(field: FiniteField, j: int) -> int:
+    """B(j) = l_q(j) // (q-1), with l_q the base-q digit sum: S_d(j) = 0
+    for every d > B(j) (Carlitz; Thakur, *Function Field Arithmetic*,
+    2004, ch. 5; Sheats, J. Number Theory 71, 1998).
+
+    Proof, read off :class:`_SumEngine`: ``monic_sum`` adds C(j, t)
+    T^(d(j-t)) E_d(t) over the Lucas subsets t of j in base p, and
+    ``subspace_sum`` is nonzero only if t splits without base-p carries
+    into d parts, each a positive multiple of q-1 (the sum of a^s over
+    F_q vanishes unless s > 0 and (q-1) | s).  A base-p carry-free sum is
+    base-q carry-free, so l_q(t) is the sum of the parts' digit sums, and
+    each is at least q-1 (positive and = 0 mod q-1): l_q(t) >= d(q-1).
+    A Lucas subset t of j has l_q(t) <= l_q(j).  So every E_d(t) in
+    S_d(j) vanishes once d(q-1) > l_q(j), over F_p and F_(p^m) alike.
+    """
+    if j < 0:
+        raise ValueError("need j >= 0")
+    q = field.order
+    return sum(pk.base_digits(j, q)) // (q - 1)
+
+
 @dataclass
 class SpecialPolynomial:
-    """z(x, -j): coefficients S_d(j) in A, observed x-degree, and the
-    honest flag that vanishing beyond the computed window is heuristic."""
+    """z(x, -j) = sum over d of S_d(j) x^(-d): the coefficients S_d(j) in
+    A for d up to at least :func:`special_degree_bound`, past which every
+    S_d(j) is proved zero, and the degree of the last nonzero one."""
 
     field: FiniteField
     j: int
     coeffs: list[Poly]
     observed_degree: int
-    certified_polynomial: bool = False
 
     @property
     def dmax(self) -> int:
@@ -207,33 +223,18 @@ class SpecialPolynomial:
         return Poly.zero(self.field)
 
 
-STOP_WINDOW = 3  # consecutive zero coefficients required beyond the log bound
-
-
 def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
                        *, cache=None) -> SpecialPolynomial:
-    """Compute S_d(j) until the polynomial has visibly stopped.
+    """S_d(j) for d <= max(B(j), dmax_hint), B(j) = l_q(j) // (q-1).
 
-    The stop rule: go at least to ceil(log_r(j+1)) + 1 and then require
-    STOP_WINDOW consecutive zero coefficients.  The result records the
-    observed degree; `certified_polynomial` stays False because vanishing
-    beyond the window is not proved here.
+    The list is the whole polynomial, certified: S_d(j) = 0 for d > B(j)
+    is proved (Carlitz; Thakur, *Function Field Arithmetic*, 2004, ch. 5;
+    the proof is at :func:`special_degree_bound`), not observed.  A
+    ``dmax_hint`` above B(j) pads it with zeros, each still computed.
     """
-    r = field.order
-    bound = ceil_log(r, j + 1) + 1
-    floor_d = bound if dmax_hint is None else max(bound, dmax_hint)
-    coeffs: list[Poly] = []
-    zeros_run = 0
-    d = 0
-    while d <= floor_d or zeros_run < STOP_WINDOW:
-        if d > floor_d + 64:
-            raise NonConvergence(
-                "no zero window found far beyond the degree bound")
-        s = power_sum(field, d, j, cache=cache)
-        coeffs.append(s)
-        zeros_run = 0 if s.coeffs else zeros_run + 1
-        d += 1
-    observed = max((i for i, c in enumerate(coeffs) if c.coeffs), default=0)
+    top = max(special_degree_bound(field, j), dmax_hint or 0)
+    coeffs = [power_sum(field, d, j, cache=cache) for d in range(top + 1)]
+    observed = max((d for d, c in enumerate(coeffs) if c.coeffs), default=0)
     return SpecialPolynomial(field, j, coeffs, observed)
 
 

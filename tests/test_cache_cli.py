@@ -183,8 +183,9 @@ class TestCli:
         code, out, _ = run_cli("special", "--p", "2", "--j", "0")
         doc = json.loads(out)
         coeffs = [c["string"] for c in doc["result"]["coefficients"]]
-        assert coeffs[0] == "1" and set(coeffs[1:]) == {"0"}
+        assert coeffs == ["1"]
         assert doc["result"]["observed_degree"] == 0
+        assert doc["result"]["certified_polynomial"] is True
 
     def test_usage_error_for_composite_p(self):
         code, _, err = run_cli("special", "--p", "4", "--j", "1")
@@ -267,6 +268,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ("sqrtcar", "--j", "-1"),
+        ("special", "--p", "2", "--j", "-1"),
         ("newton", "--p", "2", "--m", "2", "--f", "T+[21]", "--y", "-1",
          "--dmax", "2", "--prec", "8"),
         ("newton", "--p", "2", "--y-digits", "3,1,1,1,1", "--dmax", "2",
@@ -274,7 +276,7 @@ class TestCli:
         ("special", "--p", "2", "--m", "2", "--modulus", "1,1,3", "--j", "1"),
         ("newton", "--p", "11", "--m", "2", "--f", "T+[3.11]", "--y", "-1",
          "--dmax", "2", "--prec", "8"),
-    ], ids=["sqrtcar-negative-j", "bracket-digit", "y-digit", "modulus-digit",
+    ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit"])
     def test_input_out_of_range_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)

@@ -29,6 +29,7 @@ from ffzeta.zeta import (
     interp_consistency,
     power_sum,
     power_sum_enumerated,
+    special_degree_bound,
     special_polynomial,
     twist_identity_deg1,
     zeta_family_infty,
@@ -130,14 +131,17 @@ class TestPowerSums:
 class TestSpecialPolynomial:
     def test_j0(self):
         z = special_polynomial(F2, 0)
+        assert z.coeffs == [Poly.one(F2)]
         assert z.observed_degree == 0
-        assert z.coeffs[0] == Poly.one(F2)
-        assert not z.certified_polynomial
 
     def test_j1(self):
         z = special_polynomial(F2, 1)
-        assert [c.to_string() for c in z.coeffs[:3]] == ["1", "1", "0"]
+        assert [c.to_string() for c in z.coeffs] == ["1", "1"]
         assert z.observed_degree == 1
+
+    def test_negative_j_is_refused(self):
+        with pytest.raises(ValueError):
+            special_polynomial(F2, -1)
 
     def test_j3_coefficient(self):
         z = special_polynomial(F2, 3)
@@ -145,11 +149,34 @@ class TestSpecialPolynomial:
 
     @pytest.mark.parametrize("field", [F2, F3, F4, F5])
     def test_polynomiality_window_sample(self, field):
-        r = field.order
         for j in (0, 5, 17, 60):
-            base = ceil_log(r, j + 1) + 1
-            for d in (base + 1, base + 2, base + 3):
+            bound = special_degree_bound(field, j)
+            for d in (bound + 1, bound + 2, bound + 3):
                 assert power_sum(field, d, j).is_zero()
+
+    # jmax and the monics one oracle call may enumerate.  F_9 is held to
+    # j <= 242 and d <= 2: its oracle multiplies dense Poly powers, and the
+    # 729 monic cubics take about 36 s at j = 1999 (5 s at j = 242).
+    @pytest.mark.parametrize("field,jmax,monics", [
+        (F2, 2000, 729), (F3, 2000, 729), (F4, 2000, 729), (F5, 2000, 729),
+        (F9, 242, 81)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_degree_bound_matches_enumeration(self, field, jmax, monics, data):
+        # the oracle, not the engine, gives S_d(j) for d <= B and S_(B+1) = 0
+        j = data.draw(st.integers(0, jmax), label="j")
+        bound = special_degree_bound(field, j)
+        z = special_polynomial(field, j)
+        assert z.dmax == bound
+        for d in range(bound + 2):
+            if field.order ** d > monics:
+                break
+            assert z.coefficient(d) == power_sum_enumerated(field, d, j), d
+        hint = data.draw(st.integers(0, bound + 3), label="dmax_hint")
+        padded = special_polynomial(field, j, hint)
+        assert padded.dmax == max(bound, hint)
+        assert padded.coeffs[:bound + 1] == z.coeffs
+        assert all(c.is_zero() for c in padded.coeffs[bound + 1:])
 
 
 class TestInftyFamily:
