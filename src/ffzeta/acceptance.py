@@ -241,10 +241,11 @@ def criterion_7(quick=False, cache=None) -> CriterionResult:
     """Rank-2 Frobenius charpoly verifies exactly and obeys the local
     degree bound 2 deg a <= deg f.
 
-    The bound holds by construction today: the linear solve admits only
-    deg a <= deg f // 2, so ``trace_bound_ok`` cannot fail.  It becomes
-    an observation only once a is read without a degree limit, as the
-    trace of the tau-matrix on the motive would give it."""
+    mu is Gekeler's closed form (-1)^d N(g_2)^(-1) f (Trans. AMS 360,
+    2008), and a is peeled off phi_a tau^d = tau^(2d) + phi_mu by
+    tau-degree, with a zero remainder as the exact check.  The bound
+    follows from tau-degrees in any verified answer: 2 deg a + d <= 2d.
+    So ``trace_bound_ok`` cannot fail once ``verified`` holds."""
     t0 = time.perf_counter()
     fdeg = 2 if quick else 4
     rs = (2,) if quick else (2, 3)

@@ -10,36 +10,36 @@ A module is pinned down by phi_T = (gamma(T), g_1, ..., g_rank); phi
 extends to all of F_r[T] as the unique ring map, evaluated by a
 noncommutative Horner scheme with left scalar action.
 
-Frobenius characteristic polynomials at a prime f are found by exact
-linear algebra over F_p: tau^d = phi_mu in rank 1, and
-Fr^2 - phi_a Fr + phi_mu = 0 with Fr = tau^d and mu = eps * f in rank 2.
-Right multiplication by tau^d is a shift, and the images phi(c T^i) that
-span each system are built once per prime, one skew product per degree.
-Over the field A/(f) the image phi_a of a nonzero a has tau-degree
-rank * deg a, so phi is injective, the images are independent and each
-system has at most one solution.  That solution is verified by a fresh
-Horner substitution before it is returned.
+Frobenius characteristic polynomials at a prime f of degree d need no
+linear algebra.  With q = r and g the leading coefficient of phi_T, the
+norm is Gekeler's closed form mu = (-1)^((rank-1)d) N(g)^(-1) f, where
+N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q, one power in
+A/(f).  Rank 1 checks tau^d = phi_mu by a Horner substitution.
+Rank 2 reads a off phi_a tau^d = tau^(2d) + phi_mu by tau-degree: phi_a
+has tau-degree 2 deg a and a unit leading coefficient over the field
+A/(f), so a is peeled off from the top against the powers phi_T^k, and
+the zero remainder is the exact check.  Right multiplication by tau^d is
+a shift.
 
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
-coefficients once for every Horner step, solver power and verification
-that multiplies by it.  In A/(f^M) a twist by q reads the ring's table of
+coefficients once for every Horner step and every power phi_T^k that
+multiplies by it.  In A/(f^M) a twist by q reads the ring's table of
 (T^i)^q (``VadicRing.frobenius``) instead of raising to the q-th power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
-    AmbiguousSolution,
-    BadPrimeUnhandled,
     BadReduction,
     FieldMismatch,
     NoSolution,
+    PreconditionViolated,
 )
-from .ffpoly import FiniteField, Poly, _digits, enumerate_monic_primes
+from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .nonarch import (
     LaurentSeries,
     PadicExponent,
@@ -194,7 +194,8 @@ class DrinfeldModule:
 
     def __init__(self, base_field: FiniteField, phi_T: Sequence, label: str = ""):
         if len(phi_T) < 2 or phi_T[-1].is_zero():
-            raise BadReduction("leading coefficient of phi_T must be nonzero")
+            raise PreconditionViolated(
+                "leading coefficient of phi_T must be nonzero")
         self.base_field = base_field
         self.phi_T = tuple(phi_T)
         self._phi_T_skew = SkewPoly(self.phi_T, self.twist)
@@ -274,9 +275,13 @@ class FrobeniusData:
     """Frobenius characteristic polynomial of a module reduced at f:
     1 - mu t in rank 1, 1 - a t + mu t^2 in rank 2, with mu = epsilon f.
 
+    ``mu`` is Gekeler's closed form (-1)^((rank-1)d) N(g)^(-1) f, with g
+    the leading coefficient of phi_T, and ``a`` is read off by
+    tau-degree; ``verified`` means the Frobenius equation held exactly.
     ``trace_bound_ok`` records 2 deg a <= deg f, the local Riemann
-    hypothesis bound.  It holds by construction today: the rank-2 solve
-    admits only deg a <= deg f // 2, so it cannot come out False.
+    hypothesis bound.  It follows from tau-degrees in any verified
+    answer: phi_a tau^d has tau-degree 2 deg a + d, which is at most the
+    2d of tau^(2d) + phi_mu, so it cannot come out False.
     """
 
     f: Poly
@@ -297,153 +302,78 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
     ``module`` has coefficients in A; it is reduced at f here.  With
-    d = deg f and Fr = tau^d, rank 1 solves phi_mu = Fr with deg mu <= d.
-    Rank 2 solves Fr^2 - phi_a Fr + phi_mu = 0 with deg a <= floor(d/2)
-    and mu = eps * f over the units eps.  Over the field A/(f) phi_a has
-    tau-degree rank * deg a, so phi is injective and each linear system
-    (``_frobenius_solutions``) has at most one solution.  It is verified
-    by a fresh Horner substitution in the skew ring; no survivor raises
-    NoSolution, and survivors for two units raise AmbiguousSolution.
+    d = deg f, Fr = tau^d and g the leading coefficient of phi_T, the
+    norm is Gekeler's closed form mu = (-1)^((rank-1)d) N(g)^(-1) f,
+    where N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q
+    (Gekeler, "Frobenius distributions of Drinfeld modules over finite
+    fields", Trans. AMS 360, 2008).  Rank 1 checks phi_mu = Fr by a
+    Horner substitution.  Rank 2 reads a off phi_a Fr = Fr^2 + phi_mu by
+    tau-degree (``_phi_preimage``); its zero remainder is the exact
+    check.  Either check failing raises NoSolution, so a wrong unit can
+    never give a silent wrong answer.  Rank 3 and above raise
+    PreconditionViolated before any work.
     """
+    if module.rank > 2:
+        raise PreconditionViolated("only ranks 1 and 2 are supported")
     reduced = module.reduce_mod(f)
     d = int(f.degree)
+    eps = _norm_unit(reduced, d)
+    mu = f.scale(eps)
+    fr = skew_tau(reduced.scalar(1), d, reduced.twist)
     if module.rank == 1:
-        survivors = [mu for _, mu, rhs in _frobenius_solutions(reduced, f)
-                     if reduced.phi(mu) == rhs]
-        if not survivors:
+        if reduced.phi(mu) != fr:
             raise NoSolution(f"no rank-1 Frobenius norm at {f}")
-        mu = survivors[0]
-        eps = _unit_multiple_of(mu, f)
         return FrobeniusData(f, 1, mu, None, eps, True, True)
-
-    if module.rank != 2:
-        raise NoSolution("only ranks 1 and 2 are supported")
-    survivors = [(a, mu) for a, mu, rhs in _frobenius_solutions(reduced, f)
-                 if reduced.phi(a).shift(d) == rhs]
-    if not survivors:
+    rhs = fr.shift(d) + reduced.phi(f).scale(reduced.scalar(eps))
+    a = None
+    if all(c.is_zero() for c in rhs.coeffs[:d]):
+        a = _phi_preimage(reduced, SkewPoly(rhs.coeffs[d:], reduced.twist))
+    if a is None:
         raise NoSolution(f"no rank-2 Frobenius charpoly at {f}")
-    if len(survivors) > 1:
-        raise AmbiguousSolution(
-            f"{len(survivors)} verified (a, eps) pairs at {f}")
-    a, mu = survivors[0]
     bound_ok = a.is_zero() or 2 * int(a.degree) <= d
-    return FrobeniusData(f, 2, mu, a, mu.leading(), True, bound_ok)
+    return FrobeniusData(f, 2, mu, a, eps, True, bound_ok)
 
 
-def _frobenius_solutions(reduced: DrinfeldModule, f: Poly
-                         ) -> list[tuple[Poly | None, Poly, SkewPoly]]:
-    """Every (a, mu, rhs) of the linear solve at f, before verification:
-    at most one in rank 1, at most one per unit eps in rank 2.
+def _norm_unit(reduced: DrinfeldModule, d: int) -> int:
+    """eps = (-1)^((rank-1)d) / N(g) in F_q for g the leading coefficient
+    of phi_T, so that mu = eps f; the norm N(g) = g^((q^d-1)/(q-1)) is
+    one power in A/(f)."""
+    field = reduced.base_field
+    q = field.order
+    norm = (reduced.phi_T[-1] ** ((q ** d - 1) // (q - 1))).rep
+    if norm.degree != 0:
+        raise NoSolution(f"norm of the leading coefficient is not in F_{q}")
+    eps = field.inv(norm.coeffs[0])
+    return field.neg(eps) if (reduced.rank - 1) * d % 2 else eps
 
-    Rank 1: a is None and phi_mu = rhs = tau^d.  Rank 2: phi_a tau^d = rhs
-    = tau^(2d) + eps phi_f with mu = eps f, where phi_(eps f) = eps phi_f
-    by F_r-linearity.  Right multiplication by tau^d is a shift by d
-    (tau^d has coefficient 1, which the twist fixes), so phi_a is rhs from
-    its coefficient d on, and exists only when the d below it vanish.
+
+def _phi_preimage(reduced: DrinfeldModule, target: SkewPoly) -> Poly | None:
+    """The x in A with phi_x == target in a module reduced at a prime, or
+    None when there is none.
+
+    Over the field A/(f), phi_T^k has tau-degree rank * k and a unit
+    leading coefficient, so x is peeled off from the top: the remainder's
+    top coefficient sits at tau^(rank k), its quotient by the leading
+    coefficient of phi_T^k must lie in F_q and is x_k, and x_k phi_T^k is
+    subtracted.  The powers phi_T^k are built one skew product at a time.
+    A zero remainder is the exact check phi_x == target.
     """
-    d = int(f.degree)
-    one = reduced.scalar(1)
-    if reduced.rank == 1:
-        fr = skew_tau(one, d, reduced.twist)
-        mu = _phi_solver(reduced, d)(fr)
-        return [] if mu is None else [(None, mu, fr)]
-    fr2 = skew_tau(one, 2 * d, reduced.twist)
-    phi_f = reduced.phi(f)
-    solve = _phi_solver(reduced, d // 2)
-    out = []
-    for eps in range(1, reduced.base_field.order):
-        rhs = fr2 + phi_f.scale(reduced.scalar(eps))
-        if all(c.is_zero() for c in rhs.coeffs[:d]):
-            a = solve(SkewPoly(rhs.coeffs[d:], reduced.twist))
-            if a is not None:
-                out.append((a, f.scale(eps), rhs))
-    return out
-
-
-def _unit_multiple_of(mu: Poly, f: Poly) -> int:
-    if mu.degree == f.degree and (mu - f.scale(mu.leading())).is_zero():
-        return mu.leading()
-    return 0
-
-
-def _phi_solver(reduced: DrinfeldModule, max_deg: int
-                ) -> Callable[[SkewPoly], Poly | None]:
-    """rhs -> the x in A with deg x <= max_deg and phi_x == rhs, or None,
-    as an F_p-linear system (phi is F_r-linear in x).
-
-    The columns are the images phi(p^e T^i) = p^e phi_T^i: one skew
-    product per degree, one left scaling per F_p-basis element of F_r.
-    They are built and flattened once, for every rhs.
-    """
-    base = reduced.base_field
-    p, m = base.p, base.m
-    ring = reduced.phi_T[0].ring
-    phiT = reduced.phi_T_skew()
-
-    unknowns = []
-    images = []
-    power = reduced.one()
-    for i in range(max_deg + 1):
-        if i:
-            power = power * phiT
-        for e in range(m):
-            enc = p ** e
-            unknowns.append((i, enc))
-            images.append(power if enc == 1 else power.scale(reduced.scalar(enc)))
-    tau_len = max(len(im.coeffs) for im in images)
-
-    def flatten(sk: SkewPoly) -> list[int]:
-        out = []
-        zero_rep = Poly.zero(ring.field)
-        for t in range(tau_len):
-            rep = sk.coeffs[t].rep if t < len(sk.coeffs) else zero_rep
-            for kk in range(ring.deg * ring.precision):
-                out.extend(_digits(rep.coefficient(kk), p, m))
-        return out
-
-    columns = [flatten(im) for im in images]
-
-    def solve(rhs: SkewPoly) -> Poly | None:
-        if len(rhs.coeffs) > tau_len:
+    powers = [reduced.one()]
+    while powers[-1].degree < target.degree:
+        powers.append(powers[-1] * reduced.phi_T_skew())
+    coeffs = [0] * len(powers)
+    rem = target
+    while not rem.is_zero():
+        k, off = divmod(rem.degree, reduced.rank)
+        if off:
             return None
-        x = _solve_linear_mod_p(columns, flatten(rhs), p)
-        if x is None:
+        power = powers[k]
+        c = (rem.coeffs[-1] * power.coeffs[-1].inverse()).rep
+        if c.degree != 0:
             return None
-        coeffs = [0] * (max_deg + 1)
-        for (i, enc), xv in zip(unknowns, x):
-            coeffs[i] += xv * enc  # independent base-p digits
-        return Poly(base, coeffs)
-
-    return solve
-
-
-def _solve_linear_mod_p(columns: list[list[int]], target: list[int], p: int
-                        ) -> list[int] | None:
-    """The solution x of sum_u x_u columns[u] = target over F_p, or None
-    when the system is inconsistent.
-
-    Gauss-Jordan elimination.  The columns must be independent: a column
-    without a pivot raises AmbiguousSolution.  The Frobenius systems meet
-    this because phi is injective over the field A/(f).
-    """
-    n_unknowns = len(columns)
-    n_rows = len(target)
-    mat = [[columns[u][r] % p for u in range(n_unknowns)] + [target[r] % p]
-           for r in range(n_rows)]
-    for col in range(n_unknowns):
-        sel = next((r for r in range(col, n_rows) if mat[r][col]), None)
-        if sel is None:
-            raise AmbiguousSolution(f"column {col} of the linear system has no pivot")
-        mat[col], mat[sel] = mat[sel], mat[col]
-        inv = pow(mat[col][col], p - 2, p)
-        mat[col] = [(v * inv) % p for v in mat[col]]
-        for r in range(n_rows):
-            if r != col and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[col])]
-    if any(mat[r][n_unknowns] for r in range(n_unknowns, n_rows)):
-        return None
-    return [mat[r][n_unknowns] for r in range(n_unknowns)]
+        coeffs[k] = c.coeffs[0]
+        rem = rem - power.scale(reduced.scalar(coeffs[k]))
+    return Poly(reduced.base_field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +421,11 @@ def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
     return hs
 
 
-def lseries_coeffs(module: DrinfeldModule, degree_bound: int, *,
-                   strict: bool = False) -> DirichletCoefficients:
+def lseries_coeffs(module: DrinfeldModule, degree_bound: int
+                   ) -> DirichletCoefficients:
     """Dirichlet coefficients of the module's L-series up to the bound,
-    built multiplicatively from per-prime Frobenius data."""
+    built multiplicatively from per-prime Frobenius data; bad primes are
+    skipped and recorded."""
     field = module.base_field
     out = DirichletCoefficients(field, degree_bound,
                                 {Poly.one(field): Poly.one(field)})
@@ -503,8 +434,6 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int, *,
             try:
                 data = frobenius_charpoly(module, f)
             except BadReduction:
-                if strict:
-                    raise BadPrimeUnhandled(f"bad prime {f} in strict mode")
                 out.skipped.append(f)
                 continue
             out.local[f] = data

@@ -92,16 +92,8 @@ class BadReduction(FFZetaError, ArithmeticError):
     """Reduction at this prime drops the rank (leading coefficient vanishes)."""
 
 
-class BadPrimeUnhandled(UsageError):
-    """A bad prime was met in strict mode and no skip policy was given."""
-
-
 class NoSolution(FFZetaError, ArithmeticError):
     """The Frobenius characteristic-polynomial system has no solution."""
-
-
-class AmbiguousSolution(FFZetaError, ArithmeticError):
-    """More than one verified Frobenius characteristic polynomial was found."""
 
 
 # ---- cache / resources --------------------------------------------------

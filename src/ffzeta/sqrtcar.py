@@ -17,7 +17,7 @@ The objects computed here:
   + tau^2 over F_2(sqrt(theta)), which is the composition of the
   degree-one Carlitz action for A' with itself; its Euler factor at
   every prime is the square of the character's factor, checked through
-  the rank-2 Frobenius solver returning (a, mu) = (0, g);
+  the rank-2 Frobenius charpoly coming out as (a, mu) = (0, g);
 * zero-valuation parity observables: u-adic slopes of the v-adic family
   (the removed Euler factor contributes the odd slope 2j+1) and the
   even slopes of the same data at infinity.
@@ -130,9 +130,9 @@ class PsiFactorizationReport:
 
 
 def psi_factorization_check(max_degree: int = 4) -> PsiFactorizationReport:
-    """At every prime (g') of A' with deg <= max_degree, the rank-2 solver
-    on psi must return (a, mu) = (0, g), i.e. the Euler factor
-    1 + g t^2 = (1 + g' t)^2, the square of the character's factor."""
+    """At every prime (g') of A' with deg <= max_degree, the rank-2
+    Frobenius charpoly of psi must be (a, mu) = (0, g), i.e. the Euler
+    factor 1 + g t^2 = (1 + g' t)^2, the square of the character's factor."""
     psi = psi_module()
     rows = []
     for d in range(1, max_degree + 1):

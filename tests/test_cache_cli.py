@@ -276,8 +276,13 @@ class TestCli:
         ("special", "--p", "2", "--m", "2", "--modulus", "1,1,3", "--j", "1"),
         ("newton", "--p", "11", "--m", "2", "--f", "T+[3.11]", "--y", "-1",
          "--dmax", "2", "--prec", "8"),
+        ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "1,1,1"),
+        ("lseries", "--p", "2", "--tau-coeffs", "1,1,1", "--degree-bound", "2",
+         "--j", "1"),
+        ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "0"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
-            "dotted-bracket-digit"])
+            "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
+            "frobenius-zero-leading"])
     def test_input_out_of_range_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from ffzeta import drinfeld
 from ffzeta.drinfeld import (
     SkewPoly,
-    _frobenius_solutions,
-    _solve_linear_mod_p,
+    _phi_preimage,
     carlitz_module,
     frobenius_charpoly,
     lseries_coeffs,
@@ -19,11 +19,10 @@ from ffzeta.drinfeld import (
     skew_tau,
 )
 from ffzeta.errors import (
-    AmbiguousSolution,
-    BadPrimeUnhandled,
     BadReduction,
     FieldMismatch,
     NoSolution,
+    PreconditionViolated,
 )
 from ffzeta.ffpoly import (
     FiniteField,
@@ -236,52 +235,15 @@ class TestFrobenius:
                     assert data.a.is_zero() or 2 * int(data.a.degree) <= int(f.degree)
 
     def test_rank_cap(self):
-        M = module_over_A(F2, [Poly.one(F2)] * 3)
-        with pytest.raises(NoSolution):
-            frobenius_charpoly(M, poly_parse(F2, "T^2+T+1"))
+        """Rank 3 is refused before reduction, even at a bad prime."""
+        M = module_over_A(F2, [Poly.one(F2), Poly.one(F2), Poly.variable(F2)])
+        for f in ("T^2+T+1", "T"):
+            with pytest.raises(PreconditionViolated):
+                frobenius_charpoly(M, poly_parse(F2, f))
 
     def test_prime_over_another_field(self):
         with pytest.raises(FieldMismatch):
             frobenius_charpoly(carlitz_module(F2), poly_parse(F3, "T^2+1"))
-
-
-def _columns_times(columns, x, p):
-    return [sum(col[r] * xv for col, xv in zip(columns, x)) % p
-            for r in range(len(columns[0]))]
-
-
-class TestSolveLinear:
-    """Gauss-Jordan over F_p: the one solution, None when inconsistent,
-    AmbiguousSolution for a column without a pivot."""
-
-    @pytest.mark.parametrize("columns,target,p,want", [
-        ([[1, 0, 1], [1, 1, 0]], [1, 1, 0], 2, [0, 1]),
-        ([[0, 1, 1], [1, 1, 0], [1, 0, 0]], [1, 0, 1], 2, [1, 1, 0]),
-        ([[1, 2], [2, 2]], [1, 0], 3, [2, 1]),
-        ([[0, 1, 2], [2, 0, 1], [1, 1, 0]], [1, 1, 1], 3, [1, 2, 0]),
-    ])
-    def test_unique_solution(self, columns, target, p, want):
-        assert _columns_times(columns, want, p) == target
-        assert _solve_linear_mod_p(columns, target, p) == want
-
-    @pytest.mark.parametrize("columns,target,p", [
-        ([[1, 1]], [1, 0], 2),
-        ([[1, 0, 1], [0, 1, 1]], [1, 1, 1], 2),
-        ([[1, 0, 0], [0, 1, 0]], [1, 2, 1], 3),
-        ([[1, 2, 0], [2, 1, 1]], [1, 0, 0], 3),
-    ])
-    def test_inconsistent_is_none(self, columns, target, p):
-        assert _solve_linear_mod_p(columns, target, p) is None
-
-    @pytest.mark.parametrize("columns,target,p", [
-        ([[1, 1], [1, 1]], [1, 1], 2),
-        ([[1, 0, 1], [0, 1, 1], [1, 1, 0]], [0, 0, 0], 2),
-        ([[1, 2], [2, 1]], [1, 2], 3),
-        ([[1, 0], [0, 1], [1, 1]], [1, 1], 3),
-    ])
-    def test_dependent_column_raises(self, columns, target, p):
-        with pytest.raises(AmbiguousSolution):
-            _solve_linear_mod_p(columns, target, p)
 
 
 class TestLSeries:
@@ -328,12 +290,10 @@ class TestLSeries:
             for n in enumerate_monic(module.base_field, d):
                 assert rec.at(n) == exp.at(n)
 
-    def test_bad_primes_skipped_and_strict(self):
+    def test_bad_primes_skipped(self):
         M = module_over_A(F2, [Poly.one(F2), Poly.variable(F2)])
         coeffs = lseries_coeffs(M, 3)
         assert Poly.variable(F2) in coeffs.skipped
-        with pytest.raises(BadPrimeUnhandled):
-            lseries_coeffs(M, 3, strict=True)
 
     def test_carlitz_special_is_shifted_power_sum(self):
         # sum c(n) n^j = sum n^(j+1) exactly
@@ -467,24 +427,44 @@ def _frobenius_by_search(red, f):
 
 
 _ORACLE_GRID = [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (F9, 1)]
+# The last two make the norm N(g_r) of the leading coefficient differ
+# from 1: g_1 = T+1 in rank 1, and in rank 2 the constant 2, a unit other
+# than 1 (F_2 has no such unit and takes 1).
 _ORACLE_MODULES = {
     "carlitz": carlitz_module,
     "T,1": lambda F: module_over_A(F, [Poly.variable(F), Poly.one(F)]),
     "1,1": lambda F: module_over_A(F, [Poly.one(F), Poly.one(F)]),
     "1,T": lambda F: module_over_A(F, [Poly.one(F), Poly.variable(F)]),
+    "T+1": lambda F: module_over_A(F, [poly_parse(F, "T+1")]),
+    "T,2": lambda F: module_over_A(
+        F, [Poly.variable(F), Poly.constant(F, 2 if F.order > 2 else 1)]),
 }
 
 
 class TestFrobeniusOracle:
-    """The linear solve and the verified result against exhaustive search
-    at every prime of the grid's degree bound."""
+    """The peel and the verified result against exhaustive search at every
+    prime of the grid's degree bound."""
 
     @staticmethod
     def _key(sols):
         return sorted((None if a is None else a.coeffs, mu.coeffs) for a, mu in sols)
 
     def _solved(self, red, f):
-        return self._key((a, mu) for a, mu, _ in _frobenius_solutions(red, f))
+        """The peel's solutions at f: rank 1 the preimage of tau^d, rank 2
+        for every unit eps the a with phi_a tau^d = tau^(2d) + eps phi_f."""
+        d = int(f.degree)
+        fr = skew_tau(red.scalar(1), d, red.twist)
+        if red.rank == 1:
+            mu = _phi_preimage(red, fr)
+            return self._key([] if mu is None else [(None, mu)])
+        sols = []
+        for eps in range(1, red.base_field.order):
+            rhs = fr.shift(d) + red.phi(f).scale(red.scalar(eps))
+            if all(c.is_zero() for c in rhs.coeffs[:d]):
+                a = _phi_preimage(red, SkewPoly(rhs.coeffs[d:], red.twist))
+                if a is not None:
+                    sols.append((a, f.scale(eps)))
+        return self._key(sols)
 
     def _check(self, module, maxdeg):
         field = module.base_field
@@ -496,11 +476,8 @@ class TestFrobeniusOracle:
                     continue
                 red = module.reduce_mod(f)
                 want = _frobenius_by_search(red, f)
+                assert len(want) == 1, f  # one unit eps, so one candidate
                 assert self._solved(red, f) == self._key(want), f
-                if len(want) != 1:
-                    with pytest.raises(NoSolution if not want else AmbiguousSolution):
-                        frobenius_charpoly(module, f)
-                    continue
                 (a, mu), = want
                 eps = mu.leading() if mu.degree == f.degree and \
                     mu == f.scale(mu.leading()) else 0
@@ -519,13 +496,32 @@ class TestFrobeniusOracle:
         self._check(psi_module(), 4)
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
+    @pytest.mark.parametrize("field", [F3, F4, F5], ids=repr)
+    def test_wrong_unit_raises(self, field, name, monkeypatch):
+        """Any unit other than the norm formula's fails the exact check."""
+        module = _ORACLE_MODULES[name](field)
+        for d in (1, 2):
+            for f in enumerate_monic_primes(field, d):
+                if (module.phi_T[-1] % f).is_zero():
+                    continue
+                eps = frobenius_charpoly(module, f).epsilon
+                for wrong in range(1, field.order):
+                    if wrong != eps:
+                        monkeypatch.setattr(drinfeld, "_norm_unit",
+                                            lambda red, d, u=wrong: u)
+                        with pytest.raises(NoSolution):
+                            frobenius_charpoly(module, f)
+                        monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
     @pytest.mark.parametrize("field", [F2, F3], ids=repr)
     def test_solve_at_a_foreign_prime(self, field, name):
         """Reduced at g but solved at f != g, tau^(2d) + eps phi_f need not
-        vanish below tau^d; the solve must still give exactly the search's
-        solutions, which are then mostly none."""
+        vanish below tau^d and tau^d need not be some phi_mu; the peel must
+        still give exactly the search's solutions, which are mostly none."""
         module = _ORACLE_MODULES[name](field)
         primes = [f for d in (1, 2, 3) for f in enumerate_monic_primes(field, d)]
+        nones = 0
         for g in primes[:4]:
             if (module.phi_T[-1] % g).is_zero():
                 continue
@@ -534,3 +530,5 @@ class TestFrobeniusOracle:
                 if f != g:
                     want = self._key(_frobenius_by_search(red, f))
                     assert self._solved(red, f) == want, (g, f)
+                    nones += not want
+        assert nones
