@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--module", type=str, default=None)
     sp.add_argument("--tau-coeffs", type=str, default=None)
     sp.add_argument("--degree-bound", type=_int_at_least(0), required=True)
-    sp.add_argument("--j", type=int, default=None,
+    sp.add_argument("--j", type=_int_at_least(0), default=None,
                     help="also emit exact special coefficients at this exponent")
     _add_format(sp)
 

@@ -21,6 +21,14 @@ A/(f), so a is peeled off from the top against the powers phi_T^k, and
 the zero remainder is the exact check.  Right multiplication by tau^d is
 a shift.
 
+Each verified result is kept for the life of the process, keyed by value
+as (base field, phi_T, f), so a module rebuilt for a later request finds
+it again.  A call that raises (bad reduction, no solution, a field
+mismatch, an unsupported module) is never kept and raises again next
+time.  ``lseries_coeffs_by_expansion``, the slow oracle for
+``lseries_coeffs``, solves every prime afresh and neither reads nor
+writes the kept results.
+
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
 coefficients once for every Horner step and every power phi_T^k that
@@ -270,7 +278,7 @@ def module_over_A(field: FiniteField, tau_coeffs: Sequence[Poly],
 # Frobenius characteristic polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FrobeniusData:
     """Frobenius characteristic polynomial of a module reduced at f:
     1 - mu t in rank 1, 1 - a t + mu t^2 in rank 2, with mu = epsilon f.
@@ -281,7 +289,8 @@ class FrobeniusData:
     ``trace_bound_ok`` records 2 deg a <= deg f, the local Riemann
     hypothesis bound.  It follows from tau-degrees in any verified
     answer: phi_a tau^d has tau-degree 2 deg a + d, which is at most the
-    2d of tau^(2d) + phi_mu, so it cannot come out False.
+    2d of tau^(2d) + phi_mu, so it cannot come out False.  Frozen: a
+    kept result is shared by every later caller.
     """
 
     f: Poly
@@ -298,6 +307,10 @@ class FrobeniusData:
         return f"1 - ({self.a}) t + ({self.mu}) t^2"
 
 
+# verified Frobenius data by (base field, phi_T, f), kept for the process
+_FROBENIUS: dict[tuple, FrobeniusData] = {}
+
+
 def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
@@ -312,7 +325,20 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     check.  Either check failing raises NoSolution, so a wrong unit can
     never give a silent wrong answer.  Rank 3 and above raise
     PreconditionViolated before any work.
+
+    A result is kept in ``_FROBENIUS`` under (module.base_field,
+    module.phi_T, f) once its check has passed, and later calls with
+    equal values return it; an exception is never kept.
     """
+    key = (module.base_field, module.phi_T, f)
+    data = _FROBENIUS.get(key)
+    if data is None:
+        data = _FROBENIUS[key] = _solve_frobenius(module, f)
+    return data
+
+
+def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
+    """``frobenius_charpoly`` without the kept results."""
     if module.rank > 2:
         raise PreconditionViolated("only ranks 1 and 2 are supported")
     reduced = module.reduce_mod(f)
@@ -457,14 +483,16 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
                                 ) -> DirichletCoefficients:
     """Independent route: expand every local factor as a truncated
     geometric series (actual polynomial powers of a t - mu t^2) and
-    combine the local dictionaries pairwise, in reverse prime order."""
+    combine the local dictionaries pairwise, in reverse prime order.
+    The Frobenius data are solved afresh, not read from or written to
+    the results that ``frobenius_charpoly`` keeps."""
     field = module.base_field
     locals_: list[tuple[Poly, list[Poly]]] = []
     skipped = []
     for deg_f in range(1, degree_bound + 1):
         for f in enumerate_monic_primes(field, deg_f):
             try:
-                data = frobenius_charpoly(module, f)
+                data = _solve_frobenius(module, f)
             except BadReduction:
                 skipped.append(f)
                 continue

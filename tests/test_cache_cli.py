@@ -259,9 +259,14 @@ class TestCli:
         ("sqrtcar", "--j", "1", "--dmax", "-1"),
         ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "-1"),
         ("special", "--p", "2", "--j", "1", "--dmax", "-5"),
+        ("lseries", "--p", "3", "--module", "carlitz", "--degree-bound", "6",
+         "--j", "-1"),
     ], ids=["newton-dmax", "newton-prec", "sqrtcar-dmax", "lseries-degree-bound",
-            "special-dmax"])
-    def test_size_out_of_range_is_usage_error(self, argv):
+            "special-dmax", "lseries-negative-j"])
+    def test_size_out_of_range_is_usage_error(self, argv, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the arguments were checked")
+        monkeypatch.setattr(cli, "lseries_coeffs", no_work)
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert "must be >=" in err

@@ -1,9 +1,12 @@
+import dataclasses
+import io
 import itertools
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
-from ffzeta import drinfeld
+from ffzeta import cli, drinfeld
 from ffzeta.drinfeld import (
     SkewPoly,
     _phi_preimage,
@@ -468,6 +471,7 @@ class TestFrobeniusOracle:
 
     def _check(self, module, maxdeg):
         field = module.base_field
+        drinfeld._FROBENIUS.clear()  # solve every prime, not read it back
         for d in range(1, maxdeg + 1):
             for f in enumerate_monic_primes(field, d):
                 if (module.phi_T[-1] % f).is_zero():
@@ -509,6 +513,7 @@ class TestFrobeniusOracle:
                     if wrong != eps:
                         monkeypatch.setattr(drinfeld, "_norm_unit",
                                             lambda red, d, u=wrong: u)
+                        drinfeld._FROBENIUS.clear()  # drop the kept result
                         with pytest.raises(NoSolution):
                             frobenius_charpoly(module, f)
                         monkeypatch.undo()
@@ -532,3 +537,99 @@ class TestFrobeniusOracle:
                     assert self._solved(red, f) == want, (g, f)
                     nones += not want
         assert nones
+
+
+@pytest.fixture
+def store():
+    """The kept Frobenius results, empty before the test and after it."""
+    drinfeld._FROBENIUS.clear()
+    yield drinfeld._FROBENIUS
+    drinfeld._FROBENIUS.clear()
+
+
+class TestFrobeniusStore:
+    """frobenius_charpoly keeps each verified result for the process."""
+
+    def test_keys_separate_by_value(self, store):
+        T3, T9 = Poly.variable(F3), Poly.variable(F9)
+        over3 = frobenius_charpoly(carlitz_module(F3), T3)
+        over9 = frobenius_charpoly(carlitz_module(F9), T9)
+        assert over3 != over9 and len(store) == 2
+        f = poly_parse(F3, "T^2+T+2")  # a prime where the three traces differ
+        got = [frobenius_charpoly(_ORACLE_MODULES[name](F3), f)
+               for name in ("T,1", "1,1", "T,2")]
+        assert len(store) == 5
+        assert len({(d.a, d.mu) for d in got}) == 3
+
+    def test_equal_module_finds_the_kept_result(self, store):
+        f = poly_parse(F3, "T^2+1")
+        first = frobenius_charpoly(module_over_A(F3, [Poly.variable(F3),
+                                                      Poly.one(F3)]), f)
+        again = frobenius_charpoly(_ORACLE_MODULES["T,1"](F3), f)
+        assert again is first and len(store) == 1
+
+    @pytest.mark.parametrize("field,maxdeg", _ORACLE_GRID,
+                             ids=[repr(F) for F, _ in _ORACLE_GRID])
+    def test_second_call_equals_a_fresh_solve(self, field, maxdeg, store):
+        for make in _ORACLE_MODULES.values():
+            module = make(field)
+            for d in range(1, maxdeg + 1):
+                for f in enumerate_monic_primes(field, d):
+                    if (module.phi_T[-1] % f).is_zero():
+                        continue
+                    frobenius_charpoly(module, f)
+                    kept = frobenius_charpoly(module, f)
+                    store.clear()
+                    assert kept == frobenius_charpoly(module, f), (module.phi_T, f)
+
+    def test_kept_result_is_frozen(self, store):
+        data = frobenius_charpoly(carlitz_module(F2), poly_parse(F2, "T^2+T+1"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.mu = Poly.one(F2)
+        assert frobenius_charpoly(carlitz_module(F2),
+                                  poly_parse(F2, "T^2+T+1")).mu != Poly.one(F2)
+
+    def test_bad_reduction_raises_every_time(self, store):
+        M = _ORACLE_MODULES["1,T"](F3)
+        for _ in range(2):
+            with pytest.raises(BadReduction):
+                frobenius_charpoly(M, Poly.variable(F3))
+        assert not store
+
+    def test_failure_is_never_kept(self, store, monkeypatch):
+        module = _ORACLE_MODULES["T,2"](F5)
+        f = poly_parse(F5, "T^2+2")
+        want = drinfeld._solve_frobenius(module, f)
+        wrong = 1 if want.epsilon != 1 else 2
+        monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: wrong)
+        with pytest.raises(NoSolution):
+            frobenius_charpoly(module, f)
+        assert not store
+        monkeypatch.undo()
+        assert frobenius_charpoly(module, f) == want
+
+    def test_cli_output_repeats(self):
+        argv = ["frobenius", "--p", "3", "--f", "T^2+1", "--tau-coeffs", "T,1"]
+        outs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert cli.main(argv) == 0
+            outs.append(buf.getvalue())
+        head = [out.split('"timing"')[0] for out in outs]
+        assert head[0] == head[1] and '"result"' in head[0]
+
+    def test_oracle_catches_a_wrong_kept_result(self, store):
+        """lseries_coeffs reads the store and the expansion oracle does not,
+        so a wrong kept entry shows at exactly the prime's multiples."""
+        C = carlitz_module(F2)
+        T = Poly.variable(F2)
+        store[(C.base_field, C.phi_T, T)] = drinfeld.FrobeniusData(
+            T, 1, T + Poly.one(F2), None, 1, True, True)
+        rec = lseries_coeffs(C, 4)
+        before = dict(store)
+        exp = lseries_coeffs_by_expansion(C, 4)
+        assert store == before  # the oracle neither reads nor writes it
+        for d in range(5):
+            for n in enumerate_monic(F2, d):
+                assert (rec.at(n) != exp.at(n)) == (n % T).is_zero(), n
