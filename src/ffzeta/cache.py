@@ -11,10 +11,11 @@ holding a single line
 where each c_i is the base-p digit string of the coefficient (w^0 digit
 first) and the zero polynomial is written as ``deg -inf:``.  For p > 10
 the digits of a coefficient, and those of the modulus in the directory
-name, are joined with ".".  The format is line-oriented, diff-able and
-language-neutral.  Writes go to a temporary file in the same directory
-followed by an atomic rename, so parallel runs may share a cache
-directory.
+name, are joined with ".".  A line is read in one pass: its digit
+strings must be ASCII and are decoded in bulk (``decode_strs``).  The
+format is line-oriented, diff-able and language-neutral.  Writes go to a
+temporary file in the same directory followed by an atomic rename, so
+parallel runs may share a cache directory.
 
 A cache hit can be spot-checked: with probability ``verify_fraction``
 the caller is told to recompute and compare (power_sum does exactly
@@ -105,24 +106,23 @@ class PowerSumCache:
 
     @staticmethod
     def _parse(field: FiniteField, text: str, origin: Path) -> Poly:
-        line = text.strip()
-        if not line.startswith("deg ") or ":" not in line:
+        head, colon, tail = text.strip().partition(":")
+        if not head.startswith("deg ") or not colon:
             raise CacheCorruption(f"malformed cache entry {origin}")
-        head, _, tail = line.partition(":")
         deg_str = head[4:].strip()
-        tail = tail.strip()
+        tokens = tail.split()
         if deg_str == "-inf":
-            if tail:
+            if tokens:
                 raise CacheCorruption(f"zero entry with coefficients in {origin}")
             return Poly.zero(field)
         try:
             deg = int(deg_str)
-            coeffs = [field.decode_str(tok) for tok in tail.split()]
-        except ValueError as exc:  # covers decode_str's digit errors too
+            coeffs = field.decode_strs(tokens)
+        except ValueError as exc:  # covers decode_strs' digit errors too
             raise CacheCorruption(f"malformed cache entry {origin}: {exc}")
         if len(coeffs) != deg + 1 or (coeffs and coeffs[-1] == 0):
             raise CacheCorruption(f"inconsistent degree in cache entry {origin}")
-        return Poly(field, coeffs)
+        return Poly._of_trimmed(field, coeffs)  # decoded ints, last one nonzero
 
 
 def cache_from_env() -> PowerSumCache | None:

@@ -8,6 +8,14 @@ outputs are reproducible byte-for-byte; ``main`` also times the command
 and owns the ``timing`` object (``seconds``, or the per-criterion times
 of ``verify``), which consumers strip before comparing runs.
 
+``render_json`` is the one writer of indented JSON.  It prints the bytes
+of ``json.dumps(doc, sort_keys=True, indent=2)``, its oracle in the tests.
+CPython's C encoder serves only ``indent=None``, so the writer walks the
+containers itself.  It writes a list of strings (the digit strings of a
+polynomial) with one join, and escapes strings with the C
+``encode_basestring_ascii``, skipping it for a list whose strings are all
+printable ASCII without a quote or backslash.
+
 Exit codes: 0 success, 2 usage error, 3 a mathematical verification
 failed, 4 resource problems (e.g. unwritable cache directory).
 
@@ -26,6 +34,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .acceptance import CriterionResult, run_battery
@@ -37,7 +46,7 @@ from .drinfeld import (
     lseries_special_coeffs,
     module_over_A,
 )
-from .errors import AllCoefficientsVanish, FFZetaError, UsageError
+from .errors import AllCoefficientsVanish, FFZetaError, ReducibleModulus, UsageError
 from .ffpoly import FiniteField, Poly, poly_parse
 from .newton import NewtonPolygon, hensel_root, hensel_slack, polygon_verdict
 from .nonarch import LaurentSeries, PadicExponent, SvPoint, VadicElem
@@ -63,7 +72,7 @@ def poly_json(p: Poly) -> dict:
 
 def series_json(s: LaurentSeries) -> dict:
     return {"start": s.start if s.coeffs else None,
-            "coeffs": [s.field.encode_str(c) for c in s.coeffs],
+            "coeffs": s.field.encode_strs(s.coeffs),
             "precision": s.prec}
 
 
@@ -101,8 +110,43 @@ def envelope(command: str, config: dict, result: dict) -> dict:
             "result": result}
 
 
+def _write_json(o, pad: str) -> str:
+    """``o`` indented by two spaces a level, its first line at ``pad``.
+    Dict keys must be strings; a key json.dumps would convert (int, float,
+    bool, None) raises TypeError, and no report has one."""
+    if type(o) is str:  # the common scalars first, by exact type
+        return _quote(o)
+    if type(o) is int:
+        return repr(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_quote(k) + ": " + _write_json(v, inner)
+                                     for k, v in sorted(o.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:  # a list of strings, such as digit strings, is joined at once
+            text = "".join(o) if type(o[0]) is str else None
+        except TypeError:  # a list that only starts with a string
+            text = None
+        if text is None:
+            body = sep.join([_write_json(x, inner) for x in o])
+        elif text.isascii() and text.isprintable() and '"' not in text \
+                and "\\" not in text:  # no string in the list needs escaping
+            body = '"' + ('"' + sep + '"').join(o) + '"'
+        else:
+            body = sep.join(map(_quote, o))
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(o)  # any other scalar: indent does not change it
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _write_json(doc, "") + "\n"
 
 
 def battery_result(results: list[CriterionResult]) -> dict:
@@ -115,7 +159,7 @@ def battery_result(results: list[CriterionResult]) -> dict:
 def _render_text(doc: dict) -> str:
     out = [f"# {doc['command']} (schema {doc['schemaVersion']})"]
     out.append("config: " + json.dumps(doc["config"], sort_keys=True))
-    out.append(json.dumps(doc["result"], sort_keys=True, indent=2))
+    out.append(_write_json(doc["result"], ""))
     out.append("timing: " + json.dumps(doc["timing"], sort_keys=True))
     return "\n".join(out) + "\n"
 
@@ -213,6 +257,8 @@ def cmd_newton(args) -> tuple[dict, int, None]:
     refined = []
     if args.f:
         f = poly_parse(field, args.f)
+        if not f.is_monic:  # before deg f, which 0 lacks; VadicRing checks the rest
+            raise ReducibleModulus("the local prime must be monic irreducible")
         unit_order = field.order ** int(f.degree) - 1
         s1 = args.s1 if args.s1 is not None else (args.y or 0)
         s = SvPoint(s1, y, max(unit_order, 1))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
 
 NEG_INF = float("-inf")
 
-_TABLE_CAP = 512          # largest field order for which op tables are built
+_TABLE_CAP = 512          # largest field order for which op and string tables are built
 _SCHOOLBOOK_CAP = 96      # largest product length multiplied without packing
 
 
@@ -107,6 +108,7 @@ class FiniteField:
         self.modulus: tuple[int, ...] = modulus
         self._add, self._neg, self._mul, self._inv, self._planes = _field_tables(
             p, m, modulus)
+        self._strs, self._codes = _string_tables(p, m)
 
     # -- element ops on encodings ----------------------------------------
 
@@ -156,13 +158,25 @@ class FiniteField:
     def encode_str(self, a: int) -> str:
         """Base-p digit string of an element, w^0 digit first (see
         :func:`join_digits`); over F_p the one digit is the residue."""
-        if self.m == 1:
+        if self._strs is None:
             return str(a)
-        return join_digits(_digits(a, self.p, self.m), self.p)
+        return self._strs[a]
+
+    def encode_strs(self, coeffs: Sequence[int]) -> list[str]:
+        """:meth:`encode_str` of each element, in bulk."""
+        if self._strs is None:
+            return list(map(str, coeffs))
+        return list(map(self._strs.__getitem__, coeffs))
 
     def decode_str(self, s: str) -> int:
         """Inverse of :meth:`encode_str`; rejects a wrong digit count and
-        any digit that is not below p."""
+        any digit that is not below p.  A string in the field's table (what
+        encode_str writes) is read from it; any other is decoded digit by
+        digit, so over p > 10 a digit may carry leading zeros."""
+        if self._codes is not None:
+            value = self._codes.get(s)
+            if value is not None:
+                return value
         p = self.p
         digs = s.split(".") if p > 10 else s
         if len(digs) != self.m:
@@ -176,6 +190,19 @@ class FiniteField:
                 raise UsageError(f"digit {d} of {s!r} is not below p = {p}")
             value = value * p + d
         return value
+
+    def decode_strs(self, tokens: Sequence[str]) -> tuple[int, ...]:
+        """:meth:`decode_str` of each token, in bulk, for ASCII tokens
+        only; raises ValueError if any token is bad.  A field with a string
+        table looks every token up at once; only when one misses are the
+        tokens checked for ASCII and decoded one by one."""
+        if self._codes is not None:
+            values = tuple(map(self._codes.get, tokens))
+            if None not in values:
+                return values
+        if not "".join(tokens).isascii():
+            raise UsageError(f"a digit string of {tokens!r} is not ASCII")
+        return tuple(map(self.decode_str, tokens))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
@@ -209,6 +236,21 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     Fp = FiniteField(p)
     return next(c for c in (tuple(_digits(v, p, m)) + (1,) for v in range(p ** m))
                 if is_irreducible(Poly(Fp, c)))
+
+
+@functools.cache
+def _string_tables(p: int, m: int):
+    """(strs, codes) for a field of order q = p^m <= _TABLE_CAP: strs[a] is
+    the digit string of the element a, and codes its inverse.  A larger
+    (prime) field gets (None, None) and writes its residues with ``str``."""
+    q = p ** m
+    if q > _TABLE_CAP:
+        return None, None
+    if m == 1:  # one digit: the residue itself
+        strs = tuple(map(str, range(q)))
+    else:
+        strs = tuple(join_digits(_digits(v, p, m), p) for v in range(q))
+    return strs, {s: v for v, s in enumerate(strs)}
 
 
 @functools.cache
@@ -360,6 +402,17 @@ class Poly:
         self.coeffs = tuple(cs)
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _of_trimmed(cls, field: FiniteField, coeffs: tuple[int, ...]) -> "Poly":
+        """A Poly over ``coeffs`` as given: a tuple of Python ints, each an
+        encoding of ``field``, with no trailing zero.  Only for callers that
+        have checked all three; it skips ``__init__``'s per-coefficient
+        ``int()``."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls, field):
@@ -549,14 +602,13 @@ class Poly:
             return "0"
         F = self.field
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
+        # the nonzero terms, highest first; compress skips the zeros in C
+        for i in reversed(list(compress(range(len(self.coeffs)), self.coeffs))):
             c = self.coeffs[i]
-            if c == 0:
-                continue
-            if F.m == 1:
-                cs = "" if (c == 1 and i > 0) else str(c)
+            if c == 1 and i > 0:
+                cs = ""
             else:
-                cs = "" if (c == 1 and i > 0) else f"[{F.encode_str(c)}]"
+                cs = F.encode_str(c) if F.m == 1 else f"[{F.encode_str(c)}]"
             if i == 0:
                 terms.append(cs if cs else "1")
             elif i == 1:
@@ -566,7 +618,7 @@ class Poly:
         return "+".join(terms)
 
     def to_digit_strings(self) -> list[str]:
-        return [self.field.encode_str(c) for c in self.coeffs]
+        return self.field.encode_strs(self.coeffs)
 
     def __repr__(self):
         return self.to_string()

@@ -29,7 +29,6 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InsufficientPadicPrecision,
-    NonConvergence,
     NotAOneUnit,
     NotCoprime,
     ReducibleModulus,
@@ -362,22 +361,6 @@ class VadicRing:
 
     def one(self):
         return VadicElem(self, Poly.one(self.field))
-
-    def teichmuller(self, n: Poly) -> "VadicElem":
-        """The unique root-of-unity lift of n mod f, computed by iterating
-        the residue-order power map until it fixes (each step at least
-        doubles the contact order, so log2(M)+2 iterations always do)."""
-        if (n % self.f).is_zero():
-            raise NotCoprime("Teichmueller lift needs gcd(n, f) = 1")
-        x = self._reduce(n)
-        q = self.residue_order
-        cap = max(self.precision.bit_length(), 1) + 2
-        for _ in range(cap):
-            nxt = self._pow_rep(x, q)
-            if nxt == x:
-                return VadicElem(self, x)
-            x = nxt
-        raise NonConvergence("Teichmueller iteration did not stabilise")
 
     def integer_exponent(self, s: "SvPoint") -> int:
         """The g in [0, unit_exponent) with n^s = n^g for every unit n.

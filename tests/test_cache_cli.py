@@ -51,6 +51,15 @@ class TestCache:
         cache.put(field, 1, 5, value)
         assert cache.get(field, 1, 5) == value
         assert cache.field_dir(field).name == name
+        # every element, and the file is the digit-by-digit rendering
+        value = Poly(field, list(range(field.order)) + [1])
+        cache.put(field, 2, 9, value)
+        got = cache.get(field, 2, 9)
+        assert got == value and all(type(c) is int for c in got.coeffs)
+        digits = [".".join(str(c // field.p ** k % field.p) for k in range(field.m))
+                  for c in value.coeffs]
+        assert cache.path(field, 2, 9).read_text() == \
+            f"deg {field.order}: {' '.join(digits)}\n"
 
     def test_miss_returns_none(self, tmp_path):
         cache = PowerSumCache(tmp_path)
@@ -82,6 +91,46 @@ class TestCache:
         cache.put(F2, 1, 3, power_sum(F2, 1, 3))  # T^2+T+1
         text = cache.path(F2, 1, 3).read_text()
         assert text == "deg 2: 1 1 1\n"
+
+    @pytest.mark.parametrize("pm,line", [
+        ((3, 1), "deg 1: 1 3"), ((257, 1), "deg 0: 257"), ((11, 2), "deg 0: 11.0"),
+        ((65537, 1), "deg 1: 1 65537"),
+        ((3, 1), "deg 0: 12"), ((2, 2), "deg 0: 1"), ((11, 2), "deg 0: 1.0.0"),
+        ((3, 1), "deg 1: 1 \u0661"), ((257, 1), "deg 0: \u0663"),
+        ((3, 2), "deg 0: \u0661\u0660"), ((11, 2), "deg 0: \u0663.1"),
+        ((3, 1), "deg 1: 1 +1"), ((257, 1), "deg 0: +1"), ((11, 2), "deg 0: +1.0"),
+        ((3, 1), "deg 1: 1 0"), ((11, 2), "deg 1: 1.0 0.0"),
+        ((3, 1), "deg 2: 1 1"), ((11, 2), "deg 0: 1.0 1.0"), ((3, 1), "deg 0:"),
+        ((3, 1), "deg -inf: 1"), ((3, 1), "1 1"), ((3, 1), "deg 1 1 1"),
+    ], ids=["digit-ge-p", "digit-ge-p-F257", "digit-ge-p-F121", "digit-ge-p-F65537",
+            "digit-count", "digit-count-F4", "digit-count-F121",
+            "non-ascii", "non-ascii-F257", "non-ascii-F9", "non-ascii-F121",
+            "plus", "plus-F257", "plus-F121", "trailing-zero", "trailing-zero-F121",
+            "degree", "degree-F121", "degree-empty", "zero-with-coefficients",
+            "no-header", "no-colon"])
+    def test_malformed_line_is_corruption(self, tmp_path, pm, line):
+        field = FiniteField(*pm)
+        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache.put(field, 1, 1, Poly.one(field))
+        cache.path(field, 1, 1).write_text(line + "\n")
+        with pytest.raises(CacheCorruption):
+            cache.get(field, 1, 1)
+
+    @pytest.mark.parametrize("pm,line,coeffs", [
+        ((3, 1), "  deg 1:  2\t1 \n\n", (2, 1)),
+        ((11, 2), "deg 1: 03.010 01.0\n", (3 + 10 * 11, 1)),
+        ((257, 1), "deg 1: 0007 256\n", (7, 256)),
+        ((2, 1), "deg -1:\n", ()),
+        ((2, 1), "deg +1: 0 1\n", (0, 1)),
+    ], ids=["whitespace", "leading-zeros-F121", "leading-zeros-F257",
+            "degree-minus-one", "signed-degree"])
+    def test_lenient_lines_read_as_before(self, tmp_path, pm, line, coeffs):
+        # lines the writer never makes, that the per-token reader took
+        field = FiniteField(*pm)
+        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache.put(field, 1, 1, Poly.one(field))
+        cache.path(field, 1, 1).write_text(line)
+        assert cache.get(field, 1, 1) == Poly(field, coeffs)
 
     def test_concurrent_writes_stay_parseable(self, tmp_path):
         cache = PowerSumCache(tmp_path, verify_fraction=0)
@@ -292,6 +341,16 @@ class TestCli:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("p,f", [("2", "0"), ("3", "0"), ("3", "2T+1")])
+    def test_newton_zero_prime_is_usage_error(self, p, f, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the prime was checked")
+        monkeypatch.setattr(cli, "zeta_family_vadic", no_work)
+        monkeypatch.setattr(cli, "SvPoint", no_work)
+        code, out, err = run_cli("newton", "--p", p, "--f", f, "--y", "3")
+        assert code == 2 and out == ""
+        assert err == "usage error: the local prime must be monic irreducible\n"
 
     def test_frobenius_command(self):
         code, out, _ = run_cli("frobenius", "--p", "2", "--f", "T^2+T+1",

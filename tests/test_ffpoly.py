@@ -348,6 +348,42 @@ def _index(f: Poly) -> int:
     return sum(c * f.field.order ** k for k, c in enumerate(f.coeffs[:-1]))
 
 
+def _encode_reference(F, a):
+    """The digit string by its definition: m base-p digits, w^0 first."""
+    digits = [(a // F.p ** k) % F.p for k in range(F.m)]
+    return ("." if F.p > 10 else "").join(map(str, digits))
+
+
+def _decode_reference(F, s):
+    """decode_str digit by digit, as it was before the string tables."""
+    digs = s.split(".") if F.p > 10 else s
+    if len(digs) != F.m:
+        raise DegreeMismatch(s)
+    value = 0
+    for tok in reversed(digs):
+        if not tok.isdigit():
+            raise UsageError(tok)
+        d = int(tok)
+        if d >= F.p:
+            raise UsageError(tok)
+        value = value * F.p + d
+    return value
+
+
+def _to_string_reference(f, var="T"):
+    """Poly.to_string term by term, as it was before the bulk encoder."""
+    F, terms = f.field, []
+    for i in range(len(f.coeffs) - 1, -1, -1):
+        c = f.coeffs[i]
+        if c == 0:
+            continue
+        name = str(c) if F.m == 1 else f"[{_encode_reference(F, c)}]"
+        cs = "" if (c == 1 and i > 0) else name
+        terms.append((cs or "1") if i == 0 else f"{cs}{var}" if i == 1
+                     else f"{cs}{var}^{i}")
+    return "+".join(terms) if terms else "0"
+
+
 class TestParsing:
     def test_roundtrip(self):
         for s in ("T^3+T+1", "T^2+2T+2", "1", "T"):
@@ -369,13 +405,19 @@ class TestParsing:
         with pytest.raises(UsageError, match="not below p"):
             poly_parse(field, text)
 
-    @pytest.mark.parametrize("pm", [(11, 1), (11, 2), (13, 2)], ids=str)
+    @pytest.mark.parametrize("pm", [(11, 1), (11, 2), (13, 2), (2, 1), (3, 1),
+                                    (2, 2), (2, 3), (3, 2), (257, 1)], ids=str)
     def test_every_element_round_trips(self, pm):
         # for p > 10 the digits are joined with "."; one character each below
         F = FiniteField(*pm)
-        strings = [F.encode_str(a) for a in range(F.order)]
+        elements = list(range(F.order))
+        strings = [F.encode_str(a) for a in elements]
         assert len(set(strings)) == F.order
-        assert [F.decode_str(s) for s in strings] == list(range(F.order))
+        assert [F.decode_str(s) for s in strings] == elements
+        # the field's string table holds the digit-by-digit definition
+        assert strings == [_encode_reference(F, a) for a in elements]
+        assert F.encode_strs(elements) == strings
+        assert F.decode_strs(strings) == tuple(elements)
 
     def test_dotted_digits_over_f121(self):
         F121 = FiniteField(11, 2)
@@ -386,6 +428,69 @@ class TestParsing:
             poly_parse(F121, "[3.11]")
         with pytest.raises(DegreeMismatch):
             F121.decode_str("310")
+
+
+TABLE_FIELDS = {"F2": (2, 1), "F3": (3, 1), "F4": (2, 2), "F5": (5, 1),
+                "F8": (2, 3), "F9": (3, 2), "F25": (5, 2), "F121": (11, 2),
+                "F257": (257, 1)}
+
+
+class TestDigitStringTables:
+    """A field of order <= 512 reads its digit strings from one table (the
+    round trip of every element is in TestParsing); what decode_str and
+    to_string write and accept is that of the digit-by-digit definition."""
+
+    def test_sample_without_table(self):
+        F = FiniteField(65537)
+        assert F._strs is None  # above _TABLE_CAP: no table, str and int
+        sample = [0, 1, 2, 10, 9999, 65535, 65536] + random.Random(5).sample(
+            range(F.order), 200)
+        for a in sample:
+            assert F.decode_str(F.encode_str(a)) == a
+        assert F.decode_strs(F.encode_strs(sample)) == tuple(sample)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_FIELDS)),
+           st.text(alphabet="0123456789.+-٣ ", max_size=6))
+    def test_decode_str_accepts_and_rejects_as_before(self, name, s):
+        F = FiniteField(*TABLE_FIELDS[name])
+        try:
+            want = _decode_reference(F, s)
+        except ValueError:
+            with pytest.raises(ValueError):
+                F.decode_str(s)
+        else:
+            assert F.decode_str(s) == want
+
+    def test_leading_zero_digits_over_p_above_ten(self):
+        F121, F257 = FiniteField(11, 2), FiniteField(257)
+        assert F121.decode_str("03.010") == 3 + 10 * 11
+        assert F257.decode_str("0007") == 7
+        assert F121.decode_strs(["03.10", "1.0"]) == (3 + 10 * 11, 1)
+        assert FiniteField(65537).decode_strs(["0065536", "7"]) == (65536, 7)
+
+    @pytest.mark.parametrize("pm,tokens", [
+        ((3, 1), ["1", "3"]), ((3, 1), ["12"]), ((3, 1), ["+1"]),
+        ((3, 1), ["١"]), ((257, 1), ["257"]), ((257, 1), ["٣"]),
+        ((257, 1), ["1.0"]), ((2, 2), ["1"]), ((2, 2), ["١٠"]),
+        ((11, 2), ["3.11"]), ((11, 2), ["1.0.0"]), ((11, 2), ["٣.1"]),
+        ((11, 2), ["+1.0"]), ((65537, 1), ["65537"]), ((65537, 1), ["1", "+1"]),
+        ((65537, 1), ["\u0663"]),
+    ])
+    def test_decode_strs_rejects(self, pm, tokens):
+        with pytest.raises(ValueError):
+            FiniteField(*pm).decode_strs(tokens)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_FIELDS)), st.data())
+    def test_to_string_matches_reference(self, name, data):
+        F = FiniteField(*TABLE_FIELDS[name])
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, F.order - 1])
+                                    | st.integers(0, F.order - 1), max_size=9))
+        f = Poly(F, coeffs)
+        assert f.to_string() == _to_string_reference(f)
+        assert f.to_string("u") == _to_string_reference(f, "u")
+        assert f.to_digit_strings() == [_encode_reference(F, c) for c in f.coeffs]
 
 
 def test_powmod_agrees_with_pow():

@@ -1,4 +1,5 @@
-"""The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone.
+"""The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone,
+and indented JSON is written by ``cli.render_json`` alone.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
 ``Poly`` and ``ffpoly.sum_of_powers``; it neither reads a field's private
@@ -57,3 +58,33 @@ def test_the_check_sees_a_direct_kernel_call(tmp_path):
                      "def f(field, pk, c):\n"
                      "    return pk.pk_pow(c, 3, field.p), field._planes\n")
     assert [v.split()[1] for v in _violations(probe)] == ["pk_mul", "pk_pow", "_planes"]
+
+
+# Indented JSON goes through cli.render_json alone: CPython's C encoder
+# serves json.dumps only without ``indent``, so a call with it would send
+# an output back through the pure-Python encoder.
+
+def _indented_dumps(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "dumps" and any(kw.arg == "indent" for kw in node.keywords):
+            found.append(f"{path.name}:{node.lineno} dumps(indent=...)")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    assert _indented_dumps(path) == []
+
+
+def test_the_check_sees_an_indented_dumps(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\nfrom json import dumps\n"
+                     "def f(doc):\n"
+                     "    a = json.dumps(doc, sort_keys=True)\n"
+                     "    return a + json.dumps(doc, indent=2) + dumps(doc, indent=None)\n")
+    assert _indented_dumps(probe) == ["probe.py:5 dumps(indent=...)"] * 2

@@ -29,6 +29,8 @@ from ffzeta.nonarch import (
     unit_pow_padic,
 )
 
+from vadic_reference import pow_sv_reference, teichmuller
+
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
@@ -187,17 +189,17 @@ class TestLaurentSeries:
 class TestTeichmuller:
     def test_residue_field_f2(self):
         ring = VadicRing(T2, 4)
-        om = ring.teichmuller(T2 + Poly.one(F2))
+        om = teichmuller(ring, T2 + Poly.one(F2))
         assert om.rep == Poly.one(F2)
 
     def test_constants_fixed_f3(self):
         ring = VadicRing(T3, 3)
-        assert ring.teichmuller(Poly.constant(F3, 2)).rep == Poly.constant(F3, 2)
+        assert teichmuller(ring, Poly.constant(F3, 2)).rep == Poly.constant(F3, 2)
 
     def test_quadratic_prime(self):
         f = poly_parse(F2, "T^2+T+1")
         ring = VadicRing(f, 3)
-        om = ring.teichmuller(T2)
+        om = teichmuller(ring, T2)
         assert (om.rep % f) == (T2 % f)
         assert (om ** 3) == ring.one()
 
@@ -210,7 +212,7 @@ class TestTeichmuller:
                 q = ring.residue_order
                 for n0 in range(1, field.order):
                     n = Poly.constant(field, n0)
-                    om = ring.teichmuller(n)
+                    om = teichmuller(ring, n)
                     hits = []
                     for encoding in range(field.order ** M):
                         digs = []
@@ -226,7 +228,7 @@ class TestTeichmuller:
     def test_not_coprime(self):
         ring = VadicRing(T2, 3)
         with pytest.raises(NotCoprime):
-            ring.teichmuller(T2)
+            teichmuller(ring, T2)
 
 
 class TestPowSv:
@@ -283,14 +285,6 @@ class TestPowSv:
             pow_sv(T3, SvPoint.from_int(5, 2, 3, 2), ring)
 
 
-def _pow_sv_reference(n: Poly, s: SvPoint, ring: VadicRing):
-    """The definition omega(n)^s1 * (n * omega(n)^-1)^e with e = s2 mod p^N,
-    with a fresh Teichmueller lift and inverse on every call."""
-    omega = ring.teichmuller(n)
-    unit = ring.elem(n) * omega.inverse()
-    return omega ** s.s1 * unit ** s.s2.value()
-
-
 def _prime(field, d):
     return next(iter(enumerate_monic_primes(field, d)))
 
@@ -338,7 +332,7 @@ class TestPowSvReference:
         for s in exps:
             assert 0 <= ring.integer_exponent(s) < ring.unit_exponent
             for n in monics:
-                assert pow_sv(n, s, ring) == _pow_sv_reference(n, s, ring), (n, s)
+                assert pow_sv(n, s, ring) == pow_sv_reference(n, s, ring), (n, s)
         residues = {(n % f).coeffs for n in monics}
         assert len(residues) < len(monics)
 
