@@ -38,7 +38,8 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# base-p digits and Lucas binomials
+# base-p digits and Lucas binomials: all t with C(j, t) != 0 mod p, digit by
+# digit, or one class of them mod m, by meet in the middle on j's digits
 # ---------------------------------------------------------------------------
 
 def base_digits(n: int, p: int) -> list[int]:
@@ -60,25 +61,45 @@ def ceil_log(r: int, x: int) -> int:
     return L
 
 
-def lucas_subsets(j: int, p: int):
-    """Yield (t, C(j, t) mod p) over all t with C(j, t) nonzero mod p."""
-    digs = base_digits(j, p) or [0]
-    # one binomial row per digit value of j
-    small = {d: [comb(d, t) % p for t in range(d + 1)] for d in set(digs)}
-    choices = [range(d + 1) for d in digs]
+def lucas_subsets(j: int, p: int) -> list[tuple[int, int]]:
+    """All (t, C(j, t) mod p) with C(j, t) nonzero mod p, (0, 1) first.
 
-    def rec(i, t, c):
-        if i == len(digs):
-            yield t, c
-            return
-        pk = p ** i
-        d = digs[i]
-        for ti in choices[i]:
-            cc = c * small[d][ti] % p
-            if cc:
-                yield from rec(i + 1, t + ti * pk, cc)
+    By Lucas' theorem these t are the numbers whose base-p digits t_i
+    are at most the digits j_i of j, and C(j, t) = prod C(j_i, t_i) mod p.
+    A digit j_i < p makes every C(j_i, t_i) with t_i <= j_i a unit, so no
+    listed coefficient vanishes.
+    """
+    return _digit_subsets(base_digits(j, p), p, 1)
 
-    yield from rec(0, 0, 1)
+
+def _digit_subsets(digits, p: int, pk: int) -> list[tuple[int, int]]:
+    """lucas_subsets of the number with these base-p digits times pk."""
+    out = [(0, 1)]
+    for d in digits:
+        if d:
+            row = [(ti * pk, comb(d, ti) % p) for ti in range(1, d + 1)]
+            out += [(t + s, c * b % p) for s, b in row for t, c in out]
+        pk *= p
+    return out
+
+
+def lucas_residue(j: int, p: int, m: int, r: int) -> list[tuple[int, int]]:
+    """The pairs of ``lucas_subsets(j, p)`` with t = r mod m, (0, 1) first
+    when m divides r.
+
+    Meet in the middle: t = s + u with s on the low half of j's digits
+    and u on the high half, grouped by u mod m.  Each s meets only the
+    group of residue r - s: the cost is the halves' lengths plus the output.
+    """
+    digits = base_digits(j, p)
+    if m == 1:
+        return _digit_subsets(digits, p, 1)
+    h = len(digits) // 2
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for u, c in _digit_subsets(digits[h:], p, p ** h):
+        groups.setdefault(u % m, []).append((u, c))
+    return [(s + u, b * c % p) for s, b in _digit_subsets(digits[:h], p, 1)
+            for u, c in groups.get((r - s) % m, ())]
 
 
 # ---------------------------------------------------------------------------

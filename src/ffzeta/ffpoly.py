@@ -399,6 +399,8 @@ class Poly:
         cs = [int(c) for c in coeffs]  # reject stray numpy scalars
         while cs and cs[-1] == 0:
             cs.pop()
+        if cs and (min(cs) < 0 or max(cs) >= field.order):
+            raise UsageError(f"coefficients must be encodings in [0, {field.order})")
         self.coeffs = tuple(cs)
 
     # -- constructors -----------------------------------------------------
@@ -406,9 +408,9 @@ class Poly:
     @classmethod
     def _of_trimmed(cls, field: FiniteField, coeffs: tuple[int, ...]) -> "Poly":
         """A Poly over ``coeffs`` as given: a tuple of Python ints, each an
-        encoding of ``field``, with no trailing zero.  Only for callers that
-        have checked all three; it skips ``__init__``'s per-coefficient
-        ``int()``."""
+        encoding of ``field``, with no trailing zero.  It skips the checks of
+        ``__init__``, for the cache reader (which makes them) and for results
+        of arithmetic on Poly operands, which keep all three over a field."""
         poly = object.__new__(cls)
         poly.field = field
         poly.coeffs = coeffs
@@ -416,11 +418,11 @@ class Poly:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._of_trimmed(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._of_trimmed(field, (1,))
 
     @classmethod
     def constant(cls, field, c: int):
@@ -486,11 +488,13 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        while out and out[-1] == 0:
+            out.pop()
+        return Poly._of_trimmed(F, tuple(out))
 
     def __neg__(self):
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly._of_trimmed(F, tuple([F.neg(c) for c in self.coeffs]))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -506,7 +510,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.field)
-        return Poly(self.field, _mul_dispatch(self.field, a, b))
+        return Poly._of_trimmed(self.field, tuple(_mul_dispatch(self.field, a, b)))
 
     __rmul__ = __mul__
 
@@ -517,13 +521,13 @@ class Poly:
             return Poly.zero(F)
         if c == 1:
             return self
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+        return Poly._of_trimmed(F, tuple([F.mul(c, x) for x in self.coeffs]))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by T^k."""
         if not self.coeffs:
             return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return Poly._of_trimmed(self.field, (0,) * k + self.coeffs)
 
     def __pow__(self, j: int):
         if j < 0:
@@ -563,7 +567,7 @@ class Poly:
                 rem[k:] = [F.add(r, row[fc]) for r, fc in zip(rem[k:], low)]
             while rem and rem[-1] == 0:
                 rem.pop()
-        return Poly(F, quot), Poly(F, rem)
+        return Poly._of_trimmed(F, tuple(quot)), Poly._of_trimmed(F, tuple(rem))
 
     def __mod__(self, other):
         return divmod(self, other)[1]

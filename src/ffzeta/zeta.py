@@ -59,7 +59,11 @@ from .nonarch import (
 class _SumEngine:
     """Tables E_d(t) = sum of m^t over all m with deg m < d, per (p, q).
 
-    The values live in F_p[T] and are kept in the reduced packed format of
+    Writing m = c T^(d-1) + m' expands m^t over the Lucas sub-exponents s
+    of t, and the sum over c in F_q keeps -1 exactly where s > 0 and
+    (q-1) | s.  ``lucas_residue`` lists only those s, by meet in the middle
+    on the digits of t; each C(t, s) it returns is a unit mod p.  The
+    values live in F_p[T] and are kept in the reduced packed format of
     :mod:`ffzeta._packing`; every sum goes through ``pk_sum``.
     """
 
@@ -78,7 +82,7 @@ class _SumEngine:
             val = int(t == 0)  # the constant 1 in every packed format
         else:
             terms = [((p - 1) * c % p, self.subspace_sum(d - 1, t - s), (d - 1) * s)
-                     for s, c in pk.lucas_subsets(t, p) if s and s % (self.q - 1) == 0]
+                     for s, c in pk.lucas_residue(t, p, self.q - 1, 0)[1:]]
             val = pk.pk_sum(terms, p, (d - 1) * t + 1)
         self._E[key] = val
         return val
@@ -329,8 +333,8 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     else:
         k, p, q1 = ring.deg, field.p, field.order - 1
         g = ring.integer_exponent(minus_s)
-        ts = [(t, c) for t, c in pk.lucas_subsets(g % p ** ceil_log(p, prec), p)
-              if t < prec and (g - t) % q1 == 0]
+        ts = [(t, c) for t, c in pk.lucas_residue(g % p ** ceil_log(p, prec), p, q1, g)
+              if t < prec]
         t0 = g % q1  # the smallest t with (q-1) | (g-t)
         top = max((t for t, _ in ts), default=t0)
         W = {t: ring.zero() for t, _ in ts}  # complete only when dmax >= k

@@ -151,6 +151,18 @@ class TestPolyArithmetic:
         with pytest.raises(DivisionByZero):
             divmod(Poly.one(F2), Poly.zero(F2))
 
+    @pytest.mark.parametrize("field,coeffs", [(F3, [5]), (F3, [-1]), (F3, [1, 3]),
+                                              (F3, [0, 2, 9, 0]), (F4, [4]),
+                                              (FiniteField(257), [1, 257])])
+    def test_coefficient_outside_the_field_rejected(self, field, coeffs):
+        # a coefficient is an encoding in [0, q); nothing reduces it silently
+        with pytest.raises(UsageError):
+            Poly(field, coeffs)
+
+    def test_coefficients_at_the_field_bounds_accepted(self):
+        for F in ALL_FIELDS:
+            assert Poly(F, [0, F.order - 1, 0]).coeffs == (0, F.order - 1)
+
     def test_large_power_via_lucas(self):
         # coefficient of T^k in (T+1)^j is C(j, k) mod 2, which by Lucas is
         # 1 exactly when every bit of k is set in j

@@ -1,4 +1,4 @@
-"""Differential tests of the packed F_p[T] kernels.
+"""Differential tests of the packed F_p[T] kernels and the Lucas enumerators.
 
 The packed sum ``pk_sum``, the kernels ``pk_mul`` and ``pk_pow`` (p = 2
 included, where they are bit-int kernels), ``Poly *`` and ``Poly **`` are
@@ -6,7 +6,12 @@ checked against a schoolbook reference kept here and against sympy's
 ``Poly(..., modulus=p)``, over small and large p and lengths on both sides
 of the packing threshold ``_SCHOOLBOOK_CAP`` (96).  The examples are derandomised
 and bounded, so every run checks the same cases.
+
+``lucas_subsets`` and ``lucas_residue`` are held to the plain list of
+C(j, t) mod p over every t <= j, filtered by residue.
 """
+
+from math import comb
 
 import pytest
 import sympy
@@ -140,3 +145,63 @@ class TestPolyPower:
         assert got == _from_sympy(_sympy(a, p) ** j, p)
         length = (len(a) - 1) * j + 1
         assert _trim(pk.pk_unpack(pk.pk_pow(a, j, p), length, p)) == want
+
+
+# ---------------------------------------------------------------------------
+# Lucas enumerators
+# ---------------------------------------------------------------------------
+
+def _lucas_oracle(j, p):
+    return [(t, c) for t, c in ((t, comb(j, t) % p) for t in range(j + 1)) if c]
+
+
+# most base-p digits per prime, so that the oracle's j stays below 2401
+MAX_DIGITS = {2: 11, 3: 6, 5: 4, 7: 4, 257: 2}
+
+
+@st.composite
+def lucas_case(draw):
+    """(j, p, m): q = p^m, and j = 0 or j with an odd or an even number of
+    base-p digits, one of them p - 1."""
+    p = draw(st.sampled_from(sorted(MAX_DIGITS)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, MAX_DIGITS[p]))
+    digits = [draw(st.integers(0, p - 1)) for _ in range(n)]
+    if digits:
+        small_top = p == 257 and n == 2  # keeps j below 1028
+        digits[-1] = draw(st.integers(1, 3 if small_top else p - 1))
+        digits[draw(st.integers(0, n - 1 - small_top))] = p - 1
+    return sum(d * p ** i for i, d in enumerate(digits)), p, m
+
+
+class TestLucasEnumerators:
+    @bounded
+    @given(lucas_case())
+    def test_subsets_match_the_binomial_oracle(self, case):
+        j, p, _ = case
+        got = pk.lucas_subsets(j, p)
+        assert got[0] == (0, 1)
+        assert sorted(got) == _lucas_oracle(j, p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(lucas_case(), st.data())
+    def test_residue_matches_the_filtered_oracle(self, case, data):
+        j, p, m = case
+        mod = p ** m - 1
+        r = data.draw(st.integers(-2 * mod, 2 * mod))
+        got = pk.lucas_residue(j, p, mod, r)
+        assert sorted(got) == [(t, c) for t, c in _lucas_oracle(j, p) if (t - r) % mod == 0]
+        if r % mod == 0:  # the power-sum engine drops t = 0 by slicing it off
+            assert got[0] == (0, 1)
+
+    @pytest.mark.parametrize("j,p", [(0, 3), (1, 2), (2, 3), (8, 3), (26, 3),
+                                     (80, 3), (242, 3), (255, 2), (511, 2)])
+    def test_residue_over_every_class(self, j, p):
+        # digit counts 0 to 9, with every digit p - 1 for the longer ones
+        for m in (1, 2, 3):
+            mod = p ** m - 1
+            oracle = _lucas_oracle(j, p)
+            got = [pk.lucas_residue(j, p, mod, r) for r in range(mod)]
+            assert sorted(x for part in got for x in part) == oracle
+            for r, part in enumerate(got):
+                assert all(t % mod == r for t, _ in part)

@@ -42,6 +42,7 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
 F5 = FiniteField(5)
+F8 = FiniteField(2, 3)
 F9 = FiniteField(3, 2)
 T2 = Poly.variable(F2)
 
@@ -87,6 +88,17 @@ class TestPowerSums:
             if field.order ** d > 3000:
                 d = 3
             assert power_sum(field, d, j) == power_sum_enumerated(field, d, j)
+
+    @pytest.mark.parametrize("field,cases", [
+        (F8, [(d, j) for d in (1, 2) for j in (47, 63, 100, 119, 175, 231, 245, 255)]),
+        (F9, [(1, j) for j in (161, 242, 485, 728)] + [(2, j) for j in (152, 233, 323)]),
+    ], ids=["F8", "F9"])
+    def test_recursion_equals_enumeration_extension_fields(self, field, cases):
+        # q^d <= 81 and exponents of 5 to 8 base-p digits, mostly with
+        # nonzero sums: the residue enumerator splits the digits of every
+        # sub-exponent, with halves of equal and of unequal length
+        for d, j in cases:
+            assert power_sum(field, d, j) == power_sum_enumerated(field, d, j), (d, j)
 
     def test_recursion_equals_enumeration_large_p(self):
         # at p >= 131 one coefficient product (p-1)^2 nearly fills a 16-bit
