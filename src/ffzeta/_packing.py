@@ -44,6 +44,8 @@ import numpy as np
 
 def base_digits(n: int, p: int) -> list[int]:
     """Base-p digits of n >= 0, least significant first ([] for n = 0)."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     out = []
     while n:
         n, r = divmod(n, p)

@@ -282,25 +282,23 @@ def criterion_8(quick=False, cache=None) -> CriterionResult:
     jmax_id, dmax_id = (10, 6) if quick else (50, 8)
     fac_deg = 2 if quick else 4
     jmax_par = 5 if quick else 20
-    details: dict = {}
     a_ok = psi_composition_check()
-    details["a_composition"] = a_ok
-    b_fail = [j for j in range(jmax_id + 1)
-              if not hecke_identity(j, dmax_id, cache=cache).passed]
-    details["b_identity_failures"] = b_fail
+    b_reps = [hecke_identity(j, dmax_id, cache=cache)
+              for j in range(jmax_id + 1)]
+    b_fail = [rep.j for rep in b_reps if not rep.passed]
     c_rep = psi_factorization_check(fac_deg)
-    details["c_factorization"] = c_rep.passed
-    d_v_fail, d_i_fail, provisional = [], [], []
-    for j in range(jmax_par + 1):
-        rep = parity_report(j, 8, 64)
-        if not rep.vadic_all_odd:
-            d_v_fail.append({"j": j,
-                             "violations": [str(s) for s in rep.vadic_violations]})
-        if not rep.infty_all_even:
-            d_i_fail.append({"j": j,
-                             "violations": [str(s) for s in rep.infty_violations]})
-    details["d_vadic_odd_failures"] = d_v_fail
-    details["d_infty_even_failures"] = d_i_fail
+    # parity reads the sums of an identity report at dmax 8
+    d_reps = [parity_report(b_reps[j] if dmax_id == 8
+                            else hecke_identity(j, 8, cache=cache), 64)
+              for j in range(jmax_par + 1)]
+    d_v_fail = [{"j": r.j, "violations": [str(s) for s in r.vadic_violations]}
+                for r in d_reps if not r.vadic_all_odd]
+    d_i_fail = [{"j": r.j, "violations": [str(s) for s in r.infty_violations]}
+                for r in d_reps if not r.infty_all_even]
+    details = {"a_composition": a_ok, "b_identity_failures": b_fail,
+               "c_factorization": c_rep.passed,
+               "d_vadic_odd_failures": d_v_fail,
+               "d_infty_even_failures": d_i_fail}
     passed = (a_ok and not b_fail and c_rep.passed
               and not d_v_fail and not d_i_fail)
     return _result("8", "square-root CM example suite",

@@ -331,7 +331,7 @@ def cmd_lseries(args) -> tuple[dict, int, None]:
 
 def cmd_sqrtcar(args) -> tuple[dict, int, None]:
     identity = hecke_identity(args.j, args.dmax, cache=_cache_from(args))
-    parity = parity_report(args.j, args.dmax, args.prec)
+    parity = parity_report(identity, args.prec)
     composition = psi_composition_check()
     factorization = psi_factorization_check(min(args.dmax, 4))
     result = {

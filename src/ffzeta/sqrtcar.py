@@ -18,9 +18,10 @@ The objects computed here:
   degree-one Carlitz action for A' with itself; its Euler factor at
   every prime is the square of the character's factor, checked through
   the rank-2 Frobenius charpoly coming out as (a, mu) = (0, g);
-* zero-valuation parity observables: u-adic slopes of the v-adic family
-  (the removed Euler factor contributes the odd slope 2j+1) and the
-  even slopes of the same data at infinity.
+* zero-valuation parity observables of the one enumeration of l_d(j):
+  even slopes at infinity; odd u-adic slopes at v = (T) (the removed Euler
+  factor gives 2j+1) of the coprime sums l_d(j) - u^(2j+1) l_(d-1)(j), as
+  a multiple of T is n = T m with n' = u m' and n^j = u^(2j) m(u^2)^j.
 
 One structural fact shows up in every v-adic parity run: the degree-1
 coefficient sum over the single coprime monic (T+1) is (u+1)^(2j+1), a
@@ -45,43 +46,43 @@ from .zeta import power_sum
 _F2 = FiniteField(2)
 
 
-def base_field() -> FiniteField:
-    return _F2
-
-
 # ---------------------------------------------------------------------------
 # Hecke character sums
 # ---------------------------------------------------------------------------
 
-def hecke_special(j: int, dmax: int, *, coprime_to_T: bool = False) -> list[Poly]:
+def hecke_special(j: int, dmax: int) -> list[Poly]:
     """l_d(j) = sum of n' * n^j over monic deg-d n, exact in A'.
 
-    n^j is computed in T and mapped through T -> u^2, then multiplied by
-    n'; with ``coprime_to_T`` only n with nonzero constant term enter.
+    n^j is computed in T, mapped through T -> u^2 and multiplied by n'.
+    Over n = T m, n' n^j = u^(2j+1) m' m(u^2)^j, so the sums over n
+    coprime to T are l_d(j) - u^(2j+1) l_(d-1)(j) (``_coprime_sums``).
     """
-    if j < 0:
-        raise ValueError("need j >= 0")
+    if j < 0 or dmax < 0:
+        raise ValueError("need j >= 0 and dmax >= 0")
     out = []
     for d in range(dmax + 1):
         acc = 0
-        lead = 1 << d
-        for i in range(1 << d):
-            nb = i | lead
-            if coprime_to_T and not (nb & 1):
-                continue
-            npow = pk.f2_pow(nb, j)         # n^j in T
-            spread = pk.f2_spread(npow, 2)  # T -> u^2
-            acc ^= pk.f2_mul(nb, spread)    # times n'
+        for nb in range(1 << d, 2 << d):  # the monics of degree d
+            acc ^= pk.f2_mul(nb, pk.f2_spread(pk.f2_pow(nb, j), 2))
         out.append(Poly(_F2, pk.f2_to_coeffs(acc)))
     return out
 
 
+def _coprime_sums(sums: list[Poly], j: int) -> list[Poly]:
+    """l_d(j) - u^(2j+1) l_(d-1)(j): the multiples n = T m drop out."""
+    return sums[:1] + [s - t.shift(2 * j + 1) for t, s in zip(sums, sums[1:])]
+
+
 @dataclass
 class HeckeIdentityReport:
+    """l_d(j) == S'_d(2j+1) per degree, and the sums l_d(j) it checked.
+    ``parity_report`` reads them; their coprime part is l_d(j) -
+    u^(2j+1) l_(d-1)(j), as n = T m gives n' n^j = u^(2j+1) m' m(u^2)^j."""
     j: int
     dmax: int
     per_degree: list[bool]
     passed: bool
+    sums: list[Poly]
 
 
 def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
@@ -91,10 +92,8 @@ def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
     the power-sum recursion, so the routes are independent.
     """
     ls = hecke_special(j, dmax)
-    per = []
-    for d in range(dmax + 1):
-        per.append(ls[d] == power_sum(_F2, d, 2 * j + 1, cache=cache))
-    return HeckeIdentityReport(j, dmax, per, all(per))
+    per = [s == power_sum(_F2, d, 2 * j + 1, cache=cache) for d, s in enumerate(ls)]
+    return HeckeIdentityReport(j, dmax, per, all(per), ls)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +165,14 @@ class ParityReport:
         return self.vadic_all_odd and self.infty_all_even
 
 
-def parity_report(j: int, dmax: int = 8, precision: int = 64) -> ParityReport:
-    """Slope parities of the character's family at v = (T) and at infinity.
+def parity_report(identity: HeckeIdentityReport, precision: int = 64) -> ParityReport:
+    """Slope parities at v = (T) and at infinity of the sums of ``identity``.
 
     The v-adic family at the integer point is the exact coprime sum
-    sum n' n^j in A' (it already contains the removed Euler factor's zero
-    of slope 2j+1); its Newton polygon is taken with respect to u-order.
-    The infinity side uses the full sums with valuation -deg_u.  Both
+    sum n' n^j in A' (it contains the removed Euler factor's zero of slope
+    2j+1): l_d(j) - u^(2j+1) l_(d-1)(j), as n = T m gives n' n^j =
+    u^(2j+1) m' m(u^2)^j.  Its polygon is taken with respect to u-order;
+    the infinity side uses the full sums l_d(j) with valuation -deg_u.  Both
     sides are exact, so neither polygon is ever provisional; if an exact
     valuation reaches the presentation precision, the A'/(u^M) view would
     lose a genuine point and ProvisionalPolygon is raised instead.
@@ -186,17 +186,17 @@ def parity_report(j: int, dmax: int = 8, precision: int = 64) -> ParityReport:
                 f"exact u-valuation {v} >= presentation precision {precision}")
         return v
 
-    poly_v = polygon_of(hecke_special(j, dmax, coprime_to_T=True), u_order)
+    poly_v = polygon_of(_coprime_sums(identity.sums, identity.j), u_order)
     slopes_v = [s.slope for s in poly_v.segments]
     bad_v = [s for s in slopes_v if s.denominator != 1 or s.numerator % 2 == 0]
 
-    poly_i = polygon_of(hecke_special(j, dmax), minus_degree)
+    poly_i = polygon_of(identity.sums, minus_degree)
     slopes_i = [s.slope for s in poly_i.segments]
     bad_i = [s for s in slopes_i if s.denominator != 1 or s.numerator % 2 != 0]
 
     return ParityReport(
-        j, dmax, precision,
+        identity.j, identity.dmax, precision,
         slopes_v, bad_v, slopes_i, bad_i,
-        removed_factor_slope=2 * j + 1,
+        removed_factor_slope=2 * identity.j + 1,
         vadic_all_odd=not bad_v,
         infty_all_even=not bad_i)

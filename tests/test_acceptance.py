@@ -91,7 +91,7 @@ class TestCriterion8:
     def test_criterion_8d_infty_parity_even(self):
         bad = []
         for j in range(21):
-            rep = parity_report(j, 8, 64)
+            rep = parity_report(hecke_identity(j, 8), 64)
             if not rep.infty_all_even:
                 bad.append((j, [str(s) for s in rep.infty_violations]))
         print("\n[criterion 8d-infinity] " + ("PASS" if not bad else "FAIL")
@@ -101,7 +101,7 @@ class TestCriterion8:
     def test_criterion_8d_vadic_parity_odd(self):
         bad = []
         for j in range(21):
-            rep = parity_report(j, 8, 64)
+            rep = parity_report(hecke_identity(j, 8), 64)
             if not rep.vadic_all_odd:
                 bad.append((j, [str(s) for s in rep.vadic_violations]))
         print("\n[criterion 8d-vadic] " + ("PASS" if not bad else "FAIL")

@@ -174,6 +174,18 @@ def lucas_case(draw):
     return sum(d * p ** i for i, d in enumerate(digits)), p, m
 
 
+class TestBaseDigits:
+    @pytest.mark.parametrize("n,p,digits", [(0, 3, []), (5, 2, [1, 0, 1]),
+                                            (26, 3, [2, 2, 2])])
+    def test_digits(self, n, p, digits):
+        assert pk.base_digits(n, p) == digits
+
+    def test_negative_rejected(self):
+        # divmod keeps a negative n at -1, so the digit loop would not end
+        with pytest.raises(ValueError, match="n >= 0"):
+            pk.base_digits(-1, 3)
+
+
 class TestLucasEnumerators:
     @bounded
     @given(lucas_case())

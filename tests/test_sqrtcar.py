@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from ffzeta import _packing as pk
+from ffzeta import cli, sqrtcar
 from ffzeta.errors import ProvisionalPolygon
-from ffzeta.ffpoly import Poly, enumerate_monic, poly_parse
+from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic, poly_parse
 from ffzeta.sqrtcar import (
-    base_field,
+    _coprime_sums,
     carlitz_prime_module,
     hecke_identity,
     hecke_special,
@@ -16,7 +18,7 @@ from ffzeta.sqrtcar import (
 )
 from ffzeta.zeta import power_sum
 
-F2 = base_field()
+F2 = FiniteField(2)
 
 
 class TestSqrtMap:
@@ -45,6 +47,20 @@ class TestSqrtMap:
             assert n * n == n.substitute_spread(2)
 
 
+def _coprime_oracle(j: int, dmax: int) -> list[Poly]:
+    """sum of n' * n^j over monic deg-d n with n(0) != 0, term by term on
+    bit ints: the reference for the derived coprime sums."""
+    out = []
+    for d in range(dmax + 1):
+        acc = 0
+        for i in range(1 << d):
+            nb = i | (1 << d)
+            if nb & 1:
+                acc ^= pk.f2_mul(nb, pk.f2_spread(pk.f2_pow(nb, j), 2))
+        out.append(Poly(F2, pk.f2_to_coeffs(acc)))
+    return out
+
+
 class TestHeckeSums:
     def test_degree_zero(self):
         assert hecke_special(5, 0)[0] == Poly.one(F2)
@@ -66,13 +82,23 @@ class TestHeckeSums:
                 assert hecke_special(j, d)[d] == acc
 
     def test_coprime_variant(self):
-        vals = hecke_special(0, 2, coprime_to_T=True)
+        vals = _coprime_sums(hecke_special(0, 2), 0)
         assert vals[1] == poly_parse(F2, "T+1")        # u + 1
         assert vals[2] == Poly.variable(F2)            # u
+
+    def test_coprime_sums_match_direct_enumeration(self):
+        for j in range(21):
+            assert _coprime_sums(hecke_special(j, 8), j) == _coprime_oracle(j, 8)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="j >= 0"):
             hecke_special(-1, 2)
+
+    def test_negative_dmax_rejected(self):
+        with pytest.raises(ValueError, match="dmax >= 0"):
+            hecke_special(1, -1)
+        with pytest.raises(ValueError, match="dmax >= 0"):
+            hecke_identity(1, -1)
 
 
 class TestHeckeIdentity:
@@ -123,18 +149,18 @@ class TestPsiModule:
 class TestParity:
     def test_removed_factor_slope_is_odd_and_present(self):
         for j in (0, 1, 3, 7):
-            rep = parity_report(j, 8, 64)
+            rep = parity_report(hecke_identity(j, 8), 64)
             assert rep.removed_factor_slope == 2 * j + 1
             assert rep.removed_factor_slope % 2 == 1
             assert any(s == rep.removed_factor_slope for s in rep.vadic_slopes)
 
     def test_infty_side_all_even(self):
         for j in range(0, 11):
-            rep = parity_report(j, 8, 64)
+            rep = parity_report(hecke_identity(j, 8), 64)
             assert rep.infty_all_even, (j, rep.infty_violations)
 
     def test_infty_j0_slope_zero(self):
-        rep = parity_report(0, 8, 64)
+        rep = parity_report(hecke_identity(0, 8), 64)
         assert rep.infty_slopes == [0]
 
     def test_vadic_trivial_zero_is_the_only_violation(self):
@@ -142,11 +168,24 @@ class TestParity:
         # polygon always opens with a slope-0 segment; slope 0 is even and
         # is reported as the single parity exception, all other slopes odd
         for j in range(0, 11):
-            rep = parity_report(j, 8, 64)
+            rep = parity_report(hecke_identity(j, 8), 64)
             assert rep.vadic_violations == [0], (j, rep.vadic_slopes)
             others = [s for s in rep.vadic_slopes if s != 0]
             assert all(s.denominator == 1 and s.numerator % 2 == 1 for s in others)
 
+    def test_one_enumeration_per_request(self, monkeypatch):
+        # the identity and both parity polygons read one hecke_special call
+        calls = []
+        original = sqrtcar.hecke_special
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sqrtcar, "hecke_special", counting)
+        assert cli.main(["sqrtcar", "--j", "3", "--dmax", "5"]) == 3
+        assert calls == [(3, 5)]
+
     def test_insufficient_presentation_precision(self):
         with pytest.raises(ProvisionalPolygon):
-            parity_report(20, 8, 8)
+            parity_report(hecke_identity(20, 8), 8)
