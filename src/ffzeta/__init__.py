@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .ffpoly import (  # noqa: F401
     FiniteField,
-    FqElement,
     Poly,
     enumerate_monic,
     enumerate_monic_primes,
@@ -69,7 +68,6 @@ from .drinfeld import (  # noqa: F401
     lseries_family_vadic,
     lseries_special_coeffs,
     module_over_A,
-    skew_one,
     skew_tau,
 )
 from .cache import PowerSumCache  # noqa: F401

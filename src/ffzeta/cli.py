@@ -202,6 +202,13 @@ def _add_field_args(sp):
                     help="field modulus digits, lowest first, e.g. 1,1,1")
 
 
+def _add_module_args(sp):
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--module", choices=("carlitz",), default=None)
+    group.add_argument("--tau-coeffs", type=str, default=None,
+                       help="comma list of A-polynomials g_1,...,g_rank")
+
+
 def _add_format(sp, *extra):
     sp.add_argument("--format", choices=("json", "text", *extra), default="json")
 
@@ -251,6 +258,8 @@ def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
 
 
 def cmd_newton(args) -> tuple[dict, int, None]:
+    if args.s1 is not None and not args.f:
+        raise UsageError("--s1 is a coordinate at --f; give --f")
     field = _field_from(args)
     prec = args.prec
     y = _exponent_from(args, field, prec)
@@ -290,8 +299,6 @@ def cmd_newton(args) -> tuple[dict, int, None]:
 def _module_from(args, field: FiniteField):
     if args.module == "carlitz":
         return carlitz_module(field)
-    if not args.tau_coeffs:
-        raise UsageError("give --module carlitz or --tau-coeffs")
     gs = [poly_parse(field, tok) for tok in args.tau_coeffs.split(",")]
     return module_over_A(field, gs, label=f"tau-coeffs {args.tau_coeffs}")
 
@@ -412,16 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("frobenius", help="Frobenius characteristic polynomial")
     _add_field_args(sp)
     sp.add_argument("--f", type=str, required=True)
-    sp.add_argument("--module", type=str, default=None,
-                    help='"carlitz" or use --tau-coeffs')
-    sp.add_argument("--tau-coeffs", type=str, default=None,
-                    help="comma list of A-polynomials g_1,...,g_rank")
+    _add_module_args(sp)
     _add_format(sp)
 
     sp = sub.add_parser("lseries", help="Dirichlet coefficients of a module")
     _add_field_args(sp)
-    sp.add_argument("--module", type=str, default=None)
-    sp.add_argument("--tau-coeffs", type=str, default=None)
+    _add_module_args(sp)
     sp.add_argument("--degree-bound", type=_int_at_least(0), required=True)
     sp.add_argument("--j", type=_int_at_least(0), default=None,
                     help="also emit exact special coefficients at this exponent")

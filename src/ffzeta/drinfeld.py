@@ -2,9 +2,8 @@
 
 The skew ring F{tau} twists multiplication by tau * a = a^r * tau, where
 r is the order of the *operator-side* constant field (not of the field
-the coefficients happen to live in).  Coefficients are duck-typed: field
-elements, polynomials, or residue-ring elements all work, as long as
-they support +, -, *, integer ** and is_zero().
+the coefficients happen to live in).  Coefficients lie in A = F_r[T]
+(``Poly``) or in a residue ring A/(f^M) (``VadicElem``).
 
 A module is pinned down by phi_T = (gamma(T), g_1, ..., g_rank); phi
 extends to all of F_r[T] as the unique ring map, evaluated by a
@@ -62,13 +61,10 @@ from .zeta import CoefficientFamily, poly_to_series_infty
 
 
 def _czero(c):
-    """The zero of c's coefficient ring, taken from the ring where it
-    keeps one."""
+    """The zero of c's coefficient ring, A or A/(f^M)."""
     if isinstance(c, VadicElem):
         return c.ring.zero()
-    if isinstance(c, Poly):
-        return Poly.zero(c.field)
-    return c - c
+    return Poly.zero(c.field)
 
 
 def _twisted(c, twist: int):
@@ -178,10 +174,6 @@ class SkewPoly:
         return " + ".join(parts)
 
 
-def skew_one(one, twist: int) -> SkewPoly:
-    return SkewPoly([one], twist)
-
-
 def skew_tau(one, k: int, twist: int) -> SkewPoly:
     """tau^k as a skew polynomial, given the coefficient ring's one."""
     zero = _czero(one)
@@ -228,7 +220,7 @@ class DrinfeldModule:
         return self._phi_T_skew
 
     def one(self) -> SkewPoly:
-        return skew_one(self.scalar(1), self.twist)
+        return SkewPoly([self.scalar(1)], self.twist)
 
     def phi(self, a: Poly) -> SkewPoly:
         """Image of a in the skew ring (noncommutative Horner)."""
@@ -241,7 +233,7 @@ class DrinfeldModule:
         for c in reversed(a.coeffs):
             if acc is not None:
                 acc = acc * phiT
-            term = skew_one(self.scalar(c), self.twist) if c else None
+            term = SkewPoly([self.scalar(c)], self.twist) if c else None
             if acc is None:
                 acc = term if term is not None else SkewPoly((), self.twist)
             elif term is not None:
@@ -416,7 +408,6 @@ class DirichletCoefficients:
     degree_bound: int
     c: dict[Poly, Poly]
     skipped: list[Poly] = dc_field(default_factory=list)
-    local: dict[Poly, FrobeniusData] = dc_field(default_factory=dict)
 
     def at(self, n: Poly) -> Poly:
         return self.c.get(n, Poly.zero(self.field))
@@ -462,7 +453,6 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int
             except BadReduction:
                 out.skipped.append(f)
                 continue
-            out.local[f] = data
             kmax = degree_bound // deg_f
             hs = local_factor_coeffs(data, kmax)
             f_pows = [Poly.one(field), f]  # f^k for k <= kmax

@@ -74,7 +74,8 @@ def _prime_divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class FiniteField:
-    """Descriptor of F_{p^m} with encoded-integer element arithmetic.
+    """Descriptor of F_{p^m}: its elements are the integer encodings, and
+    its methods are the arithmetic on them.
 
     When no modulus is given and m > 1, the modulus is the monic
     irreducible of degree m over F_p whose non-leading coefficient encoding
@@ -126,11 +127,6 @@ class FiniteField:
             return (-a) % self.p
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -147,13 +143,6 @@ class FiniteField:
         if e < 0:
             return self.pow(self.inv(a), -e)
         return square_multiply(a, e, 1, self.mul)
-
-    def elem(self, value: int) -> "FqElement":
-        if self.m == 1:
-            return FqElement(self, value % self.p)
-        if not 0 <= value < self.order:
-            raise ValueError(f"encoding {value} out of range for {self!r}")
-        return FqElement(self, value)
 
     def encode_str(self, a: int) -> str:
         """Base-p digit string of an element, w^0 digit first (see
@@ -301,85 +290,6 @@ def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
     return add, neg, mul, inv, None
 
 
-class FqElement:
-    """A field element bound to its field; thin wrapper over the encoding."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FiniteField, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FqElement):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            # plain ints are prime-subfield scalars
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return FqElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FqElement(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other):
-        if isinstance(other, FqElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        if self.field.m == 1:
-            return str(self.value)
-        digs = pk.base_digits(self.value, self.field.p)
-        terms = []
-        for i, d in enumerate(digs):
-            if not d:
-                continue
-            if i == 0:
-                terms.append(str(d))
-            else:
-                c = "" if d == 1 else str(d)
-                terms.append(f"{c}w" if i == 1 else f"{c}w^{i}")
-        return "+".join(reversed(terms)) if terms else "0"
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -426,7 +336,7 @@ class Poly:
 
     @classmethod
     def constant(cls, field, c: int):
-        return cls(field, (c % field.order,))
+        return cls(field, (c,))
 
     @classmethod
     def variable(cls, field):
@@ -574,14 +484,6 @@ class Poly:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at a field element given by its encoding."""
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def monic(self) -> "Poly":
         if not self.coeffs:
@@ -788,15 +690,9 @@ def monic_indices(field: FiniteField, d: int,
     return range(start, stop)
 
 
-def enumerate_monic(field: FiniteField, d: int,
-                    start: int = 0, stop: int | None = None) -> Iterator[Poly]:
-    """Monic degree-d polynomials for indices in [start, stop).
-
-    The full range is [0, q^d); disjoint index sub-ranges partition the
-    degree-d monics exactly, so sums over the pieces add up to the sum over
-    the whole range.
-    """
-    for i in monic_indices(field, d, start, stop):
+def enumerate_monic(field: FiniteField, d: int) -> Iterator[Poly]:
+    """The q^d monic polynomials of degree d, in enumeration order."""
+    for i in range(field.order ** d):
         yield monic_by_index(field, d, i)
 
 
@@ -836,16 +732,12 @@ def _primes_of_degree(field: FiniteField, d: int):
     return got
 
 
-def enumerate_monic_primes(field: FiniteField, d: int,
-                           start: int = 0, stop: int | None = None) -> Iterator[Poly]:
-    """Monic irreducibles of degree d with index in [start, stop), in
-    enumeration order.  The full list for (field, d) is built once per
-    process and kept; every call reads a slice of it."""
+def enumerate_monic_primes(field: FiniteField, d: int) -> Iterator[Poly]:
+    """Monic irreducibles of degree d, in enumeration order.  The list for
+    (field, d) is built once per process and kept; every call reads it."""
     if d < 1:
         raise ValueError("primes have degree >= 1")
-    span = monic_indices(field, d, start, stop)
-    indices, primes = _primes_of_degree(field, d)
-    yield from primes[bisect_left(indices, span.start):bisect_left(indices, span.stop)]
+    yield from _primes_of_degree(field, d)[1]
 
 
 def is_monic_prime(f: Poly) -> bool:
@@ -887,7 +779,7 @@ def monic_prime_count(r: int, d: int) -> int:
 # parsing (shared grammar with the command line)
 # ---------------------------------------------------------------------------
 
-def poly_parse(field: FiniteField, text: str, var: str = "T") -> Poly:
+def poly_parse(field: FiniteField, text: str) -> Poly:
     """Parse ``T^2+T+1`` style input; extension coefficients as ``[digits]``.
 
     A bracketed coefficient lists base-p digits of the element, w^0 digit
@@ -918,7 +810,7 @@ def poly_parse(field: FiniteField, text: str, var: str = "T") -> Poly:
         terms.append((sign, cur))
     coeffs: dict[int, int] = {}
     for sign, term in terms:
-        c, k = _parse_term(field, term, var)
+        c, k = _parse_term(field, term)
         if sign < 0:
             c = field.neg(c)
         coeffs[k] = field.add(coeffs.get(k, 0), c)
@@ -930,7 +822,7 @@ def poly_parse(field: FiniteField, text: str, var: str = "T") -> Poly:
     return Poly(field, out)
 
 
-def _parse_term(field: FiniteField, term: str, var: str):
+def _parse_term(field: FiniteField, term: str):
     c = 1
     k = 0
     rest = term
@@ -945,9 +837,9 @@ def _parse_term(field: FiniteField, term: str, var: str):
         c = int(rest[:j]) % field.p
         rest = rest[j:]
     if rest:
-        if not rest.startswith(var):
+        if not rest.startswith("T"):
             raise ValueError(f"cannot parse term {term!r}")
-        rest = rest[len(var):]
+        rest = rest[1:]
         if rest.startswith("^"):
             k = int(rest[1:])
         elif rest == "":

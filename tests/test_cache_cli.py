@@ -334,13 +334,35 @@ class TestCli:
         ("lseries", "--p", "2", "--tau-coeffs", "1,1,1", "--degree-bound", "2",
          "--j", "1"),
         ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "0"),
+        ("newton", "--p", "2", "--y", "-1", "--s1", "5"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
-            "frobenius-zero-leading"])
+            "frobenius-zero-leading", "newton-s1-without-f"])
     def test_input_out_of_range_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("frobenius", "--p", "2", "--f", "T^2+T+1", "--module", "foo",
+         "--tau-coeffs", "1,1"),
+        ("frobenius", "--p", "2", "--f", "T^2+T+1", "--module", "carlitz",
+         "--tau-coeffs", "1,1"),
+        ("frobenius", "--p", "2", "--f", "T^2+T+1"),
+        ("lseries", "--p", "2", "--module", "foo", "--degree-bound", "2"),
+        ("lseries", "--p", "2", "--module", "carlitz", "--tau-coeffs", "1,1",
+         "--degree-bound", "2"),
+    ], ids=["frobenius-unknown-module", "frobenius-both", "frobenius-neither",
+            "lseries-unknown-module", "lseries-both"])
+    def test_module_is_carlitz_or_tau_coeffs(self, argv, monkeypatch):
+        # argparse rejects these, with its own wording, before any work
+        def no_work(*args):
+            raise AssertionError("work started before the arguments were checked")
+        monkeypatch.setattr(cli, "frobenius_charpoly", no_work)
+        monkeypatch.setattr(cli, "lseries_coeffs", no_work)
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "error: " in err and "--module" in err
 
     @pytest.mark.parametrize("p,f", [("2", "0"), ("3", "0"), ("3", "2T+1")])
     def test_newton_zero_prime_is_usage_error(self, p, f, monkeypatch):

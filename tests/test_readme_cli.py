@@ -61,3 +61,18 @@ def test_readme_example_matches_golden(index, argv, tmp_path, monkeypatch):
     assert got["exit"] == expected["exit"]
     assert json.dumps(got["envelope"], sort_keys=True) == \
         json.dumps(expected["envelope"], sort_keys=True)
+
+
+def test_readme_library_block_prints_its_results():
+    """The README's "Library use" block runs as written; a public name it
+    uses going away fails here, not only in the docs."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == [
+        "T^6+T^4+T^2",
+        "True 0",
+        "1 - (T^2+1) t",
+    ]
