@@ -248,11 +248,9 @@ def cmd_special(args) -> tuple[dict, int, None]:
 
 
 def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
-    if args.y_digits:
+    if args.y is None:  # argparse takes exactly one of --y and --y-digits
         digs = [int(tok) for tok in args.y_digits.split(",")]
         return PadicExponent(field.p, digs)
-    if args.y is None:
-        raise UsageError("give --y or --y-digits")
     n = max(ceil_log(field.p, prec + 1), 8)
     return PadicExponent.from_int(field.p, args.y, n)
 
@@ -260,6 +258,8 @@ def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
 def cmd_newton(args) -> tuple[dict, int, None]:
     if args.s1 is not None and not args.f:
         raise UsageError("--s1 is a coordinate at --f; give --f")
+    if args.refine and args.f:
+        raise UsageError("--refine works at infinity only; drop --f")
     field = _field_from(args)
     prec = args.prec
     y = _exponent_from(args, field, prec)
@@ -275,7 +275,7 @@ def cmd_newton(args) -> tuple[dict, int, None]:
     else:
         fam = zeta_family_infty(field, y, args.dmax, prec)
     poly, verdict = polygon_verdict(fam)
-    if args.refine and not args.f:
+    if args.refine:
         for seg in poly.segments:
             if seg.length == 1 and seg.slope.denominator == 1:
                 target = prec - hensel_slack(int(seg.slope), len(fam.coeffs) - 1)
@@ -401,14 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("newton", help="coefficient family polygon and verdict")
     _add_field_args(sp)
-    sp.add_argument("--y", type=int, default=None,
-                    help="integer exponent (the family applies -y)")
-    sp.add_argument("--y-digits", type=str, default=None,
-                    help="explicit base-p digits of the exponent, lowest first")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--y", type=int, default=None,
+                       help="integer exponent (the family applies -y)")
+    group.add_argument("--y-digits", type=str, default=None,
+                       help="explicit base-p digits of the exponent, lowest first")
     sp.add_argument("--f", type=str, default=None,
                     help="finite prime (v-adic family instead of infinity)")
     sp.add_argument("--s1", type=int, default=None,
-                    help="finite-order exponent coordinate at f")
+                    help="finite-order exponent coordinate at f (default: "
+                         "--y, or 0 with --y-digits)")
     sp.add_argument("--dmax", type=_int_at_least(0), default=8)
     sp.add_argument("--prec", type=_int_at_least(1), default=64)
     sp.add_argument("--refine", action="store_true",

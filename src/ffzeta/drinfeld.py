@@ -285,7 +285,6 @@ class FrobeniusData:
     kept result is shared by every later caller.
     """
 
-    f: Poly
     rank: int
     mu: Poly
     a: Poly | None = None
@@ -341,7 +340,7 @@ def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     if module.rank == 1:
         if reduced.phi(mu) != fr:
             raise NoSolution(f"no rank-1 Frobenius norm at {f}")
-        return FrobeniusData(f, 1, mu, None, eps, True, True)
+        return FrobeniusData(1, mu, None, eps, True, True)
     rhs = fr.shift(d) + reduced.phi(f).scale(reduced.scalar(eps))
     a = None
     if all(c.is_zero() for c in rhs.coeffs[:d]):
@@ -349,7 +348,7 @@ def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     if a is None:
         raise NoSolution(f"no rank-2 Frobenius charpoly at {f}")
     bound_ok = a.is_zero() or 2 * int(a.degree) <= d
-    return FrobeniusData(f, 2, mu, a, eps, True, bound_ok)
+    return FrobeniusData(2, mu, a, eps, True, bound_ok)
 
 
 def _norm_unit(reduced: DrinfeldModule, d: int) -> int:
@@ -405,7 +404,6 @@ class DirichletCoefficients:
     product and recorded."""
 
     field: FiniteField
-    degree_bound: int
     c: dict[Poly, Poly]
     skipped: list[Poly] = dc_field(default_factory=list)
 
@@ -444,8 +442,7 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int
     built multiplicatively from per-prime Frobenius data; bad primes are
     skipped and recorded."""
     field = module.base_field
-    out = DirichletCoefficients(field, degree_bound,
-                                {Poly.one(field): Poly.one(field)})
+    out = DirichletCoefficients(field, {Poly.one(field): Poly.one(field)})
     for deg_f in range(1, degree_bound + 1):
         for f in enumerate_monic_primes(field, deg_f):
             try:
@@ -516,7 +513,7 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
                 new[key] = prev + cn * hs[k]
         c = new
     c = {n: v for n, v in c.items() if not v.is_zero() or n.is_one()}
-    return DirichletCoefficients(field, degree_bound, c, skipped)
+    return DirichletCoefficients(field, c, skipped)
 
 
 def _tpoly_mul(a: list[Poly], b: list[Poly], kmax: int) -> list[Poly]:
@@ -565,8 +562,7 @@ def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
         u = bracket_infty(n, work)
         term = poly_to_series_infty(cn, work) * unit_pow_padic(u, -y, work)
         out[d] = out[d] + term.truncate(prec)
-    return CoefficientFamily("infinity", field, y, out, prec,
-                             label=module.label)
+    return CoefficientFamily(field, out)
 
 
 def lseries_family_vadic(module: DrinfeldModule, s: SvPoint, f: Poly,
@@ -584,5 +580,4 @@ def lseries_family_vadic(module: DrinfeldModule, s: SvPoint, f: Poly,
     for d, n, cn in coeffs.nonzero_up_to(dmax):
         if not (n % f).is_zero():
             out[d] = out[d] + ring.elem(cn) * pow_sv(n, minus_s, ring)
-    return CoefficientFamily("finite", field, s, out, prec, ring=ring,
-                             label=module.label)
+    return CoefficientFamily(field, out, ring)

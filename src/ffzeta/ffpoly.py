@@ -426,7 +426,8 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         F = self.field
-        c %= F.order if F.m > 1 else F.p
+        if not 0 <= c < F.order:
+            raise UsageError(f"scalar {c} is not an encoding in [0, {F.order})")
         if c == 0:
             return Poly.zero(F)
         if c == 1:

@@ -56,8 +56,6 @@ class Segment:
     length: int
     d_start: int
     d_end: int
-    v_start: int
-    v_end: int
 
     @property
     def zero_valuation(self) -> Fraction:
@@ -111,8 +109,7 @@ class NewtonPolygon:
     def segments(self) -> list[Segment]:
         out = []
         for (d1, v1), (d2, v2) in zip(self.vertices, self.vertices[1:]):
-            out.append(Segment(Fraction(v2 - v1, d2 - d1), d2 - d1,
-                               d1, d2, v1, v2))
+            out.append(Segment(Fraction(v2 - v1, d2 - d1), d2 - d1, d1, d2))
         return out
 
     def __repr__(self):

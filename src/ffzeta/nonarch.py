@@ -210,7 +210,8 @@ class LaurentSeries:
 
     def scale(self, c: int) -> "LaurentSeries":
         F = self.field
-        c %= F.order if F.m > 1 else F.p
+        if not 0 <= c < F.order:
+            raise UsageError(f"scalar {c} is not an encoding in [0, {F.order})")
         if c == 0:
             return LaurentSeries.zero_to_precision(F, self.prec)
         return LaurentSeries(F, self.start, [F.mul(c, x) for x in self.coeffs], self.prec)

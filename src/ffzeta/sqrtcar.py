@@ -150,8 +150,6 @@ def psi_factorization_check(max_degree: int = 4) -> PsiFactorizationReport:
 @dataclass
 class ParityReport:
     j: int
-    dmax: int
-    precision: int
     vadic_slopes: list[Fraction]
     vadic_violations: list[Fraction]
     infty_slopes: list[Fraction]
@@ -195,8 +193,7 @@ def parity_report(identity: HeckeIdentityReport, precision: int = 64) -> ParityR
     bad_i = [s for s in slopes_i if s.denominator != 1 or s.numerator % 2 != 0]
 
     return ParityReport(
-        identity.j, identity.dmax, precision,
-        slopes_v, bad_v, slopes_i, bad_i,
+        identity.j, slopes_v, bad_v, slopes_i, bad_i,
         removed_factor_slope=2 * identity.j + 1,
         vadic_all_odd=not bad_v,
         infty_all_even=not bad_i)

@@ -213,7 +213,6 @@ class SpecialPolynomial:
     S_d(j) is proved zero, and the degree of the last nonzero one."""
 
     field: FiniteField
-    j: int
     coeffs: list[Poly]
     observed_degree: int
 
@@ -239,7 +238,7 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
     top = max(special_degree_bound(field, j), dmax_hint or 0)
     coeffs = [power_sum(field, d, j, cache=cache) for d in range(top + 1)]
     observed = max((d for d, c in enumerate(coeffs) if c.coeffs), default=0)
-    return SpecialPolynomial(field, j, coeffs, observed)
+    return SpecialPolynomial(field, coeffs, observed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +249,13 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
 class CoefficientFamily:
     """d -> coefficient of x^(-d) of a series at a fixed exponent.
 
-    ``place`` is "infinity" (coefficients are LaurentSeries in pi = 1/T)
-    or "finite" (coefficients are VadicElem in A/(f^M), with ``ring``
-    set).  Coefficients all carry precision >= ``precision``.
+    At infinity the coefficients are LaurentSeries in pi = 1/T; at a
+    finite prime they are VadicElem in A/(f^M), and ``ring`` is A/(f^M).
     """
 
-    place: str
     field: FiniteField
-    exponent: object
     coeffs: list
-    precision: int
     ring: VadicRing | None = None
-    label: str = ""
 
     @property
     def dmax(self) -> int:
@@ -284,8 +278,7 @@ def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
     for d in range(dmax + 1):
         coeffs = eng.binomial_window(e, prec, lambda t: eng.subspace_sum(d, t))
         out.append(LaurentSeries(field, 0, coeffs, prec))
-    return CoefficientFamily("infinity", field, y, out, prec,
-                             label="zeta at infinity")
+    return CoefficientFamily(field, out)
 
 
 def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
@@ -307,6 +300,11 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     with t < prec and W(t) = sum over mu of mu^(g-t), built once per
     family.  For d < k the coprime monics are the mu of degree d, so
     c_d = sum of their mu^g.
+
+    The second form holds at k = 1 too and gives the same elements there,
+    but the first is faster at degree-1 primes: one packed binomial window
+    per coefficient, where the second multiplies polynomials per Lucas
+    term.  So both stay, chosen by deg f.
     """
     ring = VadicRing(f, prec)
     s.s2.require_precision(prec)
@@ -356,8 +354,7 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
                 s_t = Poly(field, eng.monic_sum_coeffs(d - k, t))
                 acc = acc + fw[t] * s_t * (p - c)  # -C(g,t) f^t W(t) S_(d-k)(t)
             out.append(ring.elem(acc))
-    return CoefficientFamily("finite", field, s, out, prec, ring=ring,
-                             label="zeta at a finite prime")
+    return CoefficientFamily(field, out, ring)
 
 
 def _coprime_iter(field: FiniteField, d: int, f: Poly):
@@ -377,11 +374,8 @@ def _coprime_iter(field: FiniteField, d: int, f: Poly):
 
 @dataclass
 class IdentityReport:
-    name: str
-    params: dict
     per_degree: list[bool]
     passed: bool
-    detail: str = ""
 
 
 def interp_consistency(field: FiniteField, j: int, dmax: int, prec: int,
@@ -400,10 +394,7 @@ def interp_consistency(field: FiniteField, j: int, dmax: int, prec: int,
         rhs = poly_to_series_infty(s, prec).shift(d * j) if s.coeffs else \
             LaurentSeries.zero_to_precision(field, prec)
         results.append(fam.coeffs[d].agrees_with(rhs))
-    return IdentityReport(
-        "bracket interpolation consistency",
-        {"r": field.order, "j": j, "dmax": dmax, "precision": prec},
-        results, all(results))
+    return IdentityReport(results, all(results))
 
 
 def poly_to_series_infty(a: Poly, prec: int) -> LaurentSeries:
@@ -415,8 +406,7 @@ def poly_to_series_infty(a: Poly, prec: int) -> LaurentSeries:
     return LaurentSeries(a.field, -d, window, prec)
 
 
-def euler_removed_identity(field: FiniteField, j: int, f: Poly,
-                           dmax: int | None = None, *, cache=None,
+def euler_removed_identity(field: FiniteField, j: int, f: Poly, *, cache=None,
                            totals: dict | None = None) -> IdentityReport:
     """Exact check that removing the Euler factor at f multiplies the
     special polynomial by (1 - x^(-deg f) f^j).
@@ -428,9 +418,7 @@ def euler_removed_identity(field: FiniteField, j: int, f: Poly,
     that share j (they do not depend on f).
     """
     df = int(f.degree)
-    if dmax is None:
-        z = special_polynomial(field, j, cache=cache)
-        dmax = z.observed_degree + df + 2
+    dmax = special_polynomial(field, j, cache=cache).observed_degree + df + 2
     fj = f ** j
     per_degree = []
     for d in range(dmax + 1):
@@ -445,14 +433,11 @@ def euler_removed_identity(field: FiniteField, j: int, f: Poly,
         if d >= df:
             rhs = rhs - fj * power_sum(field, d - df, j, cache=cache)
         per_degree.append(lhs == rhs)
-    return IdentityReport(
-        "euler factor removal",
-        {"r": field.order, "j": j, "f": f.to_string(), "dmax": dmax},
-        per_degree, all(per_degree))
+    return IdentityReport(per_degree, all(per_degree))
 
 
 def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
-                        dmax: int | None = None, *, cache=None) -> IdentityReport:
+                        *, cache=None) -> IdentityReport:
     """Exact check of the degree-1 finite-place twist:
 
         (coprime sums, T -> 1/T)  ==  (1 - x^(-1)) * (bracket sums)
@@ -469,9 +454,7 @@ def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
     if f.degree != 1 or not f.is_monic:
         raise PreconditionViolated("the twist is for monic degree-1 primes")
     shift_c = f.coefficient(0)
-    if dmax is None:
-        z = special_polynomial(field, j, cache=cache)
-        dmax = z.observed_degree + 3
+    dmax = special_polynomial(field, j, cache=cache).observed_degree + 3
     T = Poly.variable(field)
     per_degree = []
     prev_bracket: Poly | None = None
@@ -486,10 +469,7 @@ def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
         rhs = bracket_d - prev_bracket if prev_bracket is not None else bracket_d
         prev_bracket = bracket_d
         per_degree.append(lhs == rhs)
-    return IdentityReport(
-        "degree-1 finite-place twist",
-        {"r": r, "j": j, "f": f.to_string(), "dmax": dmax},
-        per_degree, all(per_degree))
+    return IdentityReport(per_degree, all(per_degree))
 
 
 def _compose_linear(a: Poly, lin: Poly) -> Poly:

@@ -335,10 +335,16 @@ class TestCli:
          "--j", "1"),
         ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "0"),
         ("newton", "--p", "2", "--y", "-1", "--s1", "5"),
+        ("newton", "--p", "2", "--y", "-1", "--f", "T", "--dmax", "2",
+         "--prec", "8", "--refine"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
-            "frobenius-zero-leading", "newton-s1-without-f"])
-    def test_input_out_of_range_is_usage_error(self, argv):
+            "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f"])
+    def test_input_out_of_range_is_usage_error(self, argv, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a family was built before the arguments were checked")
+        monkeypatch.setattr(cli, "zeta_family_infty", no_work)
+        monkeypatch.setattr(cli, "zeta_family_vadic", no_work)
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
@@ -363,6 +369,21 @@ class TestCli:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert "error: " in err and "--module" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("newton", "--p", "2", "--y", "3", "--y-digits", "1,0,1"),
+        ("newton", "--p", "2", "--y", "-1", "--y-digits", "1", "--f", "T"),
+        ("newton", "--p", "2", "--dmax", "2"),
+    ], ids=["newton-both-y", "newton-both-y-at-f", "newton-neither-y"])
+    def test_exponent_is_y_or_y_digits(self, argv, monkeypatch):
+        # argparse rejects these, with its own wording, before any family
+        def no_work(*args):
+            raise AssertionError("a family was built before the arguments were checked")
+        monkeypatch.setattr(cli, "zeta_family_infty", no_work)
+        monkeypatch.setattr(cli, "zeta_family_vadic", no_work)
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "error: " in err and "--y" in err
 
     @pytest.mark.parametrize("p,f", [("2", "0"), ("3", "0"), ("3", "2T+1")])
     def test_newton_zero_prime_is_usage_error(self, p, f, monkeypatch):

@@ -634,7 +634,7 @@ class TestFrobeniusStore:
         C = carlitz_module(F2)
         T = Poly.variable(F2)
         store[(C.base_field, C.phi_T, T)] = drinfeld.FrobeniusData(
-            T, 1, T + Poly.one(F2), None, 1, True, True)
+            1, T + Poly.one(F2), None, 1, True, True)
         rec = lseries_coeffs(C, 4)
         before = dict(store)
         exp = lseries_coeffs_by_expansion(C, 4)

@@ -157,9 +157,14 @@ class TestPolyArithmetic:
         # a coefficient is an encoding in [0, q); nothing reduces it silently
         with pytest.raises(UsageError):
             Poly(field, coeffs)
-        if len(coeffs) == 1:
-            with pytest.raises(UsageError):
-                Poly.constant(field, coeffs[0])
+        if len(coeffs) == 1:  # the constant and both scalings check it too
+            c = coeffs[0]
+            for build in (lambda: Poly.constant(field, c),
+                          lambda: Poly.one(field) * c,
+                          lambda: Poly.variable(field).scale(c),
+                          lambda: LaurentSeries.one(field, 4).scale(c)):
+                with pytest.raises(UsageError):
+                    build()
 
     def test_coefficients_at_the_field_bounds_accepted(self):
         for F in ALL_FIELDS:

@@ -1,5 +1,6 @@
 """The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone,
-and indented JSON is written by ``cli.render_json`` alone.
+indented JSON is written by ``cli.render_json`` alone, and every field of
+a dataclass in ``src/ffzeta`` is read somewhere.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
 ``Poly`` and ``ffpoly.sum_of_powers``; it neither reads a field's private
@@ -88,3 +89,84 @@ def test_the_check_sees_an_indented_dumps(tmp_path):
                      "    a = json.dumps(doc, sort_keys=True)\n"
                      "    return a + json.dumps(doc, indent=2) + dumps(doc, indent=None)\n")
     assert _indented_dumps(probe) == ["probe.py:5 dumps(indent=...)"] * 2
+
+
+# Every field of a ``@dataclass`` in ``src/ffzeta`` is read somewhere
+# outside its own class body: as an attribute ``.field``, or as the string
+# "field" (``perfbench/spans.py`` reads some fields by ``getattr``).  A
+# field that nothing reads is stored state that no result depends on.
+# The check goes by name, not by class: a read of another class's field
+# of the same name (``.precision``, ``.name``) counts.
+
+ROOT = SRC.parent.parent
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclasses(tree) -> list[tuple[ast.ClassDef, list[str]]]:
+    return [(node, [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+
+
+def _names_read(tree, skip: ast.AST | None = None) -> set[str]:
+    """Attribute names loaded and string constants in ``tree``, not
+    counting the subtree ``skip``."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unread_fields(sources: list[Path], readers: list[Path]) -> list[str]:
+    """``file:Class.field`` for each dataclass field in ``sources`` that no
+    file of ``readers`` reads outside the class body."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in {*sources, *readers}}
+    reads = {path: _names_read(trees[path]) for path in readers}
+    unread = []
+    for path in sources:
+        for cls, fields in _dataclasses(trees[path]):
+            seen = set().union(_names_read(trees[path], skip=cls),
+                               *(reads[r] for r in readers if r != path))
+            unread += [f"{path.name}:{cls.name}.{name}" for name in fields
+                       if name not in seen]
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields(sorted(SRC.glob("*.py")), READERS) == []
+
+
+def test_the_check_sees_an_unread_field(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Report:\n"
+                     "    kept: int\n"
+                     "    by_name: int\n"
+                     "    stored: int\n"
+                     "    def own(self):\n"
+                     "        return self.stored\n"
+                     "def use(r):\n"
+                     "    r.stored = 1\n"
+                     "    return r.kept, getattr(r, 'by_name')\n")
+    assert _unread_fields([probe], [probe]) == ["probe.py:Report.stored"]

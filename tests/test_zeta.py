@@ -415,7 +415,7 @@ class TestFamilyOracles:
 
 class TestEulerRemoval:
     def test_hand_example_r2_T_j1(self):
-        rep = euler_removed_identity(F2, 1, T2, dmax=4)
+        rep = euler_removed_identity(F2, 1, T2)
         assert rep.passed
         # both sides are 1 + (T+1)x^-1 + T x^-2: check the enumerated side
         assert coprime_power_sum(F2, 1, 1, T2) == poly_parse(F2, "T+1")
