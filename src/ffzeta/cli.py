@@ -322,15 +322,12 @@ def cmd_lseries(args) -> tuple[dict, int, None]:
     field = _field_from(args)
     module = _module_from(args, field)
     coeffs = lseries_coeffs(module, args.degree_bound)
-    table = [{"n": n.to_string(), "c": poly_json(v)}
-             for n, v in sorted(coeffs.c.items(),
-                                key=lambda kv: (int(kv[0].degree), kv[0].coeffs))]
+    table = [{"n": n.to_string(), "c": poly_json(v)} for n, v in coeffs.c.items()]
     result = {"degree_bound": args.degree_bound,
               "coefficients": table,
               "skipped_primes": [f.to_string() for f in coeffs.skipped]}
     if args.j is not None:
-        specials = lseries_special_coeffs(module, args.j, args.degree_bound,
-                                          coeffs)
+        specials = lseries_special_coeffs(module, args.j, args.degree_bound)
         result["special_coefficients"] = {
             "j": args.j, "values": [poly_json(c) for c in specials]}
     return result, EXIT_OK, None

@@ -22,11 +22,12 @@ a shift.
 
 Each verified result is kept for the life of the process, keyed by value
 as (base field, phi_T, f), so a module rebuilt for a later request finds
-it again.  A call that raises (bad reduction, no solution, a field
-mismatch, an unsupported module) is never kept and raises again next
-time.  ``lseries_coeffs_by_expansion``, the slow oracle for
-``lseries_coeffs``, solves every prime afresh and neither reads nor
-writes the kept results.
+it again.  Each Dirichlet table is kept the same way, frozen, under
+(base field, phi_T, degree bound).  A call that raises (bad reduction,
+no solution, a field mismatch, an unsupported module) is never kept and
+raises again next time.  ``lseries_coeffs_by_expansion``, the slow
+oracle for ``lseries_coeffs``, solves every prime and builds its table
+afresh, and neither reads nor writes the kept results.
 
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
@@ -37,8 +38,9 @@ multiplies by it.  In A/(f^M) a twist by q reads the ring's table of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     BadReduction,
@@ -397,15 +399,17 @@ def _phi_preimage(reduced: DrinfeldModule, target: SkewPoly) -> Poly | None:
 # Euler products and Dirichlet coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DirichletCoefficients:
     """c(n) for monic n up to a degree bound, multiplicative, with the
     rank-local recursion at prime powers; bad primes are omitted from the
-    product and recorded."""
+    product and recorded.  Frozen, with ``c`` a read-only mapping in
+    output order (degree, then coefficients): a kept table is shared by
+    every later caller."""
 
     field: FiniteField
-    c: dict[Poly, Poly]
-    skipped: list[Poly] = dc_field(default_factory=list)
+    c: Mapping[Poly, Poly]
+    skipped: tuple[Poly, ...] = ()
 
     def at(self, n: Poly) -> Poly:
         return self.c.get(n, Poly.zero(self.field))
@@ -417,6 +421,13 @@ class DirichletCoefficients:
             d = int(n.degree)
             if d <= dmax and not cn.is_zero():
                 yield d, n, cn
+
+
+def _frozen_table(field: FiniteField, c: dict, skipped: list
+                  ) -> DirichletCoefficients:
+    order = sorted(c, key=lambda n: (int(n.degree), n.coeffs))
+    return DirichletCoefficients(
+        field, MappingProxyType({n: c[n] for n in order}), tuple(skipped))
 
 
 def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
@@ -436,19 +447,39 @@ def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
     return hs
 
 
+# Dirichlet tables by (base field, phi_T, degree bound), kept for the process
+_DIRICHLET: dict[tuple, DirichletCoefficients] = {}
+
+
 def lseries_coeffs(module: DrinfeldModule, degree_bound: int
                    ) -> DirichletCoefficients:
     """Dirichlet coefficients of the module's L-series up to the bound,
     built multiplicatively from per-prime Frobenius data; bad primes are
-    skipped and recorded."""
+    skipped and recorded.
+
+    A table is kept in ``_DIRICHLET`` under (module.base_field,
+    module.phi_T, degree_bound) once it is built, and later calls with
+    equal values return it; a build that raises is never kept.
+    """
+    key = (module.base_field, module.phi_T, degree_bound)
+    table = _DIRICHLET.get(key)
+    if table is None:
+        table = _DIRICHLET[key] = _build_dirichlet(module, degree_bound)
+    return table
+
+
+def _build_dirichlet(module: DrinfeldModule, degree_bound: int
+                     ) -> DirichletCoefficients:
+    """``lseries_coeffs`` without the kept tables."""
     field = module.base_field
-    out = DirichletCoefficients(field, {Poly.one(field): Poly.one(field)})
+    c = {Poly.one(field): Poly.one(field)}
+    skipped = []
     for deg_f in range(1, degree_bound + 1):
         for f in enumerate_monic_primes(field, deg_f):
             try:
                 data = frobenius_charpoly(module, f)
             except BadReduction:
-                out.skipped.append(f)
+                skipped.append(f)
                 continue
             kmax = degree_bound // deg_f
             hs = local_factor_coeffs(data, kmax)
@@ -456,14 +487,14 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int
             while len(f_pows) <= kmax:
                 f_pows.append(f_pows[-1] * f)
             updates = {}
-            for n, cn in out.c.items():
+            for n, cn in c.items():
                 nd = int(n.degree) if n.coeffs else 0
                 for k in range(1, kmax + 1):
                     if nd + k * deg_f > degree_bound:
                         break
                     updates[n * f_pows[k]] = cn * hs[k]
-            out.c.update(updates)
-    return out
+            c.update(updates)
+    return _frozen_table(field, c, skipped)
 
 
 def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
@@ -471,8 +502,9 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
     """Independent route: expand every local factor as a truncated
     geometric series (actual polynomial powers of a t - mu t^2) and
     combine the local dictionaries pairwise, in reverse prime order.
-    The Frobenius data are solved afresh, not read from or written to
-    the results that ``frobenius_charpoly`` keeps."""
+    The Frobenius data are solved afresh and the table is built afresh:
+    neither is read from or written to the results that
+    ``frobenius_charpoly`` and ``lseries_coeffs`` keep."""
     field = module.base_field
     locals_: list[tuple[Poly, list[Poly]]] = []
     skipped = []
@@ -513,7 +545,7 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
                 new[key] = prev + cn * hs[k]
         c = new
     c = {n: v for n, v in c.items() if not v.is_zero() or n.is_one()}
-    return DirichletCoefficients(field, c, skipped)
+    return _frozen_table(field, c, skipped)
 
 
 def _tpoly_mul(a: list[Poly], b: list[Poly], kmax: int) -> list[Poly]:
@@ -530,13 +562,11 @@ def _tpoly_mul(a: list[Poly], b: list[Poly], kmax: int) -> list[Poly]:
     return out
 
 
-def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int,
-                           coeffs: DirichletCoefficients | None = None
+def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int
                            ) -> list[Poly]:
     """Exact A-coefficients sum over deg n = d of c(n) n^j, for d <= dmax."""
     field = module.base_field
-    if coeffs is None:
-        coeffs = lseries_coeffs(module, dmax)
+    coeffs = lseries_coeffs(module, dmax)
     out = [Poly.zero(field)] * (dmax + 1)
     for d, n, cn in coeffs.nonzero_up_to(dmax):
         out[d] = out[d] + cn * n ** j
@@ -544,9 +574,7 @@ def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int,
 
 
 def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
-                         prec: int,
-                         coeffs: DirichletCoefficients | None = None
-                         ) -> CoefficientFamily:
+                         prec: int) -> CoefficientFamily:
     """Coefficient of x^(-d) is sum over deg n = d of c(n) <n>^(-y).
 
     The Dirichlet coefficient c(n) sits in K with valuation -deg c(n), so
@@ -554,8 +582,7 @@ def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
     exponent must carry enough digits for that window (p^N >= prec + deg c).
     """
     field = module.base_field
-    if coeffs is None:
-        coeffs = lseries_coeffs(module, dmax)
+    coeffs = lseries_coeffs(module, dmax)
     out = [LaurentSeries.zero_to_precision(field, prec)] * (dmax + 1)
     for d, n, cn in coeffs.nonzero_up_to(dmax):
         work = prec + int(cn.degree)
@@ -566,15 +593,12 @@ def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
 
 
 def lseries_family_vadic(module: DrinfeldModule, s: SvPoint, f: Poly,
-                         dmax: int, prec: int,
-                         coeffs: DirichletCoefficients | None = None
-                         ) -> CoefficientFamily:
+                         dmax: int, prec: int) -> CoefficientFamily:
     """v-adic family: Euler factors over f are omitted, i.e. the Dirichlet
     sum runs over n coprime to f."""
     field = module.base_field
     ring = VadicRing(f, prec)
-    if coeffs is None:
-        coeffs = lseries_coeffs(module, dmax)
+    coeffs = lseries_coeffs(module, dmax)
     minus_s = -s
     out = [ring.zero()] * (dmax + 1)
     for d, n, cn in coeffs.nonzero_up_to(dmax):

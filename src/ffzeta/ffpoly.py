@@ -16,6 +16,7 @@ files and golden outputs depend on this order; do not change it.
 from __future__ import annotations
 
 import functools
+import re
 from bisect import bisect_left
 from itertools import compress
 from typing import Iterator, Sequence
@@ -780,43 +781,35 @@ def monic_prime_count(r: int, d: int) -> int:
 # parsing (shared grammar with the command line)
 # ---------------------------------------------------------------------------
 
+_SIGN = re.compile("([+-])")
+_DIGITS = re.compile("[0-9]+")  # ASCII only, unlike str.isdigit and int()
+
+
 def poly_parse(field: FiniteField, text: str) -> Poly:
     """Parse ``T^2+T+1`` style input; extension coefficients as ``[digits]``.
 
     A bracketed coefficient lists base-p digits of the element, w^0 digit
     first, e.g. ``[01]`` is w over F_4 and ``[3.10]`` is 3 + 10w over
     F_121 (see :func:`join_digits`).  Whitespace is ignored; ``-`` is
-    accepted and means the additive inverse (relevant for odd p).
+    accepted and means the additive inverse (relevant for odd p).  Every
+    sign must be followed by a term, and exponents and integer
+    coefficients are ASCII digits: ``T+``, ``T+-1`` and ``T^1_0`` are
+    usage errors.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    # tokenise into signed terms
-    terms = []
-    i = 0
-    sign = 1
-    cur = ""
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur:
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            cur += ch
-        i += 1
-    if cur:
-        terms.append((sign, cur))
+    # signs and terms alternate; a sign may open the string
+    pieces = _SIGN.split(s)
+    pieces = pieces[1:] if not pieces[0] and len(pieces) > 1 else ["+", *pieces]
+    if "" in pieces[1::2]:
+        raise UsageError(f"a sign without a term in {text!r}")
     coeffs: dict[int, int] = {}
-    for sign, term in terms:
+    for sign, term in zip(pieces[0::2], pieces[1::2]):
         c, k = _parse_term(field, term)
-        if sign < 0:
+        if sign == "-":
             c = field.neg(c)
         coeffs[k] = field.add(coeffs.get(k, 0), c)
-    if not coeffs:
-        return Poly.zero(field)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
@@ -831,20 +824,19 @@ def _parse_term(field: FiniteField, term: str):
         close = rest.index("]")
         c = field.decode_str(rest[1:close])
         rest = rest[close + 1:]
-    elif rest and rest[0].isdigit():
-        j = 0
-        while j < len(rest) and rest[j].isdigit():
-            j += 1
-        c = int(rest[:j]) % field.p
-        rest = rest[j:]
+    elif digits := _DIGITS.match(rest):
+        c = int(digits.group()) % field.p
+        rest = rest[digits.end():]
     if rest:
         if not rest.startswith("T"):
-            raise ValueError(f"cannot parse term {term!r}")
+            raise UsageError(f"cannot parse term {term!r}")
         rest = rest[1:]
         if rest.startswith("^"):
+            if not _DIGITS.fullmatch(rest[1:]):
+                raise UsageError(f"exponent of {term!r} is not ASCII digits")
             k = int(rest[1:])
         elif rest == "":
             k = 1
         else:
-            raise ValueError(f"cannot parse term {term!r}")
+            raise UsageError(f"cannot parse term {term!r}")
     return c, k

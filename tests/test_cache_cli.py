@@ -337,9 +337,15 @@ class TestCli:
         ("newton", "--p", "2", "--y", "-1", "--s1", "5"),
         ("newton", "--p", "2", "--y", "-1", "--f", "T", "--dmax", "2",
          "--prec", "8", "--refine"),
+        # each read as a prime of F_2[T] while a sign could go without a
+        # term and int() read the exponent ("0_1" is 1, "\u0663" is 3)
+        *[("frobenius", "--p", "2", "--module", "carlitz", f"--f={f}")
+          for f in ("T+", "T++1", "T^2+T+1+", "T+-1", "T^0_1", "T^\u0663+T+1")],
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
-            "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f"])
+            "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f",
+            "trailing-sign", "sign-without-term", "trailing-sign-after-prime",
+            "two-signs", "underscore-exponent", "non-ascii-exponent"])
     def test_input_out_of_range_is_usage_error(self, argv, monkeypatch):
         def no_work(*args):
             raise AssertionError("a family was built before the arguments were checked")

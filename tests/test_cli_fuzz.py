@@ -3,7 +3,8 @@
 The argv come from a small grammar of fields, polynomials, integers and
 module strings, with malformed tokens mixed in and sizes kept small
 (field order <= 9, degree bounds <= 3, exponents <= 4), so each request
-takes milliseconds.  No exception may escape ``main``.  A request that
+takes milliseconds.  No exception may escape ``main``, and a malformed
+``--f`` polynomial exits 2.  A request that
 exits 0 prints one JSON envelope, and a second run prints the same bytes
 outside ``timing``.  ``verify`` is left out: it runs a fixed battery.
 
@@ -32,7 +33,8 @@ PRIMES = ["T", "T+1", "T+2", "T^2+T+1", "T^2+1", "T^3+T+1", "T+[01]", "T^2+T+[01
 CONSTANTS = ["0", "1", "2", "[01]"]
 COEFFS = ["", "1", "2", "6", "[01]", "[11]", "[21]", "[2.1]", "[0a]"]
 MONOMIALS = ["T^3", "T^2", "T", ""]
-BAD_POLYS = ["", "T^", "TT", "x", "T^-1", "[", "[012]T"]
+BAD_POLYS = ["", "T^", "TT", "x", "T^-1", "[", "[012]T", "T+", "T++1", "+",
+             "T^2+T+1+", "T+-1", "--T", "T^1_0", "T^\u0663", "\u0663T"]
 BAD_INTS = ["-1", "", "x", "1.5", "-", "0x2"]
 TAUS = ["1", "1,1", "T,1", "T^2+1,[01]", "[01]T,T^2", "2,1"]
 BAD_TAUS = ["0", "1,0", "1,1,1", "", ",", "T,"]
@@ -132,6 +134,8 @@ def test_every_request_exits_with_a_documented_code(r):
         mp.delenv(ENV_CACHE_DIR, raising=False)
         code, out = _run(argv)
         assert code in (0, 2, 3, 4), (argv, code)
+        if "--f" in argv[:-1] and argv[argv.index("--f") + 1] in BAD_POLYS:
+            assert code == 2, argv  # a malformed polynomial is a usage error
         if code != 0:
             return
         assert json.loads(out)["command"] == argv[0]

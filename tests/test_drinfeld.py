@@ -366,7 +366,7 @@ class TestLSeriesRank2:
         module = module_over_A(field, [poly_parse(field, g) for g in gs])
         exp = lseries_coeffs_by_expansion(module, dmax)
         bad = [poly_parse(field, f) for f in bad]
-        assert exp.skipped == bad == lseries_coeffs(module, dmax).skipped
+        assert exp.skipped == tuple(bad) == lseries_coeffs(module, dmax).skipped
         assert any(not exp.at(n).is_zero() for n in enumerate_monic(field, dmax))
         return module, [poly_parse(field, f) for f in primes], dmax, exp
 
@@ -550,10 +550,13 @@ class TestFrobeniusOracle:
 
 @pytest.fixture
 def store():
-    """The kept Frobenius results, empty before the test and after it."""
+    """The kept Frobenius results, empty before the test and after it, as
+    are the kept Dirichlet tables."""
     drinfeld._FROBENIUS.clear()
+    drinfeld._DIRICHLET.clear()
     yield drinfeld._FROBENIUS
     drinfeld._FROBENIUS.clear()
+    drinfeld._DIRICHLET.clear()
 
 
 class TestFrobeniusStore:
@@ -642,3 +645,70 @@ class TestFrobeniusStore:
         for d in range(5):
             for n in enumerate_monic(F2, d):
                 assert (rec.at(n) != exp.at(n)) == (n % T).is_zero(), n
+
+
+class TestDirichletStore:
+    """lseries_coeffs keeps each table for the process, frozen, under
+    (base field, phi_T, degree bound)."""
+
+    def test_equal_module_finds_the_kept_table(self, store):
+        first = lseries_coeffs(module_over_A(F3, [Poly.variable(F3),
+                                                  Poly.one(F3)]), 3)
+        assert lseries_coeffs(_ORACLE_MODULES["T,1"](F3), 3) is first
+        assert len(drinfeld._DIRICHLET) == 1
+
+    def test_keys_separate_by_field_module_and_bound(self, store):
+        tables = [lseries_coeffs(carlitz_module(F3), 3),
+                  lseries_coeffs(carlitz_module(F9), 3),
+                  lseries_coeffs(_ORACLE_MODULES["T,1"](F3), 3),
+                  lseries_coeffs(carlitz_module(F3), 2)]
+        assert len(drinfeld._DIRICHLET) == 4
+        assert len({id(t) for t in tables}) == 4
+        assert [t.field for t in tables] == [F3, F9, F3, F3]
+        assert tables[0].c != tables[2].c
+        assert len(tables[3].c) < len(tables[0].c)
+
+    def test_kept_table_is_frozen(self, store):
+        table = lseries_coeffs(carlitz_module(F2), 3)
+        T = Poly.variable(F2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.skipped = (T,)
+        with pytest.raises(TypeError):
+            table.c[T] = Poly.one(F2)
+        assert lseries_coeffs(carlitz_module(F2), 3).at(T) == T
+
+    def test_table_is_in_output_order(self, store):
+        table = lseries_coeffs(_ORACLE_MODULES["1,T"](F3), 3)
+        assert isinstance(table.skipped, tuple) and table.skipped
+        keys = [(int(n.degree), n.coeffs) for n in table.c]
+        assert keys == sorted(keys)
+
+    def test_failure_is_never_kept(self, store, monkeypatch):
+        module = _ORACLE_MODULES["T,2"](F5)
+        want = drinfeld._build_dirichlet(module, 2)
+        store.clear()  # so that every prime is solved again
+        # 0 is no prime's norm unit, so the first Frobenius check fails
+        monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: 0)
+        for _ in range(2):
+            with pytest.raises(NoSolution):
+                lseries_coeffs(module, 2)
+        assert not drinfeld._DIRICHLET
+        monkeypatch.undo()
+        assert lseries_coeffs(module, 2) == want
+
+    def test_oracle_catches_a_corrupted_table(self, store):
+        """The expansion oracle builds afresh, so a wrong kept table shows
+        at exactly the entries that were changed."""
+        C = carlitz_module(F2)
+        table = lseries_coeffs(C, 4)
+        bad = [n for n in table.c if int(n.degree) in (2, 4)][::3]
+        c = dict(table.c)
+        for n in bad:
+            c[n] = c[n] + Poly.one(F2)
+        drinfeld._DIRICHLET[(C.base_field, C.phi_T, 4)] = dataclasses.replace(
+            table, c=c)
+        rec = lseries_coeffs(C, 4)
+        kept = dict(drinfeld._DIRICHLET)
+        exp = lseries_coeffs_by_expansion(C, 4)
+        assert drinfeld._DIRICHLET == kept  # the oracle neither reads nor writes it
+        assert bad and [n for n in rec.c if rec.at(n) != exp.at(n)] == bad

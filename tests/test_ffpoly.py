@@ -367,7 +367,7 @@ def _to_string_reference(f, var="T"):
 
 class TestParsing:
     def test_roundtrip(self):
-        for s in ("T^3+T+1", "T^2+2T+2", "1", "T"):
+        for s in ("T^3+T+1", "T^2+2T+2", "1", "T", "T^10+12T"):
             F = F3
             assert poly_parse(F, poly_parse(F, s).to_string()) == poly_parse(F, s)
 
@@ -377,6 +377,16 @@ class TestParsing:
 
     def test_minus_over_f3(self):
         assert poly_parse(F3, "T-1") == poly_parse(F3, "T+2")
+        assert poly_parse(F3, "-T+1-T^2") == poly_parse(F3, "2T^2+2T+1")
+
+    @pytest.mark.parametrize("text", [
+        "T+", "T++1", "+", "-", "T^2+T+1+", "T+-1", "--T",   # a sign without a term
+        "T^", "T^1_0", "T^\u0663", "\u0663T", "1_0T",       # not ASCII digits
+    ])
+    def test_malformed_terms_rejected(self, text):
+        # int() reads "1_0" as 10 and the Arabic-Indic digit "\u0663" as 3
+        with pytest.raises(UsageError):
+            poly_parse(F3, text)
 
     @pytest.mark.parametrize("field,text", [
         (F4, "[21]T+1"),                 # 2 + 1*2 = 4 would wrap to 0

@@ -1,6 +1,7 @@
 """The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone,
-indented JSON is written by ``cli.render_json`` alone, and every field of
-a dataclass in ``src/ffzeta`` is read somewhere.
+indented JSON is written by ``cli.render_json`` alone, every field of a
+dataclass in ``src/ffzeta`` is read somewhere, and no oracle reaches the
+store or fast route of the quantity it checks.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
 ``Poly`` and ``ffpoly.sum_of_powers``; it neither reads a field's private
@@ -59,6 +60,60 @@ def test_the_check_sees_a_direct_kernel_call(tmp_path):
                      "def f(field, pk, c):\n"
                      "    return pk.pk_pow(c, 3, field.p), field._planes\n")
     assert [v.split()[1] for v in _violations(probe)] == ["pk_mul", "pk_pow", "_planes"]
+
+
+# An oracle checks a kept or fast result only if it does not reach it: the
+# expansion route of the Dirichlet table solves and builds afresh, and the
+# enumerated power sums never ask the engine.  Each oracle's body, and the
+# body of every function of its own module that it names, is walked.
+
+ORACLES = {
+    ("drinfeld.py", "lseries_coeffs_by_expansion"):
+        {"_DIRICHLET", "_FROBENIUS", "lseries_coeffs", "frobenius_charpoly"},
+    ("zeta.py", "power_sum_enumerated"): {"_ENGINES"},
+    ("zeta.py", "multiples_power_sum"): {"_ENGINES"},
+}
+
+
+def _oracle_uses(path: Path, oracle: str, banned: set[str]) -> list[str]:
+    """``function:line name`` for each name of ``banned`` that ``oracle``
+    uses, or a module-level function of ``path`` that it names uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found, todo, seen = [], [oracle], set()
+    while todo:
+        func = todo.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        for node in ast.walk(defs[func]):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in banned:
+                found.append(f"{func}:{node.lineno} {name}")
+            elif name in defs:
+                todo.append(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("where", sorted(ORACLES), ids=lambda w: w[1])
+def test_oracle_does_not_reach_what_it_checks(where):
+    path, oracle = where
+    assert _oracle_uses(SRC / path, oracle, ORACLES[where]) == []
+
+
+def test_the_check_sees_an_oracle_reach_the_store(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("_STORE = {}\n"
+                     "def helper(k):\n"
+                     "    return _STORE.get(k)\n"
+                     "def fast(k):\n"
+                     "    return k\n"
+                     "def oracle(k, mod):\n"
+                     "    return helper(k), mod._STORE, fast\n")
+    assert _oracle_uses(probe, "oracle", {"_STORE", "fast"}) == [
+        "helper:3 _STORE", "oracle:7 _STORE", "oracle:7 fast"]
 
 
 # Indented JSON goes through cli.render_json alone: CPython's C encoder
