@@ -64,8 +64,6 @@ from .drinfeld import (  # noqa: F401
     frobenius_charpoly,
     lseries_coeffs,
     lseries_coeffs_by_expansion,
-    lseries_family_infty,
-    lseries_family_vadic,
     lseries_special_coeffs,
     module_over_A,
     skew_tau,

@@ -49,17 +49,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
-from .nonarch import (
-    LaurentSeries,
-    PadicExponent,
-    SvPoint,
-    VadicElem,
-    VadicRing,
-    bracket_infty,
-    pow_sv,
-    unit_pow_padic,
-)
-from .zeta import CoefficientFamily, poly_to_series_infty
+from .nonarch import VadicElem, VadicRing
 
 
 def _czero(c):
@@ -572,36 +562,3 @@ def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int
         out[d] = out[d] + cn * n ** j
     return out
 
-
-def lseries_family_infty(module: DrinfeldModule, y: PadicExponent, dmax: int,
-                         prec: int) -> CoefficientFamily:
-    """Coefficient of x^(-d) is sum over deg n = d of c(n) <n>^(-y).
-
-    The Dirichlet coefficient c(n) sits in K with valuation -deg c(n), so
-    the one-unit factor is computed in an enlarged window; the p-adic
-    exponent must carry enough digits for that window (p^N >= prec + deg c).
-    """
-    field = module.base_field
-    coeffs = lseries_coeffs(module, dmax)
-    out = [LaurentSeries.zero_to_precision(field, prec)] * (dmax + 1)
-    for d, n, cn in coeffs.nonzero_up_to(dmax):
-        work = prec + int(cn.degree)
-        u = bracket_infty(n, work)
-        term = poly_to_series_infty(cn, work) * unit_pow_padic(u, -y, work)
-        out[d] = out[d] + term.truncate(prec)
-    return CoefficientFamily(field, out)
-
-
-def lseries_family_vadic(module: DrinfeldModule, s: SvPoint, f: Poly,
-                         dmax: int, prec: int) -> CoefficientFamily:
-    """v-adic family: Euler factors over f are omitted, i.e. the Dirichlet
-    sum runs over n coprime to f."""
-    field = module.base_field
-    ring = VadicRing(f, prec)
-    coeffs = lseries_coeffs(module, dmax)
-    minus_s = -s
-    out = [ring.zero()] * (dmax + 1)
-    for d, n, cn in coeffs.nonzero_up_to(dmax):
-        if not (n % f).is_zero():
-            out[d] = out[d] + ring.elem(cn) * pow_sv(n, minus_s, ring)
-    return CoefficientFamily(field, out, ring)

@@ -81,7 +81,9 @@ class FiniteField:
     When no modulus is given and m > 1, the modulus is the monic
     irreducible of degree m over F_p whose non-leading coefficient encoding
     is smallest; that choice is deterministic so downstream output is
-    byte-reproducible.  Characteristics p >= 2^32 raise UnsupportedField.
+    byte-reproducible.  A characteristic p >= 2^32 raises UnsupportedField,
+    and an extension field of order above 512 raises DegreeMismatch before
+    its modulus is chosen or tested.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -92,6 +94,10 @@ class FiniteField:
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
             raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+        # p^m > _TABLE_CAP, told without forming p^m, before any modulus work
+        if m > 1 and m >= len(pk.base_digits(_TABLE_CAP, p)):
+            raise DegreeMismatch(
+                f"field order {p}^{m} exceeds the supported desk scale {_TABLE_CAP}")
         if m == 1:
             if modulus is not None:
                 raise DegreeMismatch("prime field takes no modulus")
@@ -160,9 +166,9 @@ class FiniteField:
 
     def decode_str(self, s: str) -> int:
         """Inverse of :meth:`encode_str`; rejects a wrong digit count and
-        any digit that is not below p.  A string in the field's table (what
-        encode_str writes) is read from it; any other is decoded digit by
-        digit, so over p > 10 a digit may carry leading zeros."""
+        any digit that is not ASCII or not below p.  A string in the table
+        (what encode_str writes) is read from it; any other is decoded digit
+        by digit, so over p > 10 a digit may carry leading zeros."""
         if self._codes is not None:
             value = self._codes.get(s)
             if value is not None:
@@ -173,7 +179,7 @@ class FiniteField:
             raise DegreeMismatch(f"element digit string {s!r} must have {self.m} digits")
         value = 0
         for tok in reversed(digs):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise UsageError(f"{tok!r} in {s!r} is not a base-p digit")
             d = int(tok)
             if d >= p:
@@ -182,16 +188,13 @@ class FiniteField:
         return value
 
     def decode_strs(self, tokens: Sequence[str]) -> tuple[int, ...]:
-        """:meth:`decode_str` of each token, in bulk, for ASCII tokens
-        only; raises ValueError if any token is bad.  A field with a string
-        table looks every token up at once; only when one misses are the
-        tokens checked for ASCII and decoded one by one."""
+        """:meth:`decode_str` of each token, in bulk; raises ValueError if
+        any token is bad.  A field with a string table looks every token up
+        at once; only when one misses are the tokens decoded one by one."""
         if self._codes is not None:
             values = tuple(map(self._codes.get, tokens))
             if None not in values:
                 return values
-        if not "".join(tokens).isascii():
-            raise UsageError(f"a digit string of {tokens!r} is not ASCII")
         return tuple(map(self.decode_str, tokens))
 
     def __eq__(self, other):
@@ -258,9 +261,6 @@ def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
     if not is_irreducible(Poly(Fp, modulus)):
         raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
     q = p ** m
-    if q > _TABLE_CAP:
-        raise DegreeMismatch(
-            f"field order {q} exceeds the supported desk scale {_TABLE_CAP}")
     g = Poly(Fp, modulus)
 
     def encode(a: Poly) -> int:

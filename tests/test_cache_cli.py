@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffzeta import cli
+from ffzeta import cli, ffpoly
 from ffzeta.cache import PowerSumCache
 from ffzeta.errors import CacheCorruption
 from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic_primes, poly_parse
@@ -155,6 +155,15 @@ def run_cli(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
+
+# fields of order above 512, which must exit 2 before a modulus is searched
+# for or tested: at p = 2, m = 800 the search alone takes about 90 s
+OVERSIZE_FIELDS = [
+    ("special", "--p", "2", "--m", "800", "--j", "1"),
+    ("special", "--p", "3", "--m", "1000000", "--j", "1"),
+    ("special", "--p", "2", "--m", "800", "--j", "1",
+     "--modulus", ",".join(["1"] + ["0"] * 799 + ["1"])),
+]
 
 # one cheap invocation of every subcommand
 EVERY_COMMAND = [
@@ -341,16 +350,26 @@ class TestCli:
         # term and int() read the exponent ("0_1" is 1, "\u0663" is 3)
         *[("frobenius", "--p", "2", "--module", "carlitz", f"--f={f}")
           for f in ("T+", "T++1", "T^2+T+1+", "T+-1", "T^0_1", "T^\u0663+T+1")],
+        # int() read the Arabic-Indic digit as 3
+        ("frobenius", "--p", "5", "--module", "carlitz", "--f", "T+[\u0663]"),
+        *OVERSIZE_FIELDS,
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
             "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f",
             "trailing-sign", "sign-without-term", "trailing-sign-after-prime",
-            "two-signs", "underscore-exponent", "non-ascii-exponent"])
+            "two-signs", "underscore-exponent", "non-ascii-exponent",
+            "non-ascii-bracket-digit", "oversize-field", "oversize-field-p3",
+            "oversize-modulus"])
     def test_input_out_of_range_is_usage_error(self, argv, monkeypatch):
         def no_work(*args):
             raise AssertionError("a family was built before the arguments were checked")
         monkeypatch.setattr(cli, "zeta_family_infty", no_work)
         monkeypatch.setattr(cli, "zeta_family_vadic", no_work)
+        if argv in OVERSIZE_FIELDS:
+            def no_search(*args):
+                raise AssertionError("a modulus was searched for or tested")
+            monkeypatch.setattr(ffpoly, "_default_modulus", no_search)
+            monkeypatch.setattr(ffpoly, "is_irreducible", no_search)
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")

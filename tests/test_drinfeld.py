@@ -14,8 +14,6 @@ from ffzeta.drinfeld import (
     frobenius_charpoly,
     lseries_coeffs,
     lseries_coeffs_by_expansion,
-    lseries_family_infty,
-    lseries_family_vadic,
     lseries_special_coeffs,
     module_over_A,
     skew_tau,
@@ -34,17 +32,9 @@ from ffzeta.ffpoly import (
     poly_gcd,
     poly_parse,
 )
-from ffzeta.nonarch import (
-    LaurentSeries,
-    PadicExponent,
-    SvPoint,
-    VadicRing,
-    bracket_infty,
-    pow_sv,
-    unit_pow_padic,
-)
+from ffzeta.nonarch import VadicRing
 from ffzeta.sqrtcar import psi_module
-from ffzeta.zeta import power_sum, poly_to_series_infty
+from ffzeta.zeta import power_sum
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -315,43 +305,11 @@ class TestLSeries:
             assert specials[d] == power_sum(F3, d, 3)
 
 
-class TestLSeriesFamilies:
-    def test_carlitz_family_is_shifted_zeta(self):
-        # coefficient d at exponent -j equals S_d(j+1) pi^(d j), exactly
-        C = carlitz_module(F2)
-        for j in (0, 1, 2):
-            y = PadicExponent.from_int(2, -j, 8)
-            fam = lseries_family_infty(C, y, 3, 20)
-            for d in range(4):
-                s = power_sum(F2, d, j + 1)
-                if s.is_zero():
-                    assert fam.coeffs[d].is_zero_to_precision()
-                else:
-                    rhs = poly_to_series_infty(s, 40).shift(d * j)
-                    assert fam.coeffs[d].agrees_with(rhs)
-
-    def test_degree_zero_coefficient_is_one(self):
-        C = carlitz_module(F3)
-        y = PadicExponent.from_int(3, 0, 8)
-        fam = lseries_family_infty(C, y, 2, 12)
-        assert fam.coeffs[0].is_one_unit()
-
-    def test_vadic_family_integer_point(self):
-        C = carlitz_module(F2)
-        T = Poly.variable(F2)
-        s = SvPoint.from_int(-1, 1, 2, 4)
-        fam = lseries_family_vadic(C, s, T, 3, 8)
-        ring = fam.ring
-        from ffzeta.zeta import coprime_power_sum
-        for d in range(4):
-            assert fam.coeffs[d] == ring.elem(coprime_power_sum(F2, d, 2, T))
-
-
 # rank-2 modules phi_T = theta + g_1 tau + g_2 tau^2: (field, (g_1, g_2),
-# bad primes, local primes of the v-adic families, degree bound)
+# bad primes, degree bound)
 _RANK2_LSERIES = {
-    "1,T-F2": (F2, ["1", "T"], ["T"], ["T", "T+1"], 5),
-    "T,1-F3": (F3, ["T", "1"], [], ["T", "T^2+1"], 3),
+    "1,T-F2": (F2, ["1", "T"], ["T"], 5),
+    "T,1-F3": (F3, ["T", "1"], [], 3),
 }
 
 
@@ -362,54 +320,21 @@ class TestLSeriesRank2:
 
     @pytest.fixture(params=sorted(_RANK2_LSERIES), scope="class")
     def case(self, request):
-        field, gs, bad, primes, dmax = _RANK2_LSERIES[request.param]
+        field, gs, bad, dmax = _RANK2_LSERIES[request.param]
         module = module_over_A(field, [poly_parse(field, g) for g in gs])
         exp = lseries_coeffs_by_expansion(module, dmax)
         bad = [poly_parse(field, f) for f in bad]
         assert exp.skipped == tuple(bad) == lseries_coeffs(module, dmax).skipped
         assert any(not exp.at(n).is_zero() for n in enumerate_monic(field, dmax))
-        return module, [poly_parse(field, f) for f in primes], dmax, exp
+        return module, dmax, exp
 
     @pytest.mark.parametrize("j", [0, 1, 4])
     def test_special_coeffs(self, case, j):
-        module, _, dmax, exp = case
+        module, dmax, exp = case
         field = module.base_field
         want = [sum((exp.at(n) * n ** j for n in enumerate_monic(field, d)),
                     Poly.zero(field)) for d in range(dmax + 1)]
         assert lseries_special_coeffs(module, j, dmax) == want
-
-    @pytest.mark.parametrize("j", [0, 2])
-    def test_family_infty(self, case, j):
-        module, _, dmax, exp = case
-        field = module.base_field
-        prec = 12
-        y = PadicExponent.from_int(field.p, -j, 8)
-        fam = lseries_family_infty(module, y, dmax, prec)
-        for d in range(dmax + 1):
-            want = LaurentSeries.zero_to_precision(field, prec)
-            for n in enumerate_monic(field, d):
-                cn = exp.at(n)
-                if cn.is_zero():
-                    continue
-                work = prec + int(cn.degree)
-                u = unit_pow_padic(bracket_infty(n, work), -y, work)
-                want = want + (poly_to_series_infty(cn, work) * u).truncate(prec)
-            assert fam.coeffs[d] == want, d
-
-    @pytest.mark.parametrize("j", [0, 3])
-    def test_family_vadic(self, case, j):
-        module, primes, dmax, exp = case
-        field = module.base_field
-        for f in primes:
-            ring = VadicRing(f, 6)
-            s = SvPoint.from_int(-j, ring.residue_order - 1, field.p, 4)
-            fam = lseries_family_vadic(module, s, f, dmax, 6)
-            for d in range(dmax + 1):
-                want = ring.zero()
-                for n in enumerate_monic(field, d):
-                    if not (n % f).is_zero():
-                        want = want + ring.elem(exp.at(n)) * pow_sv(n, -s, ring)
-                assert fam.coeffs[d] == want, (f, d)
 
 
 def _polys_up_to(field, max_deg):

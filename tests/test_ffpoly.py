@@ -336,13 +336,14 @@ def _encode_reference(F, a):
 
 
 def _decode_reference(F, s):
-    """decode_str digit by digit, as it was before the string tables."""
+    """decode_str digit by digit, as it was before the string tables, but
+    with ASCII digits only (str.isdigit and int() also take "\u0663" as 3)."""
     digs = s.split(".") if F.p > 10 else s
     if len(digs) != F.m:
         raise DegreeMismatch(s)
     value = 0
     for tok in reversed(digs):
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise UsageError(tok)
         d = int(tok)
         if d >= F.p:
@@ -382,11 +383,14 @@ class TestParsing:
     @pytest.mark.parametrize("text", [
         "T+", "T++1", "+", "-", "T^2+T+1+", "T+-1", "--T",   # a sign without a term
         "T^", "T^1_0", "T^\u0663", "\u0663T", "1_0T",       # not ASCII digits
+        "T+[\u0663]", "T+[\u0661\u0660]",                   # nor in brackets
     ])
     def test_malformed_terms_rejected(self, text):
-        # int() reads "1_0" as 10 and the Arabic-Indic digit "\u0663" as 3
+        # int() reads "1_0" as 10 and the Arabic-Indic digit "\u0663" as 3,
+        # so "[\u0663]" read as 3 over F_5 and "[\u0661\u0660]" as 1 over F_4
+        field = {"T+[\u0663]": F5, "T+[\u0661\u0660]": F4}.get(text, F3)
         with pytest.raises(UsageError):
-            poly_parse(F3, text)
+            poly_parse(field, text)
 
     @pytest.mark.parametrize("field,text", [
         (F4, "[21]T+1"),                 # 2 + 1*2 = 4 would wrap to 0

@@ -1,7 +1,8 @@
 """The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone,
 indented JSON is written by ``cli.render_json`` alone, every field of a
-dataclass in ``src/ffzeta`` is read somewhere, and no oracle reaches the
-store or fast route of the quantity it checks.
+dataclass in ``src/ffzeta`` is read somewhere, no oracle reaches the
+store or fast route of the quantity it checks, and every library function
+is named outside the tests.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
 ``Poly`` and ``ffpoly.sum_of_powers``; it neither reads a field's private
@@ -11,6 +12,7 @@ instead of growing a second place that picks kernels.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -225,3 +227,101 @@ def test_the_check_sees_an_unread_field(tmp_path):
                      "    r.stored = 1\n"
                      "    return r.kept, getattr(r, 'by_name')\n")
     assert _unread_fields([probe], [probe]) == ["probe.py:Report.stored"]
+
+
+# Every top-level function and every method (not a dunder) of a module of
+# ``src/ffzeta`` is named somewhere: by a name or an attribute in
+# ``src/ffzeta`` outside its own body, or in ``perfbench/*.py`` also by a
+# string, whose dotted parts count one by one (``WRAPPED`` names its
+# targets as "module", "Class.method").  A re-export from ``__init__`` and
+# a call from the tests do not count: a function that only they reach is
+# library code that no command, criterion or workload runs.  The check
+# goes by name, like the one above.
+
+# name -> why it may stay unnamed
+UNNAMED_ALLOWED = {
+    "monic_prime_count": "ROADMAP item 9 sizes Frobenius work with it",
+}
+
+
+def _definitions(tree) -> list[ast.FunctionDef]:
+    """Top-level functions and the non-dunder methods of top-level classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif isinstance(node, ast.ClassDef):
+            found += [stmt for stmt in node.body
+                      if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+    return found
+
+
+def _names(tree, strings: bool = False) -> Counter:
+    """How often each name is loaded as an ``ast.Name`` or ``ast.Attribute``
+    in ``tree``; with ``strings``, each dotted part of a string constant
+    counts too."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def _unnamed_functions(sources: list[Path], users: list[Path],
+                       string_users: list[Path]) -> list[str]:
+    """``file:name`` for each definition of ``sources`` (files among
+    ``users``) that no file of ``users`` names outside the definition's own
+    body, and no file of ``string_users`` names at all."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in {*sources, *users, *string_users}}
+    named = sum((_names(trees[path]) for path in users), Counter())
+    named += sum((_names(trees[path], strings=True) for path in string_users), Counter())
+    unnamed = []
+    for path in sources:
+        for node in _definitions(trees[path]):
+            if named[node.name] <= _names(node)[node.name]:
+                unnamed.append(f"{path.name}:{node.name}")
+    return unnamed
+
+
+def test_every_library_function_is_named():
+    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    unnamed = _unnamed_functions(sources, sorted(SRC.glob("*.py")),
+                                 sorted((ROOT / "perfbench").glob("*.py")))
+    assert [u for u in unnamed if u.split(":")[1] not in UNNAMED_ALLOWED] == []
+    # an exemption goes once its function is named
+    assert {u.split(":")[1] for u in unnamed} >= set(UNNAMED_ALLOWED)
+
+
+def test_the_check_sees_an_unnamed_function(tmp_path):
+    probe, bench = tmp_path / "probe.py", tmp_path / "bench.py"
+    probe.write_text("from .probe import caller\n"
+                     "NAMES = ['in_string']\n"
+                     "def used():\n"
+                     "    return 1\n"
+                     "def recursive(n):\n"
+                     "    return recursive(n - 1) if n else used()\n"
+                     "def by_string():\n"
+                     "    return 2\n"
+                     "def in_string():\n"
+                     "    return 3\n"
+                     "class Ring:\n"
+                     "    def __add__(self, other):\n"
+                     "        return self\n"
+                     "    def called(self):\n"
+                     "        return self\n"
+                     "    def wrapped(self):\n"
+                     "        return self\n"
+                     "    def unread(self):\n"
+                     "        return self.unread\n"
+                     "def caller(r):\n"
+                     "    return r.called()\n")
+    bench.write_text("WRAPPED = {'a': ('probe', 'by_string'), 'b': ('probe', 'Ring.wrapped')}\n")
+    assert _unnamed_functions([probe], [probe], [bench]) == [
+        "probe.py:recursive", "probe.py:in_string", "probe.py:unread",
+        "probe.py:caller"]
