@@ -31,7 +31,7 @@ from .sqrtcar import (
     psi_factorization_check,
 )
 from .zeta import (
-    euler_removed_identity,
+    euler_removed_identities,
     power_sum,
     power_sum_enumerated,
     special_degree_bound,
@@ -143,7 +143,8 @@ def criterion_2(quick=False, cache=None) -> CriterionResult:
 
 
 def criterion_3(quick=False, cache=None) -> CriterionResult:
-    """Exact Euler-factor removal identity over primes of degree <= 3."""
+    """Exact Euler-factor removal identity over primes of degree <= 3; the
+    enumerated sides of every prime share one oracle pass per (r, d, j)."""
     t0 = time.perf_counter()
     jmax, fdeg = (10, 2) if quick else (50, 3)
     rs = (2,) if quick else (2, 3)
@@ -153,12 +154,9 @@ def criterion_3(quick=False, cache=None) -> CriterionResult:
         primes = [f for dd in range(1, fdeg + 1)
                   for f in enumerate_monic_primes(field, dd)]
         for j in range(jmax + 1):
-            totals: dict = {}
-            for f in primes:
-                rep = euler_removed_identity(field, j, f, cache=cache,
-                                             totals=totals)
-                if not rep.passed:
-                    failures.append({"r": r, "j": j, "f": f.to_string()})
+            reps = euler_removed_identities(field, j, primes, cache=cache)
+            failures += [{"r": r, "j": j, "f": f.to_string()}
+                         for f, rep in zip(primes, reps) if not rep.passed]
     return _result("3", "euler factor removal identity",
                    {"r": list(rs), "jmax": jmax, "prime_deg_max": fdeg},
                    not failures, t0, {"failures": failures})

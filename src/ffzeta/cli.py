@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -185,19 +186,38 @@ _RENDER = {"json": render_json, "text": _render_text, "csv": _render_csv}
 # shared argument handling
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    """argparse type for a size argument: an integer >= low."""
+_INTEGER = re.compile("[+-]?[0-9]+")  # ASCII: int() also takes "\u0661" and "1_0"
+
+
+def _ascii_int(text: str) -> int:
+    """An optionally signed integer in ASCII digits, with the surrounding
+    whitespace that int() allows: each item of a comma list, and through
+    :func:`_int_at_least` every integer flag."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise UsageError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
+def _int_at_least(low: int | None):
+    """argparse type for an integer flag: ASCII digits, and >= low unless
+    low is None."""
     def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
+        try:
+            value = _ascii_int(text)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return integer
 
 
+_ANY_INT = _int_at_least(None)
+
+
 def _add_field_args(sp):
-    sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-    sp.add_argument("--m", type=int, default=1, help="extension degree")
+    sp.add_argument("--p", type=_ANY_INT, required=True, help="prime characteristic")
+    sp.add_argument("--m", type=_ANY_INT, default=1, help="extension degree")
     sp.add_argument("--modulus", type=str, default=None,
                     help="field modulus digits, lowest first, e.g. 1,1,1")
 
@@ -221,7 +241,7 @@ def _add_cache_dir(sp):
 def _field_from(args) -> FiniteField:
     modulus = None
     if args.modulus:
-        modulus = [int(tok) for tok in args.modulus.split(",")]
+        modulus = [_ascii_int(tok) for tok in args.modulus.split(",")]
     return FiniteField(args.p, args.m, modulus)
 
 
@@ -249,7 +269,7 @@ def cmd_special(args) -> tuple[dict, int, None]:
 
 def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
     if args.y is None:  # argparse takes exactly one of --y and --y-digits
-        digs = [int(tok) for tok in args.y_digits.split(",")]
+        digs = [_ascii_int(tok) for tok in args.y_digits.split(",")]
         return PadicExponent(field.p, digs)
     n = max(ceil_log(field.p, prec + 1), 8)
     return PadicExponent.from_int(field.p, args.y, n)
@@ -390,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("special", help="special polynomial coefficients")
     _add_field_args(sp)
-    sp.add_argument("--j", type=int, required=True)
+    sp.add_argument("--j", type=_ANY_INT, required=True)
     sp.add_argument("--dmax", type=_int_at_least(0), default=None,
                     help="list coefficients up to at least this degree")
     _add_format(sp)
@@ -399,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("newton", help="coefficient family polygon and verdict")
     _add_field_args(sp)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--y", type=int, default=None,
+    group.add_argument("--y", type=_ANY_INT, default=None,
                        help="integer exponent (the family applies -y)")
     group.add_argument("--y-digits", type=str, default=None,
                        help="explicit base-p digits of the exponent, lowest first")
     sp.add_argument("--f", type=str, default=None,
                     help="finite prime (v-adic family instead of infinity)")
-    sp.add_argument("--s1", type=int, default=None,
+    sp.add_argument("--s1", type=_ANY_INT, default=None,
                     help="finite-order exponent coordinate at f (default: "
                          "--y, or 0 with --y-digits)")
     sp.add_argument("--dmax", type=_int_at_least(0), default=8)
@@ -430,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp)
 
     sp = sub.add_parser("sqrtcar", help="square-root CM example checks")
-    sp.add_argument("--j", type=int, required=True)
+    sp.add_argument("--j", type=_ANY_INT, required=True)
     sp.add_argument("--dmax", type=_int_at_least(0), default=8)
     sp.add_argument("--prec", type=_int_at_least(1), default=64)
     _add_format(sp)

@@ -353,13 +353,22 @@ class TestCli:
         # int() read the Arabic-Indic digit as 3
         ("frobenius", "--p", "5", "--module", "carlitz", "--f", "T+[\u0663]"),
         *OVERSIZE_FIELDS,
+        # int() read "\u0661" and "0_1" as 1: the modulus 1,1,1 and the
+        # digits 1,0,1,0, and both commands exited 0
+        ("special", "--p", "2", "--m", "2", "--modulus", "1,1,\u0661", "--j", "1"),
+        ("special", "--p", "2", "--m", "2", "--modulus", "1,1,0_1", "--j", "1"),
+        ("newton", "--p", "2", "--y-digits", "\u0661,0,1,0", "--dmax", "2",
+         "--prec", "8"),
+        ("newton", "--p", "2", "--y-digits", "0_1,0,1,0", "--dmax", "2",
+         "--prec", "8"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
             "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f",
             "trailing-sign", "sign-without-term", "trailing-sign-after-prime",
             "two-signs", "underscore-exponent", "non-ascii-exponent",
             "non-ascii-bracket-digit", "oversize-field", "oversize-field-p3",
-            "oversize-modulus"])
+            "oversize-modulus", "non-ascii-modulus-digit", "underscore-modulus-digit",
+            "non-ascii-y-digit", "underscore-y-digit"])
     def test_input_out_of_range_is_usage_error(self, argv, monkeypatch):
         def no_work(*args):
             raise AssertionError("a family was built before the arguments were checked")
@@ -373,6 +382,31 @@ class TestCli:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("special", "--p", "\u0662", "--j", "1"),
+        ("special", "--p", "2", "--m", "\u0662", "--j", "1"),
+        ("special", "--p", "2", "--j", "1_0"),
+        ("special", "--p", "2", "--j", "1", "--dmax", "\u0662"),
+        ("newton", "--p", "2", "--y", "\u0661", "--dmax", "2", "--prec", "8"),
+        ("newton", "--p", "2", "--f", "T", "--y", "1", "--s1", "\u0661"),
+        ("newton", "--p", "2", "--y", "-1", "--prec", "1_6"),
+        ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "\u0662"),
+        ("sqrtcar", "--j", "\u0661"),
+    ], ids=["p", "m", "special-j", "special-dmax", "newton-y", "newton-s1",
+            "newton-prec", "lseries-degree-bound", "sqrtcar-j"])
+    def test_integer_flag_takes_ascii_digits_only(self, argv, monkeypatch):
+        # int() reads "\u0661" as 1 and "1_0" as 10, so each of these ran
+        # (sqrtcar to exit 3, the others to exit 0); argparse now rejects
+        # it before any work
+        def no_work(*args):
+            raise AssertionError("work started before the arguments were checked")
+        for name in ("special_polynomial", "zeta_family_infty", "zeta_family_vadic",
+                     "lseries_coeffs", "hecke_identity"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "is not an integer in ASCII digits" in err
 
     @pytest.mark.parametrize("argv", [
         ("frobenius", "--p", "2", "--f", "T^2+T+1", "--module", "foo",

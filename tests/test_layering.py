@@ -9,6 +9,12 @@ Every other module of ``src/ffzeta`` reaches powers and products through
 bit planes (``._planes``) nor names a kernel that is chosen per field kind.
 The test reads each module with ``ast``, so a new direct call fails here
 instead of growing a second place that picks kernels.
+
+The one deliberate second arithmetic is the enumeration oracle,
+``oracle.py``: it raises rows of monics to a power on numpy arrays of
+encodings, so that a fault in the packed kernels cannot reach both sides
+of a check.  It imports neither ``_packing`` nor ``sum_of_powers`` nor
+``zeta``, and its power loop does no ``Poly`` arithmetic.
 """
 
 import ast
@@ -66,14 +72,20 @@ def test_the_check_sees_a_direct_kernel_call(tmp_path):
 
 # An oracle checks a kept or fast result only if it does not reach it: the
 # expansion route of the Dirichlet table solves and builds afresh, and the
-# enumerated power sums never ask the engine.  Each oracle's body, and the
-# body of every function of its own module that it names, is walked.
+# enumerated power sums never ask the engine or its packed kernels.  Each
+# oracle's body, and the body of every function of its own module that it
+# names, is walked.
 
+FAST_SUMS = {"_ENGINES", "_engine", "power_sum", "pk", "_packing", "sum_of_powers"}
 ORACLES = {
     ("drinfeld.py", "lseries_coeffs_by_expansion"):
         {"_DIRICHLET", "_FROBENIUS", "lseries_coeffs", "frobenius_charpoly"},
-    ("zeta.py", "power_sum_enumerated"): {"_ENGINES"},
-    ("zeta.py", "multiples_power_sum"): {"_ENGINES"},
+    ("oracle.py", "power_sum_enumerated"): FAST_SUMS,
+    ("oracle.py", "multiples_power_sum"): FAST_SUMS,
+    ("oracle.py", "coprime_power_sum"): FAST_SUMS,
+    ("oracle.py", "coprime_power_sums"): FAST_SUMS,
+    # the power loop works on arrays alone: no Poly, hence no Poly product
+    ("oracle.py", "_power_rows"): {"Poly", *FAST_SUMS},
 }
 
 
@@ -103,6 +115,33 @@ def _oracle_uses(path: Path, oracle: str, banned: set[str]) -> list[str]:
 def test_oracle_does_not_reach_what_it_checks(where):
     path, oracle = where
     assert _oracle_uses(SRC / path, oracle, ORACLES[where]) == []
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module and name that ``path`` imports, as written."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found.add(node.module or "")
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+FAST_ROUTE_IMPORTS = {"_packing", "sum_of_powers", "zeta", "pk_sum", "pk_pow"}
+
+
+def test_enumeration_oracle_imports_no_fast_route():
+    assert _imports(SRC / "oracle.py") & FAST_ROUTE_IMPORTS == set()
+
+
+def test_the_check_sees_an_import_of_the_fast_route(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import _packing as pk\n"
+                     "from .ffpoly import Poly, sum_of_powers\n"
+                     "import numpy as np\n")
+    assert _imports(probe) & FAST_ROUTE_IMPORTS == {"_packing", "sum_of_powers"}
 
 
 def test_the_check_sees_an_oracle_reach_the_store(tmp_path):

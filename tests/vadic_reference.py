@@ -4,10 +4,18 @@
 The library takes n^s as one integer power n^g
 (``VadicRing.integer_exponent``) and lifts nothing.  The Teichmueller
 lift lives here, kept slow and plain, as the independent side of those
-comparisons.
+comparisons, with the walk over the monics coprime to f that they sum.
 """
 
 from ffzeta.errors import NonConvergence, NotCoprime
+from ffzeta.ffpoly import enumerate_monic
+
+
+def coprime_monics(field, d, f):
+    """Monic degree-d polynomials that f does not divide, one by one."""
+    for n in enumerate_monic(field, d):
+        if not (n % f).is_zero():
+            yield n
 
 
 def teichmuller(ring, n):
