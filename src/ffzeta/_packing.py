@@ -25,8 +25,9 @@ Three internal representations, chosen by characteristic:
 The product :func:`pk_mul` and the power :func:`pk_pow` take every
 prime, p = 2 included, and keep the bit-int kernels inside for p = 2.
 Everything here is private plumbing: its callers are :mod:`ffzeta.ffpoly`,
-which picks the kernel for each field kind, and the power-sum engine in
-:mod:`ffzeta.zeta`, which adds packed sums directly.
+which picks the kernel for each field kind (``Poly.__pow__`` for powers),
+and the power-sum engine in :mod:`ffzeta.zeta`, which adds packed sums
+directly.
 """
 
 from __future__ import annotations

@@ -442,14 +442,29 @@ class Poly:
         return Poly._of_trimmed(self.field, (0,) * k + self.coeffs)
 
     def __pow__(self, j: int):
+        """The one place that picks a power kernel for a field kind: packed
+        Frobenius powers over F_p, bit planes over F_(2^m), and otherwise
+        base-p digits of j with table products (n^(p^k) is as sparse as n)."""
         if j < 0:
             raise ValueError("negative polynomial power")
         if j == 0:
             return Poly.one(self.field)
         if not self.coeffs:
             return self
-        return Poly(self.field, sum_of_powers(
-            self.field, [self.coeffs], j, (len(self.coeffs) - 1) * j + 1))
+        F, p = self.field, self.field.p
+        length = (len(self.coeffs) - 1) * j + 1
+        if F.m == 1:
+            return Poly(F, pk.pk_unpack(pk.pk_pow(self.coeffs, j, p), length, p))
+        if p == 2:
+            return Poly(F, F._planes.to_encodings(F._planes.pow(self.coeffs, j), length))
+        power, frob = Poly.one(F), self  # frob = n^(p^k)
+        while j:
+            j, digit = divmod(j, p)
+            for _ in range(digit):
+                power = power * frob
+            if j:
+                frob = Poly(F, [F.pow(c, p) for c in frob.coeffs]).substitute_spread(p)
+        return power
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -584,38 +599,6 @@ def combine_rows(F: FiniteField, weights, rows, length: int) -> list[int]:
     return out
 
 
-def sum_of_powers(F: FiniteField, coeff_lists, j: int, length: int) -> list[int]:
-    """Coefficients of T^0 .. T^(length-1) of the sum of n^j over the
-    coefficient lists n (nonzero, lowest degree first).
-
-    The one place that picks a power kernel for a field kind: a packed sum
-    of packed Frobenius powers over F_p, the XOR of bit-plane powers over
-    F_{2^m}, and otherwise base-p digits of j with table products, each
-    factor n^(p^k) being as sparse as n.
-    """
-    p = F.p
-    if F.m == 1:
-        acc = pk.pk_sum(((1, pk.pk_pow(cs, j, p), 0) for cs in coeff_lists), p, length)
-        return pk.pk_unpack(acc, length, p)
-    if p == 2:
-        pl = F._planes
-        planes = [0] * F.m
-        for cs in coeff_lists:
-            planes = [x ^ y for x, y in zip(planes, pl.pow(cs, j))]
-        return pl.to_encodings([x & ((1 << length) - 1) for x in planes], length)
-    total = Poly.zero(F)
-    for cs in coeff_lists:
-        power, frob, e = Poly.one(F), Poly(F, cs), j  # frob = n^(p^k)
-        while e:
-            e, digit = divmod(e, p)
-            for _ in range(digit):
-                power = power * frob
-            if e:
-                frob = Poly(F, [F.pow(c, p) for c in frob.coeffs]).substitute_spread(p)
-        total = total + power
-    return list(total.coeffs[:length])
-
-
 # ---------------------------------------------------------------------------
 # gcd family
 # ---------------------------------------------------------------------------
@@ -668,17 +651,12 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
 # enumeration of monic polynomials and primes
 # ---------------------------------------------------------------------------
 
-def monic_coeffs(field: FiniteField, d: int, i: int) -> list[int]:
-    """Coefficient list of the i-th monic polynomial of degree d."""
+def monic_by_index(field: FiniteField, d: int, i: int) -> Poly:
+    """The i-th monic polynomial of degree d in enumeration order."""
     out = [0] * d + [1]
     for k in range(d):
         i, out[k] = divmod(i, field.order)
-    return out
-
-
-def monic_by_index(field: FiniteField, d: int, i: int) -> Poly:
-    """The i-th monic polynomial of degree d in enumeration order."""
-    return Poly(field, monic_coeffs(field, d, i))
+    return Poly(field, out)
 
 
 def monic_indices(field: FiniteField, d: int,

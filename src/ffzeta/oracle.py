@@ -3,12 +3,13 @@ each n listed and raised to the power j.
 
 This is the package's one deliberate second arithmetic.  The fast route
 (the engine of :mod:`ffzeta.zeta`, on the packed kernels of ``_packing``
-and ``ffpoly.sum_of_powers``) is never called here, and no ``Poly``
+that ``Poly.__pow__`` chooses) is never called here, and no ``Poly``
 arithmetic runs in the power loop, so a fault in those kernels shows as a
-disagreement between the two routes instead of reaching both sides.
+disagreement between the two routes instead of reaching both sides.  The
+square-root example's Hecke sums (:mod:`ffzeta.sqrtcar`) come from here.
 
 The monics of degree d with index in [start, stop) (the order of
-:func:`ffzeta.ffpoly.monic_coeffs`) are the rows of a numpy block, one
+:func:`ffzeta.ffpoly.monic_by_index`) are the rows of a numpy block, one
 coefficient per column.  Write j = sum_k j_k p^k in base p.  Then n^j is
 the product over k of (n^(j_k))^(p^k), and
 (sum_i c_i T^i)^(p^k) = sum_i c_i^(p^k) T^(i p^k) is a factor whose

@@ -12,7 +12,9 @@ The objects computed here:
 
 * the Hecke-style character n -> n' and its L-series coefficients
   l_d(j) = sum over monic deg-d n of n' * n^j, exact in A';
-* the identity l_d(j) = S'_d(2j+1) with S' the power sum in A';
+* the identity l_d(j) = S'_d(2j+1) with S' the power sum in A': n' * n^j(u^2)
+  = (n')^(2j+1), so l_d(j) comes from the enumeration oracle and S'_d(2j+1)
+  from the power-sum engine, two routes that share no kernel;
 * the rank-2 module psi with psi_T = theta + (theta + sqrt(theta)) tau
   + tau^2 over F_2(sqrt(theta)), which is the composition of the
   degree-one Carlitz action for A' with itself; its Euler factor at
@@ -36,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _packing as pk
-from .drinfeld import DrinfeldModule, FrobeniusData, frobenius_charpoly
+from .drinfeld import DrinfeldModule, FrobeniusData, carlitz_module, frobenius_charpoly
 from .errors import ProvisionalPolygon
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .newton import minus_degree, polygon_of
+from .oracle import power_sum_enumerated
 from .zeta import power_sum
 
 _F2 = FiniteField(2)
@@ -53,19 +55,14 @@ _F2 = FiniteField(2)
 def hecke_special(j: int, dmax: int) -> list[Poly]:
     """l_d(j) = sum of n' * n^j over monic deg-d n, exact in A'.
 
-    n^j is computed in T, mapped through T -> u^2 and multiplied by n'.
-    Over n = T m, n' n^j = u^(2j+1) m' m(u^2)^j, so the sums over n
-    coprime to T are l_d(j) - u^(2j+1) l_(d-1)(j) (``_coprime_sums``).
+    Each term n' * n^j(u^2) is (n')^(2j+1), so l_d(j) is the enumerated
+    power sum S_d(2j+1) of the oracle, read in u.  Over n = T m,
+    n' n^j = u^(2j+1) m' m(u^2)^j, so the sums over n coprime to T are
+    l_d(j) - u^(2j+1) l_(d-1)(j) (``_coprime_sums``).
     """
     if j < 0 or dmax < 0:
         raise ValueError("need j >= 0 and dmax >= 0")
-    out = []
-    for d in range(dmax + 1):
-        acc = 0
-        for nb in range(1 << d, 2 << d):  # the monics of degree d
-            acc ^= pk.f2_mul(nb, pk.f2_spread(pk.f2_pow(nb, j), 2))
-        out.append(Poly(_F2, pk.f2_to_coeffs(acc)))
-    return out
+    return [power_sum_enumerated(_F2, d, 2 * j + 1) for d in range(dmax + 1)]
 
 
 def _coprime_sums(sums: list[Poly], j: int) -> list[Poly]:
@@ -75,9 +72,8 @@ def _coprime_sums(sums: list[Poly], j: int) -> list[Poly]:
 
 @dataclass
 class HeckeIdentityReport:
-    """l_d(j) == S'_d(2j+1) per degree, and the sums l_d(j) it checked.
-    ``parity_report`` reads them; their coprime part is l_d(j) -
-    u^(2j+1) l_(d-1)(j), as n = T m gives n' n^j = u^(2j+1) m' m(u^2)^j."""
+    """l_d(j) == S'_d(2j+1) per degree, and the sums l_d(j) that
+    ``parity_report`` reads (``_coprime_sums`` gives their coprime part)."""
     j: int
     dmax: int
     per_degree: list[bool]
@@ -88,8 +84,9 @@ class HeckeIdentityReport:
 def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
     """l_d(j) == S'_d(2j+1) for d <= dmax, exactly in A'.
 
-    The left side is enumerated term by term; the right side comes from
-    the power-sum recursion, so the routes are independent.
+    The left side comes from the enumeration oracle (numpy rows of
+    monics), the right side from the power-sum engine on the packed
+    kernels; the two routes share no kernel.
     """
     ls = hecke_special(j, dmax)
     per = [s == power_sum(_F2, d, 2 * j + 1, cache=cache) for d, s in enumerate(ls)]
@@ -99,13 +96,6 @@ def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
 # ---------------------------------------------------------------------------
 # the CM module
 # ---------------------------------------------------------------------------
-
-def carlitz_prime_module() -> DrinfeldModule:
-    """The Carlitz action of A' on itself: C'_u = sqrt(theta) tau^0 + tau."""
-    u = Poly.variable(_F2)
-    return DrinfeldModule(_F2, (u, Poly.one(_F2)),
-                          label="carlitz for the square-root ring")
-
 
 def psi_module() -> DrinfeldModule:
     """The rank-2 A-module psi_T = theta + (theta + sqrt(theta)) tau + tau^2,
@@ -117,8 +107,9 @@ def psi_module() -> DrinfeldModule:
 
 
 def psi_composition_check() -> bool:
-    """psi_T equals C'_u composed with itself, exactly in the skew ring."""
-    cprime = carlitz_prime_module().phi_T_skew()
+    """psi_T equals C'_u composed with itself, exactly in the skew ring.
+    C'_u = sqrt(theta) tau^0 + tau is the Carlitz module over F_2 read in u."""
+    cprime = carlitz_module(_F2).phi_T_skew()
     return cprime * cprime == psi_module().phi_T_skew()
 
 

@@ -5,16 +5,18 @@ store or fast route of the quantity it checks, and every library function
 is named outside the tests.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
-``Poly`` and ``ffpoly.sum_of_powers``; it neither reads a field's private
-bit planes (``._planes``) nor names a kernel that is chosen per field kind.
-The test reads each module with ``ast``, so a new direct call fails here
-instead of growing a second place that picks kernels.
+``Poly``, whose ``__pow__`` chooses the power kernel; it neither reads a
+field's private bit planes (``._planes``) nor names a kernel that is chosen
+per field kind.  No module is exempt.  The test reads each module with
+``ast``, so a new direct call fails here instead of growing a second place
+that picks kernels.
 
 The one deliberate second arithmetic is the enumeration oracle,
 ``oracle.py``: it raises rows of monics to a power on numpy arrays of
 encodings, so that a fault in the packed kernels cannot reach both sides
-of a check.  It imports neither ``_packing`` nor ``sum_of_powers`` nor
-``zeta``, and its power loop does no ``Poly`` arithmetic.
+of a check.  It imports neither ``_packing``, a kernel nor ``zeta``, and
+its power loop does no ``Poly`` arithmetic.  The square-root example's
+Hecke sums are its power sums, so they do not reach the engine either.
 """
 
 import ast
@@ -26,31 +28,21 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "ffzeta"
 OWNERS = {"_packing.py", "ffpoly.py"}
 KERNELS = {"pk_pow", "pk_mul", "f2_pow", "f2_mul", "Char2Planes"}
-# (module, function) -> kernels it may name: the Hecke oracle of sqrtcar
-# works in F_2[T] and F_2[sqrt T] on bit ints by design
-EXCEPTIONS = {("sqrtcar.py", "hecke_special"): {"f2_pow", "f2_mul"}}
 
 
 def _violations(path: Path) -> list[str]:
     found = []
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        allowed = EXCEPTIONS.get((path.name, func), set())
-        name = None
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.alias):
-            name = node.name
-        if name == "_planes" or (name in KERNELS and name not in allowed):
+    def visit(node):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "_planes" or name in KERNELS:
             found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    visit(ast.parse(path.read_text(), filename=str(path)))
     return found
 
 
@@ -72,11 +64,12 @@ def test_the_check_sees_a_direct_kernel_call(tmp_path):
 
 # An oracle checks a kept or fast result only if it does not reach it: the
 # expansion route of the Dirichlet table solves and builds afresh, and the
-# enumerated power sums never ask the engine or its packed kernels.  Each
-# oracle's body, and the body of every function of its own module that it
-# names, is walked.
+# enumerated power sums (the Hecke sums of sqrtcar among them) never ask
+# the engine, its packed kernels or ``Poly.__pow__``, which chooses them.
+# Each oracle's body, and the body of every function of its own module
+# that it names, is walked.
 
-FAST_SUMS = {"_ENGINES", "_engine", "power_sum", "pk", "_packing", "sum_of_powers"}
+FAST_SUMS = {"_ENGINES", "_engine", "power_sum", "pk", "_packing", "__pow__"}
 ORACLES = {
     ("drinfeld.py", "lseries_coeffs_by_expansion"):
         {"_DIRICHLET", "_FROBENIUS", "lseries_coeffs", "frobenius_charpoly"},
@@ -86,6 +79,7 @@ ORACLES = {
     ("oracle.py", "coprime_power_sums"): FAST_SUMS,
     # the power loop works on arrays alone: no Poly, hence no Poly product
     ("oracle.py", "_power_rows"): {"Poly", *FAST_SUMS},
+    ("sqrtcar.py", "hecke_special"): FAST_SUMS,
 }
 
 
@@ -129,7 +123,7 @@ def _imports(path: Path) -> set[str]:
     return found
 
 
-FAST_ROUTE_IMPORTS = {"_packing", "sum_of_powers", "zeta", "pk_sum", "pk_pow"}
+FAST_ROUTE_IMPORTS = {"_packing", "zeta", "pk_sum", *KERNELS}
 
 
 def test_enumeration_oracle_imports_no_fast_route():
@@ -139,9 +133,9 @@ def test_enumeration_oracle_imports_no_fast_route():
 def test_the_check_sees_an_import_of_the_fast_route(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from . import _packing as pk\n"
-                     "from .ffpoly import Poly, sum_of_powers\n"
+                     "from .ffpoly import Poly, Char2Planes\n"
                      "import numpy as np\n")
-    assert _imports(probe) & FAST_ROUTE_IMPORTS == {"_packing", "sum_of_powers"}
+    assert _imports(probe) & FAST_ROUTE_IMPORTS == {"_packing", "Char2Planes"}
 
 
 def test_the_check_sees_an_oracle_reach_the_store(tmp_path):

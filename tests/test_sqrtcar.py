@@ -3,12 +3,12 @@ import random
 import pytest
 
 from ffzeta import _packing as pk
-from ffzeta import cli, sqrtcar
+from ffzeta import cli, sqrtcar, zeta
+from ffzeta.drinfeld import carlitz_module
 from ffzeta.errors import ProvisionalPolygon
 from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic, poly_parse
 from ffzeta.sqrtcar import (
     _coprime_sums,
-    carlitz_prime_module,
     hecke_identity,
     hecke_special,
     parity_report,
@@ -47,15 +47,16 @@ class TestSqrtMap:
             assert n * n == n.substitute_spread(2)
 
 
-def _coprime_oracle(j: int, dmax: int) -> list[Poly]:
-    """sum of n' * n^j over monic deg-d n with n(0) != 0, term by term on
-    bit ints: the reference for the derived coprime sums."""
+def _term_by_term(j: int, dmax: int, coprime: bool = False) -> list[Poly]:
+    """sum of n' * n^j(u^2) over monic deg-d n (with n(0) != 0 if
+    ``coprime``), each term from the definition on bit ints: n^j in T,
+    spread by T -> u^2, times n'.  The reference for ``hecke_special``,
+    which reads the sums as oracle power sums S_d(2j+1) instead."""
     out = []
     for d in range(dmax + 1):
         acc = 0
-        for i in range(1 << d):
-            nb = i | (1 << d)
-            if nb & 1:
+        for nb in range(1 << d, 2 << d):  # the monics of degree d
+            if nb & 1 or not coprime:
                 acc ^= pk.f2_mul(nb, pk.f2_spread(pk.f2_pow(nb, j), 2))
         out.append(Poly(F2, pk.f2_to_coeffs(acc)))
     return out
@@ -88,7 +89,24 @@ class TestHeckeSums:
 
     def test_coprime_sums_match_direct_enumeration(self):
         for j in range(21):
-            assert _coprime_sums(hecke_special(j, 8), j) == _coprime_oracle(j, 8)
+            assert _coprime_sums(hecke_special(j, 8), j) == _term_by_term(j, 8, coprime=True)
+
+    def test_full_sums_match_term_by_term(self):
+        for j in range(21):
+            assert hecke_special(j, 8) == _term_by_term(j, 8), j
+
+    def test_answers_without_the_engine_or_packed_kernels(self, monkeypatch):
+        want = {j: _term_by_term(j, 6) for j in (0, 1, 7, 20)}
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a fast-route kernel ran")
+        for owner, name in ((zeta, "_engine"), (zeta, "power_sum"), (sqrtcar, "power_sum"),
+                            (pk, "pk_pow"), (pk, "pk_sum"), (pk, "f2_pow")):
+            monkeypatch.setattr(owner, name, broken)
+        with pytest.raises(AssertionError, match="fast-route kernel"):
+            hecke_identity(1, 2)  # the patch reaches the engine's side
+        for j, sums in want.items():
+            assert hecke_special(j, 6) == sums
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="j >= 0"):
@@ -124,7 +142,10 @@ class TestPsiModule:
         assert psi.rank == 2
 
     def test_prime_carlitz_is_rank_one(self):
-        assert carlitz_prime_module().rank == 1
+        # C'_u = u tau^0 + tau: the Carlitz module over F_2, read in u
+        cprime = carlitz_module(F2)
+        assert cprime.rank == 1
+        assert cprime.phi_T == (Poly.variable(F2), Poly.one(F2))
 
     def test_factorization_degree_three(self):
         rep = psi_factorization_check(3)
