@@ -385,7 +385,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
 
     def __add__(self, other):

@@ -164,7 +164,7 @@ class LaurentSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("series over different residue fields")
 
     def __add__(self, other):
@@ -422,7 +422,7 @@ class VadicElem:
         self.rep = rep
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatch("elements of different v-adic rings")
 
     def __add__(self, other):

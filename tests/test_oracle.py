@@ -83,7 +83,7 @@ def _cases(draw):
     stop = draw(st.integers(start, min(total, start + 60)))
     divisors = draw(st.lists(st.integers(0, d + 1).flatmap(lambda k: _monic(field, k)),
                              max_size=3))
-    chunk = draw(st.sampled_from([1, 7, 64, oracle._CHUNK]))
+    chunk = draw(st.sampled_from([1, 7, 64, 1 << 14, oracle._CHUNK]))
     return field, d, j, start, stop, divisors, chunk
 
 
@@ -130,6 +130,15 @@ def test_chunk_boundaries_do_not_move_the_sums(chunk, monkeypatch):
     want = [_oracle(*c, [poly_parse(c[0], "T+1")]) for c in cases]
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     assert [_oracle(*c, [poly_parse(c[0], "T+1")]) for c in cases] == want
+
+
+@pytest.mark.parametrize("field,d,j", [(F4, 6, 63), (F4, 5, 1023), (F2, 10, 1023)])
+def test_blocks_wider_than_a_chunk_match_the_engine(field, d, j):
+    # 1.55 M, 5.2 M and 10.5 M entries of n^j: 12, 41 and 86 chunks at
+    # the shipped chunk size; S_6(63) over F_4 is zero (6 > B = 3), the
+    # other two are not
+    assert field.order ** d * (d * j + 1) > 10 * oracle._CHUNK
+    assert power_sum_enumerated(field, d, j) == power_sum(field, d, j)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

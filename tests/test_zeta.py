@@ -167,6 +167,21 @@ class TestSpecialPolynomial:
             for d in (bound + 1, bound + 2, bound + 3):
                 assert power_sum(field, d, j).is_zero()
 
+    # Criterion 1 reads the zeros past B from the engine itself; here they
+    # come from enumeration alone, on a fixed third of criterion 1's grid
+    # (j <= 200) per field, so that a prune of the engine past B is still
+    # checked by a route that does not assume the bound.
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5])
+    def test_vanishing_window_by_enumeration(self, field, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("the engine ran")
+        monkeypatch.setattr(zeta_module, "_engine", broken)
+        monkeypatch.setattr(zeta_module, "power_sum", broken)
+        for j in random.Random(field.order).sample(range(201), 67):
+            bound = special_degree_bound(field, j)
+            for d in (bound + 1, bound + 2, bound + 3):
+                assert power_sum_enumerated(field, d, j).is_zero(), (j, d)
+
     # jmax and the monics one oracle call may enumerate.  The batched
     # oracle takes the 729 monic cubics over F_9 at j = 1999 in under 0.5 s
     # (the per-monic Poly route took 36 s), so F_9 runs the same grid.
