@@ -17,6 +17,10 @@ Three internal representations, chosen by characteristic:
   term's digit bound and renormalises only when the next add could carry;
   products take their width from (p-1)^2 * min(len a, len b).  No width
   holds one product once p >= 2^32, so ``FiniteField`` rejects those p.
+  Digits go to and from bytes through the stdlib ``array`` module, and
+  :func:`digits_mod` reduces all digits of an int at once by folds on the
+  whole int, so no kernel here needs numpy (the enumeration oracle alone
+  imports it).
 
 * ``F_{2^m}[T]`` -- ``m`` parallel ``F_2[T]`` ints ("planes"), plane ``e``
   carrying the ``w^e``-coordinates of all coefficients for the fixed basis
@@ -33,9 +37,9 @@ directly.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from math import comb
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +189,23 @@ def _bits(p: int) -> int:
     return 1 if p == 2 else _width(p, (p - 1) ** 2)
 
 
-_DTYPES = {bits: np.dtype(f"<u{bits // 8}") for bits in (16, 32, 64)}
+# array typecodes of unsigned 16-, 32- and 64-bit digits, in machine order
+_TYPECODES = {8 * array(code).itemsize: code for code in "QIH"}
+_SWAP = sys.byteorder == "big"  # packed ints are little-endian digit strings
 
 
 def _pack(coeffs, bits: int) -> int:
-    return int.from_bytes(np.asarray(coeffs, dtype=_DTYPES[bits]).tobytes(), "little")
+    digits = array(_TYPECODES[bits], coeffs)
+    if _SWAP:
+        digits.byteswap()
+    return int.from_bytes(digits, "little")
 
 
 def _unpack(x: int, length: int, bits: int) -> list[int]:
-    return np.frombuffer(x.to_bytes(bits // 8 * length, "little"), _DTYPES[bits]).tolist()
+    digits = array(_TYPECODES[bits], x.to_bytes(bits // 8 * length, "little"))
+    if _SWAP:
+        digits.byteswap()
+    return digits.tolist()
 
 
 def pk_pack(coeffs, p: int) -> int:
@@ -213,18 +225,47 @@ def _byte_mod(p: int) -> bytes:
     return bytes(b % p for b in range(256))
 
 
+def _lanes(v: int, bits: int, n: int) -> int:
+    """The int with v in each of its n lowest ``bits``-bit digit fields."""
+    return int.from_bytes(v.to_bytes(bits // 8, "little") * n, "little")
+
+
 def digits_mod(x: int, p: int, bits: int, bound: int) -> int:
     """Reduce each ``bits``-bit digit field of x, all at most ``bound``,
-    modulo p.  Digits below 256 fill only their lowest byte, so one byte
-    translation reduces them all; larger ones go through numpy."""
+    modulo p, in a few whole-int steps and no loop over the digits.
+    ``bits`` is at least the width of the reduced format of p, as in every
+    packed format here, so a field holds (p-1)^2 + p - 1.
+
+    Let 2^k be the smallest power of 256 above p, and r = 2^k mod p.  A
+    fold sends every digit v to (v mod 2^k) + (v >> k) r, which is v mod p
+    again and fits its field; the exact bound after it is the larger of
+    the images of ``bound`` and of the largest v below it with a smaller
+    v >> k, so it falls strictly until it is below 2^k (a looser bound can
+    stick at 255 + r).  For p < 256 (k = 8) one byte translation then
+    reduces every digit.  Above, every digit is below 2^k <= 2^(bits-1),
+    so the top bit of each field is free as a guard: from the top i down,
+    each digit loses p 2^i where the guard says it is at least that.
+    """
     if not x:
         return 0
-    dtype = _DTYPES[bits]
-    data = x.to_bytes(-(-x.bit_length() // bits) * dtype.itemsize, "little")
-    if bound < 256:
-        return int.from_bytes(data.translate(_byte_mod(p)), "little")
-    arr = np.frombuffer(data, dtype) % dtype.type(p)
-    return int.from_bytes(arr.tobytes(), "little")
+    n = -(-x.bit_length() // bits)
+    k = -(-p.bit_length() // 8) * 8
+    if bound >> k:
+        mask, r = (1 << k) - 1, (1 << k) % p
+        low, high = _lanes(mask, bits, n), _lanes((1 << bits - k) - 1, bits, n)
+        while bound >> k:
+            x = (x & low) + ((x >> k) & high) * r
+            h = bound >> k
+            bound = max((bound & mask) + h * r, mask + (h - 1) * r)
+    if k == 8:
+        return int.from_bytes(x.to_bytes(n * bits // 8, "little").translate(
+            _byte_mod(p)), "little")
+    guard = bits - 1
+    ones = _lanes(1, bits, n)
+    for i in reversed(range((bound // p).bit_length())):
+        c = p << i
+        x -= (((x + ((1 << guard) - c) * ones) >> guard) & ones) * c
+    return x
 
 
 def pk_sum(terms, p: int, length: int, bits: int | None = None,

@@ -18,10 +18,8 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from . import _packing as pk
 from .errors import (
@@ -252,8 +250,9 @@ def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
 
     Memoised: equal fields share their tables, and nothing mutates them.
     The modulus is checked with ``is_irreducible`` over F_p; mul and inv
-    come from the powers of a generator of F_q^*.  Prime fields get no
-    tables: their elements are residues mod p, for p up to 2^32.
+    come from the powers of a generator of F_q^*, add and neg (odd p)
+    digit by digit.  Prime fields get no tables: their elements are
+    residues mod p, for p up to 2^32.
     """
     if m == 1:
         return None, None, None, None, None
@@ -284,10 +283,16 @@ def _field_tables(p: int, m: int, modulus: tuple[int, ...]):
         rows = [(Poly.monomial(Fp, m + k) % g).coeffs for k in range(m - 1)]
         planes = pk.Char2Planes(m, [list(r) + [0] * (m - len(r)) for r in rows])
         return None, None, mul, inv, planes
-    table = np.array([_digits(v, p, m) for v in range(q)])
-    weights = p ** np.arange(m)
-    add = (((table[:, None] + table[None]) % p) @ weights).tolist()
-    neg = ((-table % p) @ weights).tolist()
+    # digit by digit: a table over the low digits extends to one more digit
+    # w p^i by blocks, the row of a = low + w top being the blocks of
+    # row(low) + w ((top + t) mod p), for t the next digit of b
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    neg = [-a % p for a in range(p)]
+    for w in (p ** i for i in range(1, m)):
+        blocks = [[[x + w * t for x in row] for t in range(p)] for row in add]
+        add = [list(chain.from_iterable(low[(top + t) % p] for t in range(p)))
+               for top in range(p) for low in blocks]
+        neg = [v + w * (-top % p) for top in range(p) for v in neg]
     return add, neg, mul, inv, None
 
 
@@ -326,6 +331,18 @@ class Poly:
         poly.field = field
         poly.coeffs = coeffs
         return poly
+
+    @classmethod
+    def _of_reduced(cls, field: FiniteField, coeffs: Sequence[int]) -> "Poly":
+        """A Poly over ``coeffs``, Python ints that are encodings of
+        ``field`` by construction (a kernel's or an oracle's output, a cut of
+        a Poly), trailing zeros trimmed.  It skips ``__init__``'s range
+        check, which every path that reads input keeps."""
+        cs = tuple(coeffs)
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        return cls._of_trimmed(field, cs[:n])
 
     @classmethod
     def zero(cls, field):
@@ -454,9 +471,10 @@ class Poly:
         F, p = self.field, self.field.p
         length = (len(self.coeffs) - 1) * j + 1
         if F.m == 1:
-            return Poly(F, pk.pk_unpack(pk.pk_pow(self.coeffs, j, p), length, p))
+            return Poly._of_reduced(F, pk.pk_unpack(pk.pk_pow(self.coeffs, j, p), length, p))
         if p == 2:
-            return Poly(F, F._planes.to_encodings(F._planes.pow(self.coeffs, j), length))
+            return Poly._of_reduced(
+                F, F._planes.to_encodings(F._planes.pow(self.coeffs, j), length))
         power, frob = Poly.one(F), self  # frob = n^(p^k)
         while j:
             j, digit = divmod(j, p)

@@ -354,7 +354,7 @@ class VadicRing:
         if len(a.coeffs) < len(self.modulus.coeffs):
             return a
         if self._is_var:
-            return Poly(self.field, a.coeffs[:self.precision])
+            return Poly._of_reduced(self.field, a.coeffs[:self.precision])
         return a % self.modulus
 
     def zero(self):

@@ -30,18 +30,20 @@ Rows are taken in chunks of at most ``_CHUNK`` entries of n^j, so memory
 stays flat whatever q^d is.  Each chunk repeats the Python loop over the
 factor positions, the remainder masks and the digit sums, so a chunk must
 be large enough that numpy's arithmetic, not that per-call overhead, sets
-the cost.  A field's numpy tables are built on its first use, never at
-import.
+the cost.  numpy itself is imported on the oracle's first call, and a
+field's numpy tables are built on its first use, never at import: numpy
+is this module's alone, so a command that does not enumerate (everything
+but ``sqrtcar`` and ``verify``) runs without it.
 """
 
 from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 from .errors import FieldMismatch, PreconditionViolated
 from .ffpoly import FiniteField, Poly, monic_indices
+
+np = None  # numpy, imported by _arith on the oracle's first call
 
 # Most entries of n^j held per chunk of rows: 2^17 (256 KiB of 16-bit
 # entries).  Against 2^14 it runs the verify battery's identity checks in
@@ -129,6 +131,10 @@ class _Arith:
 
 @functools.cache
 def _arith(field: FiniteField) -> _Arith:
+    """The field's arithmetic; every array helper below takes it, so the
+    first call of the oracle imports numpy here."""
+    global np
+    import numpy as np
     return _Arith(field)
 
 
@@ -228,7 +234,7 @@ def _block_sums(field: FiniteField, d: int, j: int, divisors=(), *,
 
 
 def _poly(field: FiniteField, sums) -> Poly:
-    return Poly(field, _arith(field).encodings(sums))
+    return Poly._of_reduced(field, _arith(field).encodings(sums))
 
 
 def power_sum_enumerated(field: FiniteField, d: int, j: int, *,

@@ -132,12 +132,12 @@ def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
         hit = cache.get(field, d, j)
         if hit is not None:
             if cache.should_spot_check():
-                fresh = Poly(field, _engine(field).monic_sum_coeffs(d, j))
+                fresh = Poly._of_reduced(field, _engine(field).monic_sum_coeffs(d, j))
                 if fresh != hit:
                     raise CacheCorruption(
                         f"cache entry S_{d}({j}) disagrees with recomputation")
             return hit
-    value = Poly(field, _engine(field).monic_sum_coeffs(d, j))
+    value = Poly._of_reduced(field, _engine(field).monic_sum_coeffs(d, j))
     if cache is not None:
         cache.put(field, d, j, value)
     return value
@@ -313,7 +313,7 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
         for d in range(k, dmax + 1):
             acc = Poly.zero(field)
             for t, c in ts:
-                s_t = Poly(field, eng.monic_sum_coeffs(d - k, t))
+                s_t = Poly._of_reduced(field, eng.monic_sum_coeffs(d - k, t))
                 acc = acc + fw[t] * s_t * (p - c)  # -C(g,t) f^t W(t) S_(d-k)(t)
             out.append(ring.elem(acc))
     return CoefficientFamily(field, out, ring)

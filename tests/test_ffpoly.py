@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -621,6 +622,15 @@ class TestFieldSetup:
             for b in range(F.order):
                 assert F.add(a, b) == add(a, b)
                 assert F.mul(a, b) == mul(a, b)
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 3), (19, 2)])
+    def test_add_and_neg_tables_match_numpy(self, p, m):
+        # the numpy construction the digit-by-digit tables replaced
+        F = FiniteField(p, m)
+        table = np.array([[a // p ** i % p for i in range(m)] for a in range(F.order)])
+        weights = p ** np.arange(m)
+        assert F._add == (((table[:, None] + table[None]) % p) @ weights).tolist()
+        assert F._neg == ((-table % p) @ weights).tolist()
 
     def test_equal_fields_share_tables(self):
         assert FiniteField(3, 2)._mul is FiniteField(3, 2, (1, 0, 1))._mul

@@ -20,6 +20,7 @@ encodings, so that a fault in the packed kernels cannot reach both sides
 of a check.  It imports neither ``_packing``, a kernel nor ``zeta``, and
 its power loop does no ``Poly`` arithmetic.  The square-root example's
 Hecke sums are its power sums, so they do not reach the engine either.
+It is also the one module that imports numpy.
 """
 
 import ast
@@ -165,6 +166,31 @@ def test_the_check_sees_an_import_of_the_fast_route(tmp_path):
                      "from .ffpoly import Poly, Char2Planes\n"
                      "import numpy as np\n")
     assert _imports(probe) & FAST_ROUTE_IMPORTS == {"_packing", "Char2Planes"}
+
+
+# numpy serves the enumeration oracle alone, so every command that does not
+# enumerate starts without importing it (``tests/test_oracle.py`` runs
+# them); a module that imports numpy anywhere in its body fails here.
+
+def _numpy_imports(path: Path) -> list[str]:
+    return sorted(name for name in _imports(path) if name.split(".")[0] == "numpy")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_oracle_imports_numpy(path):
+    if path.name == "oracle.py":
+        assert _numpy_imports(path) == ["numpy"]
+    else:
+        assert _numpy_imports(path) == []
+
+
+def test_the_check_sees_a_numpy_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from numpy import asarray\n"
+                     "def f(x):\n"
+                     "    import numpy.linalg\n"
+                     "    return asarray(x)\n")
+    assert _numpy_imports(probe) == ["numpy", "numpy.linalg"]
 
 
 def test_the_check_sees_an_oracle_reach_the_store(tmp_path):

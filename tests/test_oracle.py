@@ -6,7 +6,8 @@ are those with ``n % f`` zero.  The oracle must agree with it on every
 field kind (F_2, F_p with small, medium and 32-bit p, F_(2^m), F_(p^m)),
 on index sub-ranges cut anywhere, across row-chunk boundaries, and on
 empty ranges; and it must keep answering when the packed kernels of the
-fast route are broken.
+fast route are broken.  numpy is the oracle's alone: a request that does
+not enumerate runs without importing it.
 """
 
 import subprocess
@@ -204,3 +205,27 @@ def test_no_tables_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": ":".join(sys.path)})
     assert out.stdout.strip() == "0"
+
+
+def test_only_the_oracle_loads_numpy():
+    # one fresh process: the package, then one request of each command that
+    # never enumerates, then sqrtcar, whose Hecke sums are the oracle's
+    code = ("import contextlib, io, sys\n"
+            "import ffzeta, ffzeta.cli\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = ffzeta.cli.main(list(argv))\n"
+            "    print(argv[0], code, 'numpy' in sys.modules)\n"
+            "print('import', 0, 'numpy' in sys.modules)\n"
+            "run('special', '--p', '3', '--j', '100')\n"
+            "run('newton', '--p', '3', '--y', '-2', '--f', 'T^2+1', '--dmax', '4',"
+            " '--prec', '16')\n"
+            "run('frobenius', '--p', '3', '--f', 'T^2+1', '--tau-coeffs', '1,1')\n"
+            "run('lseries', '--p', '2', '--module', 'carlitz', '--degree-bound', '4',"
+            " '--j', '1')\n"
+            "run('sqrtcar', '--j', '1')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.stdout.split("\n")[:-1] == [
+        "import 0 False", "special 0 False", "newton 0 False", "frobenius 0 False",
+        "lseries 0 False", "sqrtcar 3 True"]

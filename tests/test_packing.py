@@ -7,12 +7,20 @@ checked against a schoolbook reference kept here and against sympy's
 of the packing threshold ``_SCHOOLBOOK_CAP`` (96).  The examples are derandomised
 and bounded, so every run checks the same cases.
 
+The digit conversions ``_pack`` and ``_unpack`` and the lane-wise
+reduction ``digits_mod`` are held to the numpy code they replaced, kept
+here as the reference, at every digit width and at bounds up to the top
+of a digit.  ``pk_sum`` is also run with every digit full across its
+renormalisation edges, where a late renormalisation carries into the next
+digit.
+
 ``lucas_subsets`` and ``lucas_residue`` are held to the plain list of
 C(j, t) mod p over every t <= j, filtered by residue.
 """
 
 from math import comb
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -114,6 +122,99 @@ class TestPackedSum:
         want = [(p - 1) ** 2 * sum(1 for s in range(n) if s % 3 <= k) % p
                 for k in range(length)]
         assert tuple(got) == _trim(want)
+
+    @pytest.mark.parametrize("p,digits,counts", [
+        (3, [2, 0, 1], (65534, 65535)),
+        (3, [2, 2, 2], range(65532, 65537)),
+        (251, [250] * 3, range(522, 528)),
+        (257, [(1 << 31) - 1] * 3, range(1, 9)),
+    ], ids=["F3-2+T^2", "F3-full", "F251-full", "F257-full"])
+    def test_full_digits_across_the_renormalisation_edges(self, p, digits, counts):
+        # n copies of one term, each digit at x_bound, so the tracked bound
+        # is the true largest digit: at these counts it tops a 16-bit (p = 3,
+        # 251) or 32-bit (p = 257) digit a first time, and a second time
+        # right where a bound that forgot the renormalised digit (up to p - 1)
+        # would let the next add carry into the next digit.  At p = 257 the
+        # terms' digits are 2^31 - 1, so that two terms fill a 32-bit digit.
+        x_bound = max(digits)
+        x = pk.pk_pack(digits, p)
+        for n in counts:
+            got = pk.pk_sum(((1, x, 0) for _ in range(n)), p, len(digits),
+                            x_bound=x_bound)
+            want = _trim(n * d % p for d in digits)
+            assert tuple(pk.pk_unpack(got, len(digits), p)) == want, n
+
+
+# ---------------------------------------------------------------------------
+# digit conversions and the lane-wise reduction, against the numpy code
+# they replaced
+# ---------------------------------------------------------------------------
+
+DTYPES = {bits: np.dtype(f"<u{bits // 8}") for bits in (16, 32, 64)}
+# the characteristics, and the digit widths each one is packed in: every
+# width at least that of its reduced format
+WIDTHS = {p: [bits for bits in (16, 32, 64) if bits >= pk._bits(p)]
+          for p in (3, 5, 251, 257, 65521, (1 << 31) - 1)}
+
+
+def _np_pack(coeffs, bits):
+    return int.from_bytes(np.asarray(coeffs, dtype=DTYPES[bits]).tobytes(), "little")
+
+
+def _np_unpack(x, length, bits):
+    return np.frombuffer(x.to_bytes(bits // 8 * length, "little"), DTYPES[bits]).tolist()
+
+
+def _np_digits_mod(x, p, bits, bound):
+    if not x:
+        return 0
+    dtype = DTYPES[bits]
+    data = x.to_bytes(-(-x.bit_length() // bits) * dtype.itemsize, "little")
+    if bound < 256:
+        return int.from_bytes(data.translate(bytes(b % p for b in range(256))), "little")
+    return int.from_bytes((np.frombuffer(data, dtype) % dtype.type(p)).tobytes(), "little")
+
+
+@st.composite
+def lane_case(draw):
+    """(p, bits, bound, digits): every digit at most bound, some at it."""
+    p = draw(st.sampled_from(sorted(WIDTHS)))
+    bits = draw(st.sampled_from(WIDTHS[p]))
+    top = (1 << bits) - 1
+    bound = draw(st.one_of(st.just(top), st.just(p), st.just(255 + 256 % p),
+                           st.integers(p, top)))
+    bound = max(p, min(bound, top))
+    digits = draw(st.lists(st.one_of(st.just(bound), st.just(0),
+                                     st.integers(0, bound)), max_size=40))
+    return p, bits, bound, digits
+
+
+class TestLanes:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(lane_case())
+    def test_digits_mod_matches_numpy(self, case):
+        p, bits, bound, digits = case
+        x = _np_pack(digits, bits)
+        assert pk.digits_mod(x, p, bits, bound) == _np_digits_mod(x, p, bits, bound)
+
+    @pytest.mark.parametrize("p", sorted(WIDTHS))
+    def test_digits_mod_at_the_top_of_each_width(self, p):
+        for bits in WIDTHS[p]:
+            top = (1 << bits) - 1
+            for digits in ([top] * 7, [top, 0, top - 1, p, p - 1, 256, 255]):
+                x = _np_pack(digits, bits)
+                assert pk.digits_mod(x, p, bits, top) == _np_pack([d % p for d in digits], bits)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.sampled_from((16, 32, 64)).flatmap(lambda bits: st.tuples(
+        st.just(bits), st.lists(st.one_of(st.just((1 << bits) - 1),
+                                          st.integers(0, (1 << bits) - 1)), max_size=60))))
+    def test_pack_and_unpack_match_numpy(self, case):
+        bits, digits = case
+        x = pk._pack(digits, bits)
+        assert x == _np_pack(digits, bits)
+        for length in (len(digits), len(digits) + 3):
+            assert pk._unpack(x, length, bits) == _np_unpack(x, length, bits)
 
 
 class TestPolyProduct:
