@@ -111,43 +111,60 @@ def envelope(command: str, config: dict, result: dict) -> dict:
             "result": result}
 
 
-def _write_json(o, pad: str) -> str:
-    """``o`` indented by two spaces a level, its first line at ``pad``.
-    Dict keys must be strings; a key json.dumps would convert (int, float,
-    bool, None) raises TypeError, and no report has one."""
+def _write_json(o, pad: str, out: list[str]) -> None:
+    """Append the parts of ``o`` to ``out``, indented by two spaces a
+    level, its first line at ``pad``; no part is copied into another, so
+    a large body is copied once, by the join of ``out``.  Dict keys must
+    be strings; a key json.dumps would convert (int, float, bool, None)
+    raises TypeError, and no report has one."""
     if type(o) is str:  # the common scalars first, by exact type
-        return _quote(o)
-    if type(o) is int:
-        return repr(o)
-    if isinstance(o, dict):
+        out.append(_quote(o))
+    elif type(o) is int:
+        out.append(repr(o))
+    elif isinstance(o, dict):
         if not o:
-            return "{}"
+            out.append("{}")
+            return
         inner = pad + "  "
-        body = (",\n" + inner).join([_quote(k) + ": " + _write_json(v, inner)
-                                     for k, v in sorted(o.items())])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(o, (list, tuple)):
+        opening, sep = "{\n" + inner, ",\n" + inner
+        for k, v in sorted(o.items()):
+            out.append(opening + _quote(k) + ": ")
+            _write_json(v, inner, out)
+            opening = sep
+        out.append("\n" + pad + "}")
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "[]"
+            out.append("[]")
+            return
         inner = pad + "  "
-        sep = ",\n" + inner
+        opening, sep = "[\n" + inner, ",\n" + inner
         try:  # a list of strings, such as digit strings, is joined at once
             text = "".join(o) if type(o[0]) is str else None
         except TypeError:  # a list that only starts with a string
             text = None
         if text is None:
-            body = sep.join([_write_json(x, inner) for x in o])
+            for x in o:
+                out.append(opening)
+                _write_json(x, inner, out)
+                opening = sep
         elif text.isascii() and text.isprintable() and '"' not in text \
                 and "\\" not in text:  # no string in the list needs escaping
-            body = '"' + ('"' + sep + '"').join(o) + '"'
+            out.append(opening + '"')
+            out.append(('"' + sep + '"').join(o))
+            out.append('"')
         else:
-            body = sep.join(map(_quote, o))
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(o)  # any other scalar: indent does not change it
+            out.append(opening)
+            out.append(sep.join(map(_quote, o)))
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(o))  # any other scalar: indent does not change it
 
 
 def render_json(doc: dict) -> str:
-    return _write_json(doc, "") + "\n"
+    out: list[str] = []
+    _write_json(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def battery_result(results: list[CriterionResult]) -> dict:
@@ -160,7 +177,7 @@ def battery_result(results: list[CriterionResult]) -> dict:
 def _render_text(doc: dict) -> str:
     out = [f"# {doc['command']} (schema {doc['schemaVersion']})"]
     out.append("config: " + json.dumps(doc["config"], sort_keys=True))
-    out.append(_write_json(doc["result"], ""))
+    out.append(render_json(doc["result"])[:-1])
     out.append("timing: " + json.dumps(doc["timing"], sort_keys=True))
     return "\n".join(out) + "\n"
 

@@ -38,6 +38,13 @@ NEG_INF = float("-inf")
 _TABLE_CAP = 512          # largest field order for which op and string tables are built
 _SCHOOLBOOK_CAP = 96      # largest product length multiplied without packing
 
+# F_p for p < 10 writes each element as one ASCII digit, so a run of
+# elements is a run of bytes, translated in C: value v <-> the digit v.
+# Reading over F_p, every byte but a digit below p becomes 255.
+_TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGIT = {p: bytes(b - 48 if 48 <= b < 48 + p else 255 for b in range(256))
+               for p in (2, 3, 5, 7)}
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -114,7 +121,9 @@ class FiniteField:
         self.modulus: tuple[int, ...] = modulus
         self._add, self._neg, self._mul, self._inv, self._planes = _field_tables(
             p, m, modulus)
-        self._strs, self._codes = _string_tables(p, m)
+        self._strs, self._codes, self._prefixes = _string_tables(p, m)
+        # over F_p, p < 10, digit strings go through bytes (encode_strs)
+        self._from_digit = _FROM_DIGIT.get(p) if m == 1 else None
 
     # -- element ops on encodings ----------------------------------------
 
@@ -157,7 +166,10 @@ class FiniteField:
         return self._strs[a]
 
     def encode_strs(self, coeffs: Sequence[int]) -> list[str]:
-        """:meth:`encode_str` of each element, in bulk."""
+        """:meth:`encode_str` of each element, in bulk: over F_p, p < 10,
+        as one byte translation of all of them."""
+        if self._from_digit:
+            return list(bytes(coeffs).translate(_TO_DIGIT).decode("ascii"))
         if self._strs is None:
             return list(map(str, coeffs))
         return list(map(self._strs.__getitem__, coeffs))
@@ -187,8 +199,16 @@ class FiniteField:
 
     def decode_strs(self, tokens: Sequence[str]) -> tuple[int, ...]:
         """:meth:`decode_str` of each token, in bulk; raises ValueError if
-        any token is bad.  A field with a string table looks every token up
-        at once; only when one misses are the tokens decoded one by one."""
+        any token is bad.  Over F_p, p < 10, tokens that are each one ASCII
+        digit below p are read as one byte translation of their join; a
+        field with a string table looks every token up at once.  Only when
+        that fails are the tokens decoded one by one, which raises."""
+        if self._from_digit and tokens:
+            line = "".join(tokens)
+            if len(line) == len(tokens) and line.isascii():
+                values = line.encode("ascii").translate(self._from_digit)
+                if 255 not in values:
+                    return tuple(values)
         if self._codes is not None:
             values = tuple(map(self._codes.get, tokens))
             if None not in values:
@@ -231,17 +251,23 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 @functools.cache
 def _string_tables(p: int, m: int):
-    """(strs, codes) for a field of order q = p^m <= _TABLE_CAP: strs[a] is
-    the digit string of the element a, and codes its inverse.  A larger
-    (prime) field gets (None, None) and writes its residues with ``str``."""
+    """(strs, codes, prefixes) for a field of order q = p^m <= _TABLE_CAP:
+    strs[a] is the digit string of the element a, codes its inverse, and
+    prefixes[a] how ``Poly.to_string`` writes a before a power of the
+    variable ("" for 1, the string bracketed over F_(p^m)).  A larger
+    (prime) field gets (None, None, None) and writes its residues with
+    ``str``."""
     q = p ** m
     if q > _TABLE_CAP:
-        return None, None
+        return None, None, None
     if m == 1:  # one digit: the residue itself
         strs = tuple(map(str, range(q)))
+        names = strs
     else:
         strs = tuple(join_digits(_digits(v, p, m), p) for v in range(q))
-    return strs, {s: v for v, s in enumerate(strs)}
+        names = tuple(f"[{s}]" for s in strs)
+    prefixes = names[:1] + ("",) + names[2:]
+    return strs, {s: v for v, s in enumerate(strs)}, prefixes
 
 
 @functools.cache
@@ -413,9 +439,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
+        # no call per coefficient: XOR at p = 2, residues over F_p, and
+        # rows of the add table over odd-p extension fields
+        if F.p == 2:
+            out = [x ^ y for x, y in zip(a, b)]
+        elif F.m == 1:
+            p = F.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = F._add
+            out = [add[x][y] for x, y in zip(a, b)]
+        out += a[len(b):]
         while out and out[-1] == 0:
             out.pop()
         return Poly._of_trimmed(F, tuple(out))
@@ -507,9 +541,12 @@ class Poly:
             if F.m == 1:
                 nc = p - c
                 rem[k:] = [(r + nc * fc) % p for r, fc in zip(rem[k:], low)]
+            elif p == 2:  # -c = c, and adding is XOR
+                row = F._mul[c]
+                rem[k:] = [r ^ row[fc] for r, fc in zip(rem[k:], low)]
             else:
-                row = F._mul[F.neg(c)]
-                rem[k:] = [F.add(r, row[fc]) for r, fc in zip(rem[k:], low)]
+                row, add = F._mul[F.neg(c)], F._add
+                rem[k:] = [add[r][row[fc]] for r, fc in zip(rem[k:], low)]
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly._of_trimmed(F, tuple(quot)), Poly._of_trimmed(F, tuple(rem))
@@ -539,23 +576,26 @@ class Poly:
     # -- io -----------------------------------------------------------------
 
     def to_string(self, var: str = "T") -> str:
-        if not self.coeffs:
+        """The nonzero terms, highest first, joined by "+": the coefficient
+        (bracketed over F_(p^m), left out when it is 1 unless the term is
+        constant), then ``var`` and its exponent above 1."""
+        cs = self.coeffs
+        if not cs:
             return "0"
         F = self.field
-        terms = []
-        # the nonzero terms, highest first; compress skips the zeros in C
-        for i in reversed(list(compress(range(len(self.coeffs)), self.coeffs))):
-            c = self.coeffs[i]
-            if c == 1 and i > 0:
-                cs = ""
-            else:
-                cs = F.encode_str(c) if F.m == 1 else f"[{F.encode_str(c)}]"
-            if i == 0:
-                terms.append(cs if cs else "1")
-            elif i == 1:
-                terms.append(f"{cs}{var}")
-            else:
-                terms.append(f"{cs}{var}^{i}")
+        pre = F._prefixes  # None without string tables: str, "" for 1
+        # the terms of degree >= 2, picked in C by compress over the
+        # reversed coefficients
+        top = cs[:1:-1]
+        terms = [f"{pre[c] if pre else '' if c == 1 else c}{var}^{i}"
+                 for i, c in zip(compress(range(len(cs) - 1, 1, -1), top),
+                                 compress(top, top))]
+        if len(cs) > 1 and cs[1]:
+            c = cs[1]
+            terms.append(f"{pre[c] if pre else '' if c == 1 else c}{var}")
+        if cs[0]:
+            name = F.encode_str(cs[0])
+            terms.append(name if F.m == 1 else f"[{name}]")
         return "+".join(terms)
 
     def to_digit_strings(self) -> list[str]:

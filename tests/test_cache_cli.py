@@ -102,12 +102,16 @@ class TestCache:
         ((3, 1), "deg 1: 1 0"), ((11, 2), "deg 1: 1.0 0.0"),
         ((3, 1), "deg 2: 1 1"), ((11, 2), "deg 0: 1.0 1.0"), ((3, 1), "deg 0:"),
         ((3, 1), "deg -inf: 1"), ((3, 1), "1 1"), ((3, 1), "deg 1 1 1"),
+        ((7, 1), "deg 1: 1 7"), ((3, 1), "deg 0: 01"), ((2, 1), "deg 1: \x00 1"),
+        ((2, 1), "deg 1: 1 :"), ((2, 1), "deg 1: 1 \u0661"),
     ], ids=["digit-ge-p", "digit-ge-p-F257", "digit-ge-p-F121", "digit-ge-p-F65537",
             "digit-count", "digit-count-F4", "digit-count-F121",
             "non-ascii", "non-ascii-F257", "non-ascii-F9", "non-ascii-F121",
             "plus", "plus-F257", "plus-F121", "trailing-zero", "trailing-zero-F121",
             "degree", "degree-F121", "degree-empty", "zero-with-coefficients",
-            "no-header", "no-colon"])
+            "no-header", "no-colon",
+            # lines the byte path (F_p, p < 10) meets first
+            "digit-p-F7", "two-digits-F3", "nul-F2", "colon-F2", "non-ascii-digit-F2"])
     def test_malformed_line_is_corruption(self, tmp_path, pm, line):
         field = FiniteField(*pm)
         cache = PowerSumCache(tmp_path, verify_fraction=0)

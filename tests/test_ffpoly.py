@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -485,6 +486,114 @@ class TestDigitStringTables:
         assert f.to_string() == _to_string_reference(f)
         assert f.to_string("u") == _to_string_reference(f, "u")
         assert f.to_digit_strings() == [_encode_reference(F, c) for c in f.coeffs]
+
+
+def _encode_strs_per_element(F, coeffs):
+    """FiniteField.encode_strs one table lookup per element, as it was
+    before the byte translation over F_p, p < 10."""
+    if F._strs is None:
+        return list(map(str, coeffs))
+    return list(map(F._strs.__getitem__, coeffs))
+
+
+def _decode_strs_per_token(F, tokens):
+    """FiniteField.decode_strs one dict lookup per token, as it was before
+    the byte translation over F_p, p < 10."""
+    if F._codes is not None:
+        values = tuple(map(F._codes.get, tokens))
+        if None not in values:
+            return values
+    return tuple(map(F.decode_str, tokens))
+
+
+def _to_string_per_term(f, var="T"):
+    """Poly.to_string with one encode_str call per term, as it was before
+    the prefix tables."""
+    if not f.coeffs:
+        return "0"
+    F = f.field
+    terms = []
+    for i in reversed(list(compress(range(len(f.coeffs)), f.coeffs))):
+        c = f.coeffs[i]
+        if c == 1 and i > 0:
+            cs = ""
+        else:
+            cs = F.encode_str(c) if F.m == 1 else f"[{F.encode_str(c)}]"
+        if i == 0:
+            terms.append(cs if cs else "1")
+        elif i == 1:
+            terms.append(f"{cs}{var}")
+        else:
+            terms.append(f"{cs}{var}^{i}")
+    return "+".join(terms)
+
+
+CODEC_FIELDS = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F7": (7, 1),
+                "F4": (2, 2), "F8": (2, 3), "F9": (3, 2), "F25": (5, 2),
+                "F121": (11, 2), "F257": (257, 1), "F65537": (65537, 1)}
+# what a damaged cache line may hold where a digit string belongs: digits
+# at or above p, two digits, NUL and the bytes beside "0" and "9", a
+# non-ASCII digit, signs, dots and an empty token
+BAD_TOKENS = ["7", "9", "2", "01", "10", "\x00", ":", "/", "\u0661", "\u0663",
+              "+1", "-0", "1.0", "0.0.0", "", " ", "a", "\u00b9"]
+
+
+def _elements(F):
+    return st.sampled_from([0, 1, F.order - 1]) | st.integers(0, F.order - 1)
+
+
+class TestBulkCodecs:
+    """encode_strs, decode_strs and to_string, which work on all elements
+    at once (a byte translation over F_2, F_3, F_5, F_7; prefix tables in
+    to_string), against the per-element code they replaced."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(CODEC_FIELDS)), st.data())
+    def test_encode_strs_and_to_string_match_per_element(self, name, data):
+        F = FiniteField(*CODEC_FIELDS[name])
+        coeffs = data.draw(st.lists(_elements(F), max_size=40))
+        want = _encode_strs_per_element(F, coeffs)
+        assert F.encode_strs(coeffs) == want
+        assert F.encode_strs(tuple(coeffs)) == want
+        assert F.decode_strs(want) == tuple(coeffs)
+        f = Poly(F, coeffs)
+        for var in ("T", "u"):
+            assert f.to_string(var) == _to_string_per_term(f, var)
+        assert repr(f) == _to_string_per_term(f)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(CODEC_FIELDS)), st.data())
+    def test_decode_strs_matches_per_token(self, name, data):
+        F = FiniteField(*CODEC_FIELDS[name])
+        good = _elements(F).map(F.encode_str)
+        tokens = data.draw(st.lists(good | st.sampled_from(BAD_TOKENS), max_size=30))
+        try:
+            want = _decode_strs_per_token(F, tokens)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                F.decode_strs(tokens)
+        else:
+            assert F.decode_strs(tokens) == want
+
+    @pytest.mark.parametrize("name", sorted(CODEC_FIELDS))
+    def test_long_rows(self, name):
+        F = FiniteField(*CODEC_FIELDS[name])
+        rng = random.Random(F.order)
+        coeffs = [rng.randrange(F.order) for _ in range(20_000)] + [1]
+        strings = F.encode_strs(coeffs)
+        assert strings == _encode_strs_per_element(F, coeffs)
+        assert F.decode_strs(strings) == tuple(coeffs)
+        f = Poly(F, coeffs)
+        assert f.to_string("u") == _to_string_per_term(f, "u")
+
+    @pytest.mark.parametrize("pm,tokens", [
+        ((7, 1), ["1", "7"]), ((3, 1), ["01"]), ((2, 1), ["1", "\x00"]),
+        ((2, 1), [":"]), ((2, 1), ["\u0661"]), ((5, 1), ["4", "/"]),
+    ], ids=["7-F7", "01-F3", "NUL-F2", "colon-F2", "non-ascii-F2", "slash-F5"])
+    def test_byte_path_rejects(self, pm, tokens):
+        # every byte but an ASCII digit below p reads as 255
+        with pytest.raises(ValueError):
+            FiniteField(*pm).decode_strs(tokens)
 
 
 def test_powmod_agrees_with_pow():

@@ -1,10 +1,12 @@
 """``cli.render_json`` against its oracle, ``json.dumps(doc,
 sort_keys=True, indent=2)``: the same bytes on drawn documents, on every
-README golden envelope and on a ``verify --quick`` envelope, and the text
-format's result block through the same writer."""
+README golden envelope, on a ``verify --quick`` envelope and on large
+``special``-shaped documents, and the text format's result block through
+the same writer."""
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -104,3 +106,31 @@ def test_text_format_result_block(monkeypatch):
     assert "\n".join(lines[2:-1]) == json.dumps(doc["result"], sort_keys=True,
                                                 indent=2)
     assert lines[-1] == "timing: " + json.dumps(doc["timing"], sort_keys=True)
+
+
+def test_special_document_at_scale():
+    # a special envelope with 120k digit strings over eight coefficients:
+    # each list is one part of the output, copied once by the final join
+    rng = random.Random(7)
+    coeffs = []
+    for d in range(8):
+        digits = [rng.choice("012") for _ in range(15_000)]
+        coeffs.append({"string": "+".join(f"T^{i}" for i in range(d, 0, -1)) or "1",
+                       "digits": digits})
+    doc = {"schemaVersion": 1, "command": "special",
+           "config": {"p": 3, "m": 1, "modulus": None, "j": 7197, "dmax": None,
+                      "cache_dir": "cache", "format": "json"},
+           "result": {"coefficients": coeffs, "certified_polynomial": True,
+                      "degree_bound": 7},
+           "timing": {"seconds": 0.02}}
+    assert sum(len(c["digits"]) for c in coeffs) >= 100_000
+    assert cli.render_json(doc) == oracle(doc)
+
+
+def test_escaped_strings_after_a_large_joined_list():
+    plain = [str(i % 10) for i in range(50_000)]
+    awkward = ['"', "\\", "é", "\x00", "tab\there", "日本", "ok"]
+    for doc in ({"a": plain, "b": awkward},
+                [plain, awkward, plain],
+                {"a": {"digits": plain}, "b": [awkward, {"c": awkward}]}):
+        assert cli.render_json(doc) == oracle(doc)
