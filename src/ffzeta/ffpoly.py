@@ -19,6 +19,7 @@ import functools
 import re
 from bisect import bisect_left
 from itertools import chain, compress
+from operator import xor
 from typing import Iterator, Sequence
 
 from . import _packing as pk
@@ -442,7 +443,7 @@ class Poly:
         # no call per coefficient: XOR at p = 2, residues over F_p, and
         # rows of the add table over odd-p extension fields
         if F.p == 2:
-            out = [x ^ y for x, y in zip(a, b)]
+            out = list(map(xor, a, b))
         elif F.m == 1:
             p = F.p
             out = [(x + y) % p for x, y in zip(a, b)]
@@ -584,12 +585,11 @@ class Poly:
             return "0"
         F = self.field
         pre = F._prefixes  # None without string tables: str, "" for 1
-        # the terms of degree >= 2, picked in C by compress over the
-        # reversed coefficients
-        top = cs[:1:-1]
-        terms = [f"{pre[c] if pre else '' if c == 1 else c}{var}^{i}"
-                 for i, c in zip(compress(range(len(cs) - 1, 1, -1), top),
-                                 compress(top, top))]
+        # the nonzero degrees, highest first, found in C by compress
+        degrees = list(compress(range(len(cs)), cs))
+        degrees.reverse()
+        terms = [f"{pre[cs[i]] if pre else '' if cs[i] == 1 else cs[i]}{var}^{i}"
+                 for i in degrees if i > 1]
         if len(cs) > 1 and cs[1]:
             c = cs[1]
             terms.append(f"{pre[c] if pre else '' if c == 1 else c}{var}")
