@@ -12,7 +12,8 @@ where each c_i is the base-p digit string of the coefficient (w^0 digit
 first) and the zero polynomial is written as ``deg -inf:``.  For p > 10
 the digits of a coefficient, and those of the modulus in the directory
 name, are joined with ".".  A line is read in one pass: its digit
-strings must be ASCII and are decoded in bulk (``decode_strs``).  The
+strings must be ASCII and are decoded in bulk (``decode_strs``; over
+F_2, F_3, F_5 and F_7, one byte translation of all of them).  The
 format is line-oriented, diff-able and language-neutral.  Writes go to a
 temporary file in the same directory followed by an atomic rename, so
 parallel runs may share a cache directory.

@@ -204,7 +204,7 @@ class FiniteField:
         digit below p are read as one byte translation of their join; a
         field with a string table looks every token up at once.  Only when
         that fails are the tokens decoded one by one, which raises."""
-        if self._from_digit and tokens:
+        if self._from_digit:
             line = "".join(tokens)
             if len(line) == len(tokens) and line.isascii():
                 values = line.encode("ascii").translate(self._from_digit)

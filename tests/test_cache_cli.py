@@ -102,7 +102,7 @@ class TestCache:
         ((3, 1), "deg 1: 1 0"), ((11, 2), "deg 1: 1.0 0.0"),
         ((3, 1), "deg 2: 1 1"), ((11, 2), "deg 0: 1.0 1.0"), ((3, 1), "deg 0:"),
         ((3, 1), "deg -inf: 1"), ((3, 1), "1 1"), ((3, 1), "deg 1 1 1"),
-        ((7, 1), "deg 1: 1 7"), ((3, 1), "deg 0: 01"), ((2, 1), "deg 1: \x00 1"),
+        ((7, 1), "deg 1: 1 7"), ((3, 1), "deg 1: 01"), ((2, 1), "deg 1: \x00 1"),
         ((2, 1), "deg 1: 1 :"), ((2, 1), "deg 1: 1 \u0661"),
     ], ids=["digit-ge-p", "digit-ge-p-F257", "digit-ge-p-F121", "digit-ge-p-F65537",
             "digit-count", "digit-count-F4", "digit-count-F121",
