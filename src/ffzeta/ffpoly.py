@@ -626,13 +626,14 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
             if ai:
                 for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i]):
                     out[i + k] = (out[i + k] + ai * bk) % p
-    else:
+    else:  # no call per term: XOR at p = 2, else the add table
+        add, p2 = F._add, F.p == 2
         for i, ai in enumerate(a):
             if ai:
                 row = F._mul[ai]
-                for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i]):
+                for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i], i):
                     if bk:
-                        out[i + k] = F.add(out[i + k], row[bk])
+                        out[k] = out[k] ^ row[bk] if p2 else add[out[k]][row[bk]]
     return out
 
 
@@ -648,12 +649,13 @@ def combine_rows(F: FiniteField, weights, rows, length: int) -> list[int]:
                     out[k] += w * r
         p = F.p
         return [v % p for v in out]
+    add, p2 = F._add, F.p == 2  # no call per term: XOR at p = 2, else the add table
     for w, row in zip(weights, rows):
         if w:
             scaled = F._mul[w]
             for k, r in enumerate(row):
                 if r:
-                    out[k] = F.add(out[k], scaled[r])
+                    out[k] = out[k] ^ scaled[r] if p2 else add[out[k]][scaled[r]]
     return out
 
 

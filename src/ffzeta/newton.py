@@ -101,11 +101,6 @@ class NewtonPolygon:
         return False
 
     @property
-    def window(self) -> tuple[int, int]:
-        """Abscissa span actually supported by finite points."""
-        return (self.finite[0][0], self.finite[-1][0])
-
-    @property
     def segments(self) -> list[Segment]:
         out = []
         for (d1, v1), (d2, v2) in zip(self.vertices, self.vertices[1:]):

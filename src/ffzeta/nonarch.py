@@ -138,9 +138,6 @@ class LaurentSeries:
 
     # -- structure ------------------------------------------------------------
 
-    def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
-
     @property
     def valuation(self):
         """Exact valuation, or None when zero to precision (bound = prec)."""
@@ -167,25 +164,22 @@ class LaurentSeries:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("series over different residue fields")
 
+    def _window(self) -> Poly:
+        """The stored coefficients as a polynomial in pi, pi^start read as 1."""
+        return Poly._of_trimmed(self.field, self.coeffs)
+
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
-        if self.is_zero_to_precision() and other.is_zero_to_precision():
-            return LaurentSeries.zero_to_precision(self.field, prec)
-        start = min(s.start for s in (self, other) if s.coeffs) if (
-            self.coeffs or other.coeffs) else prec
-        start = min(start, prec)
-        F = self.field
-        out = []
-        for k in range(start, prec):
-            out.append(F.add(self.coefficient(k), other.coefficient(k)))
-        return LaurentSeries(F, start, out, prec)
+        start = min(self.start, other.start)
+        total = (self._window().shift(self.start - start)
+                 + other._window().shift(other.start - start))
+        return LaurentSeries(self.field, start, total.coeffs, prec)
 
     def __neg__(self):
-        F = self.field
-        return LaurentSeries(F, self.start, [F.neg(c) for c in self.coeffs], self.prec)
+        return self.scale(self.field.neg(1))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -209,12 +203,9 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "LaurentSeries":
-        F = self.field
-        if not 0 <= c < F.order:
-            raise UsageError(f"scalar {c} is not an encoding in [0, {F.order})")
-        if c == 0:
-            return LaurentSeries.zero_to_precision(F, self.prec)
-        return LaurentSeries(F, self.start, [F.mul(c, x) for x in self.coeffs], self.prec)
+        """c times the series; c = 0 gives zero to precision."""
+        return LaurentSeries(self.field, self.start, self._window().scale(c).coeffs,
+                             self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k."""
@@ -227,21 +218,18 @@ class LaurentSeries:
                                operator.mul)
 
     def inverse(self) -> "LaurentSeries":
+        """pi^(-start) u^(-1) for the series pi^start u, u the window read as
+        a unit.  u^(-1) mod pi^rel, rel = prec - start, is the reverse of
+        T^(rel-1+k) // rev(u) for k = deg u (von zur Gathen and Gerhard,
+        *Modern Computer Algebra*, section 9.1): rev(u) leads with
+        u_0 != 0, so the quotient has degree rel - 1 and reverses into rel
+        coefficients."""
         if not self.coeffs:
             raise DivisionByZero("inverse of a series that is zero to precision")
-        F = self.field
-        s = self.start
-        rel = self.prec - s
-        u = list(self.coeffs) + [0] * (rel - len(self.coeffs))
-        inv0 = F.inv(u[0])
-        out = [0] * rel
-        out[0] = inv0
-        for k in range(1, rel):
-            acc = 0
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = F.add(acc, F.mul(u[i], out[k - i]))
-            out[k] = F.neg(F.mul(inv0, acc))
-        return LaurentSeries(F, -s, out, rel - s)
+        F, s = self.field, self.start
+        rel, k = self.prec - s, len(self.coeffs) - 1
+        quot = Poly.monomial(F, rel - 1 + k) // Poly._of_trimmed(F, self.coeffs[::-1])
+        return LaurentSeries(F, -s, quot.coeffs[::-1], rel - s)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -297,9 +285,7 @@ def bracket_infty(n: Poly, prec: int) -> LaurentSeries:
     """
     if n.is_zero():
         raise ZeroInput("the bracket of zero is undefined")
-    d = int(n.degree)
-    coeffs = [n.coefficient(d - k) for k in range(d + 1)]
-    return LaurentSeries(n.field, 0, coeffs, prec)
+    return LaurentSeries(n.field, 0, n.coeffs[::-1], prec)
 
 
 def unit_pow_padic(u: LaurentSeries, y: PadicExponent, prec: int) -> LaurentSeries:
@@ -359,9 +345,6 @@ class VadicRing:
 
     def zero(self):
         return self._zero
-
-    def one(self):
-        return VadicElem(self, Poly.one(self.field))
 
     def integer_exponent(self, s: "SvPoint") -> int:
         """The g in [0, unit_exponent) with n^s = n^g for every unit n.

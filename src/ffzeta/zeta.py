@@ -178,15 +178,6 @@ class SpecialPolynomial:
     coeffs: list[Poly]
     observed_degree: int
 
-    @property
-    def dmax(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, d: int) -> Poly:
-        if d < len(self.coeffs):
-            return self.coeffs[d]
-        return Poly.zero(self.field)
-
 
 def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
                        *, cache=None) -> SpecialPolynomial:
@@ -218,10 +209,6 @@ class CoefficientFamily:
     field: FiniteField
     coeffs: list
     ring: VadicRing | None = None
-
-    @property
-    def dmax(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
@@ -352,9 +339,7 @@ def poly_to_series_infty(a: Poly, prec: int) -> LaurentSeries:
     """View a nonzero polynomial in T inside K = F_r((pi)): T^k = pi^(-k)."""
     if a.is_zero():
         raise ZeroPolynomial("zero has no leading behaviour at infinity")
-    d = int(a.degree)
-    window = [a.coefficient(d - k) for k in range(d + 1)]
-    return LaurentSeries(a.field, -d, window, prec)
+    return LaurentSeries(a.field, -int(a.degree), a.coeffs[::-1], prec)
 
 
 def euler_removed_identities(field: FiniteField, j: int, primes,
@@ -444,9 +429,4 @@ def _compose_linear(a: Poly, lin: Poly) -> Poly:
 
 def _reverse_into_pi(s: Poly, pivot: int) -> Poly:
     """s(T) * pi^pivot as an exact polynomial in pi (pivot >= deg s)."""
-    if s.is_zero():
-        return s
-    out = [0] * (pivot + 1)
-    for k, c in enumerate(s.coeffs):
-        out[pivot - k] = c
-    return Poly(s.field, out)
+    return Poly._of_reduced(s.field, (0,) * (pivot + 1 - len(s.coeffs)) + s.coeffs[::-1])

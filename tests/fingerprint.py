@@ -1,20 +1,26 @@
-"""Output fingerprint of a benchmark request list: one SHA-256 per request.
+"""Output fingerprints of benchmark request lists: one SHA-256 per request.
 
-The requests are the seed-11 ``sums`` list of ``perfbench/workloads.py``
-(``make_tasks("sums", 11, SECONDS)``): ``special`` requests over F_2,
-F_3, F_4, F_5, F_9 and F_257, each first cold and then warm through the
-disk cache.  They run in order, in this process, through
-``ffzeta.cli.main``, with one fixed cache directory: ``cache``, relative
-to a fresh working directory, so that argv and the ``config`` of every
-output read the same on every machine.  A request's digest covers its
-argv, its exit code and its standard output without the ``timing``
+The requests are the seed-11 lists of ``perfbench/workloads.py``
+(``make_tasks(workload, 11, SECONDS)``) for three workloads:
+
+- ``sums``: ``special`` requests over F_2, F_3, F_4, F_5, F_9 and F_257,
+  each first cold and then warm through the disk cache;
+- ``spectra``: ``newton`` requests at infinity, at f = T and at T^2+1,
+  the ``--refine`` ones (Hensel iteration on Laurent series) included;
+- ``modules``: ``frobenius``, ``lseries`` and ``sqrtcar`` requests.
+
+Each list runs in order, in this process, through ``ffzeta.cli.main``,
+with $FFZETA_CACHE_DIR unset and one fixed cache directory: ``cache``,
+relative to a fresh working directory, so that argv and the ``config`` of
+every output read the same on every machine.  A request's digest covers
+its argv, its exit code and its standard output without the ``timing``
 member, the one part of an envelope that differs from run to run.
 
-    PYTHONPATH=src python tests/fingerprint.py            # rewrite the golden file
+    PYTHONPATH=src python tests/fingerprint.py            # rewrite the golden files
     PYTHONPATH=src python tests/fingerprint.py --check    # list requests that differ
 
-``tests/test_fingerprint.py`` checks the golden file in tier-1.  A change
-that alters outputs on purpose regenerates it and names the requests
+``tests/test_fingerprint.py`` checks the golden files in tier-1.  A change
+that alters outputs on purpose regenerates them and names the requests
 whose digests changed.
 """
 
@@ -30,8 +36,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "fingerprint.json"
 WORKLOAD, SEED, SECONDS = "sums", 11, 20
+GOLDEN = {"sums": ROOT / "tests" / "golden" / "fingerprint.json",
+          "spectra": ROOT / "tests" / "golden" / "fingerprint_spectra.json",
+          "modules": ROOT / "tests" / "golden" / "fingerprint_modules.json"}
 CACHE = "cache"  # the fixed cache directory, relative to the working directory
 
 
@@ -59,11 +67,13 @@ def digest(argv: list[str], code: int, stdout: str) -> str:
 def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
                  seed: int = SEED, seconds: int = SECONDS) -> dict:
     """Run a request list in ``workdir`` (empty, or without ``cache``) and
-    return its fingerprint document; the golden file is that of the
-    default list."""
+    return its fingerprint document; a golden file is that of its
+    workload's list at the default seed and sizing."""
     from ffzeta import cli
+    from ffzeta.cache import ENV_CACHE_DIR
     rows = []
     cwd = os.getcwd()
+    env_cache = os.environ.pop(ENV_CACHE_DIR, None)
     os.chdir(workdir)
     try:
         for task in request_list(workload, seed, seconds):
@@ -76,6 +86,8 @@ def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
                          "sha256": digest(task["argv"], code, out.getvalue())})
     finally:
         os.chdir(cwd)
+        if env_cache is not None:
+            os.environ[ENV_CACHE_DIR] = env_cache
     total = hashlib.sha256("".join(r["sha256"] for r in rows).encode()).hexdigest()
     return {"what": f"perfbench/workloads.make_tasks({workload!r}, {seed}, {seconds}), "
                     "in order, through ffzeta.cli.main with the cache directory "
@@ -96,17 +108,21 @@ def differences(want: dict, got: dict) -> list[str]:
 
 def main(argv=None) -> int:
     check = "--check" in (sys.argv[1:] if argv is None else argv)
-    with tempfile.TemporaryDirectory() as workdir:
-        got = fingerprints(workdir)
-    if check:
-        lines = differences(json.loads(GOLDEN.read_text()), got)
-        print("\n".join(lines) if lines else f"all {len(got['requests'])} match")
-        return 1 if lines else 0
-    rows = ",\n".join(json.dumps(r) for r in got["requests"])  # a request a line
-    head = json.dumps({k: v for k, v in got.items() if k != "requests"}, indent=1)
-    GOLDEN.write_text(head[:-2] + ',\n "requests": [\n' + rows + "\n ]\n}\n")
-    print(f"{GOLDEN}: {len(got['requests'])} requests, total {got['total']}")
-    return 0
+    failed = False
+    for workload, golden in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as workdir:
+            got = fingerprints(workdir, workload)
+        if check:
+            lines = differences(json.loads(golden.read_text()), got)
+            print(f"{workload}: " + ("\n".join(lines) if lines
+                                     else f"all {len(got['requests'])} match"))
+            failed = failed or bool(lines)
+            continue
+        rows = ",\n".join(json.dumps(r) for r in got["requests"])  # a request a line
+        head = json.dumps({k: v for k, v in got.items() if k != "requests"}, indent=1)
+        golden.write_text(head[:-2] + ',\n "requests": [\n' + rows + "\n ]\n}\n")
+        print(f"{golden}: {len(got['requests'])} requests, total {got['total']}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

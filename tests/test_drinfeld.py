@@ -114,8 +114,9 @@ class TestTwistedRows:
             return ring.elem(Poly(field, [rng.randrange(field.order) for _ in range(n)]))
 
         q = field.order
-        b = SkewPoly([element() for _ in range(3)] + [ring.one()], q)
-        lefts = [SkewPoly([element() for _ in range(deg)] + [ring.one()], q)
+        one = ring.elem(Poly.one(field))
+        b = SkewPoly([element() for _ in range(3)] + [one], q)
+        lefts = [SkewPoly([element() for _ in range(deg)] + [one], q)
                  for deg in (0, 1, 3, 6, 2, 7)]
         for a in lefts:
             assert a * b == _plain_product(a, b)

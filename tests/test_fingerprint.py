@@ -1,19 +1,35 @@
-"""The committed output fingerprint (``tests/fingerprint.py``): every
-request of the seed-11 ``sums`` list, cold and warm, writes the bytes it
-wrote when ``tests/golden/fingerprint.json`` was made, outside
-``timing``."""
+"""The committed output fingerprints (``tests/fingerprint.py``): every
+request of the seed-11 ``sums`` (cold and warm), ``spectra`` and
+``modules`` lists writes the bytes it wrote when its golden file under
+``tests/golden/`` was made, outside ``timing``."""
 
 import json
+
+import pytest
 
 import fingerprint
 
 
 def test_sums_outputs_match_the_golden_fingerprint(tmp_path):
-    want = json.loads(fingerprint.GOLDEN.read_text())
+    want = json.loads(fingerprint.GOLDEN["sums"].read_text())
     got = fingerprint.fingerprints(tmp_path)
     assert fingerprint.differences(want, got) == []
     assert got == want
     assert {r["cold"] for r in got["requests"]} == {True, False}
+
+
+@pytest.mark.parametrize("workload,kinds", [
+    ("spectra", {"newton"}), ("modules", {"frobenius", "lseries", "sqrtcar"})])
+def test_outputs_match_the_golden_fingerprint(tmp_path, monkeypatch, workload, kinds):
+    monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path / "elsewhere"))
+    want = json.loads(fingerprint.GOLDEN[workload].read_text())
+    got = fingerprint.fingerprints(tmp_path, workload)
+    assert fingerprint.differences(want, got) == []
+    assert got == want
+    assert {r["argv"][0] for r in got["requests"]} == kinds
+    assert not (tmp_path / "elsewhere").exists()  # the variable was unset
+    if workload == "spectra":
+        assert any("--refine" in r["argv"] for r in got["requests"])
 
 
 def test_digest_ignores_timing_only():

@@ -318,11 +318,14 @@ def test_the_check_sees_an_unread_field(tmp_path):
 
 
 # Every top-level function and every method (not a dunder) of a module of
-# ``src/ffzeta`` is named somewhere: by a name or an attribute in
-# ``src/ffzeta`` outside its own body, or in ``perfbench/*.py`` also by a
-# string, whose dotted parts count one by one (``WRAPPED`` names its
-# targets as "module", "Class.method").  A re-export from ``__init__`` and
-# a call from the tests do not count: a function that only they reach is
+# ``src/ffzeta`` is named somewhere: a top-level function by a name or an
+# attribute in ``src/ffzeta`` outside its own body, or in ``perfbench/*.py``
+# also by a string, whose dotted parts count one by one (``WRAPPED`` names
+# its targets as "module", "Class.method").  A method or property counts
+# as named only by an attribute load ``.name`` in ``src/ffzeta`` outside
+# its own body, or by such a string: a local variable or a function that
+# shares its name does not name it.  A re-export from ``__init__`` and a
+# call from the tests do not count: a function that only they reach is
 # library code that no command, criterion or workload runs.  The check
 # goes by name, like the one above.
 
@@ -332,30 +335,33 @@ UNNAMED_ALLOWED = {
 }
 
 
-def _definitions(tree) -> list[ast.FunctionDef]:
-    """Top-level functions and the non-dunder methods of top-level classes."""
+def _definitions(tree) -> list[tuple[ast.FunctionDef, bool]]:
+    """Top-level functions and the non-dunder methods of top-level classes,
+    each with whether it is a method."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found.append(node)
+            found.append((node, False))
         elif isinstance(node, ast.ClassDef):
-            found += [stmt for stmt in node.body
+            found += [(stmt, True) for stmt in node.body
                       if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                       and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
     return found
 
 
-def _names(tree, strings: bool = False) -> Counter:
-    """How often each name is loaded as an ``ast.Name`` or ``ast.Attribute``
-    in ``tree``; with ``strings``, each dotted part of a string constant
-    counts too."""
+def _names(tree, kinds=("name", "attr")) -> Counter:
+    """How often each name is loaded in ``tree`` as an ``ast.Name``
+    ("name" in ``kinds``) or an ``ast.Attribute`` ("attr"); with "str",
+    each dotted part of a string constant counts too."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if "name" in kinds and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif "attr" in kinds and isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
             found[node.attr] += 1
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif "str" in kinds and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
             found.update(node.value.split("."))
     return found
 
@@ -364,15 +370,20 @@ def _unnamed_functions(sources: list[Path], users: list[Path],
                        string_users: list[Path]) -> list[str]:
     """``file:name`` for each definition of ``sources`` (files among
     ``users``) that no file of ``users`` names outside the definition's own
-    body, and no file of ``string_users`` names at all."""
+    body, and no file of ``string_users`` names at all; a method is named
+    only by an attribute of ``users`` or a string of ``string_users``."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in {*sources, *users, *string_users}}
     named = sum((_names(trees[path]) for path in users), Counter())
-    named += sum((_names(trees[path], strings=True) for path in string_users), Counter())
+    named += sum((_names(trees[path], ("name", "attr", "str")) for path in string_users),
+                 Counter())
+    as_attribute = sum((_names(trees[path], ("attr",)) for path in users), Counter())
+    as_attribute += sum((_names(trees[path], ("str",)) for path in string_users), Counter())
     unnamed = []
     for path in sources:
-        for node in _definitions(trees[path]):
-            if named[node.name] <= _names(node)[node.name]:
+        for node, method in _definitions(trees[path]):
+            seen, kinds = (as_attribute, ("attr",)) if method else (named, ("name", "attr"))
+            if seen[node.name] <= _names(node, kinds)[node.name]:
                 unnamed.append(f"{path.name}:{node.name}")
     return unnamed
 
@@ -407,9 +418,12 @@ def test_the_check_sees_an_unnamed_function(tmp_path):
                      "        return self\n"
                      "    def unread(self):\n"
                      "        return self.unread\n"
+                     "    def shadowed(self):\n"
+                     "        return self\n"
                      "def caller(r):\n"
-                     "    return r.called()\n")
+                     "    shadowed = r.called()\n"
+                     "    return shadowed\n")
     bench.write_text("WRAPPED = {'a': ('probe', 'by_string'), 'b': ('probe', 'Ring.wrapped')}\n")
     assert _unnamed_functions([probe], [probe], [bench]) == [
         "probe.py:recursive", "probe.py:in_string", "probe.py:unread",
-        "probe.py:caller"]
+        "probe.py:shadowed", "probe.py:caller"]

@@ -60,7 +60,7 @@ class TestProvisional:
     def test_trailing_markers_shrink_window(self):
         np_ = NewtonPolygon([(0, 0), (1, 10)], bounds=[(2, 12), (3, 12)])
         assert not np_.provisional
-        assert np_.window == (0, 1)
+        assert np_.vertices == [(0, 0), (1, 10)]
 
     def test_leading_marker_flags(self):
         assert NewtonPolygon([(1, 0), (2, 1)], bounds=[(0, 64)]).provisional

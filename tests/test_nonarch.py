@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffzeta.errors import (
+    DivisionByZero,
     InsufficientPadicPrecision,
     NotAOneUnit,
     NotCoprime,
@@ -182,8 +183,98 @@ class TestLaurentSeries:
         z = LaurentSeries.zero_to_precision(F2, 6)
         a = LaurentSeries(F2, 0, [1, 1], 6)
         assert (z + a) == a
-        assert (z * a).is_zero_to_precision()
+        assert (z * a).coeffs == ()
         assert (z * a).prec == 6  # bound moves with the unit's valuation
+
+
+def _add_per_coefficient(a, b):
+    """LaurentSeries.__add__ one FiniteField.add per coefficient, as it was
+    before the windows were added as polynomials."""
+    F = a.field
+    prec = min(a.prec, b.prec)
+    if not a.coeffs and not b.coeffs:
+        return LaurentSeries.zero_to_precision(F, prec)
+    start = min(min(x.start for x in (a, b) if x.coeffs), prec)
+    return LaurentSeries(F, start, [F.add(a.coefficient(k), b.coefficient(k))
+                                    for k in range(start, prec)], prec)
+
+
+def _inverse_per_coefficient(a):
+    """LaurentSeries.inverse by the recurrence out_k = -u_0^(-1) (sum of
+    u_i out_(k-i) for i >= 1), as it was before it became one floor
+    division of reversed polynomials."""
+    F, s = a.field, a.start
+    rel = a.prec - s
+    u = list(a.coeffs) + [0] * (rel - len(a.coeffs))
+    inv0 = F.inv(u[0])
+    out = [inv0] + [0] * (rel - 1)
+    for k in range(1, rel):
+        acc = 0
+        for i in range(1, min(k, len(a.coeffs) - 1) + 1):
+            acc = F.add(acc, F.mul(u[i], out[k - i]))
+        out[k] = F.neg(F.mul(inv0, acc))
+    return LaurentSeries(F, -s, out, rel - s)
+
+
+# F_65537 has no tables, so Poly takes its residue paths there
+WINDOW_FIELDS = {"F2": F2, "F3": F3, "F4": F4, "F9": F9, "F65537": FiniteField(65537)}
+
+
+@st.composite
+def _series(draw, field, min_len=0):
+    """A series from raw input: a start of either sign, leading zeros that
+    the constructor trims, and a precision that may cut the window short or
+    leave it zero to precision."""
+    element = st.one_of(st.just(0), st.integers(0, field.order - 1))
+    start = draw(st.integers(-6, 6))
+    coeffs = [0] * draw(st.integers(0, 3)) + draw(st.lists(element, min_size=min_len,
+                                                           max_size=20))
+    return LaurentSeries(field, start, coeffs, start + draw(st.integers(-2, 26)))
+
+
+def _key(x):
+    return x.start, x.coeffs, x.prec
+
+
+class TestWindowArithmetic:
+    """Laurent arithmetic on Poly windows against the per-coefficient code
+    it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(WINDOW_FIELDS)), st.data())
+    def test_add_matches_per_coefficient(self, name, data):
+        F = WINDOW_FIELDS[name]
+        a, b = data.draw(_series(F), label="a"), data.draw(_series(F), label="b")
+        c = data.draw(st.integers(0, F.order - 1), label="c")
+        assert _key(a + b) == _key(_add_per_coefficient(a, b))
+        minus_b = LaurentSeries(F, b.start, [F.neg(x) for x in b.coeffs], b.prec)
+        assert _key(-b) == _key(minus_b)
+        assert _key(a - b) == _key(_add_per_coefficient(a, minus_b))
+        scaled = LaurentSeries(F, a.start, [F.mul(c, x) for x in a.coeffs], a.prec)
+        assert _key(a.scale(c)) == _key(scaled)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(WINDOW_FIELDS)), st.data())
+    def test_inverse_matches_per_coefficient(self, name, data):
+        F = WINDOW_FIELDS[name]
+        u = data.draw(_series(F, min_len=1), label="u")
+        if not u.coeffs:
+            with pytest.raises(DivisionByZero):
+                u.inverse()
+            return
+        inv = u.inverse()
+        assert _key(inv) == _key(_inverse_per_coefficient(u))
+        prod = u * inv
+        assert prod.agrees_with(LaurentSeries.one(F, prod.prec))
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_FIELDS))
+    def test_inverse_of_zero_to_precision_raises(self, name):
+        F = WINDOW_FIELDS[name]
+        for zero in (LaurentSeries.zero_to_precision(F, 5),
+                     LaurentSeries(F, 3, [0, 0], 7), LaurentSeries(F, 4, [1, 1], 4)):
+            assert zero.coeffs == ()
+            with pytest.raises(DivisionByZero):
+                zero.inverse()
 
 
 class TestTeichmuller:
@@ -201,7 +292,7 @@ class TestTeichmuller:
         ring = VadicRing(f, 3)
         om = teichmuller(ring, T2)
         assert (om.rep % f) == (T2 % f)
-        assert (om ** 3) == ring.one()
+        assert (om ** 3) == ring.elem(Poly.one(F2))
 
     def test_uniqueness_brute_force(self):
         # omega is the only element with omega = n mod f and omega^q = omega
@@ -235,7 +326,7 @@ class TestPowSv:
     def test_integer_zero(self):
         ring = VadicRing(T2, 4)
         s = SvPoint.from_int(0, ring.residue_order - 1, 2, 3)
-        assert pow_sv(T2 + Poly.one(F2), s, ring) == ring.one()
+        assert pow_sv(T2 + Poly.one(F2), s, ring) == ring.elem(Poly.one(F2))
 
     def test_integer_cube(self):
         ring = VadicRing(T2, 4)
@@ -246,7 +337,7 @@ class TestPowSv:
     def test_one_to_anything(self):
         ring = VadicRing(T3, 5)
         s = SvPoint.from_int(-7, ring.residue_order - 1, 3, 5)
-        assert pow_sv(Poly.one(F3), s, ring) == ring.one()
+        assert pow_sv(Poly.one(F3), s, ring) == ring.elem(Poly.one(F3))
 
     def test_integer_image_exactness(self):
         f = poly_parse(F3, "T^2+1")

@@ -195,14 +195,15 @@ class TestSpecialPolynomial:
         j = data.draw(st.integers(0, jmax), label="j")
         bound = special_degree_bound(field, j)
         z = special_polynomial(field, j)
-        assert z.dmax == bound
+        assert len(z.coeffs) - 1 == bound
         for d in range(bound + 2):
             if field.order ** d > monics:
                 break
-            assert z.coefficient(d) == power_sum_enumerated(field, d, j), d
+            want = power_sum_enumerated(field, d, j)
+            assert (z.coeffs[d] if d <= bound else Poly.zero(field)) == want, d
         hint = data.draw(st.integers(0, bound + 3), label="dmax_hint")
         padded = special_polynomial(field, j, hint)
-        assert padded.dmax == max(bound, hint)
+        assert len(padded.coeffs) - 1 == max(bound, hint)
         assert padded.coeffs[:bound + 1] == z.coeffs
         assert all(c.is_zero() for c in padded.coeffs[bound + 1:])
 
@@ -212,7 +213,7 @@ class TestInftyFamily:
         y = PadicExponent.from_int(2, 0, 6)
         fam = zeta_family_infty(F2, y, 3, 8)
         assert fam.coeffs[0] == LaurentSeries.one(F2, 8)
-        assert all(c.is_zero_to_precision() for c in fam.coeffs[1:])
+        assert all(c.coeffs == () for c in fam.coeffs[1:])
 
     def test_y_minus_one(self):
         y = PadicExponent.from_int(2, -1, 6)
@@ -223,7 +224,7 @@ class TestInftyFamily:
         y = PadicExponent.from_int(2, -2, 6)
         fam = zeta_family_infty(F2, y, 2, 8)
         assert fam.coeffs[1] == LaurentSeries(F2, 2, [1], 8)
-        assert fam.coeffs[2].is_zero_to_precision()
+        assert fam.coeffs[2].coeffs == ()
 
     @pytest.mark.parametrize("field", [F2, F3])
     def test_interp_consistency(self, field):
@@ -267,9 +268,9 @@ class TestVadicFamily:
     def test_counts_at_s_zero(self):
         s = SvPoint.from_int(0, 1, 2, 3)
         fam = zeta_family_vadic(F2, s, T2, 2, 4)
-        assert fam.coeffs[0] == fam.ring.one()
+        assert fam.coeffs[0] == fam.ring.elem(Poly.one(F2))
         # only T+1 is coprime in degree 1
-        assert fam.coeffs[1] == fam.ring.one()
+        assert fam.coeffs[1] == fam.ring.elem(Poly.one(F2))
 
     def test_image_of_minus_one(self):
         s = SvPoint.from_int(-1, 1, 2, 3)
@@ -339,7 +340,7 @@ ORACLE_CASES = {
 
 
 def _assert_matches_vadic_oracle(fam, s, f):
-    for d in range(fam.dmax + 1):
+    for d in range(len(fam.coeffs)):
         acc = fam.ring.zero()
         for n in coprime_monics(fam.field, d, f):
             acc = acc + pow_sv_reference(n, -s, fam.ring)
