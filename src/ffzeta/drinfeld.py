@@ -6,19 +6,19 @@ the coefficients happen to live in).  Coefficients lie in A = F_r[T]
 (``Poly``) or in a residue ring A/(f^M) (``VadicElem``).
 
 A module is pinned down by phi_T = (gamma(T), g_1, ..., g_rank); phi
-extends to all of F_r[T] as the unique ring map, evaluated by a
-noncommutative Horner scheme with left scalar action.
+extends to all of F_r[T] as the unique ring map, phi_a = sum a_k phi_T^k,
+read off one table of the powers phi_T^k that each module keeps and
+builds one skew product at a time; the peel below reads it too.
 
 Frobenius characteristic polynomials at a prime f of degree d need no
 linear algebra.  With q = r and g the leading coefficient of phi_T, the
 norm is Gekeler's closed form mu = (-1)^((rank-1)d) N(g)^(-1) f, where
 N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q, one power in
-A/(f).  Rank 1 checks tau^d = phi_mu by a Horner substitution.
-Rank 2 reads a off phi_a tau^d = tau^(2d) + phi_mu by tau-degree: phi_a
-has tau-degree 2 deg a and a unit leading coefficient over the field
-A/(f), so a is peeled off from the top against the powers phi_T^k, and
-the zero remainder is the exact check.  Right multiplication by tau^d is
-a shift.
+A/(f).  Rank 1 checks tau^d = phi_mu.  Rank 2 reads a off
+phi_a tau^d = tau^(2d) + phi_mu by tau-degree: phi_a has tau-degree
+2 deg a and a unit leading coefficient over the field A/(f), so a is
+peeled off from the top against the kept powers phi_T^k, and the zero
+remainder is the exact check.
 
 Each verified result is kept for the life of the process, keyed by value
 as (base field, phi_T, f), so a module rebuilt for a later request finds
@@ -31,9 +31,9 @@ afresh, and neither reads nor writes the kept results.
 
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
-coefficients once for every Horner step and every power phi_T^k that
-multiplies by it.  In A/(f^M) a twist by q reads the ring's table of
-(T^i)^q (``VadicRing.frobenius``) instead of raising to the q-th power.
+coefficients once for every power phi_T^k that multiplies by it.  In
+A/(f^M) a twist by q reads the ring's table of (T^i)^q
+(``VadicRing.frobenius``) instead of raising to the q-th power.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ from .errors import (
 )
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .nonarch import VadicElem, VadicRing
-
-
-def _czero(c):
-    """The zero of c's coefficient ring, A or A/(f^M)."""
-    if isinstance(c, VadicElem):
-        return c.ring.zero()
-    return Poly.zero(c.field)
 
 
 def _twisted(c, twist: int):
@@ -103,20 +96,13 @@ class SkewPoly:
             return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        if not a:
-            return other
-        if not b:
-            return self
-        zero = _czero(a[0])
-        out = []
-        for i in range(max(len(a), len(b))):
-            x = a[i] if i < len(a) else zero
-            y = b[i] if i < len(b) else zero
-            out.append(x + y)
-        return SkewPoly(out, self.twist)
+        if len(a) < len(b):
+            a, b = b, a
+        return SkewPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]),
+                        self.twist)
 
     def __neg__(self):
-        return SkewPoly([_czero(c) - c for c in self.coeffs], self.twist)
+        return SkewPoly([-c for c in self.coeffs], self.twist)
 
     def __sub__(self, other):
         if not isinstance(other, SkewPoly):
@@ -130,8 +116,7 @@ class SkewPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return SkewPoly((), self.twist)
-        zero = _czero(a[0])
-        out = [zero] * (len(a) + len(b) - 1)
+        out = [a[0] * 0] * (len(a) + len(b) - 1)
         for i, (ai, twisted) in enumerate(zip(a, other.twisted_rows(len(a)))):
             if not ai.is_zero():
                 for k, bk in enumerate(twisted):
@@ -141,14 +126,6 @@ class SkewPoly:
     def scale(self, c):
         """Left multiplication by the scalar c tau^0."""
         return SkewPoly([c * x for x in self.coeffs], self.twist)
-
-    def shift(self, k: int) -> "SkewPoly":
-        """Right multiplication by tau^k: its coefficient 1 is fixed by the
-        twist, so the coefficients just move up by k."""
-        if not self.coeffs:
-            return self
-        zero = _czero(self.coeffs[0])
-        return SkewPoly([zero] * k + list(self.coeffs), self.twist)
 
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
@@ -168,8 +145,7 @@ class SkewPoly:
 
 def skew_tau(one, k: int, twist: int) -> SkewPoly:
     """tau^k as a skew polynomial, given the coefficient ring's one."""
-    zero = _czero(one)
-    return SkewPoly([zero] * k + [one], twist)
+    return SkewPoly([one * 0] * k + [one], twist)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +166,8 @@ class DrinfeldModule:
                 "leading coefficient of phi_T must be nonzero")
         self.base_field = base_field
         self.phi_T = tuple(phi_T)
-        self._phi_T_skew = SkewPoly(self.phi_T, self.twist)
         self._one = self.phi_T[0] ** 0
+        self._powers = [self.one(), SkewPoly(self.phi_T, self.twist)]
         self.label = label or f"rank-{len(phi_T) - 1} module"
 
     def scalar(self, c: int):
@@ -208,29 +184,29 @@ class DrinfeldModule:
 
     def phi_T_skew(self) -> SkewPoly:
         """phi_T as one skew polynomial per module, so its twisted rows are
-        built once."""
-        return self._phi_T_skew
+        built once: the power phi_T^1 of the kept table."""
+        return self._powers[1]
 
     def one(self) -> SkewPoly:
         return SkewPoly([self.scalar(1)], self.twist)
 
+    def phi_T_powers(self, n: int) -> list[SkewPoly]:
+        """The kept powers phi_T^0, phi_T^1, ..., built one skew product
+        at a time until at least n are kept."""
+        powers = self._powers
+        while len(powers) < n:
+            powers.append(powers[-1] * powers[1])
+        return powers
+
     def phi(self, a: Poly) -> SkewPoly:
-        """Image of a in the skew ring (noncommutative Horner)."""
+        """Image of a in the skew ring: the sum of a_k phi_T^k over the
+        kept powers, each scaled on the left by the constant a_k."""
         if a.field != self.base_field:
             raise FieldMismatch("operand must live over the operator constants")
-        if a.is_zero():
-            return SkewPoly((), self.twist)
-        phiT = self.phi_T_skew()
-        acc = None
-        for c in reversed(a.coeffs):
-            if acc is not None:
-                acc = acc * phiT
-            term = SkewPoly([self.scalar(c)], self.twist) if c else None
-            if acc is None:
-                acc = term if term is not None else SkewPoly((), self.twist)
-            elif term is not None:
-                acc = acc + term
-        return acc
+        powers = self.phi_T_powers(len(a.coeffs))
+        return sum((power if c == 1 else power.scale(self.scalar(c))
+                    for c, power in zip(a.coeffs, powers) if c),
+                   SkewPoly((), self.twist))
 
     def reduce_mod(self, f: Poly) -> "DrinfeldModule":
         """Coefficient-wise reduction at a prime of A; the coefficients
@@ -302,38 +278,43 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     norm is Gekeler's closed form mu = (-1)^((rank-1)d) N(g)^(-1) f,
     where N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q
     (Gekeler, "Frobenius distributions of Drinfeld modules over finite
-    fields", Trans. AMS 360, 2008).  Rank 1 checks phi_mu = Fr by a
-    Horner substitution.  Rank 2 reads a off phi_a Fr = Fr^2 + phi_mu by
-    tau-degree (``_phi_preimage``); its zero remainder is the exact
-    check.  Either check failing raises NoSolution, so a wrong unit can
-    never give a silent wrong answer.  Rank 3 and above raise
-    PreconditionViolated before any work.
+    fields", Trans. AMS 360, 2008).  Rank 1 checks phi_mu = Fr.  Rank 2
+    reads a off phi_a Fr = Fr^2 + phi_mu by tau-degree
+    (``_phi_preimage``); its zero remainder is the exact check.  Either
+    check failing raises NoSolution, so a wrong unit can never give a
+    silent wrong answer.  Rank 3 and above raise PreconditionViolated
+    before any work (``_supported``).
 
     A result is kept in ``_FROBENIUS`` under (module.base_field,
     module.phi_T, f) once its check has passed, and later calls with
     equal values return it; an exception is never kept.
     """
-    key = (module.base_field, module.phi_T, f)
+    key = _supported(module, f)
     data = _FROBENIUS.get(key)
     if data is None:
         data = _FROBENIUS[key] = _solve_frobenius(module, f)
     return data
 
 
-def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
-    """``frobenius_charpoly`` without the kept results."""
+def _supported(module: DrinfeldModule, x) -> tuple:
+    """The key (base field, phi_T, x) of a kept result for the module;
+    ranks 3 and above raise PreconditionViolated here, before any work."""
     if module.rank > 2:
         raise PreconditionViolated("only ranks 1 and 2 are supported")
+    return (module.base_field, module.phi_T, x)
+
+
+def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
+    """``frobenius_charpoly`` without the kept results or the rank check."""
     reduced = module.reduce_mod(f)
     d = int(f.degree)
     eps = _norm_unit(reduced, d)
     mu = f.scale(eps)
-    fr = skew_tau(reduced.scalar(1), d, reduced.twist)
     if module.rank == 1:
-        if reduced.phi(mu) != fr:
+        if reduced.phi(mu) != skew_tau(reduced.scalar(1), d, reduced.twist):
             raise NoSolution(f"no rank-1 Frobenius norm at {f}")
         return FrobeniusData(1, mu, None, eps, True, True)
-    rhs = fr.shift(d) + reduced.phi(f).scale(reduced.scalar(eps))
+    rhs = skew_tau(reduced.scalar(1), 2 * d, reduced.twist) + reduced.phi(mu)
     a = None
     if all(c.is_zero() for c in rhs.coeffs[:d]):
         a = _phi_preimage(reduced, SkewPoly(rhs.coeffs[d:], reduced.twist))
@@ -364,13 +345,12 @@ def _phi_preimage(reduced: DrinfeldModule, target: SkewPoly) -> Poly | None:
     leading coefficient, so x is peeled off from the top: the remainder's
     top coefficient sits at tau^(rank k), its quotient by the leading
     coefficient of phi_T^k must lie in F_q and is x_k, and x_k phi_T^k is
-    subtracted.  The powers phi_T^k are built one skew product at a time.
+    subtracted.  The powers are the module's kept ones, those phi_f built.
     A zero remainder is the exact check phi_x == target.
     """
-    powers = [reduced.one()]
-    while powers[-1].degree < target.degree:
-        powers.append(powers[-1] * reduced.phi_T_skew())
-    coeffs = [0] * len(powers)
+    n = max(target.degree, 0) // reduced.rank + 1
+    powers = reduced.phi_T_powers(n)
+    coeffs = [0] * n
     rem = target
     while not rem.is_zero():
         k, off = divmod(rem.degree, reduced.rank)
@@ -421,20 +401,14 @@ def _frozen_table(field: FiniteField, c: dict, skipped: list
 
 
 def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
-    """h_k with 1/f_P(t) = sum h_k t^k, by the linear recursion."""
+    """h_k with 1/f_P(t) = sum h_k t^k, by h_k = a h_(k-1) - mu h_(k-2)
+    for f_P = 1 - a t + mu t^2; rank 1 is a = mu with no t^2 term."""
     field = data.mu.field
-    hs = [Poly.one(field)]
-    if data.rank == 1:
-        for _ in range(kmax):
-            hs.append(hs[-1] * data.mu)
-        return hs
-    a = data.a if data.a is not None else Poly.zero(field)
-    for k in range(1, kmax + 1):
-        nxt = a * hs[k - 1]
-        if k >= 2:
-            nxt = nxt - data.mu * hs[k - 2]
-        hs.append(nxt)
-    return hs
+    a, mu = (data.mu, Poly.zero(field)) if data.rank == 1 else (data.a, data.mu)
+    hs = [Poly.one(field), a]
+    while len(hs) <= kmax:
+        hs.append(a * hs[-1] - mu * hs[-2])
+    return hs[:kmax + 1]
 
 
 # Dirichlet tables by (base field, phi_T, degree bound), kept for the process
@@ -451,7 +425,7 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int
     module.phi_T, degree_bound) once it is built, and later calls with
     equal values return it; a build that raises is never kept.
     """
-    key = (module.base_field, module.phi_T, degree_bound)
+    key = _supported(module, degree_bound)
     table = _DIRICHLET.get(key)
     if table is None:
         table = _DIRICHLET[key] = _build_dirichlet(module, degree_bound)
@@ -495,6 +469,7 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
     The Frobenius data are solved afresh and the table is built afresh:
     neither is read from or written to the results that
     ``frobenius_charpoly`` and ``lseries_coeffs`` keep."""
+    _supported(module, degree_bound)
     field = module.base_field
     locals_: list[tuple[Poly, list[Poly]]] = []
     skipped = []

@@ -456,8 +456,16 @@ class Poly:
         return Poly._of_trimmed(F, tuple(out))
 
     def __neg__(self):
+        # one comprehension, not scale(-1): subtraction runs through here,
+        # mostly on short residues, where the extra calls cost more
         F = self.field
-        return Poly._of_trimmed(F, tuple([F.neg(c) for c in self.coeffs]))
+        if F.p == 2:
+            return self
+        if F.m == 1:
+            p = F.p
+            return Poly._of_trimmed(F, tuple([-x % p for x in self.coeffs]))
+        neg = F._neg
+        return Poly._of_trimmed(F, tuple([neg[x] for x in self.coeffs]))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -478,14 +486,20 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Poly":
-        F = self.field
-        if not 0 <= c < F.order:
-            raise UsageError(f"scalar {c} is not an encoding in [0, {F.order})")
-        if c == 0:
-            return Poly.zero(F)
         if c == 1:
             return self
-        return Poly._of_trimmed(F, tuple([F.mul(c, x) for x in self.coeffs]))
+        F = self.field
+        if not 0 < c < F.order:
+            if c == 0:
+                return Poly.zero(F)
+            raise UsageError(f"scalar {c} is not an encoding in [0, {F.order})")
+        # no call per coefficient: residues over F_p, a row of the mul
+        # table over F_(p^m)
+        if F.m == 1:
+            p = F.p
+            return Poly._of_trimmed(F, tuple([c * x % p for x in self.coeffs]))
+        row = F._mul[c]
+        return Poly._of_trimmed(F, tuple([row[x] for x in self.coeffs]))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by T^k."""

@@ -253,7 +253,10 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     The second form holds at k = 1 too and gives the same elements there,
     but the first is faster at degree-1 primes: one packed binomial window
     per coefficient, where the second multiplies polynomials per Lucas
-    term.  So both stay, chosen by deg f.
+    term.  With the second form forced at f = T, the 54 f = T requests of
+    the seed-11 ``spectra`` list took a median 38 ms in process against
+    27 ms, the first form faster in 9 of 10 rounds (2 shared vCPUs,
+    Python 3.11), with the same outputs.  So both stay, chosen by deg f.
     """
     ring = VadicRing(f, prec)
     s.s2.require_precision(prec)

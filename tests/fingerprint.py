@@ -1,13 +1,17 @@
-"""Output fingerprints of benchmark request lists: one SHA-256 per request.
+"""Output fingerprints of request lists: one SHA-256 per request.
 
-The requests are the seed-11 lists of ``perfbench/workloads.py``
-(``make_tasks(workload, 11, SECONDS)``) for three workloads:
+Three lists are the seed-11 lists of ``perfbench/workloads.py``
+(``make_tasks(workload, 11, SECONDS)``):
 
 - ``sums``: ``special`` requests over F_2, F_3, F_4, F_5, F_9 and F_257,
   each first cold and then warm through the disk cache;
 - ``spectra``: ``newton`` requests at infinity, at f = T and at T^2+1,
   the ``--refine`` ones (Hensel iteration on Laurent series) included;
 - ``modules``: ``frobenius``, ``lseries`` and ``sqrtcar`` requests.
+
+The fourth, ``verify``, is one request, ``verify --criteria 6,7,9`` at
+full grids: the Frobenius and L-series checks beyond the ``modules`` list
+(rank 2 over F_3 to degree 4, and the expansion oracle).
 
 Each list runs in order, in this process, through ``ffzeta.cli.main``,
 with $FFZETA_CACHE_DIR unset and one fixed cache directory: ``cache``,
@@ -39,13 +43,18 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD, SEED, SECONDS = "sums", 11, 20
 GOLDEN = {"sums": ROOT / "tests" / "golden" / "fingerprint.json",
           "spectra": ROOT / "tests" / "golden" / "fingerprint_spectra.json",
-          "modules": ROOT / "tests" / "golden" / "fingerprint_modules.json"}
+          "modules": ROOT / "tests" / "golden" / "fingerprint_modules.json",
+          "verify": ROOT / "tests" / "golden" / "fingerprint_verify.json"}
+VERIFY_ARGV = ["verify", "--criteria", "6,7,9"]
 CACHE = "cache"  # the fixed cache directory, relative to the working directory
 
 
 def request_list(workload: str = WORKLOAD, seed: int = SEED,
                  seconds: int = SECONDS) -> list[dict]:
-    """The benchmark's task list, each task with its argv and cache path."""
+    """The benchmark's task list, each task with its argv and cache path;
+    for ``verify`` the one request of ``VERIFY_ARGV``."""
+    if workload == "verify":
+        return [{"id": "verify-6,7,9", "argv": list(VERIFY_ARGV)}]
     perfbench = str(ROOT / "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
@@ -89,7 +98,9 @@ def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
         if env_cache is not None:
             os.environ[ENV_CACHE_DIR] = env_cache
     total = hashlib.sha256("".join(r["sha256"] for r in rows).encode()).hexdigest()
-    return {"what": f"perfbench/workloads.make_tasks({workload!r}, {seed}, {seconds}), "
+    source = (" ".join(VERIFY_ARGV) if workload == "verify" else
+              f"perfbench/workloads.make_tasks({workload!r}, {seed}, {seconds})")
+    return {"what": f"{source}, "
                     "in order, through ffzeta.cli.main with the cache directory "
                     f"{CACHE!r}; sha256 of json.dumps([argv, exit code, stdout "
                     "without timing]) per request, and of their hex digests joined",

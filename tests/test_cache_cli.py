@@ -346,6 +346,9 @@ class TestCli:
         ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "1,1,1"),
         ("lseries", "--p", "2", "--tau-coeffs", "1,1,1", "--degree-bound", "2",
          "--j", "1"),
+        # bound 0 lists no prime, so no Frobenius solve refused it (exit 0)
+        ("lseries", "--p", "2", "--tau-coeffs", "1,1,1", "--degree-bound", "0",
+         "--j", "1"),
         ("frobenius", "--p", "2", "--f", "T^2+T+1", "--tau-coeffs", "0"),
         ("newton", "--p", "2", "--y", "-1", "--s1", "5"),
         ("newton", "--p", "2", "--y", "-1", "--f", "T", "--dmax", "2",
@@ -367,6 +370,7 @@ class TestCli:
          "--prec", "8"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
+            "lseries-rank-3-bound-0",
             "frobenius-zero-leading", "newton-s1-without-f", "newton-refine-at-f",
             "trailing-sign", "sign-without-term", "trailing-sign-after-prime",
             "two-signs", "underscore-exponent", "non-ascii-exponent",

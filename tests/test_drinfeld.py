@@ -5,6 +5,8 @@ import random
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ffzeta import cli, drinfeld
 from ffzeta.drinfeld import (
@@ -126,12 +128,12 @@ class TestTwistedRows:
         red = carlitz_module(F3).reduce_mod(poly_parse(F3, "T^3+2T+1"))
         assert red.phi_T_skew() is red.phi_T_skew()
         x = poly_parse(F3, "T^5+2T^2+1")
-        horner = red.phi(x)
-        assert horner == red.phi(x)  # a second Horner pass reads the kept rows
+        got = red.phi(x)
+        assert got == red.phi(x)  # a second pass reads the kept powers
         want = SkewPoly((), red.twist)
         for c in reversed(x.coeffs):
             want = _plain_product(want, red.phi_T_skew()) + red.one().scale(red.scalar(c))
-        assert horner == want
+        assert got == want
 
     def test_twist_mismatch_raises_after_rows_are_kept(self):
         b = SkewPoly([Poly.constant(F4, 2), Poly.one(F4)], 2)
@@ -141,6 +143,64 @@ class TestTwistedRows:
             SkewPoly([Poly.constant(F4, 3), Poly.one(F4)], 4) * b
         with pytest.raises(FieldMismatch):
             b * SkewPoly([Poly.one(F4)], 4)
+
+
+def _horner_phi(module, a: Poly) -> SkewPoly:
+    """phi_a by the noncommutative Horner scheme, each step a plain
+    product by phi_T: the reference for the sum over kept powers."""
+    acc = SkewPoly((), module.twist)
+    for c in reversed(a.coeffs):
+        acc = _plain_product(acc, module.phi_T_skew()) + SkewPoly(
+            [module.scalar(c)], module.twist)
+    return acc
+
+
+def _skew_products(call) -> int:
+    """The number of skew products that call() makes."""
+    count = [0]
+    mul = SkewPoly.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SkewPoly, "__mul__", counted)
+        call()
+    return count[0]
+
+
+class TestPhiPowers:
+    """phi reads one kept table of powers phi_T^k, and the peel the same."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(data=st.data())
+    def test_phi_horner_peel_and_kept_powers(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4, F9]), label="field")
+        rank = data.draw(st.sampled_from([1, 2]), label="rank")
+        coeff = st.integers(0, field.order - 1)
+        gs = [Poly(field, data.draw(st.lists(coeff, max_size=3)))
+              for _ in range(rank)]
+        assume(not gs[-1].is_zero())
+        d = data.draw(st.integers(1, 3), label="deg f")
+        f = data.draw(st.sampled_from(list(enumerate_monic_primes(field, d))))
+        assume(not (gs[-1] % f).is_zero())
+        red = module_over_A(field, gs).reduce_mod(f)
+        a = Poly(field, data.draw(st.lists(coeff, max_size=7), label="a"))
+        got = red.phi(a)
+        assert got == _horner_phi(red, a)
+        assert _skew_products(lambda: red.phi(a)) == 0
+        assert red.phi(a) == got
+        x = Poly(field, data.draw(st.lists(coeff, max_size=d // 2 + 1), label="x"))
+        assert _phi_preimage(red, red.phi(x)) == x
+
+    def test_peel_reuses_the_powers_of_phi_f(self):
+        module = _ORACLE_MODULES["T,1"](F3)
+        f = poly_parse(F3, "T^4+T^3+2")
+        red = module.reduce_mod(f)
+        assert _skew_products(lambda: red.phi(f)) == 3  # phi_T^2 .. phi_T^4
+        assert _skew_products(lambda: _phi_preimage(red, red.phi(f))) == 0
+        assert _phi_preimage(red, red.phi(f)) == f
 
 
 class TestPhi:
@@ -243,6 +303,19 @@ class TestFrobenius:
         for f in ("T^2+T+1", "T"):
             with pytest.raises(PreconditionViolated):
                 frobenius_charpoly(M, poly_parse(F2, f))
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_rank_cap_in_lseries(self, bound, monkeypatch):
+        """Both L-series routes refuse rank 3 before any prime is listed,
+        at every degree bound, 0 (no prime at all) included."""
+        def no_primes(*args):
+            raise AssertionError("primes were listed for a rank-3 module")
+        monkeypatch.setattr(drinfeld, "enumerate_monic_primes", no_primes)
+        M = module_over_A(F2, [Poly.one(F2), Poly.one(F2), Poly.one(F2)])
+        for route in (lseries_coeffs, lseries_coeffs_by_expansion):
+            with pytest.raises(PreconditionViolated):
+                route(M, bound)
+        assert (M.base_field, M.phi_T, bound) not in drinfeld._DIRICHLET
 
     def test_prime_over_another_field(self):
         with pytest.raises(FieldMismatch):
@@ -397,7 +470,8 @@ class TestFrobeniusOracle:
             return self._key([] if mu is None else [(None, mu)])
         sols = []
         for eps in range(1, red.base_field.order):
-            rhs = fr.shift(d) + red.phi(f).scale(red.scalar(eps))
+            rhs = (skew_tau(red.scalar(1), 2 * d, red.twist)
+                   + red.phi(f).scale(red.scalar(eps)))
             if all(c.is_zero() for c in rhs.coeffs[:d]):
                 a = _phi_preimage(red, SkewPoly(rhs.coeffs[d:], red.twist))
                 if a is not None:

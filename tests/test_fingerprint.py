@@ -1,7 +1,8 @@
 """The committed output fingerprints (``tests/fingerprint.py``): every
 request of the seed-11 ``sums`` (cold and warm), ``spectra`` and
-``modules`` lists writes the bytes it wrote when its golden file under
-``tests/golden/`` was made, outside ``timing``."""
+``modules`` lists, and ``verify --criteria 6,7,9`` at full grids, writes
+the bytes it wrote when its golden file under ``tests/golden/`` was made,
+outside ``timing``."""
 
 import json
 
@@ -19,7 +20,8 @@ def test_sums_outputs_match_the_golden_fingerprint(tmp_path):
 
 
 @pytest.mark.parametrize("workload,kinds", [
-    ("spectra", {"newton"}), ("modules", {"frobenius", "lseries", "sqrtcar"})])
+    ("spectra", {"newton"}), ("modules", {"frobenius", "lseries", "sqrtcar"}),
+    ("verify", {"verify"})])
 def test_outputs_match_the_golden_fingerprint(tmp_path, monkeypatch, workload, kinds):
     monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path / "elsewhere"))
     want = json.loads(fingerprint.GOLDEN[workload].read_text())
