@@ -1,17 +1,20 @@
 """The verification battery: one runner per acceptance criterion.
 
-Each criterion runs at its stated grid (``quick=True`` shrinks the grid
-for smoke runs) and returns a CriterionResult with a machine-readable
-parameter record, a pass/fail verdict and details.  All checks are
-exact; there are no numeric tolerances anywhere.  Pseudo-random
-exponents come from a fixed seed so every run sees the same sample.
+``GRIDS`` holds every criterion's grid, full and quick (the smoke run),
+as data.  :func:`run_battery` picks the grid, runs the criterion on it
+and times it; a runner reads only its grid.  The grid is the record's
+``params``, so the record names exactly what was checked.  A grid may be
+raised but never lowered: ``tests/golden/grid_floor.json`` is the floor,
+and a tier-1 test fails on a grid below it.  All checks are exact; there
+are no numeric tolerances anywhere.  Pseudo-random exponents come from a
+fixed seed so every run sees the same sample.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .drinfeld import (
     carlitz_module,
@@ -43,6 +46,28 @@ from .zeta import (
 RANDOM_SEED = 0x5EED  # fixed: identical samples on every run
 PADIC_DIGITS = 8      # "precision p^8" for sampled exponents
 
+# criterion id -> "full" / "quick" -> grid, which is also the record's params
+GRIDS = {
+    "1": {"full": {"r": [2, 3, 4, 5], "jmax": 200}, "quick": {"r": [2, 3], "jmax": 60}},
+    "2": {"full": {"r": [2, 3], "jmax": 30, "random": 20, "dmax": 12, "precision": 256},
+          "quick": {"r": [2], "jmax": 6, "random": 3, "dmax": 5, "precision": 32}},
+    "3": {"full": {"r": [2, 3], "jmax": 50, "prime_deg_max": 3},
+          "quick": {"r": [2], "jmax": 10, "prime_deg_max": 2}},
+    "4": {"full": {"r": [2, 3, 4], "jmax": 100}, "quick": {"r": [2], "jmax": 20}},
+    "6": {"full": {"r": [2, 3], "prime_deg_max": 5, "degree_bound": 6},
+          "quick": {"r": [2], "prime_deg_max": 3, "degree_bound": 4}},
+    "7": {"full": {"r": [2, 3], "prime_deg_max": 4},
+          "quick": {"r": [2], "prime_deg_max": 2}},
+    "8": {"full": {"jmax_identity": 50, "dmax": 8, "factorization_deg": 4,
+                   "jmax_parity": 20},
+          "quick": {"jmax_identity": 10, "dmax": 6, "factorization_deg": 2,
+                    "jmax_parity": 5}},
+    "9": {"full": {"samples": 50, "degree_bound": 5},
+          "quick": {"samples": 12, "degree_bound": 3}},
+    "10": {"full": {"battery": "quick 1-9"}, "quick": {"battery": "quick 1-9"}},
+}
+GRIDS["5"] = GRIDS["2"]  # v-adic simplicity at f = T, on the grid at infinity
+
 
 @dataclass
 class CriterionResult:
@@ -51,41 +76,32 @@ class CriterionResult:
     params: dict
     passed: bool
     seconds: float
-    details: dict = dc_field(default_factory=dict)
+    details: dict
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[criterion {self.cid}] {mark}  {self.title}  ({self.seconds:.2f}s)"
 
 
-def _result(cid, title, params, passed, t0, details=None) -> CriterionResult:
-    return CriterionResult(cid, title, params, passed, time.perf_counter() - t0,
-                           details or {})
-
-
 # ---------------------------------------------------------------------------
 
-def criterion_1(quick=False, cache=None) -> CriterionResult:
+def criterion_1(g, cache):
     """Special values are polynomials: S_d(j) = 0 for d in B+1 .. B+3,
     B = l_q(j) // (q-1) the digit-sum degree bound
     (:func:`ffzeta.zeta.special_degree_bound`; Carlitz, see Thakur,
     *Function Field Arithmetic*, 2004, ch. 5), for every exponent in the
     grid.  The sums come from the engine itself, not from the bound, so
     this checks that the engine computes the zeros the bound proves."""
-    t0 = time.perf_counter()
-    jmax = 60 if quick else 200
-    rs = (2, 3) if quick else (2, 3, 4, 5)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
-        for j in range(jmax + 1):
+        for j in range(g["jmax"] + 1):
             bound = special_degree_bound(field, j)
             for d in (bound + 1, bound + 2, bound + 3):
                 if not power_sum(field, d, j, cache=cache).is_zero():
                     failures.append({"r": r, "j": j, "d": d})
-    return _result("1", "vanishing window after the degree bound",
-                   {"r": list(rs), "jmax": jmax}, not failures, t0,
-                   {"failures": failures})
+    return ("vanishing window after the degree bound", not failures,
+            {"failures": failures})
 
 
 def _field_of_order(r: int) -> FiniteField:
@@ -121,100 +137,82 @@ def _simplicity_failures(r: int, families) -> list[dict]:
     return failures
 
 
-def criterion_2(quick=False, cache=None) -> CriterionResult:
+def criterion_2(g, cache):
     """Every segment of the zeta family polygon at infinity has length 1
     and the polygon is non-provisional, across integer and sampled
     exponents."""
-    t0 = time.perf_counter()
-    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 12, 256)
-    rs = (2,) if quick else (2, 3)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
         exps = [PadicExponent.from_int(field.p, -j, PADIC_DIGITS)
-                for j in range(jmax + 1)]
-        exps += _sample_exponents(field, nrand, PADIC_DIGITS)
+                for j in range(g["jmax"] + 1)]
+        exps += _sample_exponents(field, g["random"], PADIC_DIGITS)
         failures += _simplicity_failures(
-            r, (zeta_family_infty(field, y, dmax, prec) for y in exps))
-    return _result("2", "simplicity of zeta zero spectra at infinity",
-                   {"r": list(rs), "jmax": jmax, "random": nrand,
-                    "dmax": dmax, "precision": prec},
-                   not failures, t0, {"failures": failures})
+            r, (zeta_family_infty(field, y, g["dmax"], g["precision"])
+                for y in exps))
+    return ("simplicity of zeta zero spectra at infinity", not failures,
+            {"failures": failures})
 
 
-def criterion_3(quick=False, cache=None) -> CriterionResult:
+def criterion_3(g, cache):
     """Exact Euler-factor removal identity over primes of degree <= 3; the
     enumerated sides of every prime share one oracle pass per (r, d, j)."""
-    t0 = time.perf_counter()
-    jmax, fdeg = (10, 2) if quick else (50, 3)
-    rs = (2,) if quick else (2, 3)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
-        primes = [f for dd in range(1, fdeg + 1)
+        primes = [f for dd in range(1, g["prime_deg_max"] + 1)
                   for f in enumerate_monic_primes(field, dd)]
-        for j in range(jmax + 1):
+        for j in range(g["jmax"] + 1):
             reps = euler_removed_identities(field, j, primes, cache=cache)
             failures += [{"r": r, "j": j, "f": f.to_string()}
                          for f, rep in zip(primes, reps) if not rep.passed]
-    return _result("3", "euler factor removal identity",
-                   {"r": list(rs), "jmax": jmax, "prime_deg_max": fdeg},
-                   not failures, t0, {"failures": failures})
+    return "euler factor removal identity", not failures, {"failures": failures}
 
 
-def criterion_4(quick=False, cache=None) -> CriterionResult:
+def criterion_4(g, cache):
     """Exact degree-1 twist identity between the finite place and infinity."""
-    t0 = time.perf_counter()
-    jmax = 20 if quick else 100
-    rs = (2,) if quick else (2, 3, 4)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
         step = max(r - 1, 1)
-        for j in range(0, jmax + 1, step):
+        for j in range(0, g["jmax"] + 1, step):
             rep = twist_identity_deg1(field, j, cache=cache)
             if not rep.passed:
                 failures.append({"r": r, "j": j})
-    return _result("4", "degree-1 finite-place twist identity",
-                   {"r": list(rs), "jmax": jmax}, not failures, t0,
-                   {"failures": failures})
+    return ("degree-1 finite-place twist identity", not failures,
+            {"failures": failures})
 
 
-def criterion_5(quick=False, cache=None) -> CriterionResult:
+def criterion_5(g, cache):
     """Simplicity of the v-adic zeta spectra at f = T for exponents in
     (r-1) times the exponent space."""
-    t0 = time.perf_counter()
-    jmax, nrand, dmax, prec = (6, 3, 5, 32) if quick else (30, 20, 12, 256)
-    rs = (2,) if quick else (2, 3)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
         T = Poly.variable(field)
         unit_order = r - 1
         svs = [SvPoint.from_int(-(r - 1) * j, unit_order, field.p, PADIC_DIGITS)
-               for j in range(jmax + 1)]
-        for y in _sample_exponents(field, nrand, PADIC_DIGITS, multiple_of=r - 1):
+               for j in range(g["jmax"] + 1)]
+        for y in _sample_exponents(field, g["random"], PADIC_DIGITS,
+                                   multiple_of=r - 1):
             svs.append(SvPoint(0, y, unit_order))
         failures += _simplicity_failures(
-            r, (zeta_family_vadic(field, s, T, dmax, prec) for s in svs))
-    return _result("5", "simplicity of v-adic zeta spectra at a degree-1 prime",
-                   {"r": list(rs), "jmax": jmax, "random": nrand,
-                    "dmax": dmax, "precision": prec},
-                   not failures, t0, {"failures": failures})
+            r, (zeta_family_vadic(field, s, T, g["dmax"], g["precision"])
+                for s in svs))
+    return ("simplicity of v-adic zeta spectra at a degree-1 prime",
+            not failures, {"failures": failures})
 
 
-def criterion_6(quick=False, cache=None) -> CriterionResult:
+def criterion_6(g, cache):
     """Carlitz Frobenius norm equals the prime, and the L-series has
     c(n) = n exactly: Carlitz has Delta = 1, so every unit factor is 1."""
-    t0 = time.perf_counter()
-    fdeg, dbound = (3, 4) if quick else (5, 6)
-    rs = (2,) if quick else (2, 3)
+    dbound = g["degree_bound"]
     failures = []
     epsilons: dict = {}
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
         module = carlitz_module(field)
-        for dd in range(1, fdeg + 1):
+        for dd in range(1, g["prime_deg_max"] + 1):
             eps_seen = set()
             for f in enumerate_monic_primes(field, dd):
                 data = frobenius_charpoly(module, f)
@@ -229,13 +227,11 @@ def criterion_6(quick=False, cache=None) -> CriterionResult:
                 if coeffs.at(n) != n:
                     failures.append({"r": r, "n": n.to_string(),
                                      "reason": "c(n) != n"})
-    return _result("6", "carlitz frobenius and shifted-zeta coefficients",
-                   {"r": list(rs), "prime_deg_max": fdeg, "degree_bound": dbound},
-                   not failures, t0,
-                   {"failures": failures[:20], "unit_factors": epsilons})
+    return ("carlitz frobenius and shifted-zeta coefficients", not failures,
+            {"failures": failures[:20], "unit_factors": epsilons})
 
 
-def criterion_7(quick=False, cache=None) -> CriterionResult:
+def criterion_7(g, cache):
     """Rank-2 Frobenius charpoly verifies exactly and obeys the local
     degree bound 2 deg a <= deg f.
 
@@ -244,18 +240,15 @@ def criterion_7(quick=False, cache=None) -> CriterionResult:
     tau-degree, with a zero remainder as the exact check.  The bound
     follows from tau-degrees in any verified answer: 2 deg a + d <= 2d.
     So ``trace_bound_ok`` cannot fail once ``verified`` holds."""
-    t0 = time.perf_counter()
-    fdeg = 2 if quick else 4
-    rs = (2,) if quick else (2, 3)
     failures = []
-    for r in rs:
+    for r in g["r"]:
         field = _field_of_order(r)
         one = Poly.one(field)
         T = Poly.variable(field)
         modules = [module_over_A(field, [one, one], "g1=1"),
                    module_over_A(field, [T, one], "g1=theta")]
         for module in modules:
-            for dd in range(1, fdeg + 1):
+            for dd in range(1, g["prime_deg_max"] + 1):
                 for f in enumerate_monic_primes(field, dd):
                     try:
                         data = frobenius_charpoly(module, f)
@@ -268,27 +261,22 @@ def criterion_7(quick=False, cache=None) -> CriterionResult:
                                          "f": f.to_string(),
                                          "verified": data.verified,
                                          "bound": data.trace_bound_ok})
-    return _result("7", "rank-2 local degree bound and exact charpoly",
-                   {"r": list(rs), "prime_deg_max": fdeg},
-                   not failures, t0, {"failures": failures})
+    return ("rank-2 local degree bound and exact charpoly", not failures,
+            {"failures": failures})
 
 
-def criterion_8(quick=False, cache=None) -> CriterionResult:
+def criterion_8(g, cache):
     """The square-root CM example: composition, coefficient identity,
     Euler-factor squares, and slope parities."""
-    t0 = time.perf_counter()
-    jmax_id, dmax_id = (10, 6) if quick else (50, 8)
-    fac_deg = 2 if quick else 4
-    jmax_par = 5 if quick else 20
     a_ok = psi_composition_check()
-    b_reps = [hecke_identity(j, dmax_id, cache=cache)
-              for j in range(jmax_id + 1)]
+    b_reps = [hecke_identity(j, g["dmax"], cache=cache)
+              for j in range(g["jmax_identity"] + 1)]
     b_fail = [rep.j for rep in b_reps if not rep.passed]
-    c_rep = psi_factorization_check(fac_deg)
+    c_rep = psi_factorization_check(g["factorization_deg"])
     # parity reads the sums of an identity report at dmax 8
-    d_reps = [parity_report(b_reps[j] if dmax_id == 8
+    d_reps = [parity_report(b_reps[j] if g["dmax"] == 8
                             else hecke_identity(j, 8, cache=cache), 64)
-              for j in range(jmax_par + 1)]
+              for j in range(g["jmax_parity"] + 1)]
     d_v_fail = [{"j": r.j, "violations": [str(s) for s in r.vadic_violations]}
                 for r in d_reps if not r.vadic_all_odd]
     d_i_fail = [{"j": r.j, "violations": [str(s) for s in r.infty_violations]}
@@ -299,23 +287,18 @@ def criterion_8(quick=False, cache=None) -> CriterionResult:
                "d_infty_even_failures": d_i_fail}
     passed = (a_ok and not b_fail and c_rep.passed
               and not d_v_fail and not d_i_fail)
-    return _result("8", "square-root CM example suite",
-                   {"jmax_identity": jmax_id, "dmax": dmax_id,
-                    "factorization_deg": fac_deg, "jmax_parity": jmax_par},
-                   passed, t0, details)
+    return "square-root CM example suite", passed, details
 
 
-def criterion_9(quick=False, cache=None) -> CriterionResult:
+def criterion_9(g, cache):
     """Oracle equivalences: enumeration summed over three index sub-ranges
     against one pass, and Euler-product recursion against symbolic
     expansion."""
-    t0 = time.perf_counter()
-    samples = 12 if quick else 50
-    dbound = 3 if quick else 5
+    dbound = g["degree_bound"]
     rng = random.Random(RANDOM_SEED)
     failures = []
     fields = [_field_of_order(r) for r in (2, 3, 4, 5)]
-    for _ in range(samples):
+    for _ in range(g["samples"]):
         field = rng.choice(fields)
         d = rng.randint(0, 4)
         j = rng.randint(0, 50)
@@ -341,15 +324,12 @@ def criterion_9(quick=False, cache=None) -> CriterionResult:
                     failures.append({"module": module.label,
                                      "n": n.to_string(),
                                      "reason": "recursion != expansion"})
-    return _result("9", "independent-route equivalences",
-                   {"samples": samples, "degree_bound": dbound},
-                   not failures, t0, {"failures": failures})
+    return "independent-route equivalences", not failures, {"failures": failures}
 
 
-def criterion_10(quick=False, cache=None) -> CriterionResult:
+def criterion_10(g, cache):
     """Byte determinism: the quick battery serialises identically twice
     (timing excluded)."""
-    t0 = time.perf_counter()
     from . import cli  # late import; cli owns the serialisation
 
     def blob():
@@ -359,10 +339,8 @@ def criterion_10(quick=False, cache=None) -> CriterionResult:
         return cli.render_json(doc)
 
     blob1, blob2 = blob(), blob()
-    same = blob1 == blob2
-    return _result("10", "byte-identical reports modulo timing",
-                   {"battery": "quick 1-9"}, same, t0,
-                   {"bytes": len(blob1)})
+    return ("byte-identical reports modulo timing", blob1 == blob2,
+            {"bytes": len(blob1)})
 
 
 _RUNNERS = {
@@ -374,13 +352,24 @@ _RUNNERS = {
 
 def run_battery(quick=False, cache=None,
                 criteria: str | None = None) -> list[CriterionResult]:
-    """Run the requested criteria (comma-separated ids; default all ten)."""
+    """Run the requested criteria (comma-separated ids, each at most once;
+    default all ten), each at its quick or full grid of ``GRIDS``."""
     if criteria is None:
-        wanted = [str(k) for k in range(1, 11)]
+        wanted = list(_RUNNERS)
     else:
         wanted = [tok.strip() for tok in criteria.split(",") if tok.strip()]
         unknown = [tok for tok in wanted if tok not in _RUNNERS]
         if unknown:
             raise UsageError(f"unknown criteria: {unknown}")
-    return [_RUNNERS[cid](quick=quick, cache=cache)
-            for cid in wanted]
+        if not wanted or len(set(wanted)) < len(wanted):
+            raise UsageError(f"criteria must name at least one id, each once: "
+                             f"{criteria!r}")
+    kind = "quick" if quick else "full"
+    results = []
+    for cid in wanted:
+        grid = GRIDS[cid][kind]
+        t0 = time.perf_counter()
+        title, passed, details = _RUNNERS[cid](grid, cache)
+        results.append(CriterionResult(cid, title, dict(grid), passed,
+                                       time.perf_counter() - t0, details))
+    return results

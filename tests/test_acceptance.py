@@ -1,7 +1,9 @@
 """The acceptance battery at its full stated grids, one test per criterion.
 
-Every check is exact (no numeric tolerances).  Each test prints one
-pass/fail line; the same runners back the ``ffzeta verify`` command.
+Every check is exact (no numeric tolerances).  Each test runs its
+criterion through ``run_battery``, which backs the ``ffzeta verify``
+command, at the full grid of ``acceptance.GRIDS``, and prints one
+pass/fail line.  The criterion 8 sub-tests read the same grid.
 
 Criterion 8(d), v-adic half, is expected red: the v-adic family always
 opens with a slope-0 unit segment (the trivial zero inherited from the
@@ -20,8 +22,11 @@ from ffzeta.sqrtcar import (
 )
 
 
-def _run(runner, **kw):
-    res = runner(**kw)
+FULL_8 = acceptance.GRIDS["8"]["full"]
+
+
+def _run(cid):
+    [res] = acceptance.run_battery(criteria=cid)
     print()
     print(res.line())
     return res
@@ -29,41 +34,41 @@ def _run(runner, **kw):
 
 class TestCriteria:
     def test_criterion_1_polynomiality(self):
-        res = _run(acceptance.criterion_1)
+        res = _run("1")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_2_simplicity_at_infinity(self):
-        res = _run(acceptance.criterion_2)
+        res = _run("2")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_3_euler_removal(self):
-        res = _run(acceptance.criterion_3)
+        res = _run("3")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_4_degree_one_twist(self):
-        res = _run(acceptance.criterion_4)
+        res = _run("4")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_5_vadic_simplicity(self):
-        res = _run(acceptance.criterion_5)
+        res = _run("5")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_6_carlitz_frobenius_and_coefficients(self):
-        res = _run(acceptance.criterion_6)
+        res = _run("6")
         assert res.passed, res.details["failures"][:5]
         # every recorded unit factor is 1 (norm equals the prime on the nose)
         assert all(v == [1] for v in res.details["unit_factors"].values())
 
     def test_criterion_7_rank2_local_bound(self):
-        res = _run(acceptance.criterion_7)
+        res = _run("7")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_9_oracle_equivalences(self):
-        res = _run(acceptance.criterion_9)
+        res = _run("9")
         assert res.passed, res.details["failures"][:5]
 
     def test_criterion_10_determinism(self):
-        res = _run(acceptance.criterion_10)
+        res = _run("10")
         assert res.passed
 
 
@@ -77,20 +82,21 @@ class TestCriterion8:
         assert ok
 
     def test_criterion_8b_coefficient_identity(self):
-        bad = [j for j in range(51) if not hecke_identity(j, 8).passed]
+        bad = [j for j in range(FULL_8["jmax_identity"] + 1)
+               if not hecke_identity(j, FULL_8["dmax"]).passed]
         print("\n[criterion 8b] " + ("PASS" if not bad else "FAIL")
               + "  character sums equal doubled-exponent power sums")
         assert not bad, bad
 
     def test_criterion_8c_euler_factor_squares(self):
-        rep = psi_factorization_check(4)
+        rep = psi_factorization_check(FULL_8["factorization_deg"])
         print("\n[criterion 8c] " + ("PASS" if rep.passed else "FAIL")
               + "  rank-2 solver returns the squared character factor")
         assert rep.passed
 
     def test_criterion_8d_infty_parity_even(self):
         bad = []
-        for j in range(21):
+        for j in range(FULL_8["jmax_parity"] + 1):
             rep = parity_report(hecke_identity(j, 8), 64)
             if not rep.infty_all_even:
                 bad.append((j, [str(s) for s in rep.infty_violations]))
@@ -100,7 +106,7 @@ class TestCriterion8:
 
     def test_criterion_8d_vadic_parity_odd(self):
         bad = []
-        for j in range(21):
+        for j in range(FULL_8["jmax_parity"] + 1):
             rep = parity_report(hecke_identity(j, 8), 64)
             if not rep.vadic_all_odd:
                 bad.append((j, [str(s) for s in rep.vadic_violations]))

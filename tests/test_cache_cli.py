@@ -368,6 +368,11 @@ class TestCli:
          "--prec", "8"),
         ("newton", "--p", "2", "--y-digits", "0_1,0,1,0", "--dmax", "2",
          "--prec", "8"),
+        # an empty selection ran nothing and exited 0 with "all_passed";
+        # a repeated id ran twice and timing kept one of the two
+        ("verify", "--quick", "--criteria", ""),
+        ("verify", "--quick", "--criteria", ","),
+        ("verify", "--quick", "--criteria", "7,7"),
     ], ids=["sqrtcar-negative-j", "special-negative-j", "bracket-digit", "y-digit", "modulus-digit",
             "dotted-bracket-digit", "frobenius-rank-3", "lseries-rank-3",
             "lseries-rank-3-bound-0",
@@ -376,7 +381,8 @@ class TestCli:
             "two-signs", "underscore-exponent", "non-ascii-exponent",
             "non-ascii-bracket-digit", "oversize-field", "oversize-field-p3",
             "oversize-modulus", "non-ascii-modulus-digit", "underscore-modulus-digit",
-            "non-ascii-y-digit", "underscore-y-digit"])
+            "non-ascii-y-digit", "underscore-y-digit", "verify-empty-criteria",
+            "verify-empty-criteria-comma", "verify-repeated-criterion"])
     def test_input_out_of_range_is_usage_error(self, argv, monkeypatch):
         def no_work(*args):
             raise AssertionError("a family was built before the arguments were checked")

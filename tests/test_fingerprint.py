@@ -1,6 +1,7 @@
 """The committed output fingerprints (``tests/fingerprint.py``): every
 request of the seed-11 ``sums`` (cold and warm), ``spectra`` and
-``modules`` lists, and ``verify --criteria 6,7,9`` at full grids, writes
+``modules`` lists, and ``verify --criteria 6,7,9``, full ``verify`` and
+``verify --quick``, writes
 the bytes it wrote when its golden file under ``tests/golden/`` was made,
 outside ``timing``."""
 
