@@ -115,12 +115,13 @@ class PowerSumCache:
             if tokens:
                 raise CacheCorruption(f"zero entry with coefficients in {origin}")
             return Poly.zero(field)
+        if not (deg_str.isascii() and deg_str.isdigit()):  # as the writer writes it
+            raise CacheCorruption(f"malformed degree in cache entry {origin}")
         try:
-            deg = int(deg_str)
             coeffs = field.decode_strs(tokens)
-        except ValueError as exc:  # covers decode_strs' digit errors too
+        except ValueError as exc:  # decode_strs' digit errors
             raise CacheCorruption(f"malformed cache entry {origin}: {exc}")
-        if len(coeffs) != deg + 1 or (coeffs and coeffs[-1] == 0):
+        if len(coeffs) != int(deg_str) + 1 or coeffs[-1] == 0:
             raise CacheCorruption(f"inconsistent degree in cache entry {origin}")
         return Poly._of_trimmed(field, coeffs)  # decoded ints, last one nonzero
 

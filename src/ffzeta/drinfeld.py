@@ -20,14 +20,14 @@ phi_a tau^d = tau^(2d) + phi_mu by tau-degree: phi_a has tau-degree
 peeled off from the top against the kept powers phi_T^k, and the zero
 remainder is the exact check.
 
-Each verified result is kept for the life of the process, keyed by value
-as (base field, phi_T, f), so a module rebuilt for a later request finds
-it again.  Each Dirichlet table is kept the same way, frozen, under
-(base field, phi_T, degree bound).  A call that raises (bad reduction,
-no solution, a field mismatch, an unsupported module) is never kept and
-raises again next time.  ``lseries_coeffs_by_expansion``, the slow
-oracle for ``lseries_coeffs``, solves every prime and builds its table
-afresh, and neither reads nor writes the kept results.
+Each verified result is a ``functools.cache`` entry keyed by value as
+(base field, phi_T, f), kept for the process, so a module rebuilt for a
+later request finds it again.  Each Dirichlet table is kept the same
+way, frozen, under (base field, phi_T, degree bound).  A call that
+raises (bad reduction, no solution, a field mismatch, an unsupported
+module) is not stored and raises again next time.  The slow oracle for
+``lseries_coeffs``, ``lseries_coeffs_by_expansion``, solves every prime
+and builds its table afresh, and neither reads nor writes those entries.
 
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
@@ -38,6 +38,7 @@ A/(f^M) a twist by q reads the ring's table of (T^i)^q
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -266,10 +267,6 @@ class FrobeniusData:
         return f"1 - ({self.a}) t + ({self.mu}) t^2"
 
 
-# verified Frobenius data by (base field, phi_T, f), kept for the process
-_FROBENIUS: dict[tuple, FrobeniusData] = {}
-
-
 def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     """Exact Frobenius trace/norm of the reduction of ``module`` at f.
 
@@ -285,15 +282,12 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     silent wrong answer.  Rank 3 and above raise PreconditionViolated
     before any work (``_supported``).
 
-    A result is kept in ``_FROBENIUS`` under (module.base_field,
-    module.phi_T, f) once its check has passed, and later calls with
-    equal values return it; an exception is never kept.
+    A result is a ``functools.cache`` entry of ``_kept_frobenius``,
+    keyed by value as (module.base_field, module.phi_T, f) once its check
+    has passed, and later calls with equal values return it; a call that
+    raises is not stored.
     """
-    key = _supported(module, f)
-    data = _FROBENIUS.get(key)
-    if data is None:
-        data = _FROBENIUS[key] = _solve_frobenius(module, f)
-    return data
+    return _kept_frobenius(*_supported(module, f))
 
 
 def _supported(module: DrinfeldModule, x) -> tuple:
@@ -302,6 +296,11 @@ def _supported(module: DrinfeldModule, x) -> tuple:
     if module.rank > 2:
         raise PreconditionViolated("only ranks 1 and 2 are supported")
     return (module.base_field, module.phi_T, x)
+
+
+@functools.cache
+def _kept_frobenius(base_field: FiniteField, phi_T: tuple, f: Poly) -> FrobeniusData:
+    return _solve_frobenius(DrinfeldModule(base_field, phi_T), f)
 
 
 def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
@@ -411,25 +410,24 @@ def local_factor_coeffs(data: FrobeniusData, kmax: int) -> list[Poly]:
     return hs[:kmax + 1]
 
 
-# Dirichlet tables by (base field, phi_T, degree bound), kept for the process
-_DIRICHLET: dict[tuple, DirichletCoefficients] = {}
-
-
 def lseries_coeffs(module: DrinfeldModule, degree_bound: int
                    ) -> DirichletCoefficients:
     """Dirichlet coefficients of the module's L-series up to the bound,
     built multiplicatively from per-prime Frobenius data; bad primes are
     skipped and recorded.
 
-    A table is kept in ``_DIRICHLET`` under (module.base_field,
-    module.phi_T, degree_bound) once it is built, and later calls with
-    equal values return it; a build that raises is never kept.
+    A table is a ``functools.cache`` entry of ``_kept_dirichlet``, keyed
+    by value as (module.base_field, module.phi_T, degree_bound) once it is
+    built, and later calls with equal values return it; a build that
+    raises is not stored.
     """
-    key = _supported(module, degree_bound)
-    table = _DIRICHLET.get(key)
-    if table is None:
-        table = _DIRICHLET[key] = _build_dirichlet(module, degree_bound)
-    return table
+    return _kept_dirichlet(*_supported(module, degree_bound))
+
+
+@functools.cache
+def _kept_dirichlet(base_field: FiniteField, phi_T: tuple, degree_bound: int
+                    ) -> DirichletCoefficients:
+    return _build_dirichlet(DrinfeldModule(base_field, phi_T), degree_bound)
 
 
 def _build_dirichlet(module: DrinfeldModule, degree_bound: int

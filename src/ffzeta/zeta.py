@@ -11,7 +11,9 @@ Two independent routes compute it:
   F_q kills every exponent not divisible by q-1.  All values lie in the
   prime subfield (the monic family is Galois stable), so the recursion
   runs on packed prime-field polynomials and is fast enough for
-  four-digit exponents.
+  four-digit exponents.  ``_subspace_sum`` gives the subspace sums
+  E_d(t), each a ``functools.cache`` entry under (p, q, d, t) kept for
+  the process, and ``_monic_sum`` combines them into S_d(j).
 
 * :func:`power_sum_enumerated` (from :mod:`ffzeta.oracle`) lists the
   monic polynomials (optionally a sub-range of their indices) as rows of
@@ -31,6 +33,7 @@ from its definition, over the coprime monics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import _packing as pk
@@ -58,8 +61,9 @@ from .oracle import (  # noqa: F401
 # fast route: subspace binomial recursion on prime-field packed polynomials
 # ---------------------------------------------------------------------------
 
-class _SumEngine:
-    """Tables E_d(t) = sum of m^t over all m with deg m < d, per (p, q).
+@functools.cache
+def _subspace_sum(p: int, q: int, d: int, t: int) -> int:
+    """E_d(t) = sum of m^t over all m with deg m < d, over F_q.
 
     Writing m = c T^(d-1) + m' expands m^t over the Lucas sub-exponents s
     of t, and the sum over c in F_q keeps -1 exactly where s > 0 and
@@ -68,60 +72,38 @@ class _SumEngine:
     values live in F_p[T] and are kept in the reduced packed format of
     :mod:`ffzeta._packing`; every sum goes through ``pk_sum``.
     """
-
-    def __init__(self, p: int, q: int):
-        self.p = p
-        self.q = q
-        self._E: dict[tuple[int, int], int] = {}
-
-    def subspace_sum(self, d: int, t: int) -> int:
-        key = (d, t)
-        hit = self._E.get(key)
-        if hit is not None:
-            return hit
-        p = self.p
-        if d == 0:
-            val = int(t == 0)  # the constant 1 in every packed format
-        else:
-            terms = [((p - 1) * c % p, self.subspace_sum(d - 1, t - s), (d - 1) * s)
-                     for s, c in pk.lucas_residue(t, p, self.q - 1, 0)[1:]]
-            val = pk.pk_sum(terms, p, (d - 1) * t + 1)
-        self._E[key] = val
-        return val
-
-    def monic_sum(self, d: int, j: int) -> int:
-        """S_d(j), packed like the subspace sums."""
-        terms = [(c, self.subspace_sum(d, t), d * (j - t))
-                 for t, c in pk.lucas_subsets(j, self.p)]
-        return pk.pk_sum(terms, self.p, d * j + 1)
-
-    def monic_sum_coeffs(self, d: int, j: int) -> list[int]:
-        return pk.pk_unpack(self.monic_sum(d, j), d * j + 1, self.p)
-
-    def binomial_window(self, e: int, prec: int, part, scale: int = 1) -> list[int]:
-        """Coefficients of T^0 .. T^(prec-1) in scale * sum_t C(e,t) T^t part(t).
-
-        t runs over the Lucas subsets of e below prec; ``part(t)`` is a
-        packed polynomial (0 to skip t).  Digits of e at p^L >= prec only
-        pair with t >= prec, so they are dropped before the subsets are
-        listed.
-        """
-        p = self.p
-        low = e % p ** ceil_log(p, prec)
-        terms = [(c * scale % p, part(t), t)
-                 for t, c in pk.lucas_subsets(low, p) if t < prec]
-        return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
+    if d == 0:
+        return int(t == 0)  # the constant 1 in every packed format
+    terms = [((p - 1) * c % p, _subspace_sum(p, q, d - 1, t - s), (d - 1) * s)
+             for s, c in pk.lucas_residue(t, p, q - 1, 0)[1:]]
+    return pk.pk_sum(terms, p, (d - 1) * t + 1)
 
 
-_ENGINES: dict[tuple[int, int], _SumEngine] = {}
+def _monic_sum(p: int, q: int, d: int, j: int) -> int:
+    """S_d(j) over F_q, packed like the subspace sums."""
+    terms = [(c, _subspace_sum(p, q, d, t), d * (j - t))
+             for t, c in pk.lucas_subsets(j, p)]
+    return pk.pk_sum(terms, p, d * j + 1)
 
 
-def _engine(field: FiniteField) -> _SumEngine:
-    key = (field.p, field.order)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _ENGINES[key] = _SumEngine(*key)
-    return eng
+def _monic_poly(field: FiniteField, d: int, j: int) -> Poly:
+    """S_d(j) as a polynomial over ``field``."""
+    packed = _monic_sum(field.p, field.order, d, j)
+    return Poly._of_reduced(field, pk.pk_unpack(packed, d * j + 1, field.p))
+
+
+def _binomial_window(p: int, e: int, prec: int, part, scale: int = 1) -> list[int]:
+    """Coefficients of T^0 .. T^(prec-1) in scale * sum_t C(e,t) T^t part(t).
+
+    t runs over the Lucas subsets of e below prec; ``part(t)`` is a
+    packed polynomial (0 to skip t).  Digits of e at p^L >= prec only
+    pair with t >= prec, so they are dropped before the subsets are
+    listed.
+    """
+    low = e % p ** ceil_log(p, prec)
+    terms = [(c * scale % p, part(t), t)
+             for t, c in pk.lucas_subsets(low, p) if t < prec]
+    return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
 
 
 def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
@@ -131,13 +113,11 @@ def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
     if cache is not None:
         hit = cache.get(field, d, j)
         if hit is not None:
-            if cache.should_spot_check():
-                fresh = Poly._of_reduced(field, _engine(field).monic_sum_coeffs(d, j))
-                if fresh != hit:
-                    raise CacheCorruption(
-                        f"cache entry S_{d}({j}) disagrees with recomputation")
+            if cache.should_spot_check() and _monic_poly(field, d, j) != hit:
+                raise CacheCorruption(
+                    f"cache entry S_{d}({j}) disagrees with recomputation")
             return hit
-    value = Poly._of_reduced(field, _engine(field).monic_sum_coeffs(d, j))
+    value = _monic_poly(field, d, j)
     if cache is not None:
         cache.put(field, d, j, value)
     return value
@@ -152,9 +132,9 @@ def special_degree_bound(field: FiniteField, j: int) -> int:
     for every d > B(j) (Carlitz; Thakur, *Function Field Arithmetic*,
     2004, ch. 5; Sheats, J. Number Theory 71, 1998).
 
-    Proof, read off :class:`_SumEngine`: ``monic_sum`` adds C(j, t)
+    Proof, read off the recursion: ``_monic_sum`` adds C(j, t)
     T^(d(j-t)) E_d(t) over the Lucas subsets t of j in base p, and
-    ``subspace_sum`` is nonzero only if t splits without base-p carries
+    ``_subspace_sum`` is nonzero only if t splits without base-p carries
     into d parts, each a positive multiple of q-1 (the sum of a^s over
     F_q vanishes unless s > 0 and (q-1) | s).  A base-p carry-free sum is
     base-q carry-free, so l_q(t) is the sum of the parts' digit sums, and
@@ -222,10 +202,10 @@ def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
     """
     y.require_precision(prec)
     e = (-y).value()
-    eng = _engine(field)
+    p, q = field.p, field.order
     out = []
     for d in range(dmax + 1):
-        coeffs = eng.binomial_window(e, prec, lambda t: eng.subspace_sum(d, t))
+        coeffs = _binomial_window(p, e, prec, lambda t: _subspace_sum(p, q, d, t))
         out.append(LaurentSeries(field, 0, coeffs, prec))
     return CoefficientFamily(field, out)
 
@@ -263,25 +243,24 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     if s.unit_order != ring.residue_order - 1 and ring.residue_order > 2:
         raise ValueError("exponent lives at a different prime (unit order mismatch)")
     minus_s = -s
-    eng = _engine(field)
+    p, q = field.p, field.order
     out = []
     if ring.deg == 1:
-        q = field.order
         a, e = minus_s.s1, minus_s.s2.value()
         shift_c = f.coefficient(0)
         for d in range(dmax + 1):
             if d == 0:
                 rep = Poly.one(field)
             else:
-                rep = Poly(field, eng.binomial_window(
-                    e, prec,
-                    lambda t: eng.monic_sum(d - 1, t) if (t - a) % (q - 1) == 0 else 0,
-                    scale=field.p - 1))
+                rep = Poly(field, _binomial_window(
+                    p, e, prec,
+                    lambda t: _monic_sum(p, q, d - 1, t) if (t - a) % (q - 1) == 0 else 0,
+                    scale=p - 1))
                 if shift_c:  # degree < prec: already reduced mod f^prec
                     rep = _compose_linear(rep, f)
             out.append(VadicElem(ring, rep))
     else:
-        k, p, q1 = ring.deg, field.p, field.order - 1
+        k, q1 = ring.deg, q - 1
         g = ring.integer_exponent(minus_s)
         ts = [(t, c) for t, c in pk.lucas_residue(g % p ** ceil_log(p, prec), p, q1, g)
               if t < prec]
@@ -303,7 +282,7 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
         for d in range(k, dmax + 1):
             acc = Poly.zero(field)
             for t, c in ts:
-                s_t = Poly._of_reduced(field, eng.monic_sum_coeffs(d - k, t))
+                s_t = _monic_poly(field, d - k, t)
                 acc = acc + fw[t] * s_t * (p - c)  # -C(g,t) f^t W(t) S_(d-k)(t)
             out.append(ring.elem(acc))
     return CoefficientFamily(field, out, ring)

@@ -104,6 +104,10 @@ class TestCache:
         ((3, 1), "deg -inf: 1"), ((3, 1), "1 1"), ((3, 1), "deg 1 1 1"),
         ((7, 1), "deg 1: 1 7"), ((3, 1), "deg 1: 01"), ((2, 1), "deg 1: \x00 1"),
         ((2, 1), "deg 1: 1 :"), ((2, 1), "deg 1: 1 \u0661"),
+        # a degree the writer never writes: only -inf or ASCII digits read
+        ((2, 1), "deg \u0661: 1 1"), ((2, 1), "deg +1: 1 1"),
+        ((2, 1), "deg 1_0: " + " ".join(["1"] * 11)),
+        ((2, 1), "deg -1:"), ((2, 1), "deg +1: 0 1"),
     ], ids=["digit-ge-p", "digit-ge-p-F257", "digit-ge-p-F121", "digit-ge-p-F65537",
             "digit-count", "digit-count-F4", "digit-count-F121",
             "non-ascii", "non-ascii-F257", "non-ascii-F9", "non-ascii-F121",
@@ -111,7 +115,9 @@ class TestCache:
             "degree", "degree-F121", "degree-empty", "zero-with-coefficients",
             "no-header", "no-colon",
             # lines the byte path (F_p, p < 10) meets first
-            "digit-p-F7", "two-digits-F3", "nul-F2", "colon-F2", "non-ascii-digit-F2"])
+            "digit-p-F7", "two-digits-F3", "nul-F2", "colon-F2", "non-ascii-digit-F2",
+            "non-ascii-degree", "plus-degree", "underscore-degree",
+            "degree-minus-one", "signed-degree"])
     def test_malformed_line_is_corruption(self, tmp_path, pm, line):
         field = FiniteField(*pm)
         cache = PowerSumCache(tmp_path, verify_fraction=0)
@@ -124,10 +130,9 @@ class TestCache:
         ((3, 1), "  deg 1:  2\t1 \n\n", (2, 1)),
         ((11, 2), "deg 1: 03.010 01.0\n", (3 + 10 * 11, 1)),
         ((257, 1), "deg 1: 0007 256\n", (7, 256)),
-        ((2, 1), "deg -1:\n", ()),
-        ((2, 1), "deg +1: 0 1\n", (0, 1)),
+        ((2, 1), "deg \t1 : 0 1\n", (0, 1)),
     ], ids=["whitespace", "leading-zeros-F121", "leading-zeros-F257",
-            "degree-minus-one", "signed-degree"])
+            "whitespace-around-degree"])
     def test_lenient_lines_read_as_before(self, tmp_path, pm, line, coeffs):
         # lines the writer never makes, that the per-token reader took
         field = FiniteField(*pm)

@@ -312,10 +312,11 @@ class TestFrobenius:
             raise AssertionError("primes were listed for a rank-3 module")
         monkeypatch.setattr(drinfeld, "enumerate_monic_primes", no_primes)
         M = module_over_A(F2, [Poly.one(F2), Poly.one(F2), Poly.one(F2)])
+        before = _kept_infos()
         for route in (lseries_coeffs, lseries_coeffs_by_expansion):
             with pytest.raises(PreconditionViolated):
                 route(M, bound)
-        assert (M.base_field, M.phi_T, bound) not in drinfeld._DIRICHLET
+        assert _kept_infos() == before  # no kept table was asked for
 
     def test_prime_over_another_field(self):
         with pytest.raises(FieldMismatch):
@@ -480,7 +481,7 @@ class TestFrobeniusOracle:
 
     def _check(self, module, maxdeg):
         field = module.base_field
-        drinfeld._FROBENIUS.clear()  # solve every prime, not read it back
+        drinfeld._kept_frobenius.cache_clear()  # solve every prime, not read it back
         for d in range(1, maxdeg + 1):
             for f in enumerate_monic_primes(field, d):
                 if (module.phi_T[-1] % f).is_zero():
@@ -522,7 +523,7 @@ class TestFrobeniusOracle:
                     if wrong != eps:
                         monkeypatch.setattr(drinfeld, "_norm_unit",
                                             lambda red, d, u=wrong: u)
-                        drinfeld._FROBENIUS.clear()  # drop the kept result
+                        drinfeld._kept_frobenius.cache_clear()  # drop the kept result
                         with pytest.raises(NoSolution):
                             frobenius_charpoly(module, f)
                         monkeypatch.undo()
@@ -548,15 +549,22 @@ class TestFrobeniusOracle:
         assert nones
 
 
+def _kept_infos():
+    """The cache counters of the kept Frobenius results and Dirichlet
+    tables: equal before and after a call that neither reads nor writes
+    them."""
+    return drinfeld._kept_frobenius.cache_info(), drinfeld._kept_dirichlet.cache_info()
+
+
 @pytest.fixture
 def store():
     """The kept Frobenius results, empty before the test and after it, as
     are the kept Dirichlet tables."""
-    drinfeld._FROBENIUS.clear()
-    drinfeld._DIRICHLET.clear()
-    yield drinfeld._FROBENIUS
-    drinfeld._FROBENIUS.clear()
-    drinfeld._DIRICHLET.clear()
+    drinfeld._kept_frobenius.cache_clear()
+    drinfeld._kept_dirichlet.cache_clear()
+    yield drinfeld._kept_frobenius
+    drinfeld._kept_frobenius.cache_clear()
+    drinfeld._kept_dirichlet.cache_clear()
 
 
 class TestFrobeniusStore:
@@ -566,11 +574,11 @@ class TestFrobeniusStore:
         T3, T9 = Poly.variable(F3), Poly.variable(F9)
         over3 = frobenius_charpoly(carlitz_module(F3), T3)
         over9 = frobenius_charpoly(carlitz_module(F9), T9)
-        assert over3 != over9 and len(store) == 2
+        assert over3 != over9 and store.cache_info().currsize == 2
         f = poly_parse(F3, "T^2+T+2")  # a prime where the three traces differ
         got = [frobenius_charpoly(_ORACLE_MODULES[name](F3), f)
                for name in ("T,1", "1,1", "T,2")]
-        assert len(store) == 5
+        assert store.cache_info().currsize == 5
         assert len({(d.a, d.mu) for d in got}) == 3
 
     def test_equal_module_finds_the_kept_result(self, store):
@@ -578,7 +586,7 @@ class TestFrobeniusStore:
         first = frobenius_charpoly(module_over_A(F3, [Poly.variable(F3),
                                                       Poly.one(F3)]), f)
         again = frobenius_charpoly(_ORACLE_MODULES["T,1"](F3), f)
-        assert again is first and len(store) == 1
+        assert again is first and store.cache_info().currsize == 1
 
     @pytest.mark.parametrize("field,maxdeg", _ORACLE_GRID,
                              ids=[repr(F) for F, _ in _ORACLE_GRID])
@@ -591,7 +599,7 @@ class TestFrobeniusStore:
                         continue
                     frobenius_charpoly(module, f)
                     kept = frobenius_charpoly(module, f)
-                    store.clear()
+                    store.cache_clear()
                     assert kept == frobenius_charpoly(module, f), (module.phi_T, f)
 
     def test_kept_result_is_frozen(self, store):
@@ -606,7 +614,7 @@ class TestFrobeniusStore:
         for _ in range(2):
             with pytest.raises(BadReduction):
                 frobenius_charpoly(M, Poly.variable(F3))
-        assert not store
+        assert store.cache_info().currsize == 0
 
     def test_failure_is_never_kept(self, store, monkeypatch):
         module = _ORACLE_MODULES["T,2"](F5)
@@ -616,7 +624,7 @@ class TestFrobeniusStore:
         monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: wrong)
         with pytest.raises(NoSolution):
             frobenius_charpoly(module, f)
-        assert not store
+        assert store.cache_info().currsize == 0
         monkeypatch.undo()
         assert frobenius_charpoly(module, f) == want
 
@@ -631,17 +639,19 @@ class TestFrobeniusStore:
         head = [out.split('"timing"')[0] for out in outs]
         assert head[0] == head[1] and '"result"' in head[0]
 
-    def test_oracle_catches_a_wrong_kept_result(self, store):
+    def test_oracle_catches_a_wrong_kept_result(self, store, monkeypatch):
         """lseries_coeffs reads the store and the expansion oracle does not,
         so a wrong kept entry shows at exactly the prime's multiples."""
         C = carlitz_module(F2)
         T = Poly.variable(F2)
-        store[(C.base_field, C.phi_T, T)] = drinfeld.FrobeniusData(
-            1, T + Poly.one(F2), None, 1, True, True)
+        wrong = drinfeld.FrobeniusData(1, T + Poly.one(F2), None, 1, True, True)
+        monkeypatch.setattr(drinfeld, "_solve_frobenius", lambda module, f: wrong)
+        assert frobenius_charpoly(C, T) is wrong  # kept by the first call
+        monkeypatch.undo()
         rec = lseries_coeffs(C, 4)
-        before = dict(store)
+        before = _kept_infos()
         exp = lseries_coeffs_by_expansion(C, 4)
-        assert store == before  # the oracle neither reads nor writes it
+        assert _kept_infos() == before  # the oracle neither reads nor writes it
         for d in range(5):
             for n in enumerate_monic(F2, d):
                 assert (rec.at(n) != exp.at(n)) == (n % T).is_zero(), n
@@ -655,14 +665,14 @@ class TestDirichletStore:
         first = lseries_coeffs(module_over_A(F3, [Poly.variable(F3),
                                                   Poly.one(F3)]), 3)
         assert lseries_coeffs(_ORACLE_MODULES["T,1"](F3), 3) is first
-        assert len(drinfeld._DIRICHLET) == 1
+        assert drinfeld._kept_dirichlet.cache_info().currsize == 1
 
     def test_keys_separate_by_field_module_and_bound(self, store):
         tables = [lseries_coeffs(carlitz_module(F3), 3),
                   lseries_coeffs(carlitz_module(F9), 3),
                   lseries_coeffs(_ORACLE_MODULES["T,1"](F3), 3),
                   lseries_coeffs(carlitz_module(F3), 2)]
-        assert len(drinfeld._DIRICHLET) == 4
+        assert drinfeld._kept_dirichlet.cache_info().currsize == 4
         assert len({id(t) for t in tables}) == 4
         assert [t.field for t in tables] == [F3, F9, F3, F3]
         assert tables[0].c != tables[2].c
@@ -686,29 +696,31 @@ class TestDirichletStore:
     def test_failure_is_never_kept(self, store, monkeypatch):
         module = _ORACLE_MODULES["T,2"](F5)
         want = drinfeld._build_dirichlet(module, 2)
-        store.clear()  # so that every prime is solved again
+        store.cache_clear()  # so that every prime is solved again
         # 0 is no prime's norm unit, so the first Frobenius check fails
         monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: 0)
         for _ in range(2):
             with pytest.raises(NoSolution):
                 lseries_coeffs(module, 2)
-        assert not drinfeld._DIRICHLET
+        assert drinfeld._kept_dirichlet.cache_info().currsize == 0
         monkeypatch.undo()
         assert lseries_coeffs(module, 2) == want
 
-    def test_oracle_catches_a_corrupted_table(self, store):
+    def test_oracle_catches_a_corrupted_table(self, store, monkeypatch):
         """The expansion oracle builds afresh, so a wrong kept table shows
         at exactly the entries that were changed."""
         C = carlitz_module(F2)
-        table = lseries_coeffs(C, 4)
+        table = drinfeld._build_dirichlet(C, 4)
         bad = [n for n in table.c if int(n.degree) in (2, 4)][::3]
         c = dict(table.c)
         for n in bad:
             c[n] = c[n] + Poly.one(F2)
-        drinfeld._DIRICHLET[(C.base_field, C.phi_T, 4)] = dataclasses.replace(
-            table, c=c)
+        corrupted = dataclasses.replace(table, c=c)
+        monkeypatch.setattr(drinfeld, "_build_dirichlet", lambda module, bound: corrupted)
+        assert lseries_coeffs(C, 4) is corrupted  # kept by the first call
+        monkeypatch.undo()
         rec = lseries_coeffs(C, 4)
-        kept = dict(drinfeld._DIRICHLET)
+        kept = _kept_infos()
         exp = lseries_coeffs_by_expansion(C, 4)
-        assert drinfeld._DIRICHLET == kept  # the oracle neither reads nor writes it
+        assert _kept_infos() == kept  # the oracle neither reads nor writes it
         assert bad and [n for n in rec.c if rec.at(n) != exp.at(n)] == bad

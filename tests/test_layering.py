@@ -1,8 +1,9 @@
 """The field-kernel decision lives in ``_packing`` and ``ffpoly`` alone,
 indented JSON is written by ``cli.render_json`` alone, every field of a
 dataclass in ``src/ffzeta`` is read somewhere, no oracle reaches the
-store or fast route of the quantity it checks, and every library function
-is named outside the tests.
+store or fast route of the quantity it checks, results are kept in
+``functools.cache`` entries and not in module-level containers, and
+every library function is named outside the tests.
 
 Every other module of ``src/ffzeta`` reaches powers and products through
 ``Poly``, whose ``__pow__`` chooses the power kernel; it neither reads a
@@ -99,10 +100,11 @@ def test_the_check_sees_every_packing_kernel(tmp_path):
 # Each oracle's body, and the body of every function of its own module
 # that it names, is walked.
 
-FAST_SUMS = {"_ENGINES", "_engine", "power_sum", "pk", "_packing", "__pow__"}
+FAST_SUMS = {"_subspace_sum", "_monic_sum", "_monic_poly", "power_sum", "pk",
+             "_packing", "__pow__"}
 ORACLES = {
     ("drinfeld.py", "lseries_coeffs_by_expansion"):
-        {"_DIRICHLET", "_FROBENIUS", "lseries_coeffs", "frobenius_charpoly"},
+        {"_kept_dirichlet", "_kept_frobenius", "lseries_coeffs", "frobenius_charpoly"},
     ("oracle.py", "power_sum_enumerated"): FAST_SUMS,
     ("oracle.py", "multiples_power_sum"): FAST_SUMS,
     ("oracle.py", "coprime_power_sum"): FAST_SUMS,
@@ -204,6 +206,56 @@ def test_the_check_sees_an_oracle_reach_the_store(tmp_path):
                      "    return helper(k), mod._STORE, fast\n")
     assert _oracle_uses(probe, "oracle", {"_STORE", "fast"}) == [
         "helper:3 _STORE", "oracle:7 _STORE", "oracle:7 fast"]
+
+
+# A result kept for the process is a ``functools.cache`` entry: it never
+# stores an exception, keys by value, counts in ``cache_info()`` and is
+# reset by ``cache_clear()``.  A module-level name bound to an empty
+# ``{}``, ``[]``, ``dict()``, ``list()`` or ``set()`` would be a second,
+# hand-written store.  The one allowance is ``ffpoly._PRIMES``, which
+# ``is_monic_prime`` reads without building it; an allowance that its
+# module no longer binds fails the test.
+
+STORES_ALLOWED = {"ffpoly.py:_PRIMES"}
+
+
+def _empty_stores(path: Path) -> list[str]:
+    """``file:name`` for each module-level name of ``path`` bound to an
+    empty container."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        value = getattr(node, "value", None)
+        empty = (isinstance(value, ast.Dict) and not value.keys
+                 or isinstance(value, ast.List) and not value.elts
+                 or isinstance(value, ast.Call) and not value.args
+                 and not value.keywords and isinstance(value.func, ast.Name)
+                 and value.func.id in {"dict", "list", "set"})
+        if empty:
+            found += [f"{path.name}:{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_results_are_kept_in_functools_cache_entries():
+    stores = [s for path in sorted(SRC.glob("*.py")) for s in _empty_stores(path)]
+    assert sorted(stores) == sorted(STORES_ALLOWED)
+
+
+def test_the_check_sees_an_empty_store(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\n"
+                     "_X: dict = {}\n"
+                     "_Y = _Z = set()\n"
+                     "_ROWS = []\n"
+                     "_TABLE = dict(a=1)\n"
+                     "_KEPT = [1]\n"
+                     "_NOTE: dict\n"
+                     "def f():\n"
+                     "    local = {}\n"
+                     "    return local\n")
+    assert _empty_stores(probe) == ["probe.py:_X", "probe.py:_Y", "probe.py:_Z",
+                                    "probe.py:_ROWS"]
 
 
 # Indented JSON goes through cli.render_json alone: CPython's C encoder

@@ -100,7 +100,8 @@ class TestHeckeSums:
 
         def broken(*args, **kwargs):
             raise AssertionError("a fast-route kernel ran")
-        for owner, name in ((zeta, "_engine"), (zeta, "power_sum"), (sqrtcar, "power_sum"),
+        for owner, name in ((zeta, "_subspace_sum"), (zeta, "_monic_sum"),
+                            (zeta, "power_sum"), (sqrtcar, "power_sum"),
                             (pk, "pk_pow"), (pk, "pk_sum"), (pk, "f2_pow")):
             monkeypatch.setattr(owner, name, broken)
         with pytest.raises(AssertionError, match="fast-route kernel"):
