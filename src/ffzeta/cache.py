@@ -18,16 +18,18 @@ format is line-oriented, diff-able and language-neutral.  Writes go to a
 temporary file in the same directory followed by an atomic rename, so
 parallel runs may share a cache directory.
 
-A cache hit can be spot-checked: with probability ``verify_fraction``
-the caller is told to recompute and compare (power_sum does exactly
-that), raising CacheCorruption on mismatch.
+A cache hit can be spot-checked: the caller is told to recompute and
+compare (power_sum does exactly that, raising CacheCorruption on
+mismatch) when the CRC-32 of the entry's key, its field directory, d and
+j, falls below ``verify_fraction`` of its range.  So the same entries are
+checked on every run, and they fall on every degree.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import tempfile
+import zlib
 from pathlib import Path
 
 from .errors import CacheCorruption
@@ -40,7 +42,6 @@ class PowerSumCache:
     def __init__(self, root: str | os.PathLike, verify_fraction: float = 0.05):
         self.root = Path(root)
         self.verify_fraction = verify_fraction
-        self._rng = random.Random(0x5EED5)  # the same hits are checked every run
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -87,10 +88,12 @@ class PowerSumCache:
             raise
         self.writes += 1
 
-    def should_spot_check(self) -> bool:
+    def should_spot_check(self, field: FiniteField, d: int, j: int) -> bool:
+        """Whether the hit S_d(j) is recomputed: decided by its key alone."""
         if self.verify_fraction <= 0:
             return False
-        hit = self._rng.random() < self.verify_fraction
+        key = f"{self.field_dir(field).name}/S_d{d}_j{j}".encode()
+        hit = zlib.crc32(key) < self.verify_fraction * 2 ** 32
         if hit:
             self.spot_checks += 1
         return hit

@@ -31,9 +31,7 @@ and builds its table afresh, and neither reads nor writes those entries.
 
 A product a * b twists row i of b by Frobenius^i.  The twisted rows are
 kept on b, which is immutable, so the module's one phi_T twists its
-coefficients once for every power phi_T^k that multiplies by it.  In
-A/(f^M) a twist by q reads the ring's table of (T^i)^q
-(``VadicRing.frobenius``) instead of raising to the q-th power.
+coefficients once for every power phi_T^k that multiplies by it.
 """
 
 from __future__ import annotations
@@ -50,14 +48,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
-from .nonarch import VadicElem, VadicRing
-
-
-def _twisted(c, twist: int):
-    """c ** twist; in A/(f^M) with twist q = |F_q| the ring's q-power table."""
-    if isinstance(c, VadicElem) and twist == c.ring.field.order:
-        return c.frobenius()
-    return c ** twist
+from .nonarch import VadicRing
 
 
 class SkewPoly:
@@ -78,7 +69,7 @@ class SkewPoly:
         (c^(twist^i) for c in coeffs).  Rows once built are kept."""
         rows = self._rows
         while len(rows) < n:
-            rows.append(tuple(_twisted(c, self.twist) for c in rows[-1]))
+            rows.append(tuple(c ** self.twist for c in rows[-1]))
         return rows
 
     @property

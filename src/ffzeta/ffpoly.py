@@ -380,10 +380,6 @@ class Poly:
         return cls._of_trimmed(field, (1,))
 
     @classmethod
-    def constant(cls, field, c: int):
-        return cls(field, (c,))
-
-    @classmethod
     def variable(cls, field):
         return cls(field, (0, 1))
 
@@ -648,28 +644,6 @@ def _mul_dispatch(F: FiniteField, a, b, length: int | None = None):
                 for k, bk in enumerate(b if i + lb <= out_len else b[:out_len - i], i):
                     if bk:
                         out[k] = out[k] ^ row[bk] if p2 else add[out[k]][row[bk]]
-    return out
-
-
-def combine_rows(F: FiniteField, weights, rows, length: int) -> list[int]:
-    """Coefficients of sum_i weights[i] * rows[i], each row a coefficient
-    list of at most ``length`` entries: an F-linear map applied to the
-    vector ``weights`` by its table of row images."""
-    out = [0] * length
-    if F.m == 1:
-        for w, row in zip(weights, rows):
-            if w:
-                for k, r in enumerate(row):
-                    out[k] += w * r
-        p = F.p
-        return [v % p for v in out]
-    add, p2 = F._add, F.p == 2  # no call per term: XOR at p = 2, else the add table
-    for w, row in zip(weights, rows):
-        if w:
-            scaled = F._mul[w]
-            for k, r in enumerate(row):
-                if r:
-                    out[k] = out[k] ^ scaled[r] if p2 else add[out[k]][scaled[r]]
     return out
 
 

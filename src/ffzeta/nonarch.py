@@ -39,7 +39,6 @@ from .ffpoly import (
     FiniteField,
     Poly,
     _mul_dispatch,
-    combine_rows,
     is_monic_prime,
     poly_xgcd,
     square_multiply,
@@ -329,7 +328,6 @@ class VadicRing:
         self.unit_exponent = (self.residue_order - 1) * p ** pk.ceil_log(p, precision)
         self._is_var = (f.coeffs == (0, 1))
         self._zero = VadicElem(self, Poly.zero(self.field))
-        self._frobenius_rows = None
 
     def elem(self, a: Poly) -> "VadicElem":
         if a.field != self.field:
@@ -362,21 +360,6 @@ class VadicRing:
 
     def _pow_rep(self, a: Poly, e: int) -> Poly:
         return square_multiply(a, e, Poly.one(self.field), self._mul_rep)
-
-    def frobenius(self, a: Poly) -> Poly:
-        """a^q for a reduced a, q the order of F_q.  Since c^q = c on F_q,
-        x -> x^q is F_q-linear on A/(f^M): a^q is the sum of a_i (T^i)^q
-        over the coefficients a_i of a.  The rows (T^i)^q mod f^M for
-        i < M deg f are built on first use and kept."""
-        n = len(self.modulus.coeffs) - 1
-        rows = self._frobenius_rows
-        if rows is None:
-            t_q = self._pow_rep(Poly.variable(self.field), self.field.order)
-            powers = [Poly.one(self.field)]
-            for _ in range(1, n):
-                powers.append(self._mul_rep(powers[-1], t_q))
-            rows = self._frobenius_rows = [x.coeffs for x in powers]
-        return Poly(self.field, combine_rows(self.field, a.coeffs, rows, n))
 
     def inverse(self, a: Poly) -> Poly:
         g, s, _ = poly_xgcd(a, self.modulus)
@@ -434,10 +417,6 @@ class VadicElem:
 
     def inverse(self) -> "VadicElem":
         return VadicElem(self.ring, self.ring.inverse(self.rep))
-
-    def frobenius(self) -> "VadicElem":
-        """self ** q for q the order of F_q, by the ring's row table."""
-        return VadicElem(self.ring, self.ring.frobenius(self.rep))
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

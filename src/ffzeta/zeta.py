@@ -26,7 +26,7 @@ Two independent routes compute it:
 Families of local-field coefficients (the d-th coefficient of the zeta
 series at a fixed exponent) come from the same recursion in closed form:
 at infinity and at every finite prime each coefficient is a binomial sum
-of subspace or monic power sums, at primes of degree >= 2 paired with
+of subspace or monic power sums, at primes other than T paired with
 residue sums built once per family.  The tests' oracle sums n^s, taken
 from its definition, over the coprime monics.
 """
@@ -113,7 +113,7 @@ def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
     if cache is not None:
         hit = cache.get(field, d, j)
         if hit is not None:
-            if cache.should_spot_check() and _monic_poly(field, d, j) != hit:
+            if cache.should_spot_check(field, d, j) and _monic_poly(field, d, j) != hit:
                 raise CacheCorruption(
                     f"cache entry S_{d}({j}) disagrees with recomputation")
             return hit
@@ -218,10 +218,9 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     At f = T write n = c(1 + T g/c) with g monic of degree d-1; the sum
     over c in F_q^* keeps the t with (q-1) | (t-a), so for d >= 1
     c_d = -sum_t C(e,t) T^t S_(d-1)(t) mod T^prec with a = (-s).s1 and
-    e = (-s).s2.  Any other degree-1 prime is T + c, reached by the ring
-    automorphism T -> T + c.
+    e = (-s).s2.
 
-    At f of degree k >= 2, n^(-s) = n^g for one integer g
+    At every other f, of degree k >= 1, n^(-s) = n^g for one integer g
     (``VadicRing.integer_exponent``).  Write n = f h + c mu with h monic
     of degree d-k, c in F_q^* and mu monic of degree < k.  Expanding
     (f h + c mu)^g and summing over c, which keeps -1 where (q-1) | (g-t),
@@ -230,13 +229,17 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     family.  For d < k the coprime monics are the mu of degree d, so
     c_d = sum of their mu^g.
 
-    The second form holds at k = 1 too and gives the same elements there,
-    but the first is faster at degree-1 primes: one packed binomial window
-    per coefficient, where the second multiplies polynomials per Lucas
-    term.  With the second form forced at f = T, the 54 f = T requests of
-    the seed-11 ``spectra`` list took a median 38 ms in process against
-    27 ms, the first form faster in 9 of 10 rounds (2 shared vCPUs,
-    Python 3.11), with the same outputs.  So both stay, chosen by deg f.
+    The second form holds at f = T too and gives the same elements there,
+    but the first is faster: one packed binomial window per coefficient,
+    where the second multiplies polynomials per Lucas term.  With the
+    second form forced at f = T, the 54 f = T requests of the seed-11
+    ``spectra`` list took a median 38 ms in process against 27 ms, the
+    first form faster in 9 of 10 rounds (2 shared vCPUs, Python 3.11),
+    with the same outputs.  So f = T keeps the first form.  A prime T + c
+    with c != 0 takes the second: no benchmark list reaches one, and 288
+    families at such primes over F_2 to F_9 (dmax 5 and 8) came out the
+    same as by the first form and the substitution T -> T + c, in about
+    the same time (0.09 s in all).
     """
     ring = VadicRing(f, prec)
     s.s2.require_precision(prec)
@@ -245,9 +248,8 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     minus_s = -s
     p, q = field.p, field.order
     out = []
-    if ring.deg == 1:
+    if f.coeffs == (0, 1):
         a, e = minus_s.s1, minus_s.s2.value()
-        shift_c = f.coefficient(0)
         for d in range(dmax + 1):
             if d == 0:
                 rep = Poly.one(field)
@@ -256,8 +258,6 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
                     p, e, prec,
                     lambda t: _monic_sum(p, q, d - 1, t) if (t - a) % (q - 1) == 0 else 0,
                     scale=p - 1))
-                if shift_c:  # degree < prec: already reduced mod f^prec
-                    rep = _compose_linear(rep, f)
             out.append(VadicElem(ring, rep))
     else:
         k, q1 = ring.deg, q - 1
@@ -363,50 +363,31 @@ def euler_removed_identity(field: FiniteField, j: int, f: Poly, *, cache=None,
     return euler_removed_identities(field, j, [f], cache=cache)[0]
 
 
-def twist_identity_deg1(field: FiniteField, j: int, f: Poly | None = None,
-                        *, cache=None) -> IdentityReport:
-    """Exact check of the degree-1 finite-place twist:
+def twist_identity_deg1(field: FiniteField, j: int, *, cache=None) -> IdentityReport:
+    """Exact check of the degree-1 finite-place twist at the prime T:
 
         (coprime sums, T -> 1/T)  ==  (1 - x^(-1)) * (bracket sums)
 
     coefficient-by-coefficient as polynomials in pi.  Requires (r-1) | j.
     The coprime sums are the oracle's (:func:`coprime_power_sum`: the rows
-    of the degree-d block that f does not divide); the bracket sums come
-    from the recursion.  A degree-1 prime other than (T) is first moved to
-    (T) by the affine substitution T -> T - c; the polygon data is
-    unaffected.
+    of the degree-d block that T does not divide); the bracket sums come
+    from the recursion.
     """
     r = field.order
     if (r - 1) > 1 and j % (r - 1) != 0:
         raise PreconditionViolated(f"need (r-1) | j, got j = {j}, r = {r}")
-    if f is None:
-        f = Poly.variable(field)
-    if f.degree != 1 or not f.is_monic:
-        raise PreconditionViolated("the twist is for monic degree-1 primes")
-    shift_c = f.coefficient(0)
     dmax = special_polynomial(field, j, cache=cache).observed_degree + 3
     T = Poly.variable(field)
     per_degree = []
     prev_bracket: Poly | None = None
     for d in range(dmax + 1):
-        csum = coprime_power_sum(field, d, j, f)
-        if shift_c:
-            csum = _compose_linear(csum, T - Poly.constant(field, shift_c))
-        lhs = csum  # same coefficient tuple read in pi after T -> 1/T
+        lhs = coprime_power_sum(field, d, j, T)  # the same tuple read in pi after T -> 1/T
         s = power_sum(field, d, j, cache=cache)
         bracket_d = _reverse_into_pi(s, d * j)
         rhs = bracket_d - prev_bracket if prev_bracket is not None else bracket_d
         prev_bracket = bracket_d
         per_degree.append(lhs == rhs)
     return IdentityReport(per_degree, all(per_degree))
-
-
-def _compose_linear(a: Poly, lin: Poly) -> Poly:
-    """a(lin) by Horner; lin has degree 1."""
-    acc = Poly.zero(a.field)
-    for c in reversed(a.coeffs):
-        acc = acc * lin + Poly.constant(a.field, c)
-    return acc
 
 
 def _reverse_into_pi(s: Poly, pivot: int) -> Poly:

@@ -9,7 +9,12 @@ Three lists are the seed-11 lists of ``perfbench/workloads.py``
   the ``--refine`` ones (Hensel iteration on Laurent series) included;
 - ``modules``: ``frobenius``, ``lseries`` and ``sqrtcar`` requests.
 
-The fourth, ``verify``, is three requests: ``verify --criteria 6,7,9`` at
+The fourth, ``t_plus_c``, is ``newton --f`` at every degree-1 prime
+T + c other than T over F_2, F_3, F_4, F_5 and F_9, each at one ``--y``
+and one ``--y-digits`` exponent, then one ``--s1`` request: the v-adic
+family at the primes that no benchmark list reaches.
+
+The fifth, ``verify``, is three requests: ``verify --criteria 6,7,9`` at
 full grids (the Frobenius and L-series checks beyond the ``modules`` list:
 rank 2 over F_3 to degree 4, and the expansion oracle), then the whole
 battery, full and ``--quick``, so that every criterion's ``params`` (its
@@ -47,10 +52,16 @@ WORKLOAD, SEED, SECONDS = "sums", 11, 20
 GOLDEN = {"sums": ROOT / "tests" / "golden" / "fingerprint.json",
           "spectra": ROOT / "tests" / "golden" / "fingerprint_spectra.json",
           "modules": ROOT / "tests" / "golden" / "fingerprint_modules.json",
+          "t_plus_c": ROOT / "tests" / "golden" / "fingerprint_t_plus_c.json",
           "verify": ROOT / "tests" / "golden" / "fingerprint_verify.json"}
 VERIFY_REQUESTS = {"verify-6,7,9": ["verify", "--criteria", "6,7,9"],
                    "verify-full": ["verify"],
                    "verify-quick": ["verify", "--quick"]}
+# t_plus_c: per field, the --y exponent and the --y-digits digits (p^N >= 16)
+T_PLUS_C = {2: (37, "1,0,1,1,0"), 3: (22, "2,1,0,1"), 4: (45, "1,1,0,1,1"),
+            5: (31, "3,0,4"), 9: (28, "1,2,2,0")}
+T_PLUS_C_S1 = ["newton", "--p", "5", "--dmax", "8", "--prec", "32",
+               "--y", "-43", "--s1", "2", "--f", "T+2"]
 CACHE = "cache"  # the fixed cache directory, relative to the working directory
 
 
@@ -64,9 +75,27 @@ def request_list(workload: str = WORKLOAD, seed: int = SEED,
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
     import workloads
+    if workload == "t_plus_c":
+        return t_plus_c_requests(workloads)
     tasks = workloads.make_tasks(workload, seed, seconds)
     return [dict(t, argv=[CACHE if a == workloads.CACHE_DIR else a for a in t["argv"]])
             for t in tasks]
+
+
+def t_plus_c_requests(workloads) -> list[dict]:
+    """The ``t_plus_c`` list: ``newton --f T+c`` for every c != 0."""
+    from ffzeta.ffpoly import FiniteField, enumerate_monic_primes
+    rows = []
+    for r, (j, digits) in T_PLUS_C.items():
+        field = FiniteField(*workloads.FIELD_PM[r])
+        head = ["newton", *workloads.FIELD_ARGS[r]]
+        for f in enumerate_monic_primes(field, 1):
+            if f.coefficient(0):
+                rows.append({"id": f"F{r}-{f}-y", "argv": head + [
+                    "--dmax", "6", "--prec", "32", "--y", str(-j), "--f", str(f)]})
+                rows.append({"id": f"F{r}-{f}-y-digits", "argv": head + [
+                    "--dmax", "5", "--prec", "16", "--y-digits", digits, "--f", str(f)]})
+    return rows + [{"id": "F5-T+2-s1", "argv": list(T_PLUS_C_S1)}]
 
 
 def digest(argv: list[str], code: int, stdout: str) -> str:
@@ -105,6 +134,7 @@ def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
     total = hashlib.sha256("".join(r["sha256"] for r in rows).encode()).hexdigest()
     source = ("; ".join(" ".join(a) for a in VERIFY_REQUESTS.values())
               if workload == "verify" else
+              "tests/fingerprint.t_plus_c_requests" if workload == "t_plus_c" else
               f"perfbench/workloads.make_tasks({workload!r}, {seed}, {seconds})")
     return {"what": f"{source}, "
                     "in order, through ffzeta.cli.main with the cache directory "

@@ -11,7 +11,7 @@ from ffzeta import cli, ffpoly
 from ffzeta.cache import PowerSumCache
 from ffzeta.errors import CacheCorruption
 from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic_primes, poly_parse
-from ffzeta.zeta import power_sum
+from ffzeta.zeta import power_sum, special_degree_bound, special_polynomial
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -85,6 +85,41 @@ class TestCache:
         cache.put(F2, 1, 3, poly_parse(F2, "T+1"))  # wrong on purpose
         with pytest.raises(CacheCorruption):
             power_sum(F2, 1, 3, cache=cache)
+
+    def test_spot_checks_reach_every_degree(self, tmp_path):
+        # the key decides: a fresh cache per run checks the same entries,
+        # and over many reads they fall on several degrees
+        class Recording(PowerSumCache):
+            def should_spot_check(self, field, d, j):
+                hit = super().should_spot_check(field, d, j)
+                if hit:
+                    self.checked.append((d, j))
+                return hit
+
+        runs = []
+        for _ in range(3):  # cold, then warm twice
+            cache = Recording(tmp_path)
+            cache.checked = []
+            for j in range(100, 301):
+                special_polynomial(F3, j, cache=cache)
+            runs.append(cache.checked)
+        assert runs[0] == [] and cache.misses == 0 and cache.hits > 0
+        assert runs[1] == runs[2] and len(runs[1]) == cache.spot_checks
+        assert len({d for d, _ in runs[1]}) >= 3
+
+    def test_tampered_entry_at_a_high_degree_is_caught(self, tmp_path):
+        probe = PowerSumCache(tmp_path)
+        d, j = next((d, j) for j in range(100, 301)
+                    for d in range(3, special_degree_bound(F3, j) + 1)
+                    if probe.should_spot_check(F3, d, j))
+        argv = ("special", "--p", "3", "--j", str(j), "--cache-dir", str(tmp_path))
+        assert run_cli(*argv)[0] == 0  # cold: writes every S_d(j)
+        good = probe.get(F3, d, j)
+        assert good is not None
+        probe.put(F3, d, j, good + Poly.one(F3))  # well formed, wrong
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == ""
+        assert f"S_{d}({j}) disagrees with recomputation" in err
 
     def test_file_format_is_line_oriented(self, tmp_path):
         cache = PowerSumCache(tmp_path, verify_fraction=0)

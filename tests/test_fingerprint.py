@@ -1,6 +1,7 @@
 """The committed output fingerprints (``tests/fingerprint.py``): every
 request of the seed-11 ``sums`` (cold and warm), ``spectra`` and
-``modules`` lists, and ``verify --criteria 6,7,9``, full ``verify`` and
+``modules`` lists, ``newton`` at every degree-1 prime T + c != T,
+and ``verify --criteria 6,7,9``, full ``verify`` and
 ``verify --quick``, writes
 the bytes it wrote when its golden file under ``tests/golden/`` was made,
 outside ``timing``."""
@@ -22,7 +23,7 @@ def test_sums_outputs_match_the_golden_fingerprint(tmp_path):
 
 @pytest.mark.parametrize("workload,kinds", [
     ("spectra", {"newton"}), ("modules", {"frobenius", "lseries", "sqrtcar"}),
-    ("verify", {"verify"})])
+    ("verify", {"verify"}), ("t_plus_c", {"newton"})])
 def test_outputs_match_the_golden_fingerprint(tmp_path, monkeypatch, workload, kinds):
     monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path / "elsewhere"))
     want = json.loads(fingerprint.GOLDEN[workload].read_text())
@@ -33,6 +34,9 @@ def test_outputs_match_the_golden_fingerprint(tmp_path, monkeypatch, workload, k
     assert not (tmp_path / "elsewhere").exists()  # the variable was unset
     if workload == "spectra":
         assert any("--refine" in r["argv"] for r in got["requests"])
+    if workload == "t_plus_c":  # 1 + 2 + 3 + 4 + 8 primes, two exponents each, and --s1
+        assert len(got["requests"]) == 37
+        assert any("--s1" in r["argv"] for r in got["requests"])
 
 
 def test_digest_ignores_timing_only():

@@ -285,7 +285,7 @@ class TestTeichmuller:
 
     def test_constants_fixed_f3(self):
         ring = VadicRing(T3, 3)
-        assert teichmuller(ring, Poly.constant(F3, 2)).rep == Poly.constant(F3, 2)
+        assert teichmuller(ring, Poly(F3, (2,))).rep == Poly(F3, (2,))
 
     def test_quadratic_prime(self):
         f = poly_parse(F2, "T^2+T+1")
@@ -302,7 +302,7 @@ class TestTeichmuller:
                 ring = VadicRing(f, M)
                 q = ring.residue_order
                 for n0 in range(1, field.order):
-                    n = Poly.constant(field, n0)
+                    n = Poly(field, (n0,))
                     om = teichmuller(ring, n)
                     hits = []
                     for encoding in range(field.order ** M):
@@ -448,30 +448,6 @@ class TestPrecisionMonotonicity:
             v_small = (VadicRing(f, 8).elem(n ** j)).valuation
             v_large = (VadicRing(f, 32).elem(n ** j)).valuation
             assert v_small == v_large
-
-
-class TestFrobeniusTable:
-    """The q-power of A/(f^M) from the row table (T^i)^q against ``**``."""
-
-    @pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=repr)
-    @pytest.mark.parametrize("precision", [1, 2, 5])
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_matches_pow(self, field, precision, data):
-        d = data.draw(st.integers(1, 3))
-        primes = list(enumerate_monic_primes(field, d))
-        f = primes[data.draw(st.integers(0, len(primes) - 1))]
-        ring = VadicRing(f, precision)
-        n = d * precision
-        x = ring.elem(Poly(field, data.draw(st.lists(
-            st.integers(0, field.order - 1), min_size=n, max_size=n))))
-        assert x.frobenius() == x ** field.order
-
-    def test_uniformizer_t(self):
-        """f = T, where A/(T^M) reduces by truncation."""
-        ring = VadicRing(T3, 7)
-        for x in enumerate_monic(F3, 3):
-            assert ring.elem(x).frobenius() == ring.elem(x) ** 3
 
 
 class TestPrimeCheck:
