@@ -35,9 +35,9 @@ from .sqrtcar import (
 )
 from .zeta import (
     euler_removed_identities,
-    power_sum,
     power_sum_enumerated,
     special_degree_bound,
+    special_polynomial,
     twist_identity_deg1,
     zeta_family_infty,
     zeta_family_vadic,
@@ -90,16 +90,23 @@ def criterion_1(g, cache):
     B = l_q(j) // (q-1) the digit-sum degree bound
     (:func:`ffzeta.zeta.special_degree_bound`; Carlitz, see Thakur,
     *Function Field Arithmetic*, 2004, ch. 5), for every exponent in the
-    grid.  The sums come from the engine itself, not from the bound, so
-    this checks that the engine computes the zeros the bound proves."""
+    grid.  The sums are the padded special polynomial, one layered pass
+    of the engine per exponent.  The engine skips every subspace sum that
+    the bound's proof makes zero, so past B its layers are empty and these
+    zeros are read from that prune, not computed.  Their independent check
+    is the enumeration window tests of ``tests/test_zeta.py``:
+    ``test_vanishing_window_by_enumeration`` takes the window from the
+    enumeration oracle with the engine barred, and
+    ``test_degree_bound_matches_enumeration`` checks S_(B+1)(j) = 0 by
+    enumeration."""
     failures = []
     for r in g["r"]:
         field = _field_of_order(r)
         for j in range(g["jmax"] + 1):
             bound = special_degree_bound(field, j)
-            for d in (bound + 1, bound + 2, bound + 3):
-                if not power_sum(field, d, j, cache=cache).is_zero():
-                    failures.append({"r": r, "j": j, "d": d})
+            coeffs = special_polynomial(field, j, bound + 3, cache=cache).coeffs
+            failures += [{"r": r, "j": j, "d": d} for d in range(bound + 1, bound + 4)
+                         if not coeffs[d].is_zero()]
     return ("vanishing window after the degree bound", not failures,
             {"failures": failures})
 

@@ -43,7 +43,7 @@ from .errors import ProvisionalPolygon
 from .ffpoly import FiniteField, Poly, enumerate_monic_primes
 from .newton import minus_degree, polygon_of
 from .oracle import power_sum_enumerated
-from .zeta import power_sum
+from .zeta import special_polynomial
 
 _F2 = FiniteField(2)
 
@@ -86,10 +86,12 @@ def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
 
     The left side comes from the enumeration oracle (numpy rows of
     monics), the right side from the power-sum engine on the packed
-    kernels; the two routes share no kernel.
+    kernels, in one layered pass (the special polynomial at 2j+1); the
+    two routes share no kernel.
     """
     ls = hecke_special(j, dmax)
-    per = [s == power_sum(_F2, d, 2 * j + 1, cache=cache) for d, s in enumerate(ls)]
+    rhs = special_polynomial(_F2, 2 * j + 1, dmax, cache=cache).coeffs
+    per = [s == t for s, t in zip(ls, rhs)]
     return HeckeIdentityReport(j, dmax, per, all(per), ls)
 
 

@@ -11,9 +11,12 @@ Two independent routes compute it:
   F_q kills every exponent not divisible by q-1.  All values lie in the
   prime subfield (the monic family is Galois stable), so the recursion
   runs on packed prime-field polynomials and is fast enough for
-  four-digit exponents.  ``_subspace_sum`` gives the subspace sums
-  E_d(t), each a ``functools.cache`` entry under (p, q, d, t) kept for
-  the process, and ``_monic_sum`` combines them into S_d(j).
+  four-digit exponents.  ``_layers`` walks the Lucas lattice of one
+  exponent: layer d holds the nonzero subspace sums E_d(t) and is built
+  from layer d-1 alone, skipping every t that the degree bound proves
+  zero.  ``_monic_sum`` combines one layer into S_d(j).  Each caller
+  takes the layers of its one lattice in a single pass, so at most two
+  layers are alive at once, and nothing outlives the call.
 
 * :func:`power_sum_enumerated` (from :mod:`ffzeta.oracle`) lists the
   monic polynomials (optionally a sub-range of their indices) as rows of
@@ -27,13 +30,14 @@ Families of local-field coefficients (the d-th coefficient of the zeta
 series at a fixed exponent) come from the same recursion in closed form:
 at infinity and at every finite prime each coefficient is a binomial sum
 of subspace or monic power sums, at primes other than T paired with
-residue sums built once per family.  The tests' oracle sums n^s, taken
+residue sums built once per family; the layers there are those of the
+window of the exponent below the precision.  The tests' oracle sums n^s, taken
 from its definition, over the coprime monics.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 
 from . import _packing as pk
@@ -58,51 +62,105 @@ from .oracle import (  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# fast route: subspace binomial recursion on prime-field packed polynomials
+# fast route: layered subspace sums on prime-field packed polynomials
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _subspace_sum(p: int, q: int, d: int, t: int) -> int:
-    """E_d(t) = sum of m^t over all m with deg m < d, over F_q.
+def _layers(p: int, q: int, lattice):
+    """Yield layer d = {t: E_d(t)} for d = 0, 1, 2, ..., each built from
+    the one before it alone.
 
-    Writing m = c T^(d-1) + m' expands m^t over the Lucas sub-exponents s
-    of t, and the sum over c in F_q keeps -1 exactly where s > 0 and
-    (q-1) | s.  ``lucas_residue`` lists only those s, by meet in the middle
-    on the digits of t; each C(t, s) it returns is a unit mod p.  The
-    values live in F_p[T] and are kept in the reduced packed format of
-    :mod:`ffzeta._packing`; every sum goes through ``pk_sum``.
+    E_d(t) = sum of m^t over all m with deg m < d, over F_q, for the t of
+    ``lattice``: exponents that are multiples of q-1, closed under taking
+    Lucas sub-exponents in base p.  For deg m <= d write m = c T^d + m';
+    m^t expands over the Lucas sub-exponents s of t, and the sum over c
+    in F_q keeps -1 exactly where s > 0 and (q-1) | s:
+
+        E_(d+1)(t) = -sum_s C(t, s) T^(d s) E_d(t-s).
+
+    ``lucas_residue`` lists those s, each C(t, s) a unit mod p.  A layer
+    holds only the nonzero sums.  E_d(t) = 0 once l_q(t) < d(q-1), by the
+    proof at :func:`special_degree_bound`, so those t are not visited.
+    Layers past the last nonzero one are empty.  Values live in F_p[T] in
+    the reduced packed format of :mod:`ffzeta._packing`.
     """
-    if d == 0:
-        return int(t == 0)  # the constant 1 in every packed format
-    terms = [((p - 1) * c % p, _subspace_sum(p, q, d - 1, t - s), (d - 1) * s)
-             for s, c in pk.lucas_residue(t, p, q - 1, 0)[1:]]
-    return pk.pk_sum(terms, p, (d - 1) * t + 1)
+    q1 = q - 1
+    by_weight = sorted(((sum(pk.base_digits(t, q)), t) for t in lattice), reverse=True)
+    layer = {0: 1}  # E_0(t) = [t == 0], the constant 1 in every packed format
+    for d in itertools.count():
+        yield layer
+        prev, layer = layer, {}
+        need = (d + 1) * q1
+        for weight, t in by_weight:
+            if weight < need:
+                break
+            terms = [(p - c, e, d * s) for s, c in pk.lucas_residue(t, p, q1, 0)[1:]
+                     if (e := prev.get(t - s))]
+            if terms and (e := pk.pk_sum(terms, p, d * t + 1)):
+                layer[t] = e
 
 
-def _monic_sum(p: int, q: int, d: int, j: int) -> int:
-    """S_d(j) over F_q, packed like the subspace sums."""
-    terms = [(c, _subspace_sum(p, q, d, t), d * (j - t))
-             for t, c in pk.lucas_subsets(j, p)]
+def _monic_sum(p: int, d: int, j: int, pairs, layer: dict) -> int:
+    """S_d(j), packed: the sum of C(j, t) T^(d(j-t)) E_d(t) over the
+    (t, C(j, t)) of ``pairs``, which lists the Lucas sub-exponents of j
+    that are multiples of q-1 (no other E_d(t) is nonzero for d >= 1)."""
+    terms = [(c, e, d * (j - t)) for t, c in pairs if (e := layer.get(t))]
     return pk.pk_sum(terms, p, d * j + 1)
 
 
-def _monic_poly(field: FiniteField, d: int, j: int) -> Poly:
+def _monic_poly(field: FiniteField, d: int, j: int, pairs, layer: dict) -> Poly:
     """S_d(j) as a polynomial over ``field``."""
-    packed = _monic_sum(field.p, field.order, d, j)
+    packed = _monic_sum(field.p, d, j, pairs, layer)
     return Poly._of_reduced(field, pk.pk_unpack(packed, d * j + 1, field.p))
+
+
+def _window_layers(p: int, q: int, e: int, prec: int):
+    """_layers over the Lucas sub-exponents t < prec of e: all that a
+    binomial window of e below T^prec reads."""
+    low = e % p ** ceil_log(p, prec)
+    return _layers(p, q, [t for t, _ in pk.lucas_residue(low, p, q - 1, 0) if t < prec])
+
+
+def _power_sums(field: FiniteField, j: int, cache=None, start: int = 0):
+    """Yield S_d(j) as polynomials over ``field`` for d = start, start+1, ...
+
+    All come from one layered pass over the Lucas lattice of j.  With a
+    cache, each S_d(j) is read from it, and written to it on a miss; the
+    pass opens at the first degree that misses or is spot-checked, and a
+    spot-checked entry that disagrees with the pass raises
+    CacheCorruption.
+    """
+    p, q = field.p, field.order
+    pairs = layers = None
+    for d in itertools.count(start):
+        hit = None if cache is None else cache.get(field, d, j)
+        if hit is not None and not cache.should_spot_check(field, d, j):
+            if layers is not None:
+                next(layers)
+            yield hit
+            continue
+        if layers is None:
+            pairs = pk.lucas_residue(j, p, q - 1, 0)
+            layers = itertools.islice(_layers(p, q, [t for t, _ in pairs]), d, None)
+        value = _monic_poly(field, d, j, pairs, next(layers))
+        if hit is None:
+            if cache is not None:
+                cache.put(field, d, j, value)
+        elif value != hit:
+            raise CacheCorruption(f"cache entry S_{d}({j}) disagrees with recomputation")
+        yield value
 
 
 def _binomial_window(p: int, e: int, prec: int, part, scale: int = 1) -> list[int]:
     """Coefficients of T^0 .. T^(prec-1) in scale * sum_t C(e,t) T^t part(t).
 
     t runs over the Lucas subsets of e below prec; ``part(t)`` is a
-    packed polynomial (0 to skip t).  Digits of e at p^L >= prec only
-    pair with t >= prec, so they are dropped before the subsets are
+    packed polynomial (0 or None to skip t).  Digits of e at p^L >= prec
+    only pair with t >= prec, so they are dropped before the subsets are
     listed.
     """
     low = e % p ** ceil_log(p, prec)
-    terms = [(c * scale % p, part(t), t)
-             for t, c in pk.lucas_subsets(low, p) if t < prec]
+    terms = [(c * scale % p, x, t)
+             for t, c in pk.lucas_subsets(low, p) if t < prec and (x := part(t))]
     return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
 
 
@@ -110,17 +168,7 @@ def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
     """Exact S_d(j); consults/updates the cache when one is supplied."""
     if d < 0 or j < 0:
         raise ValueError("need d >= 0 and j >= 0")
-    if cache is not None:
-        hit = cache.get(field, d, j)
-        if hit is not None:
-            if cache.should_spot_check(field, d, j) and _monic_poly(field, d, j) != hit:
-                raise CacheCorruption(
-                    f"cache entry S_{d}({j}) disagrees with recomputation")
-            return hit
-    value = _monic_poly(field, d, j)
-    if cache is not None:
-        cache.put(field, d, j, value)
-    return value
+    return next(_power_sums(field, j, cache, d))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +180,10 @@ def special_degree_bound(field: FiniteField, j: int) -> int:
     for every d > B(j) (Carlitz; Thakur, *Function Field Arithmetic*,
     2004, ch. 5; Sheats, J. Number Theory 71, 1998).
 
-    Proof, read off the recursion: ``_monic_sum`` adds C(j, t)
-    T^(d(j-t)) E_d(t) over the Lucas subsets t of j in base p, and
-    ``_subspace_sum`` is nonzero only if t splits without base-p carries
-    into d parts, each a positive multiple of q-1 (the sum of a^s over
+    Proof, read off the recursion: S_d(j) adds C(j, t) T^(d(j-t)) E_d(t)
+    over the Lucas subsets t of j in base p (``_monic_sum``), and by the
+    recursion of ``_layers`` E_d(t) is nonzero only if t splits without
+    base-p carries into d parts, each a positive multiple of q-1 (the sum of a^s over
     F_q vanishes unless s > 0 and (q-1) | s).  A base-p carry-free sum is
     base-q carry-free, so l_q(t) is the sum of the parts' digit sums, and
     each is at least q-1 (positive and = 0 mod q-1): l_q(t) >= d(q-1).
@@ -166,12 +214,28 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
     The list is the whole polynomial, certified: S_d(j) = 0 for d > B(j)
     is proved (Carlitz; Thakur, *Function Field Arithmetic*, 2004, ch. 5;
     the proof is at :func:`special_degree_bound`), not observed.  A
-    ``dmax_hint`` above B(j) pads it with zeros, each still computed.
+    ``dmax_hint`` above B(j) pads it with zeros; the engine's layers past
+    B(j) are empty by that proof, so the pads are read from its prune.
+    Every coefficient comes from one layered pass, opened only if the
+    cache misses or spot-checks one.
     """
     top = max(special_degree_bound(field, j), dmax_hint or 0)
-    coeffs = [power_sum(field, d, j, cache=cache) for d in range(top + 1)]
-    observed = max((d for d, c in enumerate(coeffs) if c.coeffs), default=0)
-    return SpecialPolynomial(field, coeffs, observed)
+    coeffs = list(itertools.islice(_power_sums(field, j, cache), top + 1))
+    return SpecialPolynomial(field, coeffs, _observed_degree(coeffs))
+
+
+def _observed_degree(coeffs: list[Poly]) -> int:
+    return max((d for d, c in enumerate(coeffs) if c.coeffs), default=0)
+
+
+def _past_observed(field: FiniteField, j: int, extra: int, cache) -> list[Poly]:
+    """S_0(j) .. S_(o+extra)(j), o the observed degree of the special
+    polynomial, from one layered pass."""
+    sums = _power_sums(field, j, cache)
+    out = list(itertools.islice(sums, special_degree_bound(field, j) + 1))
+    top = _observed_degree(out) + extra
+    out += itertools.islice(sums, max(0, top + 1 - len(out)))
+    return out[:top + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +262,14 @@ def zeta_family_infty(field: FiniteField, y: PadicExponent, dmax: int,
     Note the sign: the exponent actually applied is e = (-y) mod p^N.
     Every bracket is <n> = 1 + pi*m(pi) with m running over V_d, so
     c_d = sum_t C(e,t) pi^t E_d(t)(pi) mod pi^prec; the unseen digits of
-    -y cannot move the window once p^N >= prec.
+    -y cannot move the window once p^N >= prec.  The E_d come from one
+    layered pass over the window's lattice.
     """
     y.require_precision(prec)
     e = (-y).value()
-    p, q = field.p, field.order
-    out = []
-    for d in range(dmax + 1):
-        coeffs = _binomial_window(p, e, prec, lambda t: _subspace_sum(p, q, d, t))
-        out.append(LaurentSeries(field, 0, coeffs, prec))
+    p = field.p
+    out = [LaurentSeries(field, 0, _binomial_window(p, e, prec, layer.get), prec)
+           for _, layer in zip(range(dmax + 1), _window_layers(p, field.order, e, prec))]
     return CoefficientFamily(field, out)
 
 
@@ -250,15 +313,13 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
     out = []
     if f.coeffs == (0, 1):
         a, e = minus_s.s1, minus_s.s2.value()
-        for d in range(dmax + 1):
-            if d == 0:
-                rep = Poly.one(field)
-            else:
-                rep = Poly(field, _binomial_window(
-                    p, e, prec,
-                    lambda t: _monic_sum(p, q, d - 1, t) if (t - a) % (q - 1) == 0 else 0,
-                    scale=p - 1))
-            out.append(VadicElem(ring, rep))
+        out.append(VadicElem(ring, Poly.one(field)))
+        for d, layer in zip(range(dmax), _window_layers(p, q, e, prec)):
+            def part(t):  # S_d(t) where (q-1) | (t-a)
+                if (t - a) % (q - 1) == 0:
+                    return _monic_sum(p, d, t, pk.lucas_residue(t, p, q - 1, 0), layer)
+            rep = _binomial_window(p, e, prec, part, scale=p - 1)
+            out.append(VadicElem(ring, Poly(field, rep)))
     else:
         k, q1 = ring.deg, q - 1
         g = ring.integer_exponent(minus_s)
@@ -279,10 +340,10 @@ def zeta_family_vadic(field: FiniteField, s: SvPoint, f: Poly, dmax: int,
                         x = x * step
                 out[dd] = out[dd] + x * m ** t0
         fw = {t: (ring.elem(f ** t) * w).rep for t, w in W.items()}  # f^t W(t)
-        for d in range(k, dmax + 1):
+        for dk, layer in zip(range(dmax + 1 - k), _window_layers(p, q, g, prec)):
             acc = Poly.zero(field)
             for t, c in ts:
-                s_t = _monic_poly(field, d - k, t)
+                s_t = _monic_poly(field, dk, t, pk.lucas_residue(t, p, q1, 0), layer)
                 acc = acc + fw[t] * s_t * (p - c)  # -C(g,t) f^t W(t) S_(d-k)(t)
             out.append(ring.elem(acc))
     return CoefficientFamily(field, out, ring)
@@ -304,13 +365,13 @@ def interp_consistency(field: FiniteField, j: int, dmax: int, prec: int,
 
     The left side goes through the p-adic machinery at the integer image
     of -j; the right side is the exact power sum placed into the window.
+    Each side takes one layered pass over its own lattice.
     """
     n_digits = max(ceil_log(field.p, prec), 1)
     y = PadicExponent.from_int(field.p, -j, n_digits)
     fam = zeta_family_infty(field, y, dmax, prec)
     results = []
-    for d in range(dmax + 1):
-        s = power_sum(field, d, j, cache=cache)
+    for d, s in zip(range(dmax + 1), _power_sums(field, j, cache)):
         rhs = poly_to_series_infty(s, prec).shift(d * j) if s.coeffs else \
             LaurentSeries.zero_to_precision(field, prec)
         results.append(fam.coeffs[d].agrees_with(rhs))
@@ -333,20 +394,22 @@ def euler_removed_identities(field: FiniteField, j: int, primes,
     per degree for every f at once.  Right side: S_d(j) - f^j S_(d-deg f)(j)
     from the recursion route.  Both sides are exact elements of A;
     equality is coefficient-by-coefficient, for d up to the observed
-    degree of the special polynomial plus deg f + 2.
+    degree of the special polynomial plus deg f + 2.  The right side's
+    S_d(j) come from one layered pass.
     """
-    top = special_polynomial(field, j, cache=cache).observed_degree + 2
     dfs = [int(f.degree) for f in primes]
     fjs = [f ** j for f in primes]
+    top_df = max(dfs, default=0)
+    sums = _past_observed(field, j, 2 + top_df, cache)
+    top = len(sums) - 1 - top_df
     per_degree: list[list[bool]] = [[] for _ in primes]
-    for d in range(top + max(dfs, default=0) + 1):
+    for d, s_d in enumerate(sums):
         live = [i for i, df in enumerate(dfs) if d <= top + df]
         lhs = coprime_power_sums(field, d, j, [primes[i] for i in live])
-        s_d = power_sum(field, d, j, cache=cache)
         for i, left in zip(live, lhs):
             rhs = s_d
             if d >= dfs[i]:
-                rhs = rhs - fjs[i] * power_sum(field, d - dfs[i], j, cache=cache)
+                rhs = rhs - fjs[i] * sums[d - dfs[i]]
             per_degree[i].append(left == rhs)
     return [IdentityReport(pd, all(pd)) for pd in per_degree]
 
@@ -371,18 +434,16 @@ def twist_identity_deg1(field: FiniteField, j: int, *, cache=None) -> IdentityRe
     coefficient-by-coefficient as polynomials in pi.  Requires (r-1) | j.
     The coprime sums are the oracle's (:func:`coprime_power_sum`: the rows
     of the degree-d block that T does not divide); the bracket sums come
-    from the recursion.
+    from one layered pass of the recursion.
     """
     r = field.order
     if (r - 1) > 1 and j % (r - 1) != 0:
         raise PreconditionViolated(f"need (r-1) | j, got j = {j}, r = {r}")
-    dmax = special_polynomial(field, j, cache=cache).observed_degree + 3
     T = Poly.variable(field)
     per_degree = []
     prev_bracket: Poly | None = None
-    for d in range(dmax + 1):
+    for d, s in enumerate(_past_observed(field, j, 3, cache)):
         lhs = coprime_power_sum(field, d, j, T)  # the same tuple read in pi after T -> 1/T
-        s = power_sum(field, d, j, cache=cache)
         bracket_d = _reverse_into_pi(s, d * j)
         rhs = bracket_d - prev_bracket if prev_bracket is not None else bracket_d
         prev_bracket = bracket_d

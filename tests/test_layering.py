@@ -100,8 +100,8 @@ def test_the_check_sees_every_packing_kernel(tmp_path):
 # Each oracle's body, and the body of every function of its own module
 # that it names, is walked.
 
-FAST_SUMS = {"_subspace_sum", "_monic_sum", "_monic_poly", "power_sum", "pk",
-             "_packing", "__pow__"}
+FAST_SUMS = {"_layers", "_monic_sum", "_monic_poly", "_power_sums", "power_sum",
+             "special_polynomial", "pk", "_packing", "__pow__"}
 ORACLES = {
     ("drinfeld.py", "lseries_coeffs_by_expansion"):
         {"_kept_dirichlet", "_kept_frobenius", "lseries_coeffs", "frobenius_charpoly"},

@@ -100,8 +100,9 @@ class TestHeckeSums:
 
         def broken(*args, **kwargs):
             raise AssertionError("a fast-route kernel ran")
-        for owner, name in ((zeta, "_subspace_sum"), (zeta, "_monic_sum"),
-                            (zeta, "power_sum"), (sqrtcar, "power_sum"),
+        for owner, name in ((zeta, "_layers"), (zeta, "_monic_sum"),
+                            (zeta, "_power_sums"), (zeta, "power_sum"),
+                            (sqrtcar, "special_polynomial"),
                             (pk, "pk_pow"), (pk, "pk_sum"), (pk, "f2_pow")):
             monkeypatch.setattr(owner, name, broken)
         with pytest.raises(AssertionError, match="fast-route kernel"):

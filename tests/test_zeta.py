@@ -1,9 +1,13 @@
+import gc
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffzeta import _packing as pk
 from ffzeta import nonarch, oracle
 from ffzeta import zeta as zeta_module
 from ffzeta.errors import InsufficientPadicPrecision, PreconditionViolated
@@ -35,6 +39,7 @@ from ffzeta.zeta import (
     zeta_family_vadic,
 )
 
+import engine_reference
 from vadic_reference import coprime_monics, pow_sv_reference
 
 F2 = FiniteField(2)
@@ -141,6 +146,69 @@ class TestPowerSums:
         assert total == poly_parse(F2, "T")
 
 
+class TestLayeredEngine:
+    # The layers against the earlier memoised recursion
+    # (tests/engine_reference.py), which computes every subspace sum with
+    # no prune, and S_d(j) against the enumeration oracle where it is
+    # cheap.  A layer must hold exactly the nonzero E_d(t) of the lattice.
+    @pytest.mark.parametrize("field,jmax", [
+        (F2, 1000), (F3, 1500), (F4, 1500), (F5, 2000), (F9, 3000)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_matches_reference_and_enumeration(self, field, jmax, data):
+        j = data.draw(st.integers(0, jmax), label="j")
+        p, q = field.p, field.order
+        top = special_degree_bound(field, j) + 2
+        lattice = [t for t, _ in pk.lucas_residue(j, p, q - 1, 0)]
+        layers = zeta_module._layers(p, q, lattice)
+        for d, layer in zip(range(top + 1), layers):
+            want = {t: e for t in lattice if (e := engine_reference.subspace_sum(p, q, d, t))}
+            assert layer == want, d
+        sums = itertools.islice(zeta_module._power_sums(field, j), top + 1)
+        for d, s in enumerate(sums):
+            assert list(s.coeffs) == engine_reference.monic_coeffs(field, d, j), d
+            if q ** d <= 729:
+                assert s == power_sum_enumerated(field, d, j), d
+
+    def test_nothing_outlives_a_call(self):
+        # the engine keeps no store: after a cold special polynomial and a
+        # family, no memory allocated in zeta or _packing is still held
+        y = PadicExponent.from_int(3, -1931, 8)
+        special_polynomial(F3, 100)  # the packing's per-p tables, built once
+        zeta_family_infty(F3, PadicExponent.from_int(3, -100, 8), 2, 64)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            special_polynomial(F3, 1931)
+            zeta_family_infty(F3, y, 8, 64)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        engine = snapshot.filter_traces([tracemalloc.Filter(True, zeta_module.__file__),
+                                         tracemalloc.Filter(True, pk.__file__)])
+        assert sum(stat.size for stat in engine.statistics("filename")) == 0
+
+    def test_a_spot_checked_warm_request_opens_one_pass(self, tmp_path, monkeypatch):
+        from ffzeta.cache import PowerSumCache
+        cold = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path, verify_fraction=0.0))
+        opened = []
+        layers = zeta_module._layers
+
+        def counted(*args):
+            opened.append(args)
+            return layers(*args)
+        monkeypatch.setattr(zeta_module, "_layers", counted)
+        cache = PowerSumCache(tmp_path, verify_fraction=1.0)
+        warm = special_polynomial(F3, 1931, cache=cache)
+        assert warm == cold
+        assert len(opened) == 1
+        assert cache.hits == cache.spot_checks == len(cold.coeffs)
+        opened.clear()
+        special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path, verify_fraction=0.0))
+        assert opened == []
+
+
 class TestSpecialPolynomial:
     def test_j0(self):
         z = special_polynomial(F2, 0)
@@ -167,15 +235,15 @@ class TestSpecialPolynomial:
             for d in (bound + 1, bound + 2, bound + 3):
                 assert power_sum(field, d, j).is_zero()
 
-    # Criterion 1 reads the zeros past B from the engine itself; here they
+    # Criterion 1 reads the zeros past B from the engine's prune; here they
     # come from enumeration alone, on a fixed third of criterion 1's grid
-    # (j <= 200) per field, so that a prune of the engine past B is still
-    # checked by a route that does not assume the bound.
+    # (j <= 200) per field, so that the prune past B is still checked by
+    # a route that does not assume the bound.
     @pytest.mark.parametrize("field", [F2, F3, F4, F5])
     def test_vanishing_window_by_enumeration(self, field, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("the engine ran")
-        for name in ("_subspace_sum", "_monic_sum", "power_sum"):
+        for name in ("_layers", "_monic_sum", "_power_sums", "power_sum"):
             monkeypatch.setattr(zeta_module, name, broken)
         for j in random.Random(field.order).sample(range(201), 67):
             bound = special_degree_bound(field, j)
