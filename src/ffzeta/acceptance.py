@@ -93,20 +93,26 @@ def criterion_1(g, cache):
     grid.  The sums are the padded special polynomial, one layered pass
     of the engine per exponent.  The engine skips every subspace sum that
     the bound's proof makes zero, so past B its layers are empty and these
-    zeros are read from that prune, not computed.  Their independent check
-    is the enumeration window tests of ``tests/test_zeta.py``:
+    zeros are read from that prune, not computed.  So S_B(j) and
+    S_(B+1)(j), the last degree the bound allows and the first it
+    forbids, are also compared with the enumeration oracle
+    (``power_sum_enumerated``) at every grid point: a wrong recursion or a
+    prune that cuts a nonzero layer fails there.  A degree that fails
+    either test is listed once.  The enumeration window tests of
+    ``tests/test_zeta.py`` check the zeros past B with the engine barred:
     ``test_vanishing_window_by_enumeration`` takes the window from the
-    enumeration oracle with the engine barred, and
-    ``test_degree_bound_matches_enumeration`` checks S_(B+1)(j) = 0 by
-    enumeration."""
+    enumeration oracle, and ``test_degree_bound_matches_enumeration``
+    checks S_(B+1)(j) = 0 by enumeration."""
     failures = []
     for r in g["r"]:
         field = _field_of_order(r)
         for j in range(g["jmax"] + 1):
             bound = special_degree_bound(field, j)
             coeffs = special_polynomial(field, j, bound + 3, cache=cache).coeffs
-            failures += [{"r": r, "j": j, "d": d} for d in range(bound + 1, bound + 4)
-                         if not coeffs[d].is_zero()]
+            wrong = {d for d in (bound, bound + 1)
+                     if coeffs[d] != power_sum_enumerated(field, d, j)}
+            wrong.update(d for d in range(bound + 1, bound + 4) if not coeffs[d].is_zero())
+            failures += [{"r": r, "j": j, "d": d} for d in sorted(wrong)]
     return ("vanishing window after the degree bound", not failures,
             {"failures": failures})
 

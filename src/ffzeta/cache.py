@@ -19,10 +19,14 @@ temporary file in the same directory followed by an atomic rename, so
 parallel runs may share a cache directory.
 
 A cache hit can be spot-checked: the caller is told to recompute and
-compare (power_sum does exactly that, raising CacheCorruption on
-mismatch) when the CRC-32 of the entry's key, its field directory, d and
+compare when the CRC-32 of the entry's key, its field directory, d and
 j, falls below ``verify_fraction`` of its range.  So the same entries are
-checked on every run, and they fall on every degree.
+checked on every run, and they fall on every degree.  The power-sum
+engine (``zeta._power_sums``) recomputes a checked S_d(j) from its
+layers 0..d, building layers only up to the highest checked degree, and
+raises CacheCorruption on a mismatch.  ``hits``, ``misses``, ``writes``
+and ``spot_checks`` count this cache's traffic; the CLI reports them
+under ``timing.counters.cache``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ function computes only its ``result``; ``main`` builds the envelope
 around it.  ``config`` is every parsed option except the subcommand, so
 outputs are reproducible byte-for-byte; ``main`` also times the command
 and owns the ``timing`` object (``seconds``, or the per-criterion times
-of ``verify``), which consumers strip before comparing runs.
+of ``verify``, and ``counters.cache``, the power-sum cache's hits,
+misses, writes and spot checks, wherever a cache is open), which
+consumers strip before comparing runs.
 
 ``render_json`` is the one writer of indented JSON.  It prints the bytes
 of ``json.dumps(doc, sort_keys=True, indent=2)``, its oracle in the tests.
@@ -272,12 +274,15 @@ def _cache_from(args) -> PowerSumCache | None:
 # commands
 # ---------------------------------------------------------------------------
 
-# Each command returns (result, exit code, timing); timing is None unless
-# the command times its own parts, and main then records the total.
+# Each command takes its parsed arguments and the power-sum cache that main
+# opened for it (None unless the command has --cache-dir and a directory is
+# given there or in $FFZETA_CACHE_DIR), and returns (result, exit code,
+# timing); timing is None unless the command times its own parts, and main
+# then records the total.
 
-def cmd_special(args) -> tuple[dict, int, None]:
+def cmd_special(args, cache) -> tuple[dict, int, None]:
     field = _field_from(args)
-    z = special_polynomial(field, args.j, args.dmax, cache=_cache_from(args))
+    z = special_polynomial(field, args.j, args.dmax, cache=cache)
     result = {"coefficients": [poly_json(c) for c in z.coeffs],
               "observed_degree": z.observed_degree,
               "certified_polynomial": True}  # S_d(j) = 0 past the bound is proved
@@ -292,7 +297,7 @@ def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
     return PadicExponent.from_int(field.p, args.y, n)
 
 
-def cmd_newton(args) -> tuple[dict, int, None]:
+def cmd_newton(args, cache) -> tuple[dict, int, None]:
     if args.s1 is not None and not args.f:
         raise UsageError("--s1 is a coordinate at --f; give --f")
     if args.refine and args.f:
@@ -340,7 +345,7 @@ def _module_from(args, field: FiniteField):
     return module_over_A(field, gs, label=f"tau-coeffs {args.tau_coeffs}")
 
 
-def cmd_frobenius(args) -> tuple[dict, int, None]:
+def cmd_frobenius(args, cache) -> tuple[dict, int, None]:
     field = _field_from(args)
     f = poly_parse(field, args.f)
     module = _module_from(args, field)
@@ -355,7 +360,7 @@ def cmd_frobenius(args) -> tuple[dict, int, None]:
     return result, EXIT_OK, None
 
 
-def cmd_lseries(args) -> tuple[dict, int, None]:
+def cmd_lseries(args, cache) -> tuple[dict, int, None]:
     field = _field_from(args)
     module = _module_from(args, field)
     coeffs = lseries_coeffs(module, args.degree_bound)
@@ -370,8 +375,8 @@ def cmd_lseries(args) -> tuple[dict, int, None]:
     return result, EXIT_OK, None
 
 
-def cmd_sqrtcar(args) -> tuple[dict, int, None]:
-    identity = hecke_identity(args.j, args.dmax, cache=_cache_from(args))
+def cmd_sqrtcar(args, cache) -> tuple[dict, int, None]:
+    identity = hecke_identity(args.j, args.dmax, cache=cache)
     parity = parity_report(identity, args.prec)
     composition = psi_composition_check()
     factorization = psi_factorization_check(min(args.dmax, 4))
@@ -400,8 +405,8 @@ def cmd_sqrtcar(args) -> tuple[dict, int, None]:
     return result, EXIT_OK if passed else EXIT_MATH, None
 
 
-def cmd_verify(args) -> tuple[dict, int, dict]:
-    results = run_battery(quick=args.quick, cache=_cache_from(args),
+def cmd_verify(args, cache) -> tuple[dict, int, dict]:
+    results = run_battery(quick=args.quick, cache=cache,
                           criteria=args.criteria)
     for res in results:
         print(res.line(), file=sys.stderr)
@@ -499,9 +504,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {k: v for k, v in vars(args).items() if k != "command"}
+    cache = _cache_from(args) if "cache_dir" in config else None
     t0 = time.perf_counter()
     try:
-        result, code, timing = _DISPATCH[args.command](args)
+        result, code, timing = _DISPATCH[args.command](args, cache)
         seconds = time.perf_counter() - t0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -521,6 +527,10 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     doc = envelope(args.command, config, result)
     doc["timing"] = timing or {"seconds": round(seconds, 6)}
+    if cache is not None:
+        doc["timing"]["counters"] = {"cache": {
+            "hits": cache.hits, "misses": cache.misses,
+            "writes": cache.writes, "spot_checks": cache.spot_checks}}
     sys.stdout.write(_RENDER[args.format](doc))
     return code
 

@@ -124,24 +124,28 @@ def _power_sums(field: FiniteField, j: int, cache=None, start: int = 0):
     """Yield S_d(j) as polynomials over ``field`` for d = start, start+1, ...
 
     All come from one layered pass over the Lucas lattice of j.  With a
-    cache, each S_d(j) is read from it, and written to it on a miss; the
-    pass opens at the first degree that misses or is spot-checked, and a
+    cache, each S_d(j) is read from it, and written to it on a miss; a
+    hit that is not spot-checked is yielded as read and builds no layer.
+    The pass opens at the first degree that misses or is spot-checked,
+    and each such degree d advances it to layer d, so a warm request
+    builds layers only up to its highest spot-checked degree.  A
     spot-checked entry that disagrees with the pass raises
     CacheCorruption.
     """
     p, q = field.p, field.order
     pairs = layers = None
+    built = 0  # layers the pass has yielded
     for d in itertools.count(start):
         hit = None if cache is None else cache.get(field, d, j)
         if hit is not None and not cache.should_spot_check(field, d, j):
-            if layers is not None:
-                next(layers)
             yield hit
             continue
         if layers is None:
             pairs = pk.lucas_residue(j, p, q - 1, 0)
-            layers = itertools.islice(_layers(p, q, [t for t, _ in pairs]), d, None)
-        value = _monic_poly(field, d, j, pairs, next(layers))
+            layers = _layers(p, q, [t for t, _ in pairs])
+        layer = next(itertools.islice(layers, d - built, None))
+        built = d + 1
+        value = _monic_poly(field, d, j, pairs, layer)
         if hit is None:
             if cache is not None:
                 cache.put(field, d, j, value)
@@ -217,7 +221,9 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
     ``dmax_hint`` above B(j) pads it with zeros; the engine's layers past
     B(j) are empty by that proof, so the pads are read from its prune.
     Every coefficient comes from one layered pass, opened only if the
-    cache misses or spot-checks one.
+    cache misses or spot-checks one, and built only up to the highest
+    such degree: a warm request reads its other coefficients from the
+    cache alone.
     """
     top = max(special_degree_bound(field, j), dmax_hint or 0)
     coeffs = list(itertools.islice(_power_sums(field, j, cache), top + 1))

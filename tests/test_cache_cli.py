@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -583,9 +584,37 @@ class TestCli:
 
     def test_env_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path))
-        code, _, _ = run_cli("special", "--p", "2", "--j", "3")
+        code, out, _ = run_cli("special", "--p", "2", "--j", "3")
         assert code == 0
         assert list(tmp_path.rglob("*.txt"))
+        assert json.loads(out)["timing"]["counters"]["cache"]["writes"] == 3
+
+    def test_warm_special_reports_its_cache_counters(self, tmp_path):
+        # F_3, j = 1931: B = 5, so six entries, of which the CRC-32 rule
+        # spot-checks one
+        argv = ("special", "--p", "3", "--j", "1931", "--cache-dir", str(tmp_path))
+        counters = [json.loads(run_cli(*argv)[1])["timing"]["counters"] for _ in range(2)]
+        assert counters == [
+            {"cache": {"hits": 0, "misses": 6, "writes": 6, "spot_checks": 0}},
+            {"cache": {"hits": 6, "misses": 0, "writes": 0, "spot_checks": 1}}]
+
+    @pytest.mark.parametrize("argv", [
+        ("special", "--p", "2", "--j", "7"),
+        ("sqrtcar", "--j", "1", "--dmax", "2"),
+        ("verify", "--quick", "--criteria", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_cache_counters_go_in_timing_only(self, argv, tmp_path, monkeypatch):
+        monkeypatch.delenv("FFZETA_CACHE_DIR", raising=False)
+        code, out, _ = run_cli(*argv)
+        plain = json.loads(out)
+        assert "counters" not in plain["timing"]
+        cached_code, out, _ = run_cli(*argv, "--cache-dir", str(tmp_path))
+        cached = json.loads(out)
+        counters = cached["timing"].pop("counters")
+        assert set(counters["cache"]) == {"hits", "misses", "writes", "spot_checks"}
+        assert counters["cache"]["writes"] == counters["cache"]["misses"] > 0
+        assert set(cached["timing"]) == set(plain["timing"])
+        assert (cached_code, cached["result"]) == (code, plain["result"])
 
     def test_bad_polynomial_is_usage_error(self):
         code, _, err = run_cli("frobenius", "--p", "2", "--f", "garbage!!",
@@ -610,7 +639,8 @@ class TestCli:
     def test_entry_point_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ffzeta.cli", "special", "--p", "2", "--j", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["observed_degree"] == 1
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tempfile
 import tracemalloc
 
 import pytest
@@ -207,6 +208,51 @@ class TestLayeredEngine:
         opened.clear()
         special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path, verify_fraction=0.0))
         assert opened == []
+
+    @pytest.mark.parametrize("field,jmax", [(F2, 1000), (F3, 2200), (F9, 2200)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(data=st.data())
+    def test_a_warm_request_builds_layers_up_to_its_last_check(self, field, jmax, data):
+        # a warm request builds the layers 0..d of its highest spot-checked
+        # degree d and no more (none when nothing is checked), reads the
+        # same values as the cold one, and still catches a wrong entry at
+        # every checked degree
+        from ffzeta.cache import PowerSumCache
+        from ffzeta.errors import CacheCorruption
+
+        class DrawnChecks(PowerSumCache):
+            def __init__(self, root, checked):
+                super().__init__(root)
+                self.checked = checked
+
+            def should_spot_check(self, field, d, j):
+                self.spot_checks += d in self.checked
+                return d in self.checked
+
+        j = data.draw(st.integers(1, jmax), label="j")
+        top = special_degree_bound(field, j)
+        checked = data.draw(st.sets(st.integers(0, top)), label="checked")
+        built = []
+        layers = zeta_module._layers
+
+        def counted(*args):
+            for layer in layers(*args):
+                built.append(layer)
+                yield layer
+
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+            cold = special_polynomial(field, j, cache=PowerSumCache(root, verify_fraction=0.0))
+            mp.setattr(zeta_module, "_layers", counted)
+            built.clear()
+            cache = DrawnChecks(root, checked)
+            assert special_polynomial(field, j, cache=cache) == cold
+            assert len(built) == max(checked, default=-1) + 1
+            assert (cache.hits, cache.misses, cache.spot_checks) == (top + 1, 0, len(checked))
+            for d in sorted(checked):
+                cache.put(field, d, j, cold.coeffs[d] + Poly.one(field))
+                with pytest.raises(CacheCorruption):
+                    special_polynomial(field, j, cache=DrawnChecks(root, checked))
+                cache.put(field, d, j, cold.coeffs[d])
 
 
 class TestSpecialPolynomial:
