@@ -85,7 +85,7 @@ class CriterionResult:
 
 # ---------------------------------------------------------------------------
 
-def criterion_1(g, cache):
+def criterion_1(g):
     """Special values are polynomials: S_d(j) = 0 for d in B+1 .. B+3,
     B = l_q(j) // (q-1) the digit-sum degree bound
     (:func:`ffzeta.zeta.special_degree_bound`; Carlitz, see Thakur,
@@ -108,7 +108,7 @@ def criterion_1(g, cache):
         field = _field_of_order(r)
         for j in range(g["jmax"] + 1):
             bound = special_degree_bound(field, j)
-            coeffs = special_polynomial(field, j, bound + 3, cache=cache).coeffs
+            coeffs = special_polynomial(field, j, bound + 3).coeffs
             wrong = {d for d in (bound, bound + 1)
                      if coeffs[d] != power_sum_enumerated(field, d, j)}
             wrong.update(d for d in range(bound + 1, bound + 4) if not coeffs[d].is_zero())
@@ -150,7 +150,7 @@ def _simplicity_failures(r: int, families) -> list[dict]:
     return failures
 
 
-def criterion_2(g, cache):
+def criterion_2(g):
     """Every segment of the zeta family polygon at infinity has length 1
     and the polygon is non-provisional, across integer and sampled
     exponents."""
@@ -167,7 +167,7 @@ def criterion_2(g, cache):
             {"failures": failures})
 
 
-def criterion_3(g, cache):
+def criterion_3(g):
     """Exact Euler-factor removal identity over primes of degree <= 3; the
     enumerated sides of every prime share one oracle pass per (r, d, j)."""
     failures = []
@@ -176,27 +176,27 @@ def criterion_3(g, cache):
         primes = [f for dd in range(1, g["prime_deg_max"] + 1)
                   for f in enumerate_monic_primes(field, dd)]
         for j in range(g["jmax"] + 1):
-            reps = euler_removed_identities(field, j, primes, cache=cache)
+            reps = euler_removed_identities(field, j, primes)
             failures += [{"r": r, "j": j, "f": f.to_string()}
                          for f, rep in zip(primes, reps) if not rep.passed]
     return "euler factor removal identity", not failures, {"failures": failures}
 
 
-def criterion_4(g, cache):
+def criterion_4(g):
     """Exact degree-1 twist identity between the finite place and infinity."""
     failures = []
     for r in g["r"]:
         field = _field_of_order(r)
         step = max(r - 1, 1)
         for j in range(0, g["jmax"] + 1, step):
-            rep = twist_identity_deg1(field, j, cache=cache)
+            rep = twist_identity_deg1(field, j)
             if not rep.passed:
                 failures.append({"r": r, "j": j})
     return ("degree-1 finite-place twist identity", not failures,
             {"failures": failures})
 
 
-def criterion_5(g, cache):
+def criterion_5(g):
     """Simplicity of the v-adic zeta spectra at f = T for exponents in
     (r-1) times the exponent space."""
     failures = []
@@ -216,7 +216,7 @@ def criterion_5(g, cache):
             not failures, {"failures": failures})
 
 
-def criterion_6(g, cache):
+def criterion_6(g):
     """Carlitz Frobenius norm equals the prime, and the L-series has
     c(n) = n exactly: Carlitz has Delta = 1, so every unit factor is 1."""
     dbound = g["degree_bound"]
@@ -244,7 +244,7 @@ def criterion_6(g, cache):
             {"failures": failures[:20], "unit_factors": epsilons})
 
 
-def criterion_7(g, cache):
+def criterion_7(g):
     """Rank-2 Frobenius charpoly verifies exactly and obeys the local
     degree bound 2 deg a <= deg f.
 
@@ -278,17 +278,16 @@ def criterion_7(g, cache):
             {"failures": failures})
 
 
-def criterion_8(g, cache):
+def criterion_8(g):
     """The square-root CM example: composition, coefficient identity,
     Euler-factor squares, and slope parities."""
     a_ok = psi_composition_check()
-    b_reps = [hecke_identity(j, g["dmax"], cache=cache)
-              for j in range(g["jmax_identity"] + 1)]
+    b_reps = [hecke_identity(j, g["dmax"]) for j in range(g["jmax_identity"] + 1)]
     b_fail = [rep.j for rep in b_reps if not rep.passed]
     c_rep = psi_factorization_check(g["factorization_deg"])
     # parity reads the sums of an identity report at dmax 8
     d_reps = [parity_report(b_reps[j] if g["dmax"] == 8
-                            else hecke_identity(j, 8, cache=cache), 64)
+                            else hecke_identity(j, 8), 64)
               for j in range(g["jmax_parity"] + 1)]
     d_v_fail = [{"j": r.j, "violations": [str(s) for s in r.vadic_violations]}
                 for r in d_reps if not r.vadic_all_odd]
@@ -303,7 +302,7 @@ def criterion_8(g, cache):
     return "square-root CM example suite", passed, details
 
 
-def criterion_9(g, cache):
+def criterion_9(g):
     """Oracle equivalences: enumeration summed over three index sub-ranges
     against one pass, and Euler-product recursion against symbolic
     expansion."""
@@ -340,14 +339,13 @@ def criterion_9(g, cache):
     return "independent-route equivalences", not failures, {"failures": failures}
 
 
-def criterion_10(g, cache):
+def criterion_10(g):
     """Byte determinism: the quick battery serialises identically twice
     (timing excluded)."""
     from . import cli  # late import; cli owns the serialisation
 
     def blob():
-        results = run_battery(quick=True, cache=cache,
-                              criteria="1,2,3,4,5,6,7,8,9")
+        results = run_battery(quick=True, criteria="1,2,3,4,5,6,7,8,9")
         doc = cli.envelope("verify", {}, cli.battery_result(results))
         return cli.render_json(doc)
 
@@ -363,10 +361,10 @@ _RUNNERS = {
 }
 
 
-def run_battery(quick=False, cache=None,
-                criteria: str | None = None) -> list[CriterionResult]:
+def run_battery(quick=False, criteria: str | None = None) -> list[CriterionResult]:
     """Run the requested criteria (comma-separated ids, each at most once;
-    default all ten), each at its quick or full grid of ``GRIDS``."""
+    default all ten), each at its quick or full grid of ``GRIDS``.  No
+    criterion reads the power-sum cache: the engine meets the oracle."""
     if criteria is None:
         wanted = list(_RUNNERS)
     else:
@@ -382,7 +380,7 @@ def run_battery(quick=False, cache=None,
     for cid in wanted:
         grid = GRIDS[cid][kind]
         t0 = time.perf_counter()
-        title, passed, details = _RUNNERS[cid](grid, cache)
+        title, passed, details = _RUNNERS[cid](grid)
         results.append(CriterionResult(cid, title, dict(grid), passed,
                                        time.perf_counter() - t0, details))
     return results

@@ -25,8 +25,10 @@ checked on every run, and they fall on every degree.  The power-sum
 engine (``zeta._power_sums``) recomputes a checked S_d(j) from its
 layers 0..d, building layers only up to the highest checked degree, and
 raises CacheCorruption on a mismatch.  ``hits``, ``misses``, ``writes``
-and ``spot_checks`` count this cache's traffic; the CLI reports them
-under ``timing.counters.cache``.
+and ``spot_checks`` count this cache's traffic; ``special`` reports them
+under ``timing.counters.cache``.  Only ``special_polynomial`` and
+``power_sum`` take a cache: the identity checks, ``verify`` and
+``sqrtcar`` always compute, so no entry can stand in for the engine.
 """
 
 from __future__ import annotations

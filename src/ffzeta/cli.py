@@ -6,9 +6,9 @@ function computes only its ``result``; ``main`` builds the envelope
 around it.  ``config`` is every parsed option except the subcommand, so
 outputs are reproducible byte-for-byte; ``main`` also times the command
 and owns the ``timing`` object (``seconds``, or the per-criterion times
-of ``verify``, and ``counters.cache``, the power-sum cache's hits,
-misses, writes and spot checks, wherever a cache is open), which
-consumers strip before comparing runs.
+of ``verify``, and for ``special`` with a cache ``counters.cache``, the
+power-sum cache's hits, misses, writes and spot checks), which consumers
+strip before comparing runs.
 
 ``render_json`` is the one writer of indented JSON.  It prints the bytes
 of ``json.dumps(doc, sort_keys=True, indent=2)``, its oracle in the tests.
@@ -24,9 +24,10 @@ failed, 4 resource problems (e.g. unwritable cache directory).
 Polynomial syntax on the command line: ``T^2+T+1`` over the prime
 field; extension-field coefficients are bracketed base-p digit strings
 with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4, the digits
-joined with "." when p > 10, e.g. ``[3.10]T+1`` over F_121.  The power-sum
-cache directory of ``special``, ``sqrtcar`` and ``verify`` may also be
-set through $FFZETA_CACHE_DIR.
+joined with "." when p > 10, e.g. ``[3.10]T+1`` over F_121.  ``special``
+is the one command with a power-sum cache: ``--cache-dir``, or else
+$FFZETA_CACHE_DIR.  ``sqrtcar`` and ``verify`` always compute their
+power sums, so their checks compare the engine with the oracle.
 """
 
 from __future__ import annotations
@@ -252,11 +253,6 @@ def _add_format(sp, *extra):
     sp.add_argument("--format", choices=("json", "text", *extra), default="json")
 
 
-def _add_cache_dir(sp):
-    sp.add_argument("--cache-dir", type=str, default=None,
-                    help=f"power-sum cache directory (or ${ENV_CACHE_DIR})")
-
-
 def _field_from(args) -> FiniteField:
     modulus = None
     if args.modulus:
@@ -275,10 +271,10 @@ def _cache_from(args) -> PowerSumCache | None:
 # ---------------------------------------------------------------------------
 
 # Each command takes its parsed arguments and the power-sum cache that main
-# opened for it (None unless the command has --cache-dir and a directory is
-# given there or in $FFZETA_CACHE_DIR), and returns (result, exit code,
-# timing); timing is None unless the command times its own parts, and main
-# then records the total.
+# opened for it (None unless the command is special and a directory is
+# given by --cache-dir or in $FFZETA_CACHE_DIR), and returns (result, exit
+# code, timing); timing is None unless the command times its own parts,
+# and main then records the total.
 
 def cmd_special(args, cache) -> tuple[dict, int, None]:
     field = _field_from(args)
@@ -376,7 +372,7 @@ def cmd_lseries(args, cache) -> tuple[dict, int, None]:
 
 
 def cmd_sqrtcar(args, cache) -> tuple[dict, int, None]:
-    identity = hecke_identity(args.j, args.dmax, cache=cache)
+    identity = hecke_identity(args.j, args.dmax)
     parity = parity_report(identity, args.prec)
     composition = psi_composition_check()
     factorization = psi_factorization_check(min(args.dmax, 4))
@@ -406,8 +402,7 @@ def cmd_sqrtcar(args, cache) -> tuple[dict, int, None]:
 
 
 def cmd_verify(args, cache) -> tuple[dict, int, dict]:
-    results = run_battery(quick=args.quick, cache=cache,
-                          criteria=args.criteria)
+    results = run_battery(quick=args.quick, criteria=args.criteria)
     for res in results:
         print(res.line(), file=sys.stderr)
     result = battery_result(results)
@@ -436,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dmax", type=_int_at_least(0), default=None,
                     help="list coefficients up to at least this degree")
     _add_format(sp)
-    _add_cache_dir(sp)
+    sp.add_argument("--cache-dir", type=str, default=None,
+                    help=f"power-sum cache directory (or ${ENV_CACHE_DIR})")
 
     sp = sub.add_parser("newton", help="coefficient family polygon and verdict")
     _add_field_args(sp)
@@ -476,14 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dmax", type=_int_at_least(0), default=8)
     sp.add_argument("--prec", type=_int_at_least(1), default=64)
     _add_format(sp)
-    _add_cache_dir(sp)
 
     sp = sub.add_parser("verify", help="run the acceptance battery")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--criteria", type=str, default=None,
                     help="comma-separated criterion ids, default all")
     _add_format(sp)
-    _add_cache_dir(sp)
 
     return ap
 

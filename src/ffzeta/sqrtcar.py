@@ -81,16 +81,16 @@ class HeckeIdentityReport:
     sums: list[Poly]
 
 
-def hecke_identity(j: int, dmax: int, *, cache=None) -> HeckeIdentityReport:
+def hecke_identity(j: int, dmax: int) -> HeckeIdentityReport:
     """l_d(j) == S'_d(2j+1) for d <= dmax, exactly in A'.
 
     The left side comes from the enumeration oracle (numpy rows of
     monics), the right side from the power-sum engine on the packed
     kernels, in one layered pass (the special polynomial at 2j+1); the
-    two routes share no kernel.
+    two routes share no kernel, and neither reads a cache.
     """
     ls = hecke_special(j, dmax)
-    rhs = special_polynomial(_F2, 2 * j + 1, dmax, cache=cache).coeffs
+    rhs = special_polynomial(_F2, 2 * j + 1, dmax).coeffs
     per = [s == t for s, t in zip(ls, rhs)]
     return HeckeIdentityReport(j, dmax, per, all(per), ls)
 

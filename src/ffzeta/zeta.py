@@ -234,10 +234,10 @@ def _observed_degree(coeffs: list[Poly]) -> int:
     return max((d for d, c in enumerate(coeffs) if c.coeffs), default=0)
 
 
-def _past_observed(field: FiniteField, j: int, extra: int, cache) -> list[Poly]:
+def _past_observed(field: FiniteField, j: int, extra: int) -> list[Poly]:
     """S_0(j) .. S_(o+extra)(j), o the observed degree of the special
     polynomial, from one layered pass."""
-    sums = _power_sums(field, j, cache)
+    sums = _power_sums(field, j)
     out = list(itertools.islice(sums, special_degree_bound(field, j) + 1))
     top = _observed_degree(out) + extra
     out += itertools.islice(sums, max(0, top + 1 - len(out)))
@@ -365,19 +365,18 @@ class IdentityReport:
     passed: bool
 
 
-def interp_consistency(field: FiniteField, j: int, dmax: int, prec: int,
-                       *, cache=None) -> IdentityReport:
+def interp_consistency(field: FiniteField, j: int, dmax: int, prec: int) -> IdentityReport:
     """Check c_d(-j) = S_d(j) * pi^(d*j) to the working precision.
 
     The left side goes through the p-adic machinery at the integer image
     of -j; the right side is the exact power sum placed into the window.
-    Each side takes one layered pass over its own lattice.
+    Each side takes one layered pass over its own lattice, and reads no cache.
     """
     n_digits = max(ceil_log(field.p, prec), 1)
     y = PadicExponent.from_int(field.p, -j, n_digits)
     fam = zeta_family_infty(field, y, dmax, prec)
     results = []
-    for d, s in zip(range(dmax + 1), _power_sums(field, j, cache)):
+    for d, s in zip(range(dmax + 1), _power_sums(field, j)):
         rhs = poly_to_series_infty(s, prec).shift(d * j) if s.coeffs else \
             LaurentSeries.zero_to_precision(field, prec)
         results.append(fam.coeffs[d].agrees_with(rhs))
@@ -391,8 +390,7 @@ def poly_to_series_infty(a: Poly, prec: int) -> LaurentSeries:
     return LaurentSeries(a.field, -int(a.degree), a.coeffs[::-1], prec)
 
 
-def euler_removed_identities(field: FiniteField, j: int, primes,
-                             *, cache=None) -> list[IdentityReport]:
+def euler_removed_identities(field: FiniteField, j: int, primes) -> list[IdentityReport]:
     """Exact check, for each f of ``primes``, that removing the Euler
     factor at f multiplies the special polynomial by (1 - x^(-deg f) f^j).
 
@@ -401,12 +399,12 @@ def euler_removed_identities(field: FiniteField, j: int, primes,
     from the recursion route.  Both sides are exact elements of A;
     equality is coefficient-by-coefficient, for d up to the observed
     degree of the special polynomial plus deg f + 2.  The right side's
-    S_d(j) come from one layered pass.
+    S_d(j) come from one layered pass, never from a cache.
     """
     dfs = [int(f.degree) for f in primes]
     fjs = [f ** j for f in primes]
     top_df = max(dfs, default=0)
-    sums = _past_observed(field, j, 2 + top_df, cache)
+    sums = _past_observed(field, j, 2 + top_df)
     top = len(sums) - 1 - top_df
     per_degree: list[list[bool]] = [[] for _ in primes]
     for d, s_d in enumerate(sums):
@@ -420,7 +418,7 @@ def euler_removed_identities(field: FiniteField, j: int, primes,
     return [IdentityReport(pd, all(pd)) for pd in per_degree]
 
 
-def euler_removed_identity(field: FiniteField, j: int, f: Poly, *, cache=None,
+def euler_removed_identity(field: FiniteField, j: int, f: Poly, *,
                            totals: dict | None = None) -> IdentityReport:
     """:func:`euler_removed_identities` for the one prime f.
 
@@ -429,10 +427,10 @@ def euler_removed_identity(field: FiniteField, j: int, f: Poly, *, cache=None,
     full and the coprime sums together.  It is accepted because the
     benchmark's ``identities`` workload passes it.
     """
-    return euler_removed_identities(field, j, [f], cache=cache)[0]
+    return euler_removed_identities(field, j, [f])[0]
 
 
-def twist_identity_deg1(field: FiniteField, j: int, *, cache=None) -> IdentityReport:
+def twist_identity_deg1(field: FiniteField, j: int) -> IdentityReport:
     """Exact check of the degree-1 finite-place twist at the prime T:
 
         (coprime sums, T -> 1/T)  ==  (1 - x^(-1)) * (bracket sums)
@@ -440,7 +438,7 @@ def twist_identity_deg1(field: FiniteField, j: int, *, cache=None) -> IdentityRe
     coefficient-by-coefficient as polynomials in pi.  Requires (r-1) | j.
     The coprime sums are the oracle's (:func:`coprime_power_sum`: the rows
     of the degree-d block that T does not divide); the bracket sums come
-    from one layered pass of the recursion.
+    from one layered pass of the recursion, never from a cache.
     """
     r = field.order
     if (r - 1) > 1 and j % (r - 1) != 0:
@@ -448,7 +446,7 @@ def twist_identity_deg1(field: FiniteField, j: int, *, cache=None) -> IdentityRe
     T = Poly.variable(field)
     per_degree = []
     prev_bracket: Poly | None = None
-    for d, s in enumerate(_past_observed(field, j, 3, cache)):
+    for d, s in enumerate(_past_observed(field, j, 3)):
         lhs = coprime_power_sum(field, d, j, T)  # the same tuple read in pi after T -> 1/T
         bracket_d = _reverse_into_pi(s, d * j)
         rhs = bracket_d - prev_bracket if prev_bracket is not None else bracket_d

@@ -345,13 +345,19 @@ class TestCli:
         assert code == 2 and out == ""
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("newton", "--p", "2", "--y", "-1", "--dmax", "2", "--prec", "8"),
-        ("frobenius", "--p", "2", "--f", "T", "--module", "carlitz"),
-        ("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "2"),
-    ], ids=lambda argv: argv[0])
-    def test_cache_dir_only_where_the_cache_is_read(self, argv, tmp_path):
-        assert run_cli(*argv)[0] == 0
+    @pytest.mark.parametrize("argv,plain_code", [
+        pytest.param(("newton", "--p", "2", "--y", "-1", "--dmax", "2", "--prec", "8"),
+                     0, id="newton"),
+        pytest.param(("frobenius", "--p", "2", "--f", "T", "--module", "carlitz"),
+                     0, id="frobenius"),
+        pytest.param(("lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "2"),
+                     0, id="lseries"),
+        pytest.param(("sqrtcar", "--j", "1", "--dmax", "2"), 3,  # the parity exception
+                     id="sqrtcar"),
+        pytest.param(("verify", "--quick", "--criteria", "1"), 0, id="verify"),
+    ])
+    def test_cache_dir_only_where_the_cache_is_read(self, argv, plain_code, tmp_path):
+        assert run_cli(*argv)[0] == plain_code
         code, out, _ = run_cli(*argv, "--cache-dir", str(tmp_path))
         assert code == 2 and out == ""
         assert not list(tmp_path.iterdir())
@@ -599,9 +605,20 @@ class TestCli:
             {"cache": {"hits": 6, "misses": 0, "writes": 0, "spot_checks": 1}}]
 
     @pytest.mark.parametrize("argv", [
-        ("special", "--p", "2", "--j", "7"),
         ("sqrtcar", "--j", "1", "--dmax", "2"),
         ("verify", "--quick", "--criteria", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_env_cache_dir_reaches_special_only(self, argv, tmp_path, monkeypatch):
+        # sqrtcar and verify compare the engine with the oracle, so they
+        # always compute and never read or write a cache
+        monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path))
+        code, out, _ = run_cli(*argv)
+        assert code in (0, 3)
+        assert "counters" not in json.loads(out)["timing"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("special", "--p", "2", "--j", "7"),
     ], ids=lambda argv: argv[0])
     def test_cache_counters_go_in_timing_only(self, argv, tmp_path, monkeypatch):
         monkeypatch.delenv("FFZETA_CACHE_DIR", raising=False)
