@@ -11,28 +11,31 @@ holding a single line
 where each c_i is the base-p digit string of the coefficient (w^0 digit
 first) and the zero polynomial is written as ``deg -inf:``.  For p > 10
 the digits of a coefficient, and those of the modulus in the directory
-name, are joined with ".".  A line is read in one pass: its digit
-strings must be ASCII and are decoded in bulk (``decode_strs``; over
+name, are joined with ".".  Entries are read and written as ASCII; any
+other byte makes the entry corrupt.  A line is read in one pass: its
+digit strings are decoded in bulk (``decode_strs``; over
 F_2, F_3, F_5 and F_7, one byte translation of all of them).  The
 format is line-oriented, diff-able and language-neutral.  Writes go to a
 temporary file in the same directory followed by an atomic rename, so
 parallel runs may share a cache directory.
 
-A cache hit can be spot-checked: the caller is told to recompute and
-compare when the CRC-32 of the entry's key, its field directory, d and
-j, falls below ``verify_fraction`` of its range.  So the same entries are
-checked on every run, and they fall on every degree.  The power-sum
-engine (``zeta._power_sums``) recomputes a checked S_d(j) from its
-layers 0..d, building layers only up to the highest checked degree, and
-raises CacheCorruption on a mismatch.  ``hits``, ``misses``, ``writes``
-and ``spot_checks`` count this cache's traffic; ``special`` reports them
-under ``timing.counters.cache``.  Only ``special_polynomial`` and
-``power_sum`` take a cache: the identity checks, ``verify`` and
-``sqrtcar`` always compute, so no entry can stand in for the engine.
+A hit is spot-checked when the CRC-32 of the entry's key, its field
+directory, d and j, falls below ``SPOT_CHECK_FRACTION`` of its range, so
+the same entries are checked on every run, and they fall on every
+degree.  ``read_through`` is the one place where an entry is used: it
+reads S_0(j) .. S_top(j), takes a value from the engine's one pass
+(``zeta._power_sums``) only at a degree that misses or is spot-checked,
+writes each miss, and raises CacheCorruption when a checked entry
+disagrees.  So a warm request advances the pass only to its highest
+checked degree.  ``hits``, ``misses``, ``writes`` and ``spot_checks``
+count this cache's traffic; ``special`` reports them under
+``timing.counters.cache``.  ``special --cache-dir`` opens the one cache,
+and ``special_polynomial`` is the one library function that takes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import zlib
@@ -41,13 +44,12 @@ from pathlib import Path
 from .errors import CacheCorruption
 from .ffpoly import FiniteField, Poly, join_digits
 
-ENV_CACHE_DIR = "FFZETA_CACHE_DIR"
+SPOT_CHECK_FRACTION = 0.05  # of the hits, recomputed and compared
 
 
 class PowerSumCache:
-    def __init__(self, root: str | os.PathLike, verify_fraction: float = 0.05):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.verify_fraction = verify_fraction
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -69,11 +71,11 @@ class PowerSumCache:
     def get(self, field: FiniteField, d: int, j: int) -> Poly | None:
         p = self.path(field, d, j)
         try:
-            text = p.read_text()
+            text = p.read_text(encoding="ascii")
         except FileNotFoundError:
             self.misses += 1
             return None
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CacheCorruption(f"unreadable cache entry {p}: {exc}")
         self.hits += 1
         return self._parse(field, text, p)
@@ -83,7 +85,7 @@ class PowerSumCache:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp_", suffix=".txt")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(self._render(value))
             os.replace(tmp, target)
         except BaseException:
@@ -96,13 +98,36 @@ class PowerSumCache:
 
     def should_spot_check(self, field: FiniteField, d: int, j: int) -> bool:
         """Whether the hit S_d(j) is recomputed: decided by its key alone."""
-        if self.verify_fraction <= 0:
-            return False
         key = f"{self.field_dir(field).name}/S_d{d}_j{j}".encode()
-        hit = zlib.crc32(key) < self.verify_fraction * 2 ** 32
+        hit = zlib.crc32(key) < SPOT_CHECK_FRACTION * 2 ** 32
         if hit:
             self.spot_checks += 1
         return hit
+
+    def read_through(self, field: FiniteField, j: int, sums, top: int) -> list[Poly]:
+        """S_0(j) .. S_top(j), each read from the cache where it can be.
+
+        ``sums`` yields S_0(j), S_1(j), ... from one pass of the engine.
+        It is advanced only to a degree that misses or is spot-checked,
+        so a warm request with no checked entry never starts it.  A miss
+        is written; a checked entry that disagrees with the pass raises
+        CacheCorruption.
+        """
+        out = []
+        taken = 0  # values drawn from sums
+        for d in range(top + 1):
+            hit = self.get(field, d, j)
+            if hit is not None and not self.should_spot_check(field, d, j):
+                out.append(hit)
+                continue
+            value = next(itertools.islice(sums, d - taken, None))
+            taken = d + 1
+            if hit is None:
+                self.put(field, d, j, value)
+            elif value != hit:
+                raise CacheCorruption(f"cache entry S_{d}({j}) disagrees with recomputation")
+            out.append(value)
+        return out
 
     # -- format -----------------------------------------------------------------
 
@@ -134,10 +159,3 @@ class PowerSumCache:
             raise CacheCorruption(f"inconsistent degree in cache entry {origin}")
         return Poly._of_trimmed(field, coeffs)  # decoded ints, last one nonzero
 
-
-def cache_from_env() -> PowerSumCache | None:
-    """Cache at $FFZETA_CACHE_DIR, or None."""
-    root = os.environ.get(ENV_CACHE_DIR)
-    if not root:
-        return None
-    return PowerSumCache(root)

@@ -5,10 +5,11 @@ data, or for ``newton`` a csv export of the polygon).  Each ``cmd_*``
 function computes only its ``result``; ``main`` builds the envelope
 around it.  ``config`` is every parsed option except the subcommand, so
 outputs are reproducible byte-for-byte; ``main`` also times the command
-and owns the ``timing`` object (``seconds``, or the per-criterion times
-of ``verify``, and for ``special`` with a cache ``counters.cache``, the
-power-sum cache's hits, misses, writes and spot checks), which consumers
-strip before comparing runs.
+and owns the ``timing`` object: ``seconds`` for every command, next to
+what a command adds (the per-criterion times of ``verify``, and for
+``special`` with a cache ``counters.cache``, the power-sum cache's hits,
+misses, writes and spot checks), which consumers strip before comparing
+runs.
 
 ``render_json`` is the one writer of indented JSON.  It prints the bytes
 of ``json.dumps(doc, sort_keys=True, indent=2)``, its oracle in the tests.
@@ -25,9 +26,9 @@ Polynomial syntax on the command line: ``T^2+T+1`` over the prime
 field; extension-field coefficients are bracketed base-p digit strings
 with the w^0 digit first, e.g. ``[01]T^2+[11]`` over F_4, the digits
 joined with "." when p > 10, e.g. ``[3.10]T+1`` over F_121.  ``special``
-is the one command with a power-sum cache: ``--cache-dir``, or else
-$FFZETA_CACHE_DIR.  ``sqrtcar`` and ``verify`` always compute their
-power sums, so their checks compare the engine with the oracle.
+is the one command with a power-sum cache, which it opens at
+``--cache-dir``.  ``sqrtcar`` and ``verify`` always compute their power
+sums, so their checks compare the engine with the oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .acceptance import CriterionResult, run_battery
-from .cache import ENV_CACHE_DIR, PowerSumCache, cache_from_env
+from .cache import PowerSumCache
 from .drinfeld import (
     carlitz_module,
     frobenius_charpoly,
@@ -260,29 +261,26 @@ def _field_from(args) -> FiniteField:
     return FiniteField(args.p, args.m, modulus)
 
 
-def _cache_from(args) -> PowerSumCache | None:
-    if args.cache_dir:
-        return PowerSumCache(args.cache_dir)
-    return cache_from_env()
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-# Each command takes its parsed arguments and the power-sum cache that main
-# opened for it (None unless the command is special and a directory is
-# given by --cache-dir or in $FFZETA_CACHE_DIR), and returns (result, exit
-# code, timing); timing is None unless the command times its own parts,
-# and main then records the total.
+# Each command takes its parsed arguments and returns (result, exit code,
+# timing); timing holds what the command measures itself (None if
+# nothing), and main adds the total seconds.
 
-def cmd_special(args, cache) -> tuple[dict, int, None]:
+def cmd_special(args) -> tuple[dict, int, dict | None]:
     field = _field_from(args)
+    cache = PowerSumCache(args.cache_dir) if args.cache_dir else None
     z = special_polynomial(field, args.j, args.dmax, cache=cache)
     result = {"coefficients": [poly_json(c) for c in z.coeffs],
               "observed_degree": z.observed_degree,
               "certified_polynomial": True}  # S_d(j) = 0 past the bound is proved
-    return result, EXIT_OK, None
+    if cache is None:
+        return result, EXIT_OK, None
+    return result, EXIT_OK, {"counters": {"cache": {
+        "hits": cache.hits, "misses": cache.misses,
+        "writes": cache.writes, "spot_checks": cache.spot_checks}}}
 
 
 def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
@@ -293,7 +291,7 @@ def _exponent_from(args, field: FiniteField, prec: int) -> PadicExponent:
     return PadicExponent.from_int(field.p, args.y, n)
 
 
-def cmd_newton(args, cache) -> tuple[dict, int, None]:
+def cmd_newton(args) -> tuple[dict, int, None]:
     if args.s1 is not None and not args.f:
         raise UsageError("--s1 is a coordinate at --f; give --f")
     if args.refine and args.f:
@@ -341,7 +339,7 @@ def _module_from(args, field: FiniteField):
     return module_over_A(field, gs, label=f"tau-coeffs {args.tau_coeffs}")
 
 
-def cmd_frobenius(args, cache) -> tuple[dict, int, None]:
+def cmd_frobenius(args) -> tuple[dict, int, None]:
     field = _field_from(args)
     f = poly_parse(field, args.f)
     module = _module_from(args, field)
@@ -356,7 +354,7 @@ def cmd_frobenius(args, cache) -> tuple[dict, int, None]:
     return result, EXIT_OK, None
 
 
-def cmd_lseries(args, cache) -> tuple[dict, int, None]:
+def cmd_lseries(args) -> tuple[dict, int, None]:
     field = _field_from(args)
     module = _module_from(args, field)
     coeffs = lseries_coeffs(module, args.degree_bound)
@@ -371,7 +369,7 @@ def cmd_lseries(args, cache) -> tuple[dict, int, None]:
     return result, EXIT_OK, None
 
 
-def cmd_sqrtcar(args, cache) -> tuple[dict, int, None]:
+def cmd_sqrtcar(args) -> tuple[dict, int, None]:
     identity = hecke_identity(args.j, args.dmax)
     parity = parity_report(identity, args.prec)
     composition = psi_composition_check()
@@ -401,7 +399,7 @@ def cmd_sqrtcar(args, cache) -> tuple[dict, int, None]:
     return result, EXIT_OK if passed else EXIT_MATH, None
 
 
-def cmd_verify(args, cache) -> tuple[dict, int, dict]:
+def cmd_verify(args) -> tuple[dict, int, dict]:
     results = run_battery(quick=args.quick, criteria=args.criteria)
     for res in results:
         print(res.line(), file=sys.stderr)
@@ -432,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list coefficients up to at least this degree")
     _add_format(sp)
     sp.add_argument("--cache-dir", type=str, default=None,
-                    help=f"power-sum cache directory (or ${ENV_CACHE_DIR})")
+                    help="power-sum cache directory")
 
     sp = sub.add_parser("newton", help="coefficient family polygon and verdict")
     _add_field_args(sp)
@@ -498,10 +496,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {k: v for k, v in vars(args).items() if k != "command"}
-    cache = _cache_from(args) if "cache_dir" in config else None
     t0 = time.perf_counter()
     try:
-        result, code, timing = _DISPATCH[args.command](args, cache)
+        result, code, timing = _DISPATCH[args.command](args)
         seconds = time.perf_counter() - t0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -520,11 +517,7 @@ def main(argv=None) -> int:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     doc = envelope(args.command, config, result)
-    doc["timing"] = timing or {"seconds": round(seconds, 6)}
-    if cache is not None:
-        doc["timing"]["counters"] = {"cache": {
-            "hits": cache.hits, "misses": cache.misses,
-            "writes": cache.writes, "spot_checks": cache.spot_checks}}
+    doc["timing"] = {"seconds": round(seconds, 6), **(timing or {})}
     sys.stdout.write(_RENDER[args.format](doc))
     return code
 

@@ -847,7 +847,9 @@ def _parse_term(field: FiniteField, term: str):
     k = 0
     rest = term
     if rest.startswith("["):
-        close = rest.index("]")
+        close = rest.find("]")
+        if close < 0:
+            raise UsageError(f"unclosed bracket in term {term!r}")
         c = field.decode_str(rest[1:close])
         rest = rest[close + 1:]
     elif digits := _DIGITS.match(rest):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from . import _packing as pk
 from ._packing import ceil_log
-from .errors import CacheCorruption, PreconditionViolated, ZeroPolynomial
+from .errors import PreconditionViolated, ZeroPolynomial
 from .ffpoly import FiniteField, Poly, enumerate_monic
 from .nonarch import (
     LaurentSeries,
@@ -120,38 +120,16 @@ def _window_layers(p: int, q: int, e: int, prec: int):
     return _layers(p, q, [t for t, _ in pk.lucas_residue(low, p, q - 1, 0) if t < prec])
 
 
-def _power_sums(field: FiniteField, j: int, cache=None, start: int = 0):
-    """Yield S_d(j) as polynomials over ``field`` for d = start, start+1, ...
+def _power_sums(field: FiniteField, j: int):
+    """Yield S_d(j) as polynomials over ``field`` for d = 0, 1, 2, ...
 
-    All come from one layered pass over the Lucas lattice of j.  With a
-    cache, each S_d(j) is read from it, and written to it on a miss; a
-    hit that is not spot-checked is yielded as read and builds no layer.
-    The pass opens at the first degree that misses or is spot-checked,
-    and each such degree d advances it to layer d, so a warm request
-    builds layers only up to its highest spot-checked degree.  A
-    spot-checked entry that disagrees with the pass raises
-    CacheCorruption.
+    All come from one layered pass over the Lucas lattice of j, opened at
+    the first value taken: taking S_d(j) builds layers 0..d.
     """
     p, q = field.p, field.order
-    pairs = layers = None
-    built = 0  # layers the pass has yielded
-    for d in itertools.count(start):
-        hit = None if cache is None else cache.get(field, d, j)
-        if hit is not None and not cache.should_spot_check(field, d, j):
-            yield hit
-            continue
-        if layers is None:
-            pairs = pk.lucas_residue(j, p, q - 1, 0)
-            layers = _layers(p, q, [t for t, _ in pairs])
-        layer = next(itertools.islice(layers, d - built, None))
-        built = d + 1
-        value = _monic_poly(field, d, j, pairs, layer)
-        if hit is None:
-            if cache is not None:
-                cache.put(field, d, j, value)
-        elif value != hit:
-            raise CacheCorruption(f"cache entry S_{d}({j}) disagrees with recomputation")
-        yield value
+    pairs = pk.lucas_residue(j, p, q - 1, 0)
+    for d, layer in enumerate(_layers(p, q, [t for t, _ in pairs])):
+        yield _monic_poly(field, d, j, pairs, layer)
 
 
 def _binomial_window(p: int, e: int, prec: int, part, scale: int = 1) -> list[int]:
@@ -168,11 +146,11 @@ def _binomial_window(p: int, e: int, prec: int, part, scale: int = 1) -> list[in
     return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
 
 
-def power_sum(field: FiniteField, d: int, j: int, *, cache=None) -> Poly:
-    """Exact S_d(j); consults/updates the cache when one is supplied."""
+def power_sum(field: FiniteField, d: int, j: int) -> Poly:
+    """Exact S_d(j)."""
     if d < 0 or j < 0:
         raise ValueError("need d >= 0 and j >= 0")
-    return next(_power_sums(field, j, cache, d))
+    return next(itertools.islice(_power_sums(field, j), d, None))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +198,17 @@ def special_polynomial(field: FiniteField, j: int, dmax_hint: int | None = None,
     the proof is at :func:`special_degree_bound`), not observed.  A
     ``dmax_hint`` above B(j) pads it with zeros; the engine's layers past
     B(j) are empty by that proof, so the pads are read from its prune.
-    Every coefficient comes from one layered pass, opened only if the
-    cache misses or spot-checks one, and built only up to the highest
-    such degree: a warm request reads its other coefficients from the
-    cache alone.
+    Every coefficient comes from one layered pass.  With a cache, its
+    ``read_through`` takes from the pass only the degrees that miss or
+    are spot-checked: a warm request builds layers only up to the
+    highest such degree and reads its other coefficients from the cache.
     """
     top = max(special_degree_bound(field, j), dmax_hint or 0)
-    coeffs = list(itertools.islice(_power_sums(field, j, cache), top + 1))
+    sums = _power_sums(field, j)
+    if cache is None:
+        coeffs = list(itertools.islice(sums, top + 1))
+    else:
+        coeffs = cache.read_through(field, j, sums, top)
     return SpecialPolynomial(field, coeffs, _observed_degree(coeffs))
 
 

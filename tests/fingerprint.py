@@ -22,9 +22,9 @@ grid) is pinned.  Both whole runs exit 3 while criterion 8(d) fails; the
 digest covers the exit code, so that is stable.
 
 Each list runs in order, in this process, through ``ffzeta.cli.main``,
-with $FFZETA_CACHE_DIR unset and one fixed cache directory: ``cache``,
-relative to a fresh working directory, so that argv and the ``config`` of
-every output read the same on every machine.  A request's digest covers
+with one fixed cache directory: ``cache``, relative to a fresh working
+directory, so that argv and the ``config`` of every output read the same
+on every machine.  A request's digest covers
 its argv, its exit code and its standard output without the ``timing``
 member, the one part of an envelope that differs from run to run.
 
@@ -113,10 +113,8 @@ def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
     return its fingerprint document; a golden file is that of its
     workload's list at the default seed and sizing."""
     from ffzeta import cli
-    from ffzeta.cache import ENV_CACHE_DIR
     rows = []
     cwd = os.getcwd()
-    env_cache = os.environ.pop(ENV_CACHE_DIR, None)
     os.chdir(workdir)
     try:
         for task in request_list(workload, seed, seconds):
@@ -129,8 +127,6 @@ def fingerprints(workdir: str | os.PathLike, workload: str = WORKLOAD,
                          "sha256": digest(task["argv"], code, out.getvalue())})
     finally:
         os.chdir(cwd)
-        if env_cache is not None:
-            os.environ[ENV_CACHE_DIR] = env_cache
     total = hashlib.sha256("".join(r["sha256"] for r in rows).encode()).hexdigest()
     source = ("; ".join(" ".join(a) for a in VERIFY_REQUESTS.values())
               if workload == "verify" else

@@ -12,7 +12,12 @@ from ffzeta import cli, ffpoly
 from ffzeta.cache import PowerSumCache
 from ffzeta.errors import CacheCorruption
 from ffzeta.ffpoly import FiniteField, Poly, enumerate_monic_primes, poly_parse
-from ffzeta.zeta import power_sum, special_degree_bound, special_polynomial
+from ffzeta.zeta import (
+    _power_sums,
+    power_sum,
+    special_degree_bound,
+    special_polynomial,
+)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -21,21 +26,89 @@ F4 = FiniteField(2, 2)
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class CheckedAt(PowerSumCache):
+    """A cache that spot-checks the hits at the given degrees."""
+
+    def __init__(self, root, degrees):
+        super().__init__(root)
+        self.degrees = set(degrees)
+
+    def should_spot_check(self, field, d, j):
+        self.spot_checks += d in self.degrees
+        return d in self.degrees
+
+
+class TestReadThrough:
+    """``PowerSumCache.read_through`` against a fake engine pass that
+    records how far it was advanced."""
+
+    @staticmethod
+    def fake_sums(field, j, taken):
+        for d, value in enumerate(_power_sums(field, j)):
+            taken.append(d)
+            yield value
+
+    def test_cold_takes_every_degree_and_writes_it(self, tmp_path):
+        taken = []
+        cache = PowerSumCache(tmp_path)
+        got = cache.read_through(F3, 1931, self.fake_sums(F3, 1931, taken), 5)
+        assert got == special_polynomial(F3, 1931).coeffs
+        assert taken == list(range(6))
+        assert (cache.misses, cache.writes, cache.hits) == (6, 6, 0)
+        assert [cache.get(F3, d, 1931) for d in range(6)] == got
+
+    def test_warm_without_checks_never_advances(self, tmp_path):
+        want = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path)).coeffs
+        taken = []
+        cache = CheckedAt(tmp_path, ())
+        got = cache.read_through(F3, 1931, self.fake_sums(F3, 1931, taken), 5)
+        assert got == want and taken == []
+        assert (cache.hits, cache.writes, cache.spot_checks) == (6, 0, 0)
+
+    @pytest.mark.parametrize("checked", [{0}, {2}, {1, 3}, {5}])
+    def test_warm_stops_at_the_highest_check(self, tmp_path, checked):
+        want = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path)).coeffs
+        taken = []
+        cache = CheckedAt(tmp_path, checked)
+        got = cache.read_through(F3, 1931, self.fake_sums(F3, 1931, taken), 5)
+        assert got == want and taken == list(range(max(checked) + 1))
+        assert cache.spot_checks == len(checked) and cache.writes == 0
+
+    def test_a_miss_among_hits_is_written(self, tmp_path):
+        special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path))
+        PowerSumCache(tmp_path).path(F3, 3, 1931).unlink()
+        taken = []
+        cache = CheckedAt(tmp_path, ())
+        cache.read_through(F3, 1931, self.fake_sums(F3, 1931, taken), 5)
+        assert taken == [0, 1, 2, 3]
+        assert (cache.misses, cache.writes) == (1, 1)
+        assert cache.get(F3, 3, 1931) == power_sum(F3, 3, 1931)
+
+    def test_a_checked_mismatch_is_corruption(self, tmp_path):
+        want = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path)).coeffs
+        cache = CheckedAt(tmp_path, {4})
+        cache.put(F3, 4, 1931, want[4] + Poly.one(F3))
+        taken = []
+        with pytest.raises(CacheCorruption, match=r"S_4\(1931\) disagrees"):
+            cache.read_through(F3, 1931, self.fake_sums(F3, 1931, taken), 5)
+        assert taken == list(range(5))
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         value = power_sum(F3, 2, 7)
         cache.put(F3, 2, 7, value)
         assert cache.get(F3, 2, 7) == value
 
     def test_zero_entry(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(F2, 3, 0, Poly.zero(F2))
         got = cache.get(F2, 3, 0)
         assert got is not None and got.is_zero()
 
     def test_extension_field_digits(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         value = power_sum(F4, 1, 5)
         cache.put(F4, 1, 5, value)
         assert cache.get(F4, 1, 5) == value
@@ -47,7 +120,7 @@ class TestCache:
     ], ids=["F257", "F121"])
     def test_multi_character_digits_round_trip(self, tmp_path, field, coeffs, name):
         # for p > 10 a digit takes several characters, so digits join with "."
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         value = Poly(field, coeffs)
         cache.put(field, 1, 5, value)
         assert cache.get(field, 1, 5) == value
@@ -67,7 +140,7 @@ class TestCache:
         assert cache.get(F2, 1, 1) is None
 
     def test_corrupt_entry_detected(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(F2, 1, 1, power_sum(F2, 1, 1))
         path = cache.path(F2, 1, 1)
         path.write_text("deg 2: 1 1\n")  # inconsistent degree
@@ -75,17 +148,30 @@ class TestCache:
             cache.get(F2, 1, 1)
 
     def test_digit_out_of_range_is_corruption(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(F2, 1, 3, power_sum(F2, 1, 3))
         cache.path(F2, 1, 3).write_text("deg 2: 1 2 1\n")  # 2 is no F_2 digit
         with pytest.raises(CacheCorruption):
             cache.get(F2, 1, 3)
 
     def test_spot_check_catches_tampering(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=1.0)
+        cache = CheckedAt(tmp_path, range(3))
         cache.put(F2, 1, 3, poly_parse(F2, "T+1"))  # wrong on purpose
+        with pytest.raises(CacheCorruption, match=r"S_1\(3\) disagrees"):
+            special_polynomial(F2, 3, cache=cache)
+
+    def test_non_ascii_bytes_are_corruption(self, tmp_path):
+        # the locale's decoder raised UnicodeDecodeError, a ValueError,
+        # which the CLI reported as a usage error (exit 2)
+        cache = PowerSumCache(tmp_path)
+        cache.put(F3, 1, 5, power_sum(F3, 1, 5))
+        cache.path(F3, 1, 5).write_bytes(b"deg 1: \xff 1\n")
         with pytest.raises(CacheCorruption):
-            power_sum(F2, 1, 3, cache=cache)
+            cache.get(F3, 1, 5)
+        code, out, err = run_cli("special", "--p", "3", "--j", "5",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("verification failure: unreadable cache entry")
 
     def test_spot_checks_reach_every_degree(self, tmp_path):
         # the key decides: a fresh cache per run checks the same entries,
@@ -123,7 +209,7 @@ class TestCache:
         assert f"S_{d}({j}) disagrees with recomputation" in err
 
     def test_file_format_is_line_oriented(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(F2, 1, 3, power_sum(F2, 1, 3))  # T^2+T+1
         text = cache.path(F2, 1, 3).read_text()
         assert text == "deg 2: 1 1 1\n"
@@ -156,7 +242,7 @@ class TestCache:
             "degree-minus-one", "signed-degree"])
     def test_malformed_line_is_corruption(self, tmp_path, pm, line):
         field = FiniteField(*pm)
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(field, 1, 1, Poly.one(field))
         cache.path(field, 1, 1).write_text(line + "\n")
         with pytest.raises(CacheCorruption):
@@ -172,13 +258,13 @@ class TestCache:
     def test_lenient_lines_read_as_before(self, tmp_path, pm, line, coeffs):
         # lines the writer never makes, that the per-token reader took
         field = FiniteField(*pm)
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         cache.put(field, 1, 1, Poly.one(field))
         cache.path(field, 1, 1).write_text(line)
         assert cache.get(field, 1, 1) == Poly(field, coeffs)
 
     def test_concurrent_writes_stay_parseable(self, tmp_path):
-        cache = PowerSumCache(tmp_path, verify_fraction=0)
+        cache = PowerSumCache(tmp_path)
         value = power_sum(F3, 3, 11)
 
         def write(_):
@@ -239,7 +325,7 @@ class TestCli:
         assert doc["command"] == argv[0]
         assert set(doc["config"]) == option_dests(argv[0])
         if argv[0] == "verify":
-            assert set(doc["timing"]) == {"total_seconds", "per_criterion"}
+            assert set(doc["timing"]) == {"seconds", "total_seconds", "per_criterion"}
             assert set(doc["timing"]["per_criterion"]) == {"7"}
         else:
             assert set(doc["timing"]) == {"seconds"}
@@ -588,13 +674,6 @@ class TestCli:
         files = list((tmp_path / "p3_m1").glob("S_d*_j5.txt"))
         assert files
 
-    def test_env_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path))
-        code, out, _ = run_cli("special", "--p", "2", "--j", "3")
-        assert code == 0
-        assert list(tmp_path.rglob("*.txt"))
-        assert json.loads(out)["timing"]["counters"]["cache"]["writes"] == 3
-
     def test_warm_special_reports_its_cache_counters(self, tmp_path):
         # F_3, j = 1931: B = 5, so six entries, of which the CRC-32 rule
         # spot-checks one
@@ -607,10 +686,12 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ("sqrtcar", "--j", "1", "--dmax", "2"),
         ("verify", "--quick", "--criteria", "1"),
+        ("special", "--p", "2", "--j", "3"),
     ], ids=lambda argv: argv[0])
     def test_env_cache_dir_reaches_special_only(self, argv, tmp_path, monkeypatch):
         # sqrtcar and verify compare the engine with the oracle, so they
-        # always compute and never read or write a cache
+        # always compute and never read or write a cache; special reads
+        # one only at --cache-dir, and the old variable names none
         monkeypatch.setenv("FFZETA_CACHE_DIR", str(tmp_path))
         code, out, _ = run_cli(*argv)
         assert code in (0, 3)
@@ -620,8 +701,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ("special", "--p", "2", "--j", "7"),
     ], ids=lambda argv: argv[0])
-    def test_cache_counters_go_in_timing_only(self, argv, tmp_path, monkeypatch):
-        monkeypatch.delenv("FFZETA_CACHE_DIR", raising=False)
+    def test_cache_counters_go_in_timing_only(self, argv, tmp_path):
         code, out, _ = run_cli(*argv)
         plain = json.loads(out)
         assert "counters" not in plain["timing"]

@@ -17,12 +17,10 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffzeta import cli
-from ffzeta.cache import ENV_CACHE_DIR
 
 # (p, m) with p^m <= 9
 FIELDS = [("2", "1"), ("2", "2"), ("2", "3"), ("3", "1"), ("3", "2"),
@@ -130,15 +128,13 @@ def _run(argv):
 @given(r=st.randoms(use_true_random=False))
 def test_every_request_exits_with_a_documented_code(r):
     argv = _request(r)
-    with pytest.MonkeyPatch.context() as mp:  # no request touches a disk cache
-        mp.delenv(ENV_CACHE_DIR, raising=False)
-        code, out = _run(argv)
-        assert code in (0, 2, 3, 4), (argv, code)
-        if "--f" in argv[:-1] and argv[argv.index("--f") + 1] in BAD_POLYS:
-            assert code == 2, argv  # a malformed polynomial is a usage error
-        if code != 0:
-            return
-        assert json.loads(out)["command"] == argv[0]
-        again_code, again = _run(argv)
+    code, out = _run(argv)  # no request names a --cache-dir
+    assert code in (0, 2, 3, 4), (argv, code)
+    if "--f" in argv[:-1] and argv[argv.index("--f") + 1] in BAD_POLYS:
+        assert code == 2, argv  # a malformed polynomial is a usage error
+    if code != 0:
+        return
+    assert json.loads(out)["command"] == argv[0]
+    again_code, again = _run(argv)
     assert again_code == 0
     assert again.split('"timing"')[0] == out.split('"timing"')[0], argv

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import compress
 
 import numpy as np
@@ -412,6 +413,13 @@ class TestParsing:
         assert strings == [_encode_reference(F, a) for a in elements]
         assert F.encode_strs(elements) == strings
         assert F.decode_strs(strings) == tuple(elements)
+
+    @pytest.mark.parametrize("text,term", [("[01T+1", "[01T"), ("[", "["),
+                                           ("T+[1", "[1")])
+    def test_unclosed_bracket_names_the_term(self, text, term):
+        # str.index raised "substring not found", which the CLI printed
+        with pytest.raises(UsageError, match=re.escape(f"unclosed bracket in term {term!r}")):
+            poly_parse(F4, text)
 
     def test_dotted_digits_over_f121(self):
         F121 = FiniteField(11, 2)

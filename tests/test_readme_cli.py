@@ -1,8 +1,8 @@
 """The README's CLI examples, pinned: exit code and envelope outside ``timing``.
 
 Every ``ffzeta ...`` line of the README's CLI block runs in-process.  The
-power-sum cache goes to a fresh temporary directory (``$FFZETA_CACHE_DIR``,
-and ``./cache`` resolves there too, so the echoed config is unchanged).
+power-sum cache goes to a fresh temporary directory (``./cache`` resolves
+there, so the echoed config is unchanged).
 Each result is compared byte for byte with ``tests/golden/readme_*.json``.
 """
 
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from ffzeta import cli
-from ffzeta.cache import ENV_CACHE_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,7 +54,6 @@ def test_readme_has_the_examples():
                          ids=[" ".join(argv) for argv in EXAMPLES])
 def test_readme_example_matches_golden(index, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "env-cache"))
     got = run_example(argv)
     expected = json.loads(golden_path(index, argv).read_text())
     assert got["exit"] == expected["exit"]

@@ -192,7 +192,17 @@ class TestLayeredEngine:
 
     def test_a_spot_checked_warm_request_opens_one_pass(self, tmp_path, monkeypatch):
         from ffzeta.cache import PowerSumCache
-        cold = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path, verify_fraction=0.0))
+
+        class Checks(PowerSumCache):
+            def __init__(self, root, every):
+                super().__init__(root)
+                self.every = every
+
+            def should_spot_check(self, field, d, j):
+                self.spot_checks += self.every
+                return self.every
+
+        cold = special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path))
         opened = []
         layers = zeta_module._layers
 
@@ -200,13 +210,13 @@ class TestLayeredEngine:
             opened.append(args)
             return layers(*args)
         monkeypatch.setattr(zeta_module, "_layers", counted)
-        cache = PowerSumCache(tmp_path, verify_fraction=1.0)
+        cache = Checks(tmp_path, True)
         warm = special_polynomial(F3, 1931, cache=cache)
         assert warm == cold
         assert len(opened) == 1
         assert cache.hits == cache.spot_checks == len(cold.coeffs)
         opened.clear()
-        special_polynomial(F3, 1931, cache=PowerSumCache(tmp_path, verify_fraction=0.0))
+        special_polynomial(F3, 1931, cache=Checks(tmp_path, False))
         assert opened == []
 
     @pytest.mark.parametrize("field,jmax", [(F2, 1000), (F3, 2200), (F9, 2200)])
@@ -241,7 +251,7 @@ class TestLayeredEngine:
                 yield layer
 
         with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
-            cold = special_polynomial(field, j, cache=PowerSumCache(root, verify_fraction=0.0))
+            cold = special_polynomial(field, j, cache=PowerSumCache(root))
             mp.setattr(zeta_module, "_layers", counted)
             built.clear()
             cache = DrawnChecks(root, checked)
@@ -595,9 +605,9 @@ class TestTwistIdentity:
 class TestCacheTransparency:
     def test_cached_equals_fresh(self, tmp_path):
         from ffzeta.cache import PowerSumCache
-        cache = PowerSumCache(tmp_path, verify_fraction=0.0)
-        cold = [power_sum(F3, d, j, cache=cache) for d in range(4) for j in range(9)]
-        warm = [power_sum(F3, d, j, cache=cache) for d in range(4) for j in range(9)]
-        plain = [power_sum(F3, d, j) for d in range(4) for j in range(9)]
+        cache = PowerSumCache(tmp_path)
+        cold = [special_polynomial(F3, j, 3, cache=cache).coeffs for j in range(9)]
+        warm = [special_polynomial(F3, j, 3, cache=cache).coeffs for j in range(9)]
+        plain = [[power_sum(F3, d, j) for d in range(len(c))] for j, c in enumerate(cold)]
         assert cold == warm == plain
-        assert cache.writes > 0 and cache.hits > 0
+        assert cache.writes > 0 and cache.hits == cache.writes
