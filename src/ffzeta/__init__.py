@@ -49,7 +49,6 @@ from .zeta import (  # noqa: F401
 from .newton import (  # noqa: F401
     NewtonPolygon,
     RhVerdict,
-    ZeroSpectrum,
     hensel_root,
     newton_polygon,
     rh_verdict,

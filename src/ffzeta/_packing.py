@@ -68,19 +68,9 @@ def ceil_log(r: int, x: int) -> int:
     return L
 
 
-def lucas_subsets(j: int, p: int) -> list[tuple[int, int]]:
-    """All (t, C(j, t) mod p) with C(j, t) nonzero mod p, (0, 1) first.
-
-    By Lucas' theorem these t are the numbers whose base-p digits t_i
-    are at most the digits j_i of j, and C(j, t) = prod C(j_i, t_i) mod p.
-    A digit j_i < p makes every C(j_i, t_i) with t_i <= j_i a unit, so no
-    listed coefficient vanishes.
-    """
-    return _digit_subsets(base_digits(j, p), p, 1)
-
-
 def _digit_subsets(digits, p: int, pk: int) -> list[tuple[int, int]]:
-    """lucas_subsets of the number with these base-p digits times pk."""
+    """The Lucas subsets, as ``lucas_residue`` lists them at m = 1, of the
+    number with these base-p digits, times pk."""
     out = [(0, 1)]
     for d in digits:
         if d:
@@ -91,8 +81,13 @@ def _digit_subsets(digits, p: int, pk: int) -> list[tuple[int, int]]:
 
 
 def lucas_residue(j: int, p: int, m: int, r: int) -> list[tuple[int, int]]:
-    """The pairs of ``lucas_subsets(j, p)`` with t = r mod m, (0, 1) first
-    when m divides r.
+    """All (t, C(j, t) mod p) with C(j, t) nonzero mod p and t = r mod m,
+    (0, 1) first when m divides r; m = 1 lists every such t.
+
+    By Lucas' theorem these t are the numbers whose base-p digits t_i
+    are at most the digits j_i of j, and C(j, t) = prod C(j_i, t_i) mod p.
+    A digit j_i < p makes every C(j_i, t_i) with t_i <= j_i a unit, so no
+    listed coefficient vanishes.
 
     Meet in the middle: t = s + u with s on the low half of j's digits
     and u on the high half, grouped by u mod m.  Each s meets only the

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import stat
 import tempfile
 import zlib
 from pathlib import Path
@@ -50,6 +51,11 @@ SPOT_CHECK_FRACTION = 0.05  # of the hits, recomputed and compared
 class PowerSumCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        try:  # a root that is there, or a file above it, raises an OSError
+            if not stat.S_ISDIR(self.root.stat().st_mode):
+                raise NotADirectoryError(f"cache directory {root} is not a directory")
+        except FileNotFoundError:  # made on the first write
+            pass
         self.hits = 0
         self.misses = 0
         self.writes = 0

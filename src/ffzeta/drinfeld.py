@@ -25,7 +25,9 @@ Each verified result is a ``functools.cache`` entry keyed by value as
 later request finds it again.  Each Dirichlet table is kept the same
 way, frozen, under (base field, phi_T, degree bound).  A call that
 raises (bad reduction, no solution, a field mismatch, an unsupported
-module) is not stored and raises again next time.  The slow oracle for
+module) is not stored and raises again next time.  Special values
+sum c(n) n^j come from the Euler product, one kept Frobenius result and
+one power f^j per prime, and read no table.  The slow oracle for
 ``lseries_coeffs``, ``lseries_coeffs_by_expansion``, solves every prime
 and builds its table afresh, and neither reads nor writes those entries.
 
@@ -374,14 +376,6 @@ class DirichletCoefficients:
     def at(self, n: Poly) -> Poly:
         return self.c.get(n, Poly.zero(self.field))
 
-    def nonzero_up_to(self, dmax: int):
-        """(deg n, n, c(n)) for every stored n with deg n <= dmax and
-        c(n) != 0; c vanishes at every other monic of degree <= dmax."""
-        for n, cn in self.c.items():
-            d = int(n.degree)
-            if d <= dmax and not cn.is_zero():
-                yield d, n, cn
-
 
 def _frozen_table(field: FiniteField, c: dict, skipped: list
                   ) -> DirichletCoefficients:
@@ -405,13 +399,9 @@ def lseries_coeffs(module: DrinfeldModule, degree_bound: int
                    ) -> DirichletCoefficients:
     """Dirichlet coefficients of the module's L-series up to the bound,
     built multiplicatively from per-prime Frobenius data; bad primes are
-    skipped and recorded.
-
-    A table is a ``functools.cache`` entry of ``_kept_dirichlet``, keyed
-    by value as (module.base_field, module.phi_T, degree_bound) once it is
-    built, and later calls with equal values return it; a build that
-    raises is not stored.
-    """
+    skipped and recorded.  A table is a ``functools.cache`` entry of
+    ``_kept_dirichlet``, keyed by value as (module.base_field,
+    module.phi_T, degree_bound); a build that raises is not stored."""
     return _kept_dirichlet(*_supported(module, degree_bound))
 
 
@@ -427,27 +417,28 @@ def _build_dirichlet(module: DrinfeldModule, degree_bound: int
     field = module.base_field
     c = {Poly.one(field): Poly.one(field)}
     skipped = []
+    for f, data in _good_primes(module, degree_bound, skipped):
+        deg_f = int(f.degree)
+        kmax = degree_bound // deg_f
+        hs = local_factor_coeffs(data, kmax)
+        for n, cn in list(c.items()):  # the n prime to f
+            nf = n  # n f^k
+            for k in range(1, (degree_bound - int(n.degree)) // deg_f + 1):
+                nf = nf * f
+                c[nf] = cn * hs[k]
+    return _frozen_table(field, c, skipped)
+
+
+def _good_primes(module: DrinfeldModule, degree_bound: int, skipped: list):
+    """(f, kept Frobenius data) per good prime; bad ones go to ``skipped``."""
     for deg_f in range(1, degree_bound + 1):
-        for f in enumerate_monic_primes(field, deg_f):
+        for f in enumerate_monic_primes(module.base_field, deg_f):
             try:
                 data = frobenius_charpoly(module, f)
             except BadReduction:
                 skipped.append(f)
                 continue
-            kmax = degree_bound // deg_f
-            hs = local_factor_coeffs(data, kmax)
-            f_pows = [Poly.one(field), f]  # f^k for k <= kmax
-            while len(f_pows) <= kmax:
-                f_pows.append(f_pows[-1] * f)
-            updates = {}
-            for n, cn in c.items():
-                nd = int(n.degree) if n.coeffs else 0
-                for k in range(1, kmax + 1):
-                    if nd + k * deg_f > degree_bound:
-                        break
-                    updates[n * f_pows[k]] = cn * hs[k]
-            c.update(updates)
-    return _frozen_table(field, c, skipped)
+            yield f, data
 
 
 def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
@@ -518,11 +509,19 @@ def _tpoly_mul(a: list[Poly], b: list[Poly], kmax: int) -> list[Poly]:
 
 def lseries_special_coeffs(module: DrinfeldModule, j: int, dmax: int
                            ) -> list[Poly]:
-    """Exact A-coefficients sum over deg n = d of c(n) n^j, for d <= dmax."""
-    field = module.base_field
-    coeffs = lseries_coeffs(module, dmax)
-    out = [Poly.zero(field)] * (dmax + 1)
-    for d, n, cn in coeffs.nonzero_up_to(dmax):
-        out[d] = out[d] + cn * n ** j
+    """Exact A-coefficients sum over deg n = d of c(n) n^j, for d <= dmax,
+    from the Euler product: in ascending degree, each good prime f divides
+    the series by 1 - a y + mu y^2 (rank 1: 1 - mu y), y = f^j x^(deg f)."""
+    _supported(module, dmax)
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    out = [Poly.one(module.base_field)] + [Poly.zero(module.base_field)] * dmax
+    for f, data in _good_primes(module, dmax, []):
+        e, fj = int(f.degree), f ** j
+        A = (data.mu if data.rank == 1 else data.a) * fj
+        M = data.mu * fj * fj if data.rank == 2 else None
+        for d in range(e, dmax + 1):
+            out[d] = out[d] + A * out[d - e]
+            if M is not None and d >= 2 * e:
+                out[d] = out[d] - M * out[d - 2 * e]
     return out
-

@@ -176,20 +176,15 @@ def newton_polygon(source) -> NewtonPolygon:
     raise TypeError("newton_polygon needs a family or special polynomial")
 
 
-@dataclass
-class ZeroSpectrum:
-    """Valuations and multiplicities of the reciprocal zeroes in the
-    trusted window, one entry per polygon segment."""
-
-    segments: list[Segment]
-    provisional: bool
-
-
-def zero_spectrum(np_: NewtonPolygon, accept_provisional: bool = False) -> ZeroSpectrum:
+def zero_spectrum(np_: NewtonPolygon, accept_provisional: bool = False
+                  ) -> NewtonPolygon:
+    """The polygon, whose segments give the valuations and multiplicities
+    of the reciprocal zeroes in the trusted window; a provisional polygon
+    raises unless accepted, and then carries its tag."""
     if np_.provisional and not accept_provisional:
         raise PreconditionViolated(
             "polygon is provisional; pass accept_provisional=True to tag it")
-    return ZeroSpectrum(np_.segments, np_.provisional)
+    return np_
 
 
 @dataclass
@@ -208,7 +203,7 @@ class RhVerdict:
     passed: bool
 
 
-def rh_verdict(spectrum: ZeroSpectrum) -> RhVerdict:
+def rh_verdict(spectrum: NewtonPolygon) -> RhVerdict:
     unique = [s.length == 1 for s in spectrum.segments]
     exceptions = [s for s in spectrum.segments if s.length > 1]
     b_hat = exceptions[-1].d_end if exceptions else 0

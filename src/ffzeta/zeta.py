@@ -142,7 +142,7 @@ def _binomial_window(p: int, e: int, prec: int, part, scale: int = 1) -> list[in
     """
     low = e % p ** ceil_log(p, prec)
     terms = [(c * scale % p, x, t)
-             for t, c in pk.lucas_subsets(low, p) if t < prec and (x := part(t))]
+             for t, c in pk.lucas_residue(low, p, 1, 0) if t < prec and (x := part(t))]
     return pk.pk_unpack(pk.pk_sum(terms, p, prec), prec, p)
 
 

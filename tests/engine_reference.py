@@ -35,7 +35,7 @@ def monic_sum(p: int, q: int, d: int, j: int) -> int:
     """S_d(j) over F_q, packed: C(j, t) T^(d(j-t)) E_d(t) over every
     Lucas subset t of j, whatever its class mod q-1."""
     terms = [(c, subspace_sum(p, q, d, t), d * (j - t))
-             for t, c in pk.lucas_subsets(j, p)]
+             for t, c in pk.lucas_residue(j, p, 1, 0)]
     return pk.pk_sum(terms, p, d * j + 1)
 
 

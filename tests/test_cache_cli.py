@@ -325,7 +325,7 @@ class TestCli:
         assert doc["command"] == argv[0]
         assert set(doc["config"]) == option_dests(argv[0])
         if argv[0] == "verify":
-            assert set(doc["timing"]) == {"seconds", "total_seconds", "per_criterion"}
+            assert set(doc["timing"]) == {"seconds", "per_criterion"}
             assert set(doc["timing"]["per_criterion"]) == {"7"}
         else:
             assert set(doc["timing"]) == {"seconds"}
@@ -673,6 +673,33 @@ class TestCli:
         assert code == 0
         files = list((tmp_path / "p3_m1").glob("S_d*_j5.txt"))
         assert files
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_cache_dir_that_is_no_directory_is_a_resource_error(self, tmp_path, below):
+        # both exited 3, as an unreadable entry ("Not a directory")
+        plain = tmp_path / "plain"
+        plain.write_text("kept")
+        root = plain.joinpath(*below)
+        with pytest.raises(OSError):
+            PowerSumCache(root)
+        code, out, err = run_cli("special", "--p", "2", "--j", "3",
+                                 "--cache-dir", str(root))
+        assert (code, out) == (4, "") and err.startswith("resource error:")
+        assert plain.read_text() == "kept"
+
+    def test_entry_that_is_a_directory_is_corruption(self, tmp_path):
+        (tmp_path / "p2_m1" / "S_d0_j3.txt").mkdir(parents=True)
+        code, out, err = run_cli("special", "--p", "2", "--j", "3",
+                                 "--cache-dir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("verification failure: unreadable cache entry")
+
+    def test_empty_cache_dir_is_a_usage_error(self, tmp_path, monkeypatch):
+        # ran without a cache and exited 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("special", "--p", "2", "--j", "3", "--cache-dir", "")
+        assert (code, out) == (2, "") and "--cache-dir" in err
+        assert not list(tmp_path.iterdir())
 
     def test_warm_special_reports_its_cache_counters(self, tmp_path):
         # F_3, j = 1931: B = 5, so six entries, of which the CRC-32 rule

@@ -380,26 +380,42 @@ class TestLSeries:
             assert specials[d] == power_sum(F3, d, 3)
 
 
-# rank-2 modules phi_T = theta + g_1 tau + g_2 tau^2: (field, (g_1, g_2),
-# bad primes, degree bound)
-_RANK2_LSERIES = {
-    "1,T-F2": (F2, ["1", "T"], ["T"], 5),
-    "T,1-F3": (F3, ["T", "1"], [], 3),
+_ORACLE_GRID = [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (F9, 1)]
+# The last two make the norm N(g_r) of the leading coefficient differ
+# from 1: g_1 = T+1 in rank 1, and in rank 2 the constant 2, a unit other
+# than 1 (F_2 has no such unit and takes 1).
+_ORACLE_MODULES = {
+    "carlitz": carlitz_module,
+    "T,1": lambda F: module_over_A(F, [Poly.variable(F), Poly.one(F)]),
+    "1,1": lambda F: module_over_A(F, [Poly.one(F), Poly.one(F)]),
+    "1,T": lambda F: module_over_A(F, [Poly.one(F), Poly.variable(F)]),
+    "T+1": lambda F: module_over_A(F, [poly_parse(F, "T+1")]),
+    "T,2": lambda F: module_over_A(
+        F, [Poly.variable(F), Poly(F, (2 if F.order > 2 else 1,))]),
 }
 
 
-class TestLSeriesRank2:
-    """The sums read from the coefficient table against the per-monic
-    definition: every monic n of degree d, with c(n) taken from the
-    independent expansion route."""
+# (field, degree bound) of the special-value cases, each with every module
+# of _ORACLE_MODULES; "1,T" and "T+1" have bad reduction at g_rank
+_LSERIES_FIELDS = {"F2": (F2, 5), "F3": (F3, 3), "F4": (F4, 3), "F5": (F5, 2)}
+_LSERIES_BAD = {"1,T": "T", "T+1": "T+1"}
 
-    @pytest.fixture(params=sorted(_RANK2_LSERIES), scope="class")
+
+class TestLSeriesRank2:
+    """The special values of the Euler product against the per-monic
+    definition: sum c(n) n^j over every monic n of degree d, with c(n)
+    taken from the independent expansion route, in ranks 1 and 2."""
+
+    @pytest.fixture(params=[(m, F) for m in sorted(_ORACLE_MODULES)
+                            for F in _LSERIES_FIELDS],
+                    ids=lambda mf: "-".join(mf), scope="class")
     def case(self, request):
-        field, gs, bad, dmax = _RANK2_LSERIES[request.param]
-        module = module_over_A(field, [poly_parse(field, g) for g in gs])
+        name, fname = request.param
+        field, dmax = _LSERIES_FIELDS[fname]
+        module = _ORACLE_MODULES[name](field)
         exp = lseries_coeffs_by_expansion(module, dmax)
-        bad = [poly_parse(field, f) for f in bad]
-        assert exp.skipped == tuple(bad) == lseries_coeffs(module, dmax).skipped
+        bad = tuple(poly_parse(field, f) for f in [_LSERIES_BAD.get(name)] if f)
+        assert exp.skipped == bad == lseries_coeffs(module, dmax).skipped
         assert any(not exp.at(n).is_zero() for n in enumerate_monic(field, dmax))
         return module, dmax, exp
 
@@ -410,6 +426,14 @@ class TestLSeriesRank2:
         want = [sum((exp.at(n) * n ** j for n in enumerate_monic(field, d)),
                     Poly.zero(field)) for d in range(dmax + 1)]
         assert lseries_special_coeffs(module, j, dmax) == want
+
+    def test_rank_3_and_negative_j_raise_before_any_work(self):
+        # at dmax = 0 no prime is visited, so only the up-front checks raise
+        rank3 = module_over_A(F2, [Poly.one(F2)] * 3)
+        with pytest.raises(PreconditionViolated):
+            lseries_special_coeffs(rank3, 1, 0)
+        with pytest.raises(ValueError):
+            lseries_special_coeffs(carlitz_module(F2), -1, 0)
 
 
 def _polys_up_to(field, max_deg):
@@ -436,21 +460,6 @@ def _frobenius_by_search(red, f):
         sols += [(a, mu) for a in _polys_up_to(field, d // 2)
                  if red.phi(a) * fr == rhs]
     return sols
-
-
-_ORACLE_GRID = [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (F9, 1)]
-# The last two make the norm N(g_r) of the leading coefficient differ
-# from 1: g_1 = T+1 in rank 1, and in rank 2 the constant 2, a unit other
-# than 1 (F_2 has no such unit and takes 1).
-_ORACLE_MODULES = {
-    "carlitz": carlitz_module,
-    "T,1": lambda F: module_over_A(F, [Poly.variable(F), Poly.one(F)]),
-    "1,1": lambda F: module_over_A(F, [Poly.one(F), Poly.one(F)]),
-    "1,T": lambda F: module_over_A(F, [Poly.one(F), Poly.variable(F)]),
-    "T+1": lambda F: module_over_A(F, [poly_parse(F, "T+1")]),
-    "T,2": lambda F: module_over_A(
-        F, [Poly.variable(F), Poly(F, (2 if F.order > 2 else 1,))]),
-}
 
 
 class TestFrobeniusOracle:

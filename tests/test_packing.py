@@ -14,8 +14,8 @@ of a digit.  ``pk_sum`` is also run with every digit full across its
 renormalisation edges, where a late renormalisation carries into the next
 digit.
 
-``lucas_subsets`` and ``lucas_residue`` are held to the plain list of
-C(j, t) mod p over every t <= j, filtered by residue.
+``lucas_residue`` is held to the plain list of C(j, t) mod p over every
+t <= j, unfiltered at m = 1 and filtered by residue otherwise.
 """
 
 from math import comb
@@ -292,7 +292,7 @@ class TestLucasEnumerators:
     @given(lucas_case())
     def test_subsets_match_the_binomial_oracle(self, case):
         j, p, _ = case
-        got = pk.lucas_subsets(j, p)
+        got = pk.lucas_residue(j, p, 1, 0)
         assert got[0] == (0, 1)
         assert sorted(got) == _lucas_oracle(j, p)
 
