@@ -332,12 +332,23 @@ def pk_sparse_mul(big: int, terms, p: int, length: int) -> int:
     return pk_sum([(c, big, pos) for pos, c in terms], p, length)
 
 
+def _pow_coeffs(coeffs, e: int, p: int) -> list[int]:
+    """Coefficients of n^e for e >= 1, by squaring with :func:`pk_mul`."""
+    if e == 1:
+        return list(coeffs)
+    half = _pow_coeffs(coeffs, e // 2, p)
+    out = pk_mul(half, half, p, 2 * len(half) - 1)
+    return pk_mul(out, coeffs, p, len(out) + len(coeffs) - 1) if e & 1 else out
+
+
 def pk_pow(coeffs, j: int, p: int) -> int:
     """n**j in F_p[T] via base-p Frobenius factorisation, packed.
 
-    Coefficients of the prime field are Frobenius-fixed, so n^(p^k) is the
-    digit spread of n by p^k, and every genuine multiplication is
-    big-by-sparse.  At p = 2 that is :func:`f2_pow` on bit ints.
+    Coefficients of the prime field are Frobenius-fixed, so (n^e)^(p^k) is
+    the digit spread of n^e by p^k.  Each nonzero base-p digit e of j
+    takes n^e by squaring the short n, then one big-by-sparse product by
+    its spread, so a digit near p costs about log2(p) small products and
+    not p big ones.  At p = 2 that is :func:`f2_pow` on bit ints.
     """
     if p == 2:
         return f2_pow(f2_from_coeffs(coeffs), j)
@@ -347,9 +358,11 @@ def pk_pow(coeffs, j: int, p: int) -> int:
     while j:
         j, digit = divmod(j, p)
         if digit:
-            terms = pk_spread_terms(coeffs, p ** k)
-            for _ in range(digit):
-                acc = pk_sparse_mul(acc, terms, p, out_len)
+            power = _pow_coeffs(coeffs, digit, p)
+            if k == 0:  # acc is 1
+                acc = pk_pack(power, p)
+            else:
+                acc = pk_sparse_mul(acc, pk_spread_terms(power, p ** k), p, out_len)
         k += 1
     return acc
 

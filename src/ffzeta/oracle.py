@@ -8,47 +8,54 @@ arithmetic runs in the power loop, so a fault in those kernels shows as a
 disagreement between the two routes instead of reaching both sides.  The
 square-root example's Hecke sums (:mod:`ffzeta.sqrtcar`) come from here.
 
-The monics of degree d with index in [start, stop) (the order of
-:func:`ffzeta.ffpoly.monic_by_index`) are the rows of a numpy block, one
-coefficient per column.  Write j = sum_k j_k p^k in base p.  Then n^j is
-the product over k of (n^(j_k))^(p^k), and
+Over F_2 a chunk of monics is one Python int (bit-slicing), field r of
+S bits holding T^d + r, with S wide enough for n^j, n and n mod f.  n^j
+is the product of the factors n(T^(2^k)) over the bits of j, each one
+AND, shift and XOR per coefficient of n on all fields at once; n mod f
+is the XOR of the T^i mod f over the bits of n, and a sum over rows is
+an XOR fold of the fields.  Every other field puts the monics in the
+rows of a numpy block, one coefficient per column.  Write j = sum_k j_k
+p^k in base p.  Then n^j is the product over k of (n^(j_k))^(p^k), and
 (sum_i c_i T^i)^(p^k) = sum_i c_i^(p^k) T^(i p^k) is a factor whose
-nonzero positions are the same in every row.  So each row's n^(j_k) takes
-j_k - 1 products by n, and each factor one shifted multiply-add per
-nonzero position, each over the whole block.
+nonzero positions are the same in every row.  So each row's n^(j_k)
+takes j_k - 1 products by n, and each factor one shifted multiply-add
+per nonzero position, each over the whole block.
 
 Over F_p the entries are residues in the narrowest of 16, 32 and 64 bits
-that holds a product (p < 2^32), reduced before a sum could overflow;
-over F_2 they are bits (AND, XOR).  Over F_(p^m) a product reads the field's multiplication table and a
-sum its addition table (XOR for p = 2).  A sum over rows adds the base-p
+that holds a product (p < 2^32), reduced before a sum could overflow.
+Over F_(p^m) a product reads the field's multiplication table and a sum
+its addition table (XOR for p = 2).  A sum over rows adds the base-p
 digits of the encodings mod p.  The multiples of f are the rows whose
 remainder mod f, by long division over the block, is zero; their sums
-come from the same powers, so one pass gives the full and the coprime sums
-of every divisor asked for.
+come from the same powers, so one pass gives the full and the coprime
+sums of every divisor asked for.
 
 Rows are taken in chunks of at most ``_CHUNK`` entries of n^j, so memory
 stays flat whatever q^d is.  Each chunk repeats the Python loop over the
 factor positions, the remainder masks and the digit sums, so a chunk must
-be large enough that numpy's arithmetic, not that per-call overhead, sets
-the cost.  numpy itself is imported on the oracle's first call, and a
-field's numpy tables are built on its first use, never at import: numpy
-is this module's alone, so a command that does not enumerate (everything
-but ``sqrtcar`` and ``verify``) runs without it.
+be large enough that the arithmetic, not that per-call overhead, sets
+the cost.  numpy is imported on the first enumeration over a field other
+than F_2, and a field's numpy tables are built on its first use, never
+at import: numpy is this module's alone, so ``sqrtcar`` (all over F_2)
+and every command that does not enumerate run without it.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import FieldMismatch, PreconditionViolated
 from .ffpoly import FiniteField, Poly, monic_indices
 
-np = None  # numpy, imported by _arith on the oracle's first call
+np = None  # numpy, imported by _arith on the first call over a field but F_2
 
 # Most entries of n^j held per chunk of rows: 2^17 (256 KiB of 16-bit
 # entries).  Against 2^14 it runs the verify battery's identity checks in
 # about 0.6 of the time, as 2^16 nearly does; 2^18 gains little more and
-# holds 1.5 MB more at peak (2.6 MB over 2^14, 7% of such a run).
+# holds 1.5 MB more at peak (2.6 MB over 2^14, 7% of such a run).  Over
+# F_2 a chunk is one int of 2^17 bits (16 KiB): 8 or 16 times wider ran
+# slower.
 _CHUNK = 1 << 17
 
 
@@ -61,9 +68,9 @@ class _Arith:
         self.weights = p ** np.arange(m, dtype=np.int64)  # of the base-p digits
         if m == 1:
             # the narrowest entries that hold (p-1) + (p-1)^2, and how many
-            # products an entry in [0, p) takes before it must be reduced
-            # (F_2 is never reduced: its sums are XOR); 16 bits at least, so
-            # that every small field runs the same numpy loops
+            # products an entry in [0, p) takes before it must be reduced;
+            # 16 bits at least, so that every small field runs the same
+            # numpy loops
             self.dtype = np.dtype(np.uint16 if p <= 256
                                   else np.uint32 if p < 1 << 16 else np.uint64)
             self.batch = (int(np.iinfo(self.dtype).max) - p + 1) // (p - 1) ** 2
@@ -92,21 +99,18 @@ class _Arith:
         view a slice of ``out`` (numpy broadcasting applies); ``out`` ends
         reduced into [0, p), and an entry takes ``batch`` products between
         two reductions."""
-        residues = self.m == 1 and self.p > 2
         for i, (view, a, c) in enumerate(terms, 1):
-            if self.m > 1:
-                product = self.mul.take(self._index(c, a))
-                if self.add is None:
-                    view ^= product
-                else:
-                    view[...] = self.add.take(self._index(product, view))
-            elif self.p == 2:
-                view ^= a & c
-            else:
+            if self.m == 1:
                 view += a * c
-            if residues and i % self.batch == 0:
-                out %= self.p
-        if residues:
+                if i % self.batch == 0:
+                    out %= self.p
+                continue
+            product = self.mul.take(self._index(c, a))
+            if self.add is None:
+                view ^= product
+            else:
+                view[...] = self.add.take(self._index(product, view))
+        if self.m == 1:
             out %= self.p
 
     def frobenius(self, a, k: int):
@@ -118,7 +122,7 @@ class _Arith:
         (columns,) over F_p, (columns, m) over F_(p^m)."""
         if self.p == 2:  # the bits of an encoding are its digits
             sums = np.bitwise_xor.reduce(block, axis=0)
-            return sums if self.m == 1 else sums[:, None] >> np.arange(self.m) & 1
+            return sums[:, None] >> np.arange(self.m) & 1
         if self.m == 1:
             return block.sum(axis=0, dtype=np.uint64) % self.p
         # one base-p digit at a time, so no temporary is wider than the block
@@ -132,7 +136,7 @@ class _Arith:
 @functools.cache
 def _arith(field: FiniteField) -> _Arith:
     """The field's arithmetic; every array helper below takes it, so the
-    first call of the oracle imports numpy here."""
+    first enumeration over a field but F_2 imports numpy here."""
     global np
     import numpy as np
     return _Arith(field)
@@ -191,10 +195,6 @@ def _remainder_table(ar: _Arith, field: FiniteField, d: int, divisors):
     = sum_k n_k (T^k mod f)."""
     blocks, spans, at = [], [], 0
     for f in divisors:
-        if f.field != field:
-            raise FieldMismatch("divisor over a different field")
-        if not f.is_monic:
-            raise PreconditionViolated("the divisor must be monic")
         df = len(f.coeffs) - 1
         neg_low = np.array([[field.neg(c) for c in f.coeffs[:-1]]], ar.dtype)
         rem = np.eye(d + 1, max(d + 1, df), dtype=ar.dtype)
@@ -207,14 +207,82 @@ def _remainder_table(ar: _Arith, field: FiniteField, d: int, divisors):
     return np.concatenate(blocks or [np.zeros((d + 1, 0), ar.dtype)], axis=1), spans
 
 
+def _fold(x: int, s: int, rows: int) -> int:
+    """The XOR of the ``rows`` s-bit fields of x (rows a power of 2)."""
+    while rows > 1:
+        rows //= 2
+        x = (x & (1 << rows * s) - 1) ^ x >> rows * s
+    return x
+
+
+def _lane_sums(d: int, j: int, divisors: list[int], indices: range) -> list[int]:
+    """:func:`_block_sums` over F_2, each sum (and each f) an int whose bit
+    i is its coefficient of T^i.  A chunk is the 2^a monics whose indices
+    share all bits from a up: n_i for i < a is bit i of the field number,
+    so one set of masks serves every chunk, and n_i for i >= a is a bit of
+    the chunk's ``top``.  A field holds n^j, n and n mod f, and its top
+    bit stays free for the zero test of n mod f."""
+    s = -(-(max([d * j, d] + [f.bit_length() - 1 for f in divisors]) + 1) // 8) * 8
+    a = min(d, max(1, _CHUNK // s).bit_length() - 1,
+            max(len(indices) - 1, 0).bit_length())
+    # 1 and r in field r, by doubling (a row loop or big division is slower)
+    rows, ones, index, w = 1 << a, 1, 0, 1
+    while w < rows:
+        index |= (index + w * ones) << w * s
+        ones |= ones << w * s
+        w *= 2
+    bits = [index >> i & ones for i in range(a)]  # 1 where n_i = 1
+    masks = [(b << s) - b for b in bits]  # the whole field there
+    mods, rems = [], []  # T^i mod f for i <= d (T^0 mod 1 is 0), n mod f for n < T^a
+    for f in divisors:
+        top, r, row = f.bit_length() - 1, 1, []
+        for _ in range(d + 1):
+            if r >> top & 1:
+                r ^= f
+            row.append(r)
+            r <<= 1
+        mods.append(row)
+        rems.append(functools.reduce(operator.xor, map(operator.mul, bits, row), 0))
+    sums = [0] * (1 + len(divisors))
+    for base in range(indices.start >> a << a, indices.stop, rows):
+        top = (1 << d) + base  # the bits from a up of every n of the chunk
+        high = [i for i in range(a, d + 1) if top >> i & 1]
+        power = ones
+        for k in range(j.bit_length()):
+            if j >> k & 1:  # times n(T^(2^k))
+                terms = [(power & m) << (i << k) for i, m in enumerate(masks)]
+                terms += [power << (i << k) for i in high]
+                power = functools.reduce(operator.xor, terms)
+        lo, hi = max(indices.start - base, 0), min(indices.stop - base, rows)
+        if (lo, hi) != (0, rows):  # rows outside [start, stop) drop out
+            power &= (1 << hi * s) - (1 << lo * s)
+        sums[0] ^= _fold(power, s, rows)
+        for t, (row, rem) in enumerate(zip(mods, rems), 1):
+            rem ^= functools.reduce(operator.xor, (row[i] for i in high)) * ones
+            # a field of rem plus 2^(s-1) - 1 reaches its top bit iff it is
+            # not zero; zero marks the multiples of f
+            zero = ones ^ ((rem + (ones << s - 1) - ones) >> s - 1 & ones)
+            sums[t] ^= _fold(power & (zero << s) - zero, s, rows)
+    return sums
+
+
 def _block_sums(field: FiniteField, d: int, j: int, divisors=(), *,
                 start: int = 0, stop: int | None = None):
     """Digit sums of n^j over the monics of degree d with index in
     [start, stop): over all of them, then over the multiples of each monic
-    f of ``divisors``."""
+    f of ``divisors``.  Over F_2 they are ints (:func:`_lane_sums`), over
+    any other field numpy arrays."""
     if d < 0 or j < 0:
         raise ValueError("need d >= 0 and j >= 0")
     indices = monic_indices(field, d, start, stop)
+    for f in divisors:
+        if f.field != field:
+            raise FieldMismatch("divisor over a different field")
+        if not f.is_monic:
+            raise PreconditionViolated("the divisor must be monic")
+    if field.order == 2:
+        fs = [sum(c << i for i, c in enumerate(f.coeffs)) for f in divisors]
+        return _lane_sums(d, j, fs, indices)
     ar = _arith(field)
     table, spans = _remainder_table(ar, field, d, divisors)
     width = d * j + 1
@@ -234,6 +302,8 @@ def _block_sums(field: FiniteField, d: int, j: int, divisors=(), *,
 
 
 def _poly(field: FiniteField, sums) -> Poly:
+    if field.order == 2:
+        return Poly._of_reduced(field, map(int, bin(sums)[:1:-1]))
     return Poly._of_reduced(field, _arith(field).encodings(sums))
 
 
@@ -262,6 +332,8 @@ def coprime_power_sums(field: FiniteField, d: int, j: int, fs) -> list[Poly]:
     consulted, which is the point: this is the oracle side of those
     identities."""
     total, *multiples = _block_sums(field, d, j, fs)
+    if field.order == 2:
+        return [_poly(field, total ^ s) for s in multiples]
     p = field.p
     return [_poly(field, (total + p - s) % p) for s in multiples]
 

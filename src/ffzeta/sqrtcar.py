@@ -84,10 +84,10 @@ class HeckeIdentityReport:
 def hecke_identity(j: int, dmax: int) -> HeckeIdentityReport:
     """l_d(j) == S'_d(2j+1) for d <= dmax, exactly in A'.
 
-    The left side comes from the enumeration oracle (numpy rows of
-    monics), the right side from the power-sum engine on the packed
-    kernels, in one layered pass (the special polynomial at 2j+1); the
-    two routes share no kernel, and neither reads a cache.
+    The left side comes from the enumeration oracle (monics as the bit
+    fields of one int), the right side from the power-sum engine on the
+    packed kernels, in one layered pass (the special polynomial at
+    2j+1); the two routes share no kernel, and neither reads a cache.
     """
     ls = hecke_special(j, dmax)
     rhs = special_polynomial(_F2, 2 * j + 1, dmax).coeffs

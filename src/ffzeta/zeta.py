@@ -20,11 +20,12 @@ Two independent routes compute it:
 
 * :func:`power_sum_enumerated` (from :mod:`ffzeta.oracle`) lists the
   monic polynomials (optionally a sub-range of their indices) as rows of
-  a numpy block and raises them all to the power j at once, in its own
-  arithmetic: no packed kernel and no ``Poly`` product.  This is the
-  oracle route: slow, transparent, exactly the definition.  The test
-  suite pins the two routes against each other across fields, and the
-  identity checks below take their enumerated sides from it.
+  a block (bit fields of an int over F_2, numpy otherwise) and raises
+  them all to the power j at once, in its own arithmetic: no packed
+  kernel and no ``Poly`` product.  This is the oracle route: slow,
+  transparent, exactly the definition.  The test suite pins the two
+  routes against each other across fields, and the identity checks
+  below take their enumerated sides from it.
 
 Families of local-field coefficients (the d-th coefficient of the zeta
 series at a fixed exponent) come from the same recursion in closed form:

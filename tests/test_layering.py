@@ -108,8 +108,10 @@ ORACLES = {
     ("oracle.py", "multiples_power_sum"): FAST_SUMS,
     ("oracle.py", "coprime_power_sum"): FAST_SUMS,
     ("oracle.py", "coprime_power_sums"): FAST_SUMS,
-    # the power loop works on arrays alone: no Poly, hence no Poly product
+    # the power loops work on arrays or ints alone: no Poly, hence no Poly
+    # product
     ("oracle.py", "_power_rows"): {"Poly", *FAST_SUMS},
+    ("oracle.py", "_lane_sums"): {"Poly", *FAST_SUMS},
     ("sqrtcar.py", "hecke_special"): FAST_SUMS,
 }
 

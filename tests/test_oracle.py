@@ -6,10 +6,12 @@ are those with ``n % f`` zero.  The oracle must agree with it on every
 field kind (F_2, F_p with small, medium and 32-bit p, F_(2^m), F_(p^m)),
 on index sub-ranges cut anywhere, across row-chunk boundaries, and on
 empty ranges; and it must keep answering when the packed kernels of the
-fast route are broken.  numpy is the oracle's alone: a request that does
-not enumerate runs without importing it.
+fast route are broken.  numpy is the oracle's alone, and over F_2 the
+oracle works on Python ints: a request that does not enumerate, or
+enumerates over F_2 only, runs without importing it.
 """
 
+import os
 import subprocess
 import sys
 
@@ -95,6 +97,10 @@ def _cases(draw):
 @example(case=(F9, 3, 7, 700, 729, [poly_parse(F9, "T^2+[01]")], 22))
 @example(case=(F5, 3, 11, 0, 125, [poly_parse(F5, "T+2"), Poly.one(F5)], 64))
 def test_block_matches_per_monic_reference(case):
+    _check_against_reference(case)
+
+
+def _check_against_reference(case):
     field, d, j, start, stop, divisors, chunk = case
     want = _reference(field, d, j, start, stop, divisors)
     with pytest.MonkeyPatch.context() as mp:
@@ -103,6 +109,38 @@ def test_block_matches_per_monic_reference(case):
         if (start, stop) == (0, field.order ** d):  # the coprime masks
             total, multiples = want
             assert coprime_power_sums(field, d, j, divisors) == [total - m for m in multiples]
+
+
+@st.composite
+def _f2_cases(draw):
+    # the lane kernel of F_2: divisors up to two degrees above the width
+    # d*j + 1 of n^j, and chunks from one row to the shipped size
+    d = draw(st.integers(0, 7))
+    j = draw(st.integers(0, 70))
+    start = draw(st.integers(0, 2 ** d))
+    stop = draw(st.integers(start, min(2 ** d, start + 40)))
+    divisors = draw(st.lists(st.integers(0, d * j + 3).flatmap(lambda k: _monic(F2, k)),
+                             max_size=3))
+    chunk = draw(st.sampled_from([1, 8, 100, 1000, oracle._CHUNK]))
+    return F2, d, j, start, stop, divisors, chunk
+
+
+def _f2(text):
+    return poly_parse(F2, text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=_f2_cases())
+@example(case=(F2, 0, 0, 0, 1, [Poly.one(F2)], oracle._CHUNK))  # T^0 mod 1 is 0
+@example(case=(F2, 3, 5, 0, 8, [Poly.one(F2), _f2("T")], oracle._CHUNK))
+@example(case=(F2, 2, 1, 0, 4, [_f2("T^5+T^2+1"), _f2("T^3")], oracle._CHUNK))
+@example(case=(F2, 0, 9, 0, 1, [_f2("T+1")], 1))
+@example(case=(F2, 4, 0, 0, 16, [_f2("T+1"), _f2("T^2+T+1")], 8))
+@example(case=(F2, 5, 7, 3, 4, [_f2("T+1")], oracle._CHUNK))  # one row
+@example(case=(F2, 6, 11, 5, 60, [_f2("T^2+T+1")], 1000))  # odd, across chunks
+@example(case=(F2, 7, 9, 1, 128, [_f2("T^3+T+1")], 100))
+def test_f2_lanes_match_per_monic_reference(case):
+    _check_against_reference(case)
 
 
 @pytest.mark.parametrize("field", FIELDS[:6], ids=repr)
@@ -121,13 +159,16 @@ def test_public_sums_over_whole_degrees(field):
                 assert coprime_power_sum(field, d, j, f) == total - m
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 16, 100])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 16, 100, 1000])
 def test_chunk_boundaries_do_not_move_the_sums(chunk, monkeypatch):
     # chunk is counted in entries of n^j: width d*j + 1 = 7 here, so the
-    # rows split 1, 1, 1, 1, 2 and 14 at a time, and 27 or 81 rows cut
-    # anywhere
+    # rows split 1, 1, 1, 1, 2, 14 and 142 at a time, and 27 or 81 rows
+    # cut anywhere; over F_2 a chunk holds the largest power of 2 of rows
+    # whose byte-wide fields fit (at least one), so the 32 and 64 rows
+    # split 1, 4 or 32 at a time, and the ranges start and end inside
     cases = [(F3, 3, 2, 0, 27), (F3, 3, 2, 5, 26), (F9, 2, 3, 3, 80),
-             (F4, 3, 2, 1, 63), (F257, 1, 6, 0, 257)]
+             (F4, 3, 2, 1, 63), (F257, 1, 6, 0, 257), (F2, 5, 3, 0, 32),
+             (F2, 5, 3, 1, 31), (F2, 6, 2, 7, 64), (F2, 6, 2, 13, 14)]
     want = [_oracle(*c, [poly_parse(c[0], "T+1")]) for c in cases]
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     assert [_oracle(*c, [poly_parse(c[0], "T+1")]) for c in cases] == want
@@ -135,9 +176,9 @@ def test_chunk_boundaries_do_not_move_the_sums(chunk, monkeypatch):
 
 @pytest.mark.parametrize("field,d,j", [(F4, 6, 63), (F4, 5, 1023), (F2, 10, 1023)])
 def test_blocks_wider_than_a_chunk_match_the_engine(field, d, j):
-    # 1.55 M, 5.2 M and 10.5 M entries of n^j: 12, 41 and 86 chunks at
-    # the shipped chunk size; S_6(63) over F_4 is zero (6 > B = 3), the
-    # other two are not
+    # 1.55 M, 5.2 M and 10.5 M entries of n^j: 12 and 41 chunks at the
+    # shipped chunk size, and over F_2 128 chunks of 8 rows; S_6(63) over
+    # F_4 is zero (6 > B = 3), the other two are not
     assert field.order ** d * (d * j + 1) > 10 * oracle._CHUNK
     assert power_sum_enumerated(field, d, j) == power_sum(field, d, j)
 
@@ -195,6 +236,15 @@ def test_bad_arguments_are_refused():
         power_sum_enumerated(F2, 1, 1, start=0, stop=3)
 
 
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports ffzeta
+    from this test's path, under this test's environment (so that
+    PYTHONDONTWRITEBYTECODE, when set, holds there too)."""
+    env = {**os.environ, "PYTHONPATH": ":".join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
 def test_no_tables_at_import():
     # a field's numpy tables are built on its first use, so importing the
     # package (the benchmark's set-up) costs nothing more
@@ -202,14 +252,13 @@ def test_no_tables_at_import():
             "from ffzeta import oracle\n"
             "ffzeta.FiniteField(3, 2)\n"
             "print(oracle._arith.cache_info().currsize)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
-    assert out.stdout.strip() == "0"
+    assert _fresh(code).strip() == "0"
 
 
 def test_only_the_oracle_loads_numpy():
     # one fresh process: the package, then one request of each command that
-    # never enumerates, then sqrtcar, whose Hecke sums are the oracle's
+    # never enumerates, then sqrtcar and criterion 8, whose Hecke sums the
+    # oracle enumerates over F_2 on ints, and last one enumeration over F_3
     code = ("import contextlib, io, sys\n"
             "import ffzeta, ffzeta.cli\n"
             "def run(*argv):\n"
@@ -223,9 +272,10 @@ def test_only_the_oracle_loads_numpy():
             "run('frobenius', '--p', '3', '--f', 'T^2+1', '--tau-coeffs', '1,1')\n"
             "run('lseries', '--p', '2', '--module', 'carlitz', '--degree-bound', '4',"
             " '--j', '1')\n"
-            "run('sqrtcar', '--j', '1')\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
-    assert out.stdout.split("\n")[:-1] == [
+            "run('sqrtcar', '--j', '1')\n"
+            "run('verify', '--quick', '--criteria', '8')\n"
+            "ffzeta.oracle.power_sum_enumerated(ffzeta.FiniteField(3), 2, 5)\n"
+            "print('F_3', 0, 'numpy' in sys.modules)\n")
+    assert _fresh(code).split("\n")[:-1] == [
         "import 0 False", "special 0 False", "newton 0 False", "frobenius 0 False",
-        "lseries 0 False", "sqrtcar 3 True"]
+        "lseries 0 False", "sqrtcar 3 False", "verify 3 False", "F_3 0 True"]

@@ -247,6 +247,26 @@ class TestPolyPower:
         length = (len(a) - 1) * j + 1
         assert _trim(pk.pk_unpack(pk.pk_pow(a, j, p), length, p)) == want
 
+    @pytest.mark.parametrize("p", [3, 5, 257])
+    def test_digits_near_p_match_the_schoolbook_power(self, p):
+        # each base-p digit of j is one power of n by squaring; digits p - 1
+        # and p - 2 take the most squarings and products, in the low and in
+        # the high place, with n dense (all p - 1, every digit full) or not
+        for n in ([p - 1] * 3, [1, 0, 2, 1]):
+            for j in (p - 1, p - 2, p + p - 2, (p - 1) * p + p - 2, (p - 2) * p * p + 1):
+                if p == 257 and j > 2 * p:
+                    continue  # the schoolbook reference is too slow there
+                want, x, e = [1], n, j  # square-and-multiply, schoolbook products
+                while e:
+                    if e & 1:
+                        want = _schoolbook_mul(want, x, p)
+                    e >>= 1
+                    x = _schoolbook_mul(x, x, p) if e else x
+                length = (len(n) - 1) * j + 1
+                got = pk.pk_unpack(pk.pk_pow(n, j, p), length, p)
+                assert tuple(got) == want  # n's top coefficient is a unit
+                assert (Poly(FiniteField(p), n) ** j).coeffs == want
+
 
 # ---------------------------------------------------------------------------
 # Lucas enumerators
