@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .drinfeld import (
     carlitz_module,
     frobenius_charpoly,
+    frobenius_charpoly_by_peel,
     lseries_coeffs,
     lseries_coeffs_by_expansion,
     module_over_A,
@@ -245,14 +246,17 @@ def criterion_6(g):
 
 
 def criterion_7(g):
-    """Rank-2 Frobenius charpoly verifies exactly and obeys the local
-    degree bound 2 deg a <= deg f.
+    """Rank-2 Frobenius charpoly verifies exactly, obeys the local
+    degree bound 2 deg a <= deg f, and agrees with its oracle.
 
     mu is Gekeler's closed form (-1)^d N(g_2)^(-1) f (Trans. AMS 360,
     2008), and a is peeled off phi_a tau^d = tau^(2d) + phi_mu by
     tau-degree, with a zero remainder as the exact check.  The bound
     follows from tau-degrees in any verified answer: 2 deg a + d <= 2d.
-    So ``trace_bound_ok`` cannot fail once ``verified`` holds."""
+    So ``trace_bound_ok`` cannot fail once ``verified`` holds.  At every
+    prime, (a, mu, epsilon) of ``frobenius_charpoly``, solved on flat
+    residues, is compared with the oracle peel on skew polynomials
+    (``frobenius_charpoly_by_peel``); a disagreement is a failure."""
     failures = []
     for r in g["r"]:
         field = _field_of_order(r)
@@ -263,17 +267,18 @@ def criterion_7(g):
         for module in modules:
             for dd in range(1, g["prime_deg_max"] + 1):
                 for f in enumerate_monic_primes(field, dd):
+                    where = {"r": r, "module": module.label, "f": f.to_string()}
                     try:
                         data = frobenius_charpoly(module, f)
+                        peel = frobenius_charpoly_by_peel(module, f)
                     except FFZetaError as exc:
-                        failures.append({"r": r, "module": module.label,
-                                         "f": f.to_string(), "error": str(exc)})
+                        failures.append({**where, "error": str(exc)})
                         continue
                     if not (data.verified and data.trace_bound_ok):
-                        failures.append({"r": r, "module": module.label,
-                                         "f": f.to_string(),
-                                         "verified": data.verified,
+                        failures.append({**where, "verified": data.verified,
                                          "bound": data.trace_bound_ok})
+                    if (data.a, data.mu, data.epsilon) != (peel.a, peel.mu, peel.epsilon):
+                        failures.append({**where, "reason": "fast != peel"})
     return ("rank-2 local degree bound and exact charpoly", not failures,
             {"failures": failures})
 

@@ -479,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated criterion ids, default all")
     _add_format(sp)
 
+    ap.command_parsers = sub.choices  # name -> subparser, read by _parse_args
     return ap
 
 
@@ -492,9 +493,24 @@ _DISPATCH = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed request.  When argv[0] names a command, its own subparser
+    reads the rest, which skips the top-level parse and gives the same
+    namespace; anything else, and a request with arguments that subparser
+    leaves over, takes the full parse, so every error keeps its text."""
+    parser = build_parser()
+    sub = parser.command_parsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {k: v for k, v in vars(args).items() if k != "command"}

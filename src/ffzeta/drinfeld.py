@@ -17,8 +17,18 @@ N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q, one power in
 A/(f).  Rank 1 checks tau^d = phi_mu.  Rank 2 reads a off
 phi_a tau^d = tau^(2d) + phi_mu by tau-degree: phi_a has tau-degree
 2 deg a and a unit leading coefficient over the field A/(f), so a is
-peeled off from the top against the kept powers phi_T^k, and the zero
+peeled off from the top against the powers phi_T^k, and the zero
 remainder is the exact check.
+
+Two solvers do this, with no skew arithmetic in common.  The fast one,
+``_flat_frobenius``, serves ``frobenius_charpoly`` and through it
+``lseries_coeffs``, ``lseries_special_coeffs`` and ``sqrtcar``: a residue
+mod f is a trimmed tuple of encodings, a skew polynomial a list of them,
+and every product one fused product-and-reduce.  The oracle,
+``frobenius_charpoly_by_peel``, reduces the module to ``VadicElem``
+coefficients and peels on ``SkewPoly`` with the module's kept powers
+(``_phi_preimage``); ``lseries_coeffs_by_expansion`` and criterion 7 read
+it.
 
 Each verified result is a ``functools.cache`` entry keyed by value as
 (base field, phi_T, f), kept for the process, so a module rebuilt for a
@@ -48,8 +58,15 @@ from .errors import (
     FieldMismatch,
     NoSolution,
     PreconditionViolated,
+    ReducibleModulus,
 )
-from .ffpoly import FiniteField, Poly, enumerate_monic_primes
+from .ffpoly import (
+    FiniteField,
+    Poly,
+    enumerate_monic_primes,
+    is_monic_prime,
+    square_multiply,
+)
 from .nonarch import VadicRing
 
 
@@ -239,7 +256,9 @@ class FrobeniusData:
 
     ``mu`` is Gekeler's closed form (-1)^((rank-1)d) N(g)^(-1) f, with g
     the leading coefficient of phi_T, and ``a`` is read off by
-    tau-degree; ``verified`` means the Frobenius equation held exactly.
+    tau-degree; ``verified`` means the Frobenius equation held exactly,
+    on the flat residues of the fast solver or on the skew polynomials of
+    the oracle peel, whichever made the result.
     ``trace_bound_ok`` records 2 deg a <= deg f, the local Riemann
     hypothesis bound.  It follows from tau-degrees in any verified
     answer: phi_a tau^d has tau-degree 2 deg a + d, which is at most the
@@ -269,12 +288,15 @@ def frobenius_charpoly(module: DrinfeldModule, f: Poly) -> FrobeniusData:
     where N(g) = g^((q^d-1)/(q-1)) is the norm from A/(f) to F_q
     (Gekeler, "Frobenius distributions of Drinfeld modules over finite
     fields", Trans. AMS 360, 2008).  Rank 1 checks phi_mu = Fr.  Rank 2
-    reads a off phi_a Fr = Fr^2 + phi_mu by tau-degree
-    (``_phi_preimage``); its zero remainder is the exact check.  Either
-    check failing raises NoSolution, so a wrong unit can never give a
-    silent wrong answer.  Rank 3 and above raise PreconditionViolated
-    before any work (``_supported``).
+    reads a off phi_a Fr = Fr^2 + phi_mu by tau-degree, peeling from the
+    top; its zero remainder is the exact check.  Either check failing
+    raises NoSolution, so a wrong unit can never give a silent wrong
+    answer.  Rank 3 and above raise PreconditionViolated before any work
+    (``_supported``).
 
+    The solve runs on flat residues (``_flat_frobenius``); its oracle,
+    ``frobenius_charpoly_by_peel``, solves the same equations on
+    ``SkewPoly`` and ``VadicElem`` and shares no skew arithmetic with it.
     A result is a ``functools.cache`` entry of ``_kept_frobenius``,
     keyed by value as (module.base_field, module.phi_T, f) once its check
     has passed, and later calls with equal values return it; a call that
@@ -293,11 +315,205 @@ def _supported(module: DrinfeldModule, x) -> tuple:
 
 @functools.cache
 def _kept_frobenius(base_field: FiniteField, phi_T: tuple, f: Poly) -> FrobeniusData:
-    return _solve_frobenius(DrinfeldModule(base_field, phi_T), f)
+    return _flat_frobenius(base_field, phi_T, f)
 
 
-def _solve_frobenius(module: DrinfeldModule, f: Poly) -> FrobeniusData:
-    """``frobenius_charpoly`` without the kept results or the rank check."""
+# ---------------------------------------------------------------------------
+# The fast solver: flat residues
+# ---------------------------------------------------------------------------
+
+def _flat_frobenius(base_field: FiniteField, phi_T: tuple, f: Poly) -> FrobeniusData:
+    """``frobenius_charpoly`` without the kept results or the rank check.
+
+    A residue mod f is a trimmed tuple of encodings and a skew polynomial
+    a list of residues; every product goes through one fused
+    product-and-reduce (``_fused_kernel``), and nothing is kept past the
+    call.  Errors come in the oracle's order: a non-prime f, coefficients
+    outside A, a leading coefficient over another field than f, bad
+    reduction, then a failed check.
+    """
+    if not is_monic_prime(f):
+        raise ReducibleModulus("the local prime must be monic irreducible")
+    if not all(isinstance(c, Poly) for c in phi_T):
+        raise TypeError("reduce_mod needs A-integral coefficients")
+    lead = phi_T[-1] % f
+    if lead.is_zero():
+        raise BadReduction(f"leading coefficient vanishes mod {f}")
+    if any(c.field != f.field for c in phi_T):
+        raise FieldMismatch("polynomial over the wrong field")
+    d, rank = len(f.coeffs) - 1, len(phi_T) - 1
+    phi = [c.coeffs if len(c.coeffs) <= d else (c % f).coeffs for c in phi_T]
+    lin = _fused_kernel(f)
+    eps = _flat_norm_unit(base_field, lin, phi[-1], d, rank)
+    mu = f.scale(eps)
+    powers = _flat_phi_powers(lin, phi, d, base_field.order)
+    phi_mu = [lin([((m,), power[n]) for m, power in zip(mu.coeffs, powers)
+                   if m and n < len(power)])
+              for n in range(rank * d + 1)]
+    if rank == 1:
+        if phi_mu != [()] * d + [(1,)]:
+            raise NoSolution(f"no rank-1 Frobenius norm at {f}")
+        return FrobeniusData(1, mu, None, eps, True, True)
+    phi_mu[2 * d] = lin((((1,), phi_mu[2 * d]), ((1,), (1,))))  # + tau^(2d)
+    a = None
+    if not any(phi_mu[:d]):
+        a = _flat_peel(base_field, lin, powers, phi_mu[d:])
+    if a is None:
+        raise NoSolution(f"no rank-2 Frobenius charpoly at {f}")
+    bound_ok = a.is_zero() or 2 * int(a.degree) <= d
+    return FrobeniusData(2, mu, a, eps, True, bound_ok)
+
+
+def _fused_kernel(f: Poly):
+    """lin(pairs) = sum of x * y mod f over the pairs (x, y) of residues:
+    the products are summed unreduced, then reduced once against the monic
+    f.  Additions are XOR at p = 2, integers taken mod p at the end over
+    F_p, and the field's ``_add`` table over F_(p^m); products are the
+    ``_mul`` table's rows (F_2's is written out), or integers over F_p."""
+    F, d = f.field, len(f.coeffs) - 1
+    low, tops, p = f.coeffs[:-1], range(2 * d - 2, d - 1, -1), F.p
+    if F.m == 1 and p > 2:
+        def lin(pairs):
+            acc = [0] * (2 * d - 1)
+            for x, y in pairs:
+                for i, xi in enumerate(x):
+                    if xi:
+                        for j, yj in enumerate(y, i):
+                            acc[j] += xi * yj
+            for n in tops:
+                c = acc[n] % p
+                if c:
+                    for t, ft in enumerate(low, n - d):
+                        acc[t] -= c * ft
+            out = [v % p for v in acc[:d]]
+            while out and not out[-1]:
+                out.pop()
+            return tuple(out)
+    elif p == 2:
+        mul = F._mul or ((0, 0), (0, 1))
+
+        def lin(pairs):
+            acc = [0] * (2 * d - 1)
+            for x, y in pairs:
+                for i, xi in enumerate(x):
+                    if xi:
+                        row = mul[xi]
+                        for j, yj in enumerate(y, i):
+                            acc[j] ^= row[yj]
+            for n in tops:
+                c = acc[n]
+                if c:
+                    row = mul[c]
+                    for t, ft in enumerate(low, n - d):
+                        acc[t] ^= row[ft]
+            del acc[d:]
+            while acc and not acc[-1]:
+                acc.pop()
+            return tuple(acc)
+    else:
+        mul, add, neg = F._mul, F._add, F._neg
+
+        def lin(pairs):
+            acc = [0] * (2 * d - 1)
+            for x, y in pairs:
+                for i, xi in enumerate(x):
+                    if xi:
+                        row = mul[xi]
+                        for j, yj in enumerate(y, i):
+                            acc[j] = add[acc[j]][row[yj]]
+            for n in tops:
+                c = acc[n]
+                if c:
+                    row = mul[neg[c]]
+                    for t, ft in enumerate(low, n - d):
+                        acc[t] = add[acc[t]][row[ft]]
+            del acc[d:]
+            while acc and not acc[-1]:
+                acc.pop()
+            return tuple(acc)
+    return lin
+
+
+def _trimmed(cs: list) -> list:
+    """cs without its trailing zeros (empty residues)."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _flat_norm_unit(field: FiniteField, lin, lead: tuple, d: int, rank: int) -> int:
+    """eps = (-1)^((rank-1)d) / N(g) for the residue ``lead`` of g: the
+    norm N(g) = g^((q^d-1)/(q-1)) is one power mod f, and for a constant
+    c it is c^d in F_q, since c^(q-1) = 1."""
+    q = field.order
+    if len(lead) == 1:
+        norm = field.pow(lead[0], d)
+    else:
+        power = square_multiply(lead, (q ** d - 1) // (q - 1), (1,),
+                                lambda x, y: lin(((x, y),)))
+        if len(power) != 1:
+            raise NoSolution(f"norm of the leading coefficient is not in F_{q}")
+        norm = power[0]
+    eps = field.inv(norm)
+    return field.neg(eps) if (rank - 1) * d % 2 else eps
+
+
+def _flat_phi_powers(lin, phi: list, d: int, q: int) -> list[list]:
+    """phi_T^0, ..., phi_T^d as lists of residues, each one skew product
+    by phi_T: row i of phi_T is twisted by x -> x^(q^i), and since
+    x^(q^d) = x in A/(f), the d rows built here serve every i.  A
+    constant is its own twist."""
+    rows = [phi]
+    for _ in range(d - 1):
+        rows.append([c if len(c) < 2 else square_multiply(
+            c, q, (1,), lambda x, y: lin(((x, y),))) for c in rows[-1]])
+    powers = [[(1,)], phi]
+    for _ in range(d - 1):
+        prev = powers[-1]
+        pairs = [[] for _ in range(len(prev) + len(phi) - 1)]
+        for i, x in enumerate(prev):
+            if x:
+                for n, y in enumerate(rows[i % d], i):
+                    if y:
+                        pairs[n].append((x, y))
+        powers.append(list(map(lin, pairs)))
+    return powers
+
+
+def _flat_peel(field: FiniteField, lin, powers: list[list], target: list
+               ) -> Poly | None:
+    """The a with phi_a == target in rank 2, or None: ``_phi_preimage``
+    on flat residues.  The top of the remainder sits at tau^(2k), its
+    quotient by the leading coefficient of phi_T^k must be a constant a_k,
+    the top is cancelled (popped) and a_k phi_T^k taken off the rest.  A
+    zero remainder is the exact check."""
+    rem = _trimmed(list(target))
+    coeffs = [0] * (max(len(rem) - 1, 0) // 2 + 1)
+    while rem:
+        k, off = divmod(len(rem) - 1, 2)
+        if off:
+            return None
+        top, lead = rem.pop(), powers[k][-1]
+        c = field.mul(top[-1], field.inv(lead[-1]))
+        if lin((((c,), lead),)) != top:
+            return None
+        coeffs[k] = c
+        neg = field.neg(c)
+        rem = _trimmed([lin((((1,), r), ((neg,), y))) for r, y in zip(rem, powers[k])])
+    return Poly._of_reduced(field, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The oracle solver: the skew-polynomial peel
+# ---------------------------------------------------------------------------
+
+def frobenius_charpoly_by_peel(module: DrinfeldModule, f: Poly) -> FrobeniusData:
+    """Independent route for ``frobenius_charpoly``: the same equations
+    solved on ``SkewPoly`` and ``VadicElem`` (the module reduced at f, its
+    kept powers of phi_T, ``_phi_preimage``), afresh on every call.  It
+    neither reads nor writes the kept results, and it raises what the fast
+    route raises, in the same order."""
+    _supported(module, f)
     reduced = module.reduce_mod(f)
     d = int(f.degree)
     eps = _norm_unit(reduced, d)
@@ -456,7 +672,7 @@ def lseries_coeffs_by_expansion(module: DrinfeldModule, degree_bound: int
     for deg_f in range(1, degree_bound + 1):
         for f in enumerate_monic_primes(field, deg_f):
             try:
-                data = _solve_frobenius(module, f)
+                data = frobenius_charpoly_by_peel(module, f)
             except BadReduction:
                 skipped.append(f)
                 continue

@@ -138,3 +138,58 @@ def test_every_request_exits_with_a_documented_code(r):
     again_code, again = _run(argv)
     assert again_code == 0
     assert again.split('"timing"')[0] == out.split('"timing"')[0], argv
+
+
+# ``cli.main`` parses a request that starts with a command name with that
+# command's own subparser and falls back to the full parse otherwise, or
+# when the subparser leaves arguments over.  Both parses must agree on the
+# namespace (with its key order, which the envelope's config keeps), the
+# exit code and everything printed.
+
+EDGE_ARGV = [
+    [], ["--version"], ["-h"], ["nosuch"], ["verify", "--quick"],
+    ["frobenius", "--p", "2", "--module", "carlitz"],               # no --f
+    ["frobenius", "--p", "x", "--f", "T", "--module", "carlitz"],
+    ["frobenius", "--p", "2", "--f", "T", "--module", "carlitz", "--bogus"],
+    ["frobenius", "-h"],
+    ["special", "--p", "2", "--j", "1", "--format", "csv"],
+    ["newton", "--p", "2", "--y", "1", "--y-digits", "1"],
+    ["frobenius", "--p", "2", "--f", "T", "--module", "carlitz", "stray"],
+    ["frobenius", "--p", "2", "--", "--f", "T", "--module", "carlitz"],
+    ["frobenius", "--p=2", "--f", "T", "--module", "carlitz"],
+    ["frobenius", "--p", "2", "--f", "T", "--modul", "carlitz"],
+    ["sqrtcar", "--j", "-1"],
+    ["frobenius", "--pp", "2", "--f", "T", "--module", "carlitz"],
+    ["lseries", "--p", "2", "--module", "carlitz", "--degree-bound", "1", "--version"],
+]
+
+
+def _parsed(parse, argv):
+    """(namespace items in order, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    items, code = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = parse(list(argv))
+            items = (ns.command, [(k, v) for k, v in vars(ns).items() if k != "command"])
+        except SystemExit as exc:
+            code = exc.code
+    return items, code, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_agree(argv):
+    full = _parsed(cli.build_parser().parse_args, argv)
+    assert _parsed(cli._parse_args, argv) == full, argv
+    return full
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_direct_parse_agrees_with_the_full_parse(r):
+    _assert_parses_agree(_request(r))
+
+
+def test_direct_parse_agrees_on_edge_and_readme_argv():
+    from test_readme_cli import readme_examples
+    outcomes = [_assert_parses_agree(argv) for argv in EDGE_ARGV + readme_examples()]
+    assert {code for _, code, _, _ in outcomes} == {None, 0, 2}

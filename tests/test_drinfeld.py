@@ -2,7 +2,7 @@ import dataclasses
 import io
 import itertools
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ffzeta import cli, drinfeld
 from ffzeta.drinfeld import (
+    DrinfeldModule,
     SkewPoly,
     _phi_preimage,
     carlitz_module,
     frobenius_charpoly,
+    frobenius_charpoly_by_peel,
     lseries_coeffs,
     lseries_coeffs_by_expansion,
     lseries_special_coeffs,
@@ -22,9 +24,11 @@ from ffzeta.drinfeld import (
 )
 from ffzeta.errors import (
     BadReduction,
+    FFZetaError,
     FieldMismatch,
     NoSolution,
     PreconditionViolated,
+    ReducibleModulus,
 )
 from ffzeta.ffpoly import (
     FiniteField,
@@ -521,7 +525,8 @@ class TestFrobeniusOracle:
     @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
     @pytest.mark.parametrize("field", [F3, F4, F5], ids=repr)
     def test_wrong_unit_raises(self, field, name, monkeypatch):
-        """Any unit other than the norm formula's fails the exact check."""
+        """Any unit other than the norm formula's fails the exact check, on
+        the fast solver and on the oracle peel."""
         module = _ORACLE_MODULES[name](field)
         for d in (1, 2):
             for f in enumerate_monic_primes(field, d):
@@ -530,11 +535,15 @@ class TestFrobeniusOracle:
                 eps = frobenius_charpoly(module, f).epsilon
                 for wrong in range(1, field.order):
                     if wrong != eps:
+                        monkeypatch.setattr(drinfeld, "_flat_norm_unit",
+                                            lambda *args, u=wrong: u)
                         monkeypatch.setattr(drinfeld, "_norm_unit",
                                             lambda red, d, u=wrong: u)
                         drinfeld._kept_frobenius.cache_clear()  # drop the kept result
                         with pytest.raises(NoSolution):
                             frobenius_charpoly(module, f)
+                        with pytest.raises(NoSolution):
+                            frobenius_charpoly_by_peel(module, f)
                         monkeypatch.undo()
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
@@ -556,6 +565,97 @@ class TestFrobeniusOracle:
                     assert self._solved(red, f) == want, (g, f)
                     nones += not want
         assert nones
+
+
+# (field, prime degree bound) of the fast solver's pin to the oracle peel
+_FLAT_GRID = {F2: 4, F3: 3, F4: 2, F5: 2, F9: 2}
+
+
+def _outcome(solve, module, f):
+    """What one solver makes of (module, f): its data, or the type and
+    text of what it raised."""
+    try:
+        return solve(module, f)
+    except (FFZetaError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _flat(module, f):
+    """The fast route's solver itself, past the kept results."""
+    return drinfeld._flat_frobenius(module.base_field, module.phi_T, f)
+
+
+def _random_poly(data, field, max_deg):
+    deg = data.draw(st.integers(0, max_deg))
+    low = data.draw(st.lists(st.integers(0, field.order - 1), min_size=deg, max_size=deg))
+    return Poly(field, low + [data.draw(st.integers(1, field.order - 1))])
+
+
+class TestFlatSolver:
+    """The fast solver on flat residues against the oracle peel on
+    ``SkewPoly``: equal data, or equal errors, at every prime up to a
+    degree bound."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_peel(self, data):
+        field = data.draw(st.sampled_from(list(_FLAT_GRID)))
+        rank = data.draw(st.integers(1, 2))
+        gs = [_random_poly(data, field, 2) for _ in range(rank)]
+        # gamma other than T: the module's characteristic is not f, so most
+        # primes have no solution (the rank-1 check or the peel refuses)
+        gamma = data.draw(st.sampled_from(
+            [Poly.variable(field), _random_poly(data, field, 2)]))
+        module = DrinfeldModule(field, (gamma, *gs))
+        for d in range(1, _FLAT_GRID[field] + 1):
+            for f in enumerate_monic_primes(field, d):
+                assert _outcome(_flat, module, f) == \
+                    _outcome(frobenius_charpoly_by_peel, module, f), (module.phi_T, f)
+
+    def test_pinned_errors(self):
+        """Bad reduction, a reducible f (also over another field), a prime
+        over another field, and a foreign characteristic: the same type and
+        text on both routes."""
+        T2 = Poly.variable(F2)
+        foreign = DrinfeldModule(F2, (T2 + Poly.one(F2), Poly.one(F2)))
+        cases = [
+            (_ORACLE_MODULES["1,T"](F3), Poly.variable(F3), BadReduction,
+             f"leading coefficient vanishes mod {Poly.variable(F3)}"),
+            (carlitz_module(F2), poly_parse(F2, "T^2"), ReducibleModulus,
+             "the local prime must be monic irreducible"),
+            (carlitz_module(F2), poly_parse(F3, "T^2+2"), ReducibleModulus,
+             "the local prime must be monic irreducible"),
+            (carlitz_module(F2), poly_parse(F3, "T^2+1"), FieldMismatch,
+             "polynomials over different fields"),
+            (foreign, T2, NoSolution, "no rank-1 Frobenius norm at T"),
+        ]
+        for module, f, kind, text in cases:
+            for solve in (_flat, frobenius_charpoly_by_peel, frobenius_charpoly):
+                with pytest.raises(kind) as info:
+                    solve(module, f)
+                assert str(info.value) == text, (solve, f)
+
+    def test_foreign_characteristic_in_rank_2(self):
+        module = DrinfeldModule(F3, (poly_parse(F3, "T+1"), Poly.one(F3), Poly.one(F3)))
+        refused = 0
+        for f in enumerate_monic_primes(F3, 2):
+            got = _outcome(_flat, module, f)
+            assert got == _outcome(frobenius_charpoly_by_peel, module, f), f
+            refused += got == ("NoSolution", f"no rank-2 Frobenius charpoly at {f}")
+        assert refused
+
+    def test_rank_3_raises_before_any_work(self):
+        M = module_over_A(F2, [Poly.one(F2), Poly.one(F2), Poly.variable(F2)])
+        for route in (frobenius_charpoly, frobenius_charpoly_by_peel):
+            with pytest.raises(PreconditionViolated):
+                route(M, Poly.variable(F2))  # a bad prime, and not reached
+
+    def test_reducible_prime_is_a_usage_error(self):
+        argv = ["frobenius", "--p", "3", "--f", "T^2", "--tau-coeffs", "T,1"]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert cli.main(argv) == 2
+        assert err.getvalue() == "usage error: the local prime must be monic irreducible\n"
 
 
 def _kept_infos():
@@ -628,9 +728,9 @@ class TestFrobeniusStore:
     def test_failure_is_never_kept(self, store, monkeypatch):
         module = _ORACLE_MODULES["T,2"](F5)
         f = poly_parse(F5, "T^2+2")
-        want = drinfeld._solve_frobenius(module, f)
+        want = drinfeld._flat_frobenius(module.base_field, module.phi_T, f)
         wrong = 1 if want.epsilon != 1 else 2
-        monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: wrong)
+        monkeypatch.setattr(drinfeld, "_flat_norm_unit", lambda *args: wrong)
         with pytest.raises(NoSolution):
             frobenius_charpoly(module, f)
         assert store.cache_info().currsize == 0
@@ -654,7 +754,7 @@ class TestFrobeniusStore:
         C = carlitz_module(F2)
         T = Poly.variable(F2)
         wrong = drinfeld.FrobeniusData(1, T + Poly.one(F2), None, 1, True, True)
-        monkeypatch.setattr(drinfeld, "_solve_frobenius", lambda module, f: wrong)
+        monkeypatch.setattr(drinfeld, "_flat_frobenius", lambda field, phi_T, f: wrong)
         assert frobenius_charpoly(C, T) is wrong  # kept by the first call
         monkeypatch.undo()
         rec = lseries_coeffs(C, 4)
@@ -707,7 +807,7 @@ class TestDirichletStore:
         want = drinfeld._build_dirichlet(module, 2)
         store.cache_clear()  # so that every prime is solved again
         # 0 is no prime's norm unit, so the first Frobenius check fails
-        monkeypatch.setattr(drinfeld, "_norm_unit", lambda red, d: 0)
+        monkeypatch.setattr(drinfeld, "_flat_norm_unit", lambda *args: 0)
         for _ in range(2):
             with pytest.raises(NoSolution):
                 lseries_coeffs(module, 2)

@@ -93,7 +93,8 @@ def test_the_check_sees_every_packing_kernel(tmp_path):
 
 
 # An oracle checks a kept or fast result only if it does not reach it: the
-# expansion route of the Dirichlet table solves and builds afresh, and the
+# expansion route of the Dirichlet table solves and builds afresh, with the
+# skew-polynomial peel and not the fast Frobenius solver, and the
 # enumerated power sums (the Hecke sums of sqrtcar among them) never ask
 # the engine, its packed kernels or ``Poly.__pow__``, which chooses them.
 # Each oracle's body, and the body of every function of its own module
@@ -103,7 +104,13 @@ FAST_SUMS = {"_layers", "_monic_sum", "_monic_poly", "_power_sums", "power_sum",
              "special_polynomial", "pk", "_packing", "__pow__"}
 ORACLES = {
     ("drinfeld.py", "lseries_coeffs_by_expansion"):
-        {"_kept_dirichlet", "_kept_frobenius", "lseries_coeffs", "frobenius_charpoly"},
+        {"_kept_dirichlet", "_kept_frobenius", "lseries_coeffs", "frobenius_charpoly",
+         "_flat_frobenius"},
+    # the fast Frobenius solver and its oracle, the skew-polynomial peel,
+    # share no skew arithmetic
+    ("drinfeld.py", "_flat_frobenius"):
+        {"SkewPoly", "VadicRing", "VadicElem", "_phi_preimage", "_norm_unit",
+         "frobenius_charpoly_by_peel"},
     ("oracle.py", "power_sum_enumerated"): FAST_SUMS,
     ("oracle.py", "multiples_power_sum"): FAST_SUMS,
     ("oracle.py", "coprime_power_sum"): FAST_SUMS,
